@@ -57,6 +57,7 @@ done
 
 python3 - "$OUT" "${RAWS[@]}" <<'PY'
 import json
+import os
 import sys
 
 out_path, raw_paths = sys.argv[1], sys.argv[2:]
@@ -72,6 +73,8 @@ known = {
     "per_family_instance_index", "aggregate_name", "aggregate_unit",
 }
 for raw_path in raw_paths:
+    if os.path.getsize(raw_path) == 0:
+        continue  # the filter matched no benchmark in this binary
     with open(raw_path) as f:
         raw = json.load(f)
     if "benchmarks" not in raw:
@@ -98,7 +101,9 @@ for raw_path in raw_paths:
                   f"{b.get('error_message', 'unknown')}", file=sys.stderr)
             continue
         name = b["name"]
-        op, _, shape = name.partition("/")
+        # UseRealTime() appends "/real_time" to the name: a timing mode,
+        # not part of the shape.
+        op, _, shape = name.removesuffix("/real_time").partition("/")
         unit = b.get("time_unit", "ns")
         scale = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}[unit]
         rec = {

@@ -1,6 +1,8 @@
 #include "pop/population.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
@@ -15,6 +17,26 @@ namespace {
 constexpr std::uint64_t kDeviceSalt = 0xdef1ee70ULL;
 constexpr std::uint64_t kShardSalt = 0x5eedda7aULL;
 constexpr std::uint64_t kPhaseSalt = 0xd1a17e5ULL;
+
+/// Longest diurnal period: ClientDescriptor::avail_phase is 16 bits.
+constexpr int kMaxPeriodRounds = 65536;
+
+/// Clients per availability-scan chunk: a whole number of 64-bit mask
+/// words, so no two chunks share a word.
+constexpr std::int64_t kScanChunk = 1 << 14;
+static_assert(kScanChunk % 64 == 0);
+
+/// Runs fn(chunk, begin, end) over [0, n) in kScanChunk-sized chunks on the
+/// shared pool. Chunk boundaries depend on n alone, never on the thread
+/// count or on how parallel_for splits its ranges.
+template <typename Fn>
+void for_each_chunk(std::int64_t n, const Fn& fn) {
+  ThreadPool::global().parallel_for(
+      n, kScanChunk, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t b = lo; b < hi; b += kScanChunk)
+          fn(b / kScanChunk, b, std::min(hi, b + kScanChunk));
+      });
+}
 
 Counter& pop_materializations() {
   static Counter c("fedtrans_pop_materializations_total");
@@ -42,6 +64,10 @@ Population::Population(const PopulationConfig& cfg)
       shards_(cfg_.shard) {
   FT_CHECK_MSG(cfg_.num_clients >= 1, "population needs at least one client");
   FT_CHECK_MSG(cfg_.pool_capacity >= 1, "pool capacity must be positive");
+  const int period = cfg_.availability.period_rounds;
+  FT_CHECK_MSG(period >= 1 && period <= kMaxPeriodRounds,
+               "availability.period_rounds " << period << " outside [1, "
+                                             << kMaxPeriodRounds << "]");
   descriptors_.resize(static_cast<std::size_t>(cfg_.num_clients));
   // Every descriptor is a pure function of (population seed, client index):
   // construction parallelizes and any client regenerates identically in a
@@ -57,7 +83,6 @@ Population::Population(const PopulationConfig& cfg)
           d.data_seed = static_cast<std::uint32_t>(
               mix64(mix64(cfg_.seed ^ kShardSalt) ^ c));
           const std::uint64_t ph = mix64(mix64(cfg_.seed ^ kPhaseSalt) ^ c);
-          const int period = std::max(1, cfg_.availability.period_rounds);
           d.avail_phase = static_cast<std::uint16_t>(
               ph % static_cast<std::uint64_t>(period));
           d.avail_group = static_cast<std::uint16_t>(ph >> 48);
@@ -97,10 +122,55 @@ std::vector<DeviceProfile> Population::fleet() const {
 std::vector<int> Population::select_cohort(std::uint32_t round, int k,
                                            Rng& rng) const {
   FT_CHECK_MSG(k >= 1, "cohort size must be positive");
+  const AvailabilityModel& m = cfg_.availability;
+  const std::int64_t clients = num_clients();
   std::vector<int> avail;
-  avail.reserve(static_cast<std::size_t>(num_clients()));
-  for (int c = 0; c < num_clients(); ++c)
-    if (available(round, c)) avail.push_back(c);
+  if (always_online(m)) {
+    avail.resize(static_cast<std::size_t>(clients));
+    std::iota(avail.begin(), avail.end(), 0);
+  } else {
+    // The same derivation as available(), hoisted: one online probability
+    // per diurnal phase and one hash prefix per round, so each client costs
+    // one mixing round and a table lookup.
+    std::vector<double> threshold(static_cast<std::size_t>(m.period_rounds));
+    for (std::size_t ph = 0; ph < threshold.size(); ++ph)
+      threshold[ph] =
+          online_probability(m, round, static_cast<std::uint32_t>(ph));
+    const std::uint64_t prefix = availability_prefix(m, round);
+    const ClientDescriptor* desc = descriptors_.data();
+    // Pass 1 keeps each client's answer as one bit of a transient mask and
+    // counts every chunk; pass 2 writes each chunk's online clients from
+    // its prefix-sum offset, so `avail` comes out in index order.
+    std::vector<std::uint64_t> online(
+        static_cast<std::size_t>((clients + 63) / 64));
+    std::vector<std::size_t> offset(
+        static_cast<std::size_t>((clients + kScanChunk - 1) / kScanChunk) + 1);
+    for_each_chunk(clients, [&](std::int64_t chunk, std::int64_t lo,
+                                std::int64_t hi) {
+      std::size_t count = 0;
+      for (std::int64_t w = lo; w < hi; w += 64) {
+        std::uint64_t word = 0;
+        for (std::int64_t c = w; c < std::min(hi, w + 64); ++c)
+          word |= static_cast<std::uint64_t>(
+                      hash01_from(prefix, static_cast<std::uint64_t>(c)) <
+                      threshold[desc[c].avail_phase])
+                  << (c - w);
+        online[static_cast<std::size_t>(w / 64)] = word;
+        count += static_cast<std::size_t>(std::popcount(word));
+      }
+      offset[static_cast<std::size_t>(chunk) + 1] = count;
+    });
+    std::partial_sum(offset.begin(), offset.end(), offset.begin());
+    avail.resize(offset.back());
+    for_each_chunk(clients, [&](std::int64_t chunk, std::int64_t lo,
+                                std::int64_t hi) {
+      int* out = avail.data() + offset[static_cast<std::size_t>(chunk)];
+      for (std::int64_t w = lo; w < hi; w += 64)
+        for (std::uint64_t word = online[static_cast<std::size_t>(w / 64)];
+             word != 0; word &= word - 1)
+          *out++ = static_cast<int>(w + std::countr_zero(word));
+    });
+  }
   const int n = static_cast<int>(avail.size());
   if (n <= k) return avail;  // everyone online participates
   // Partial Fisher–Yates: k swaps, not a full shuffle of the population.

@@ -83,7 +83,8 @@ class Population {
   /// Uniformly select k distinct *available* clients for `round` by
   /// scanning the descriptor index — no live objects involved. Partial
   /// Fisher–Yates over the available set, so cost is O(population) scan +
-  /// O(k) draws.
+  /// O(k) draws. The scan runs on the shared ThreadPool in fixed-size
+  /// chunks joined in index order: the same cohort at every thread count.
   std::vector<int> select_cohort(std::uint32_t round, int k, Rng& rng) const;
 
   /// Eager twin: every client materialized, wrapped as a FederatedDataset.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/hash.hpp"
 
 namespace fedtrans {
 
@@ -28,19 +27,28 @@ std::vector<DeviceProfile> sample_fleet(const FleetConfig& cfg) {
   return fleet;
 }
 
-bool device_available(const AvailabilityModel& m, std::uint32_t round,
-                      std::uint32_t client, std::uint32_t phase) {
-  if (m.base_online_frac >= 1.0 && m.diurnal_amplitude <= 0.0) return true;
+bool always_online(const AvailabilityModel& m) {
+  return m.base_online_frac >= 1.0 && m.diurnal_amplitude <= 0.0;
+}
+
+double online_probability(const AvailabilityModel& m, std::uint32_t round,
+                          std::uint32_t phase) {
   FT_CHECK(m.period_rounds > 0);
   const double t =
       static_cast<double>((round + phase) % static_cast<std::uint32_t>(
                                                m.period_rounds)) /
       static_cast<double>(m.period_rounds);
-  const double p = std::clamp(
+  return std::clamp(
       m.base_online_frac +
           m.diurnal_amplitude * std::sin(2.0 * 3.141592653589793 * t),
       0.0, 1.0);
-  return hash01(m.seed, 0xa7a11u, round, client) < p;
+}
+
+bool device_available(const AvailabilityModel& m, std::uint32_t round,
+                      std::uint32_t client, std::uint32_t phase) {
+  if (always_online(m)) return true;
+  return hash01_from(availability_prefix(m, round), client) <
+         online_probability(m, round, phase);
 }
 
 double fleet_disparity(const std::vector<DeviceProfile>& fleet) {

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 
 namespace fedtrans {
@@ -57,7 +58,8 @@ DeviceProfile sample_device(const FleetConfig& cfg, Rng& rng);
 
 /// Diurnal availability model: a device is online with probability
 ///   clamp(base_online_frac + diurnal_amplitude ·
-///         sin(2π · (round + phase) / period_rounds), 0, 1)
+///         sin(2π · ((round + phase) mod period_rounds) / period_rounds),
+///         0, 1)
 /// where `phase` spreads devices across timezones/habits. Substitutes for
 /// the FedScale availability trace the paper samples participants under:
 /// the population layer filters selection to clients whose counter-hashed
@@ -68,13 +70,32 @@ struct AvailabilityModel {
   double base_online_frac = 1.0;
   /// Peak-to-mean swing of the diurnal cycle (0 = flat).
   double diurnal_amplitude = 0.0;
-  /// Rounds per simulated day.
+  /// Rounds per simulated day. A Population accepts [1, 65536]: it stores
+  /// each client's phase in 16 bits.
   int period_rounds = 24;
   std::uint64_t seed = 0xa5a11ab1eULL;
 };
 
+/// True when every device is online in every round (base ≥ 1, no swing).
+bool always_online(const AvailabilityModel& m);
+
+/// The online probability above for a device with diurnal offset `phase`
+/// in `round`. `round + phase` wraps in uint32 before the modulo.
+double online_probability(const AvailabilityModel& m, std::uint32_t round,
+                          std::uint32_t phase);
+
+/// The part of a round's availability hash that depends only on
+/// (m.seed, round). A client is online iff hash01_from(prefix, client)
+/// lands under its online_probability.
+inline std::uint64_t availability_prefix(const AvailabilityModel& m,
+                                         std::uint32_t round) {
+  return hash_prefix(m.seed, 0xa7a11u, round);
+}
+
 /// Deterministic per-(round, client) availability draw. `phase` is the
 /// client's diurnal offset in rounds (ClientDescriptor::avail_phase).
+/// Composed from the functions above, which bulk scans
+/// (Population::select_cohort) call directly.
 bool device_available(const AvailabilityModel& m, std::uint32_t round,
                       std::uint32_t client, std::uint32_t phase);
 

@@ -11,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
+#include "common/hash.hpp"
 #include "common/thread_pool.hpp"
 #include "fl/engine.hpp"
 #include "fl/runner.hpp"
@@ -141,6 +144,130 @@ TEST(PopulationTest, CohortSelectionScansDescriptorsOnly) {
   Rng rng2(4);
   const auto all = small.select_cohort(0, 10, rng2);
   for (int c : all) EXPECT_TRUE(small.available(0, c));
+}
+
+TEST(PopulationTest, PeriodRoundsOutsideOneTo65536IsRejected) {
+  // Phases live in 16 bits: a longer period would wrap them silently.
+  for (int period : {0, -3, 65537}) {
+    PopulationConfig cfg = tiny_pop(8);
+    cfg.availability.period_rounds = period;
+    EXPECT_THROW(Population{cfg}, Error) << "period " << period;
+  }
+  PopulationConfig cfg = tiny_pop(8);
+  cfg.availability.base_online_frac = 0.5;
+  cfg.availability.diurnal_amplitude = 0.4;
+  cfg.availability.period_rounds = 65536;
+  Population pop(cfg);
+  Rng rng(2);
+  for (int c : pop.select_cohort(65535, 8, rng))
+    EXPECT_TRUE(pop.available(65535, c));
+}
+
+/// online_probability and the availability hash written out longhand, so a
+/// wrong hoisted hash prefix or a wrong phase index shows as a mismatch.
+double formula_probability(const AvailabilityModel& m, std::uint32_t round,
+                           std::uint32_t phase) {
+  const std::uint32_t wrapped = round + phase;  // uint32 wraparound
+  const std::uint32_t slot =
+      wrapped % static_cast<std::uint32_t>(m.period_rounds);
+  const double t =
+      static_cast<double>(slot) / static_cast<double>(m.period_rounds);
+  const double p =
+      m.base_online_frac +
+      m.diurnal_amplitude * std::sin(2.0 * 3.141592653589793 * t);
+  return std::min(1.0, std::max(0.0, p));
+}
+
+double formula_draw(const AvailabilityModel& m, std::uint32_t round,
+                    std::uint32_t client) {
+  std::uint64_t h = mix64(m.seed);
+  h = mix64(h ^ 0xa7a11u);
+  h = mix64(h ^ round);
+  h = mix64(h ^ client);
+  return static_cast<double>(h >> 11) / 9007199254740992.0;  // 2^53
+}
+
+TEST(AvailabilityTest, DeviceAvailableFollowsTheDocumentedFormula) {
+  AvailabilityModel m;
+  m.base_online_frac = 0.5;
+  m.diurnal_amplitude = 0.45;
+  m.period_rounds = 24;
+  m.seed = 0x5eed;
+  const std::uint32_t kMax = UINT32_MAX;
+  int online = 0, checked = 0;
+  for (std::uint32_t round : {0u, 1u, 7u, 23u, 24u, 1000003u, kMax - 30,
+                              kMax - 5, kMax - 1, kMax}) {
+    for (std::uint32_t phase : {0u, 1u, 6u, 17u, 23u}) {
+      const double p = formula_probability(m, round, phase);
+      EXPECT_EQ(online_probability(m, round, phase), p)
+          << "round " << round << " phase " << phase;
+      for (std::uint32_t client : {0u, 1u, 2u, 3u, 41u, 999999u, kMax}) {
+        const double draw = formula_draw(m, round, client);
+        EXPECT_EQ(hash01_from(availability_prefix(m, round), client), draw);
+        EXPECT_EQ(device_available(m, round, client, phase), draw < p)
+            << "round " << round << " phase " << phase << " client "
+            << client;
+        online += draw < p ? 1 : 0;
+        ++checked;
+      }
+    }
+  }
+  // The grid exercises both outcomes, not a constant answer.
+  EXPECT_GT(online, checked / 5);
+  EXPECT_LT(online, checked * 4 / 5);
+  // Where round + phase wraps, the slot follows uint32 arithmetic, not the
+  // 64-bit sum (2^32 mod 24 = 16 would shift it).
+  EXPECT_EQ(online_probability(m, kMax - 1, 5), online_probability(m, 3, 0));
+
+  EXPECT_TRUE(always_online(AvailabilityModel{}));
+  EXPECT_TRUE(device_available(AvailabilityModel{}, kMax, kMax, 3));
+  EXPECT_FALSE(always_online(m));
+}
+
+/// What select_cohort computes, one client at a time: filter with
+/// available() in index order, then the same partial Fisher–Yates.
+std::vector<int> reference_cohort(const Population& pop, std::uint32_t round,
+                                  int k, Rng& rng) {
+  std::vector<int> avail;
+  for (int c = 0; c < pop.num_clients(); ++c)
+    if (pop.available(round, c)) avail.push_back(c);
+  const int n = static_cast<int>(avail.size());
+  if (n <= k) return avail;
+  for (int i = 0; i < k; ++i)
+    std::swap(avail[static_cast<std::size_t>(i)],
+              avail[static_cast<std::size_t>(rng.uniform_int(i, n - 1))]);
+  avail.resize(static_cast<std::size_t>(k));
+  return avail;
+}
+
+TEST(PopulationTest, CohortScanMatchesSerialReferenceAtAnyThreadCount) {
+  // 100,003 clients: not a multiple of any power-of-two chunk, so the scan
+  // ends on a partial tail chunk. k = population returns the whole
+  // available list, pinning its order; k = 128 pins the draws on top.
+  const int prev = ThreadPool::global().size();
+  PopulationConfig diurnal = tiny_pop(100003, 31);
+  diurnal.availability.base_online_frac = 0.55;
+  diurnal.availability.diurnal_amplitude = 0.35;
+  diurnal.availability.period_rounds = 5;
+  const PopulationConfig flat = tiny_pop(100003, 31);  // always online
+  const std::uint32_t kMax = UINT32_MAX;
+  for (const PopulationConfig& cfg : {diurnal, flat}) {
+    Population pop(cfg);
+    for (std::uint32_t round : {0u, 1u, 4u, 5u, 6u, 11u, kMax - 1, kMax}) {
+      for (int k : {128, pop.num_clients()}) {
+        Rng ref_rng(round + 9);
+        const std::vector<int> want = reference_cohort(pop, round, k, ref_rng);
+        ASSERT_FALSE(want.empty());
+        for (int threads : {1, 4}) {
+          ThreadPool::set_global_threads(threads);
+          Rng rng(round + 9);
+          EXPECT_EQ(pop.select_cohort(round, k, rng), want)
+              << "round " << round << " k " << k << " threads " << threads;
+        }
+      }
+    }
+  }
+  ThreadPool::set_global_threads(prev);
 }
 
 TEST(PopulationTest, HundredThousandClientsStayCheapUntilMaterialized) {

@@ -10,7 +10,7 @@
 #include "common/table.hpp"
 #include "fl/async.hpp"
 #include "fl/runner.hpp"
-#include "harness/presets.hpp"
+#include "harness/experiments.hpp"
 
 using namespace fedtrans;
 
@@ -33,30 +33,38 @@ int main() {
     Rng rng(17);
     Model init(preset.initial_model, rng);
 
-    FlRunConfig scfg;
+    SessionConfig scfg;
     scfg.rounds = updates;
     scfg.clients_per_round = per_round;
     scfg.local = preset.fedtrans.local;
     scfg.seed = preset.fedtrans.seed;
-    FedAvgRunner sync(init, data, fleet, scfg);
+    FederationEngine sync(
+        std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+        scfg);
     sync.run();
     double sync_wall = 0.0;
     for (const auto& rec : sync.history()) sync_wall += rec.round_time_s;
+    const double sync_acc = mean_client_accuracy(
+        sync.strategy_as<FedAvgStrategy>().model(), data);
     t.add_row({fmt_fixed(sigma, 1), "FedAvg (sync)", fmt_fixed(sync_wall, 1),
-               fmt_fixed(sync.mean_client_accuracy() * 100, 2), "0.0"});
+               fmt_fixed(sync_acc * 100, 2), "0.0"});
     std::cerr << "done: sync sigma=" << sigma << "\n";
 
-    AsyncRunConfig acfg;
-    acfg.concurrency = per_round;
-    acfg.buffer_size = per_round;
-    acfg.aggregations = updates;
+    SessionConfig acfg;
+    acfg.mode = SessionMode::Async;
+    acfg.async.concurrency = per_round;
+    acfg.async.buffer_size = per_round;
+    acfg.async.aggregations = updates;
     acfg.local = preset.fedtrans.local;
     acfg.seed = preset.fedtrans.seed;
-    FedBuffRunner async_runner(init, data, fleet, acfg);
+    FederationEngine async_runner(std::make_unique<FedBuffStrategy>(init), data,
+                                  fleet, acfg);
     async_runner.run();
+    const double async_acc = mean_client_accuracy(
+        async_runner.strategy_as<FedBuffStrategy>().model(), data);
     t.add_row({fmt_fixed(sigma, 1), "FedBuff (async)",
                fmt_fixed(async_runner.now_s(), 1),
-               fmt_fixed(async_runner.mean_client_accuracy() * 100, 2),
+               fmt_fixed(async_acc * 100, 2),
                fmt_fixed(async_runner.mean_staleness(), 2)});
     std::cerr << "done: async sigma=" << sigma << "\n";
   }

@@ -8,7 +8,7 @@
 
 #include "common/table.hpp"
 #include "fl/runner.hpp"
-#include "harness/presets.hpp"
+#include "harness/experiments.hpp"
 
 using namespace fedtrans;
 
@@ -39,17 +39,21 @@ int main() {
 
   TablePrinter t({"uplink", "accuracy (%)", "network (MB)", "final loss"});
   for (const Variant& v : variants) {
-    FlRunConfig cfg;
+    SessionConfig cfg;
     cfg.rounds = preset.fedtrans.rounds;
     cfg.clients_per_round = preset.fedtrans.clients_per_round;
     cfg.local = preset.fedtrans.local;
     cfg.seed = preset.fedtrans.seed;
-    cfg.compression = v.kind;
-    cfg.topk_ratio = v.ratio;
-    cfg.error_feedback = v.ef;
-    FedAvgRunner runner(init, data, fleet, cfg);
+    FedAvgOptions opts;
+    opts.compression = v.kind;
+    opts.topk_ratio = v.ratio;
+    opts.error_feedback = v.ef;
+    FederationEngine runner(std::make_unique<FedAvgStrategy>(init, opts), data,
+                            fleet, cfg);
     runner.run();
-    t.add_row({v.label, fmt_fixed(runner.mean_client_accuracy() * 100, 2),
+    const double acc = mean_client_accuracy(
+        runner.strategy_as<FedAvgStrategy>().model(), data);
+    t.add_row({v.label, fmt_fixed(acc * 100, 2),
                fmt_fixed(runner.costs().network_mb(), 2),
                fmt_fixed(runner.history().back().avg_loss, 3)});
     std::cerr << "done: " << v.label << "\n";

@@ -26,9 +26,9 @@ int main() {
        {Entry{SelectorKind::Uniform, "uniform (paper)"},
         Entry{SelectorKind::Oort, "oort-like"},
         Entry{SelectorKind::PowerOfChoice, "power-of-choice"}}) {
-    FedTransConfig cfg = preset.fedtrans;
-    cfg.selector = e.kind;
-    auto res = run_fedtrans_cfg(preset, cfg);
+    SessionConfig session = SessionConfig::from(preset.fedtrans);
+    session.selector = e.kind;
+    auto res = run_fedtrans_cfg(preset, preset.fedtrans, session);
     t.add_row({e.label, fmt_fixed(res.report.mean_accuracy * 100, 2),
                fmt_fixed(res.report.accuracy_iqr * 100, 2),
                fmt_sci(res.report.costs.total_macs()),

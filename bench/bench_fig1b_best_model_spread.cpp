@@ -8,7 +8,7 @@
 
 #include "common/table.hpp"
 #include "fl/runner.hpp"
-#include "harness/presets.hpp"
+#include "harness/experiments.hpp"
 
 using namespace fedtrans;
 
@@ -37,16 +37,19 @@ int main() {
   std::vector<std::vector<double>> acc_per_model;
   std::vector<double> macs;
   for (auto& spec : specs) {
-    FlRunConfig cfg;
+    SessionConfig cfg;
     cfg.rounds = preset.fedtrans.rounds;
     cfg.clients_per_round = preset.fedtrans.clients_per_round;
     cfg.local = preset.fedtrans.local;
     cfg.seed = 33;
     Rng rng(11);
-    FedAvgRunner runner(Model(spec, rng), data, fleet, cfg);
+    FederationEngine runner(
+        std::make_unique<FedAvgStrategy>(Model(spec, rng), FedAvgOptions{}),
+        data, fleet, cfg);
     runner.run();
-    macs.push_back(static_cast<double>(runner.model().macs()));
-    acc_per_model.push_back(runner.per_client_accuracy());
+    const Model& model = runner.strategy_as<FedAvgStrategy>().model();
+    macs.push_back(static_cast<double>(model.macs()));
+    acc_per_model.push_back(client_accuracy(model, data));
     std::cout << "trained " << spec.summary() << " ("
               << fmt_macs(macs.back()) << ")\n";
   }

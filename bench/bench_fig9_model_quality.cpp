@@ -26,10 +26,11 @@ int main() {
     // Re-run quickly to collect every family member spec.
     auto data = FederatedDataset::generate(preset.dataset);
     auto fleet = sample_fleet(preset.fleet);
-    FedTransTrainer trainer(preset.initial_model, data, fleet,
-                            preset.fedtrans);
-    trainer.run();
-    for (const auto& e : trainer.entries())
+    FederationEngine engine(std::make_unique<FedTransStrategy>(
+                                preset.initial_model, preset.fedtrans),
+                            data, fleet, SessionConfig::from(preset.fedtrans));
+    engine.run();
+    for (const auto& e : engine.strategy_as<FedTransStrategy>().entries())
       entries.push_back({"FedTrans " + e.model->spec().summary(),
                          e.model->spec()});
   }
@@ -55,16 +56,19 @@ int main() {
 
   TablePrinter t({"architecture", "MACs", "accuracy (%)"});
   for (auto& [name, spec] : entries) {
-    FlRunConfig cfg;
+    SessionConfig cfg;
     cfg.rounds = preset.fedtrans.rounds;
     cfg.clients_per_round = preset.fedtrans.clients_per_round;
     cfg.local = preset.fedtrans.local;
     cfg.seed = 55;
     Rng rng(19);
-    FedAvgRunner runner(Model(spec, rng), data, fleet, cfg);
+    FederationEngine runner(
+        std::make_unique<FedAvgStrategy>(Model(spec, rng), FedAvgOptions{}),
+        data, fleet, cfg);
     runner.run();
-    t.add_row({name, fmt_macs(static_cast<double>(runner.model().macs())),
-               fmt_fixed(runner.mean_client_accuracy() * 100, 2)});
+    const Model& model = runner.strategy_as<FedAvgStrategy>().model();
+    t.add_row({name, fmt_macs(static_cast<double>(model.macs())),
+               fmt_fixed(mean_client_accuracy(model, data) * 100, 2)});
     std::cerr << "fine-tuned " << name << "\n";
   }
   t.print(std::cout);

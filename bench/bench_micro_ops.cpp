@@ -403,7 +403,7 @@ void BM_EngineRoundOverhead(benchmark::State& state) {
   const int clients_per_round = 4;
 
   if (use_engine) {
-    FlRunConfig cfg;
+    SessionConfig cfg;
     cfg.rounds = 1;
     cfg.clients_per_round = clients_per_round;
     cfg.local = EngineBenchFixture::local_cfg();
@@ -411,8 +411,8 @@ void BM_EngineRoundOverhead(benchmark::State& state) {
     Rng rng(7);
     FederationEngine engine(std::make_unique<FedAvgStrategy>(
                                 Model(EngineBenchFixture::spec(), rng),
-                                cfg.options()),
-                            fx.data, fx.fleet, cfg.to_session());
+                                FedAvgOptions{}),
+                            fx.data, fx.fleet, cfg);
     for (auto _ : state) {
       benchmark::DoNotOptimize(engine.run_round());
     }
@@ -445,7 +445,7 @@ BENCHMARK(BM_EngineRoundOverhead)
 void BM_TraceOverhead(benchmark::State& state) {
   EngineBenchFixture fx;
   const bool trace_on = state.range(0) == 1;
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 1;
   cfg.clients_per_round = 4;
   cfg.local = EngineBenchFixture::local_cfg();
@@ -453,8 +453,8 @@ void BM_TraceOverhead(benchmark::State& state) {
   Rng rng(7);
   FederationEngine engine(std::make_unique<FedAvgStrategy>(
                               Model(EngineBenchFixture::spec(), rng),
-                              cfg.options()),
-                          fx.data, fx.fleet, cfg.to_session());
+                              FedAvgOptions{}),
+                          fx.data, fx.fleet, cfg);
   if (trace_on) trace_start(TraceClock::Wall);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.run_round());
@@ -478,20 +478,19 @@ BENCHMARK(BM_TraceOverhead)
 void BM_HalfWireBytes(benchmark::State& state) {
   EngineBenchFixture fx;
   const bool half = state.range(0) == 1;
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 1;
   cfg.clients_per_round = 4;
   cfg.local = EngineBenchFixture::local_cfg();
   cfg.seed = 3;
+  if (half) cfg.with_precision(Dtype::F16);
   double bytes = 0.0;
   for (auto _ : state) {
     Rng rng(7);
-    SessionConfig scfg = cfg.to_session();
-    if (half) scfg.with_precision(Dtype::F16);
     FederationEngine engine(std::make_unique<FedAvgStrategy>(
                                 Model(EngineBenchFixture::spec(), rng),
-                                cfg.options()),
-                            fx.data, fx.fleet, scfg);
+                                FedAvgOptions{}),
+                            fx.data, fx.fleet, cfg);
     engine.run_round();
     bytes = engine.costs().network_bytes();
     benchmark::DoNotOptimize(bytes);

@@ -12,7 +12,7 @@
 #include "common/table.hpp"
 #include "fl/async.hpp"
 #include "fl/runner.hpp"
-#include "harness/presets.hpp"
+#include "harness/experiments.hpp"
 
 using namespace fedtrans;
 
@@ -31,31 +31,42 @@ int main() {
   Model init(preset.initial_model, rng);
   const int updates = preset.fedtrans.rounds;
 
-  FlRunConfig scfg;
+  SessionConfig scfg;
   scfg.rounds = updates;
   scfg.clients_per_round = preset.fedtrans.clients_per_round;
   scfg.local = preset.fedtrans.local;
-  FedAvgRunner sync(init, data, fleet, scfg);
+  FederationEngine sync(std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}),
+                        data, fleet, scfg);
   sync.run();
   double sync_wall = 0.0;
   for (const auto& rec : sync.history()) sync_wall += rec.round_time_s;
 
-  AsyncRunConfig acfg;
-  acfg.concurrency = preset.fedtrans.clients_per_round;
-  acfg.buffer_size = preset.fedtrans.clients_per_round;
-  acfg.aggregations = updates;
+  // The same engine in its async scheduling mode, running FedBuff.
+  SessionConfig acfg;
+  acfg.mode = SessionMode::Async;
+  acfg.async.concurrency = preset.fedtrans.clients_per_round;
+  acfg.async.buffer_size = preset.fedtrans.clients_per_round;
+  acfg.async.aggregations = updates;
   acfg.local = preset.fedtrans.local;
-  FedBuffRunner async_runner(init, data, fleet, acfg);
+  FederationEngine async_runner(std::make_unique<FedBuffStrategy>(init), data,
+                                fleet, acfg);
   async_runner.run();
 
   TablePrinter t({"method", "server updates", "wall-clock (s)",
                   "accuracy (%)"});
   t.add_row({"FedAvg (sync)", std::to_string(updates),
              fmt_fixed(sync_wall, 1),
-             fmt_fixed(sync.mean_client_accuracy() * 100, 2)});
+             fmt_fixed(mean_client_accuracy(
+                           sync.strategy_as<FedAvgStrategy>().model(), data) *
+                           100,
+                       2)});
   t.add_row({"FedBuff (async)", std::to_string(updates),
              fmt_fixed(async_runner.now_s(), 1),
-             fmt_fixed(async_runner.mean_client_accuracy() * 100, 2)});
+             fmt_fixed(mean_client_accuracy(
+                           async_runner.strategy_as<FedBuffStrategy>().model(),
+                           data) *
+                           100,
+                       2)});
   t.print(std::cout);
   std::cout << "\nspeedup: " << fmt_fixed(sync_wall / async_runner.now_s(), 2)
             << "x wall-clock at mean staleness "

@@ -56,8 +56,10 @@ int main() {
   cfg.max_models = 4;
   cfg.seed = 7;
 
-  FedTransTrainer trainer(initial, data, fleet, cfg);
-  trainer.run();
+  FederationEngine engine(std::make_unique<FedTransStrategy>(initial, cfg),
+                          data, fleet, SessionConfig::from(cfg));
+  engine.run();
+  auto& trainer = engine.strategy_as<FedTransStrategy>();
   const FinalEval ev = trainer.evaluate_final();
 
   TablePrinter t({"model", "MACs", "clients deployed"});

@@ -8,14 +8,14 @@
 
 #include "common/table.hpp"
 #include "fl/runner.hpp"
-#include "harness/presets.hpp"
+#include "harness/experiments.hpp"
 #include "net/server.hpp"
 
 using namespace fedtrans;
 
 namespace {
 
-void print_history(const FedAvgRunner& runner) {
+void print_history(const FederationEngine& runner) {
   TablePrinter t({"round", "loss", "participants", "lost"});
   for (const auto& rec : runner.history())
     t.add_row({std::to_string(rec.round), fmt_fixed(rec.avg_loss, 4),
@@ -33,25 +33,28 @@ int main() {
 
   Rng rng(7);
   Model init(preset.initial_model, rng);
+  auto fedavg = [&] {
+    return std::make_unique<FedAvgStrategy>(init, FedAvgOptions{});
+  };
 
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 6;
   cfg.clients_per_round = preset.fedtrans.clients_per_round;
   cfg.local = preset.fedtrans.local;
   cfg.seed = 3;
 
   // In-process reference vs. fault-free fabric: bitwise identical.
-  FedAvgRunner in_proc(init, data, fleet, cfg);
+  FederationEngine in_proc(fedavg(), data, fleet, cfg);
   in_proc.run();
 
-  FlRunConfig fab = cfg;
+  SessionConfig fab = cfg;
   fab.use_fabric = true;
-  FedAvgRunner fabric(init, data, fleet, fab);
+  FederationEngine fabric(fedavg(), data, fleet, fab);
   fabric.run();
 
   double max_diff = 0.0;
-  auto wa = in_proc.model().weights();
-  auto wb = fabric.model().weights();
+  auto wa = in_proc.strategy_as<FedAvgStrategy>().model().weights();
+  auto wb = fabric.strategy_as<FedAvgStrategy>().model().weights();
   for (std::size_t i = 0; i < wa.size(); ++i)
     for (std::int64_t j = 0; j < wa[i].numel(); ++j)
       max_diff = std::max(
@@ -67,14 +70,16 @@ int main() {
 
   // Same run on a hostile network: drop/duplicate/reorder frames, and let
   // devices vanish mid-round. Rounds still close; losses are accounted.
-  FlRunConfig lossy = fab;
-  lossy.overcommit = 0.5;         // over-select to absorb the losses
-  lossy.deadline_quantile = 0.8;  // close the round at the 80th percentile
+  SessionConfig lossy = fab;
   lossy.fabric_faults.drop_prob = 0.15;
   lossy.fabric_faults.dup_prob = 0.05;
   lossy.fabric_faults.reorder_prob = 0.1;
   lossy.fabric_faults.dropout_prob = 0.15;
-  FedAvgRunner hostile(init, data, fleet, lossy);
+  FedAvgOptions overselect;
+  overselect.overcommit = 0.5;         // over-select to absorb the losses
+  overselect.deadline_quantile = 0.8;  // close the round at the 80th pct
+  FederationEngine hostile(std::make_unique<FedAvgStrategy>(init, overselect),
+                           data, fleet, lossy);
   hostile.run();
 
   std::cout << "lossy fabric (15% loss, 15% dropout, over-commit 1.5x):\n";
@@ -87,7 +92,9 @@ int main() {
             << s.frames_duplicated.load() << ", reordered "
             << s.frames_reordered.load() << ", client dropouts "
             << s.client_dropouts.load() << "\n";
-  std::cout << "final mean client accuracy: "
-            << fmt_fixed(100.0 * hostile.mean_client_accuracy(), 1) << "%\n";
+  const double acc = mean_client_accuracy(
+      hostile.strategy_as<FedAvgStrategy>().model(), data);
+  std::cout << "final mean client accuracy: " << fmt_fixed(100.0 * acc, 1)
+            << "%\n";
   return 0;
 }

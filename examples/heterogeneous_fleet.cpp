@@ -29,8 +29,12 @@ int main() {
             << "  (disparity " << fmt_fixed(fleet_disparity(fleet), 1)
             << "x)\n\n";
 
-  FedTransTrainer trainer(preset.initial_model, data, fleet, preset.fedtrans);
-  trainer.run();
+  FederationEngine engine(
+      std::make_unique<FedTransStrategy>(preset.initial_model,
+                                         preset.fedtrans),
+      data, fleet, SessionConfig::from(preset.fedtrans));
+  engine.run();
+  auto& trainer = engine.strategy_as<FedTransStrategy>();
 
   // --- Model family ------------------------------------------------------
   TablePrinter family({"model", "architecture", "MACs", "params", "created"});
@@ -56,8 +60,8 @@ int main() {
 
   // --- Straggler view ----------------------------------------------------
   std::cout << "\nsimulated per-client round time: mean "
-            << fmt_fixed(trainer.costs().client_time_mean(), 2) << "s, std "
-            << fmt_fixed(trainer.costs().client_time_std(), 2)
+            << fmt_fixed(engine.costs().client_time_mean(), 2) << "s, std "
+            << fmt_fixed(engine.costs().client_time_std(), 2)
             << "s (capacity-aligned models keep stragglers in check)\n";
   return 0;
 }

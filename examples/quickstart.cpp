@@ -3,7 +3,8 @@
 // This is the 60-second tour of the public API:
 //   1. generate a federated dataset (or plug in your own ClientData shards),
 //   2. sample a heterogeneous device fleet,
-//   3. hand FedTransTrainer a small initial model and let it grow the family,
+//   3. run a FederationEngine with a FedTransStrategy seeded by a small
+//      initial model, and let it grow the family,
 //   4. read back the per-client assignment and accuracy.
 
 #include <iostream>
@@ -24,9 +25,13 @@ int main() {
             << ", fleet disparity: " << fmt_fixed(fleet_disparity(fleet), 1)
             << "x, initial model: " << preset.initial_model.summary() << "\n";
 
-  FedTransTrainer trainer(preset.initial_model, data, fleet, preset.fedtrans);
+  FederationEngine engine(
+      std::make_unique<FedTransStrategy>(preset.initial_model,
+                                         preset.fedtrans),
+      data, fleet, SessionConfig::from(preset.fedtrans));
+  auto& trainer = engine.strategy_as<FedTransStrategy>();
   for (int r = 0; r < preset.fedtrans.rounds; ++r) {
-    const double loss = trainer.run_round();
+    const double loss = engine.run_round();
     if (r % 5 == 0)
       std::cout << "round " << r << "  loss " << fmt_fixed(loss, 3)
                 << "  models " << trainer.num_models() << "\n";
@@ -42,9 +47,9 @@ int main() {
   std::cout << "\nmean client accuracy: "
             << fmt_fixed(ev.mean_accuracy * 100, 2)
             << "%  (IQR " << fmt_fixed(ev.accuracy_iqr * 100, 2) << "%)\n";
-  std::cout << "training cost: " << fmt_macs(trainer.costs().total_macs())
-            << ", network: " << fmt_bytes(trainer.costs().network_bytes())
-            << ", storage: " << fmt_bytes(trainer.costs().storage_bytes())
+  std::cout << "training cost: " << fmt_macs(engine.costs().total_macs())
+            << ", network: " << fmt_bytes(engine.costs().network_bytes())
+            << ", storage: " << fmt_bytes(engine.costs().storage_bytes())
             << "\n";
   return 0;
 }

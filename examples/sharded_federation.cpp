@@ -6,7 +6,8 @@
 // collapse root fan-in to O(branching)) and leaf failover under leaf
 // death, a lossy sharded round with the retry policy (bounded resend of
 // lost frames), and finally FedBuff's async event loop over the same
-// fabric.
+// fabric. Every session is one FederationEngine: a Strategy plus a
+// SessionConfig that picks the topology, faults and scheduling mode.
 
 #include <cstdlib>
 #include <iostream>
@@ -21,10 +22,10 @@ using namespace fedtrans;
 
 namespace {
 
-double max_weight_diff(Model& a, Model& b) {
+double max_weight_diff(FederationEngine& a, FederationEngine& b) {
   double max_diff = 0.0;
-  auto wa = a.weights();
-  auto wb = b.weights();
+  auto wa = a.strategy_as<FedAvgStrategy>().model().weights();
+  auto wb = b.strategy_as<FedAvgStrategy>().model().weights();
   for (std::size_t i = 0; i < wa.size(); ++i)
     for (std::int64_t j = 0; j < wa[i].numel(); ++j)
       max_diff = std::max(
@@ -41,8 +42,11 @@ int main() {
 
   Rng rng(7);
   Model init(preset.initial_model, rng);
+  auto fedavg = [&] {
+    return std::make_unique<FedAvgStrategy>(init, FedAvgOptions{});
+  };
 
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 6;
   cfg.clients_per_round = preset.fedtrans.clients_per_round;
   cfg.local = preset.fedtrans.local;
@@ -52,16 +56,16 @@ int main() {
   // Flat fabric vs the 2-level tree with 4 shards: same wire protocol,
   // same engine reduction, bitwise-identical weights — the tree only
   // changes who talks to whom.
-  FedAvgRunner flat(init, data, fleet, cfg);
+  FederationEngine flat(fedavg(), data, fleet, cfg);
   flat.run();
 
-  FlRunConfig sharded_cfg = cfg;
+  SessionConfig sharded_cfg = cfg;
   sharded_cfg.topology.levels = 2;
   sharded_cfg.topology.shards = 4;
-  FedAvgRunner sharded(init, data, fleet, sharded_cfg);
+  FederationEngine sharded(fedavg(), data, fleet, sharded_cfg);
   sharded.run();
 
-  const double diff = max_weight_diff(flat.model(), sharded.model());
+  const double diff = max_weight_diff(flat, sharded);
   std::cout << "flat vs 2x4-sharded fabric max |dw| = " << diff
             << (diff == 0.0 ? "  (bitwise identical)\n" : "  (BUG)\n");
   std::cout << "flat:    " << flat.fabric()->stats().frames_sent.load()
@@ -75,15 +79,15 @@ int main() {
   // group, so the root receives one small group per child instead of
   // every client delta — O(branching) fan-in. Weights match the flat run
   // to numeric tolerance (only float summation order moved).
-  FlRunConfig numeric_cfg = cfg;
+  SessionConfig numeric_cfg = cfg;
   numeric_cfg.topology.levels = 3;
   numeric_cfg.topology.shards = 4;
   numeric_cfg.topology.branching = 2;
   numeric_cfg.topology.partial_aggregation = true;
-  FedAvgRunner numeric(init, data, fleet, numeric_cfg);
+  FederationEngine numeric(fedavg(), data, fleet, numeric_cfg);
   numeric.run();
   std::cout << "flat vs 3-level numeric tree max |dw| = "
-            << max_weight_diff(flat.model(), numeric.model())
+            << max_weight_diff(flat, numeric)
             << "  (tolerance-equal: the tree pre-sums the reduction)\n"
             << "root fan-in: "
             << fmt_bytes(static_cast<double>(
@@ -96,11 +100,11 @@ int main() {
   // Per-shard fault domains: a leaf dead for a round has its partition
   // redirected to an alive sibling one ack-timeout later — billed as
   // failover traffic, recorded per round.
-  FlRunConfig flaky = cfg;
+  SessionConfig flaky = cfg;
   flaky.topology.levels = 2;
   flaky.topology.shards = 4;
   flaky.fabric_faults.leaf_death_prob = 0.25;
-  FedAvgRunner failover(init, data, fleet, flaky);
+  FederationEngine failover(fedavg(), data, fleet, flaky);
   failover.run();
   int failovers = 0;
   for (const auto& rec : failover.history()) failovers += rec.leaf_failovers;
@@ -113,12 +117,12 @@ int main() {
   // A hostile network with the retry policy: lost UpdateUps are resent up
   // to max_retries times, ack_timeout_s apart; resends are flagged on the
   // wire, counted in FabricStats and billed through CostMeter.
-  FlRunConfig lossy = sharded_cfg;
+  SessionConfig lossy = sharded_cfg;
   lossy.fabric_faults.drop_prob = 0.25;
   lossy.fabric_faults.dropout_prob = 0.1;
   lossy.topology.max_retries = 2;
   lossy.topology.ack_timeout_s = 10.0;
-  FedAvgRunner hostile(init, data, fleet, lossy);
+  FederationEngine hostile(fedavg(), data, fleet, lossy);
   hostile.run();
 
   int participants = 0, lost = 0;
@@ -136,10 +140,11 @@ int main() {
 
   // FedBuff over the fabric: every dispatch is a real ModelDown/UpdateUp
   // round trip; completions fold in server-side delivery order.
-  AsyncRunConfig async_cfg;
-  async_cfg.concurrency = 8;
-  async_cfg.buffer_size = 4;
-  async_cfg.aggregations = 10;
+  SessionConfig async_cfg;
+  async_cfg.mode = SessionMode::Async;
+  async_cfg.async.concurrency = 8;
+  async_cfg.async.buffer_size = 4;
+  async_cfg.async.aggregations = 10;
   async_cfg.local = preset.fedtrans.local;
   async_cfg.seed = 3;
   async_cfg.use_fabric = true;
@@ -147,7 +152,8 @@ int main() {
   async_cfg.topology.max_retries = 2;
   async_cfg.topology.ack_timeout_s = 120.0;
 
-  FedBuffRunner buff(init, data, fleet, async_cfg);
+  FederationEngine buff(std::make_unique<FedBuffStrategy>(init),
+                        data, fleet, async_cfg);
   buff.run();
 
   TablePrinter t({"version", "loss", "shipped at (s)", "lost"});
@@ -158,7 +164,7 @@ int main() {
   std::cout << "fabric-backed FedBuff (10% loss, 2 retries):\n";
   t.print(std::cout);
   std::cout << "mean staleness: " << fmt_fixed(buff.mean_staleness(), 2)
-            << " versions, " << buff.engine().fabric()->stats()
+            << " versions, " << buff.fabric()->stats()
                                      .frames_sent.load()
             << " frames on the wire\n";
   return 0;

@@ -9,14 +9,15 @@
 # chaos-scenario sweep (test_chaos — fault x topology x Byzantine-attack
 # matrix, invariant checks under parallel ctest with pinned
 # FEDTRANS_THREADS), the robust-aggregation gates (test_robust), and the
-# engine/shim parity gates (test_engine_parity).
+# fabric-vs-in-process strategy parity gates (test_engine_parity).
 #
 # Beyond the main leg, two auxiliary builds gate kernel hygiene:
 #   * an ASan+UBSan build (FEDTRANS_SANITIZE=ON) running the tensor/nn
-#     suites and test_pop — the packed-panel GEMM micro-kernels, the
-#     batched im2col lowering and the chunked availability scan are
-#     exactly the code where an off-by-one tail read would otherwise go
-#     unnoticed;
+#     suites, test_pop and test_checkpoint — the packed-panel GEMM
+#     micro-kernels, the batched im2col lowering and the chunked
+#     availability scan are exactly the code where an off-by-one tail read
+#     would otherwise go unnoticed, and the checkpoint loader's hostile-count
+#     tests must fail as Errors where an oversized allocation would abort;
 #   * a SIMD-disabled build (FEDTRANS_SIMD=OFF, still -Werror) proving the
 #     scalar parity reference compiles warnings-clean on its own.
 # Set FEDTRANS_CI_FAST=1 to skip both auxiliary legs.
@@ -56,15 +57,17 @@ FEDTRANS_TRACE=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
 
 if [ -z "${FEDTRANS_CI_FAST:-}" ]; then
   # ASan+UBSan over the kernel-heavy suites (tensor, dtype, GEMM backends,
-  # conv lowerings, layers) and the population layer, whose chunked
-  # availability scan writes at chunk boundaries and a partial tail chunk.
+  # conv lowerings, layers), the population layer, whose chunked
+  # availability scan writes at chunk boundaries and a partial tail chunk,
+  # and checkpoint loading, where a corrupt count must raise an Error
+  # before the allocator (which aborts under ASan) ever sees it.
   SAN_DIR="$BUILD_DIR-asan"
   cmake -B "$SAN_DIR" -S . -DFEDTRANS_SANITIZE=ON
   cmake --build "$SAN_DIR" -j "$JOBS" --target \
     test_tensor test_gemm_simd test_mixed_precision test_backend \
-    test_layers test_layers_extended test_pop
+    test_layers test_layers_extended test_pop test_checkpoint
   ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
-    -R 'test_(tensor|gemm_simd|mixed_precision|backend|layers|layers_extended|pop)$'
+    -R 'test_(tensor|gemm_simd|mixed_precision|backend|layers|layers_extended|pop|checkpoint)$'
 
   # Scalar-only build: the always-on parity reference must stay
   # warnings-clean without any SIMD code paths compiled in.

@@ -2,7 +2,6 @@
 
 #include <functional>
 
-#include "baselines/common.hpp"
 #include "fl/engine.hpp"
 #include "model/model.hpp"
 
@@ -23,7 +22,9 @@ namespace fedtrans {
 class FedRolexStrategy : public Strategy {
  public:
   /// `width_ratios` must be descending and start at 1.0 (the full model).
-  FedRolexStrategy(ModelSpec full_spec, std::vector<double> width_ratios);
+  explicit FedRolexStrategy(
+      ModelSpec full_spec,
+      std::vector<double> width_ratios = {1.0, 0.5, 0.25, 0.125, 0.0625});
 
   std::string name() const override { return "fedrolex"; }
   void attach(RoundContext& ctx, Rng& rng) override;
@@ -74,38 +75,6 @@ class FedRolexStrategy : public Strategy {
   double loss_sum_ = 0.0;
   double slowest_ = 0.0;
   std::size_t round_tasks_ = 0;
-};
-
-/// Historical entry point — a thin shim over FederationEngine +
-/// FedRolexStrategy.
-class FedRolexRunner {
- public:
-  FedRolexRunner(ModelSpec full_spec, const FederatedDataset& data,
-                 std::vector<DeviceProfile> fleet, BaselineConfig cfg,
-                 std::vector<double> width_ratios = {1.0, 0.5, 0.25, 0.125,
-                                                     0.0625});
-
-  double run_round() { return engine_->run_round(); }
-  void run() { engine_->run(); }
-  BaselineReport report();
-
-  Model& global() { return strategy_->global(); }
-  int num_levels() const { return strategy_->num_levels(); }
-  int level_for(int client) const { return strategy_->level_for(client); }
-  /// Rolling-window submodel at `level` under the current round's offsets.
-  Model submodel(int level) {
-    return strategy_->submodel(level, engine_->rounds_done());
-  }
-  /// Offset of one width space (0 = stem, 1 + l = Cell l) this round.
-  int offset_for_space(int space) const {
-    return strategy_->offset_for_space(space, engine_->rounds_done());
-  }
-  FederationEngine& engine() { return *engine_; }
-
- private:
-  const FederatedDataset& data_;
-  FedRolexStrategy* strategy_;  // owned by engine_
-  std::unique_ptr<FederationEngine> engine_;
 };
 
 }  // namespace fedtrans

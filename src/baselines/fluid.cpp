@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/check.hpp"
-#include "common/stats.hpp"
 #include "model/align.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
@@ -277,30 +276,6 @@ double FluidStrategy::probe_accuracy(const std::vector<int>& ids,
     s += evaluate_accuracy(sub, ctx.data.client(c));
   }
   return s / static_cast<double>(ids.size());
-}
-
-FluidRunner::FluidRunner(ModelSpec full_spec, const FederatedDataset& data,
-                         std::vector<DeviceProfile> fleet, BaselineConfig cfg)
-    : data_(data) {
-  auto strategy = std::make_unique<FluidStrategy>(std::move(full_spec));
-  strategy_ = strategy.get();
-  engine_ = std::make_unique<FederationEngine>(
-      std::move(strategy), data, std::move(fleet),
-      static_cast<const SessionConfig&>(cfg));
-}
-
-BaselineReport FluidRunner::report() {
-  BaselineReport rep;
-  for (int c = 0; c < data_.num_clients(); ++c) {
-    Model sub =
-        strategy_->extract(strategy_->kept_for_ratio(strategy_->ratio_for(c)));
-    rep.client_accuracy.push_back(evaluate_accuracy(sub, data_.client(c)));
-  }
-  rep.mean_accuracy = mean(rep.client_accuracy);
-  rep.accuracy_iqr = iqr(rep.client_accuracy);
-  rep.costs = engine_->costs();
-  rep.history = engine_->history();
-  return rep;
 }
 
 }  // namespace fedtrans

@@ -3,7 +3,6 @@
 #include <memory>
 #include <unordered_map>
 
-#include "baselines/common.hpp"
 #include "fl/engine.hpp"
 #include "model/model.hpp"
 
@@ -70,27 +69,6 @@ class FluidStrategy : public Strategy {
   double loss_sum_ = 0.0;
   double slowest_ = 0.0;
   std::size_t round_tasks_ = 0;
-};
-
-/// Historical entry point — a thin shim over FederationEngine +
-/// FluidStrategy.
-class FluidRunner {
- public:
-  FluidRunner(ModelSpec full_spec, const FederatedDataset& data,
-              std::vector<DeviceProfile> fleet, BaselineConfig cfg);
-
-  double run_round() { return engine_->run_round(); }
-  void run() { engine_->run(); }
-  BaselineReport report();
-
-  Model& global() { return strategy_->global(); }
-  double ratio_for(int client) const { return strategy_->ratio_for(client); }
-  FederationEngine& engine() { return *engine_; }
-
- private:
-  const FederatedDataset& data_;
-  FluidStrategy* strategy_;  // owned by engine_
-  std::unique_ptr<FederationEngine> engine_;
 };
 
 }  // namespace fedtrans

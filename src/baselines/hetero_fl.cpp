@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/stats.hpp"
 #include "model/align.hpp"
 
 namespace fedtrans {
@@ -149,33 +148,6 @@ double HeteroFLStrategy::probe_accuracy(const std::vector<int>& ids,
     s += evaluate_accuracy(sub, ctx.data.client(c));
   }
   return s / static_cast<double>(ids.size());
-}
-
-HeteroFLRunner::HeteroFLRunner(ModelSpec full_spec,
-                               const FederatedDataset& data,
-                               std::vector<DeviceProfile> fleet,
-                               BaselineConfig cfg,
-                               std::vector<double> width_ratios)
-    : data_(data) {
-  auto strategy = std::make_unique<HeteroFLStrategy>(std::move(full_spec),
-                                                     std::move(width_ratios));
-  strategy_ = strategy.get();
-  engine_ = std::make_unique<FederationEngine>(
-      std::move(strategy), data, std::move(fleet),
-      static_cast<const SessionConfig&>(cfg));
-}
-
-BaselineReport HeteroFLRunner::report() {
-  BaselineReport rep;
-  for (int c = 0; c < data_.num_clients(); ++c) {
-    Model sub = strategy_->submodel(strategy_->level_for(c));
-    rep.client_accuracy.push_back(evaluate_accuracy(sub, data_.client(c)));
-  }
-  rep.mean_accuracy = mean(rep.client_accuracy);
-  rep.accuracy_iqr = iqr(rep.client_accuracy);
-  rep.costs = engine_->costs();
-  rep.history = engine_->history();
-  return rep;
 }
 
 }  // namespace fedtrans

@@ -2,7 +2,6 @@
 
 #include <unordered_map>
 
-#include "baselines/common.hpp"
 #include "fl/engine.hpp"
 #include "model/model.hpp"
 
@@ -17,7 +16,9 @@ namespace fedtrans {
 class HeteroFLStrategy : public Strategy {
  public:
   /// `width_ratios` must be descending and start at 1.0 (the full model).
-  HeteroFLStrategy(ModelSpec full_spec, std::vector<double> width_ratios);
+  explicit HeteroFLStrategy(
+      ModelSpec full_spec,
+      std::vector<double> width_ratios = {1.0, 0.5, 0.25, 0.125, 0.0625});
 
   std::string name() const override { return "heterofl"; }
   void attach(RoundContext& ctx, Rng& rng) override;
@@ -66,32 +67,6 @@ class HeteroFLStrategy : public Strategy {
   double loss_sum_ = 0.0;
   double slowest_ = 0.0;
   std::size_t round_tasks_ = 0;
-};
-
-/// Historical entry point — a thin shim over FederationEngine +
-/// HeteroFLStrategy (bitwise parity with direct engine use is
-/// test-enforced).
-class HeteroFLRunner {
- public:
-  HeteroFLRunner(ModelSpec full_spec, const FederatedDataset& data,
-                 std::vector<DeviceProfile> fleet, BaselineConfig cfg,
-                 std::vector<double> width_ratios = {1.0, 0.5, 0.25, 0.125,
-                                                     0.0625});
-
-  double run_round() { return engine_->run_round(); }
-  void run() { engine_->run(); }
-  BaselineReport report();
-
-  Model& global() { return strategy_->global(); }
-  int num_levels() const { return strategy_->num_levels(); }
-  int level_for(int client) const { return strategy_->level_for(client); }
-  Model submodel(int level) { return strategy_->submodel(level); }
-  FederationEngine& engine() { return *engine_; }
-
- private:
-  const FederatedDataset& data_;
-  HeteroFLStrategy* strategy_;  // owned by engine_
-  std::unique_ptr<FederationEngine> engine_;
 };
 
 }  // namespace fedtrans

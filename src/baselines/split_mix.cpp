@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/stats.hpp"
 #include "model/align.hpp"
 #include "nn/loss.hpp"
 
@@ -137,31 +136,6 @@ double SplitMixStrategy::probe_accuracy(const std::vector<int>& ids,
   double s = 0.0;
   for (int c : ids) s += ensemble_accuracy(c, budget_for(c));
   return s / static_cast<double>(ids.size());
-}
-
-SplitMixRunner::SplitMixRunner(ModelSpec full_spec,
-                               const FederatedDataset& data,
-                               std::vector<DeviceProfile> fleet,
-                               BaselineConfig cfg, int num_bases)
-    : data_(data) {
-  auto strategy =
-      std::make_unique<SplitMixStrategy>(std::move(full_spec), num_bases);
-  strategy_ = strategy.get();
-  engine_ = std::make_unique<FederationEngine>(
-      std::move(strategy), data, std::move(fleet),
-      static_cast<const SessionConfig&>(cfg));
-}
-
-BaselineReport SplitMixRunner::report() {
-  BaselineReport rep;
-  for (int c = 0; c < data_.num_clients(); ++c)
-    rep.client_accuracy.push_back(
-        strategy_->ensemble_accuracy(c, strategy_->budget_for(c)));
-  rep.mean_accuracy = mean(rep.client_accuracy);
-  rep.accuracy_iqr = iqr(rep.client_accuracy);
-  rep.costs = engine_->costs();
-  rep.history = engine_->history();
-  return rep;
 }
 
 }  // namespace fedtrans

@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "baselines/common.hpp"
 #include "fl/engine.hpp"
 #include "model/model.hpp"
 
@@ -16,7 +15,7 @@ namespace fedtrans {
 /// what drives SplitMix's large network volumes in the paper's Table 2.
 class SplitMixStrategy : public Strategy {
  public:
-  SplitMixStrategy(ModelSpec full_spec, int num_bases);
+  explicit SplitMixStrategy(ModelSpec full_spec, int num_bases = 8);
 
   std::string name() const override { return "splitmix"; }
   void attach(RoundContext& ctx, Rng& rng) override;
@@ -70,29 +69,6 @@ class SplitMixStrategy : public Strategy {
   // legacy per-client billing order).
   int pending_client_ = -1;
   double pending_time_ = 0.0;
-};
-
-/// Historical entry point — a thin shim over FederationEngine +
-/// SplitMixStrategy.
-class SplitMixRunner {
- public:
-  SplitMixRunner(ModelSpec full_spec, const FederatedDataset& data,
-                 std::vector<DeviceProfile> fleet, BaselineConfig cfg,
-                 int num_bases = 8);
-
-  double run_round() { return engine_->run_round(); }
-  void run() { engine_->run(); }
-  BaselineReport report();
-
-  int num_bases() const { return strategy_->num_bases(); }
-  int budget_for(int client) const { return strategy_->budget_for(client); }
-  Model& base(int i) { return strategy_->base(i); }
-  FederationEngine& engine() { return *engine_; }
-
- private:
-  const FederatedDataset& data_;
-  SplitMixStrategy* strategy_;  // owned by engine_
-  std::unique_ptr<FederationEngine> engine_;
 };
 
 }  // namespace fedtrans

@@ -4,8 +4,10 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/serial.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
+#include "model/serialize.hpp"
 
 namespace fedtrans {
 
@@ -303,16 +305,45 @@ FinalEval FedTransStrategy::evaluate_final() {
   return ev;
 }
 
-FedTransTrainer::FedTransTrainer(ModelSpec initial,
-                                 const FederatedDataset& data,
-                                 std::vector<DeviceProfile> fleet,
-                                 FedTransConfig cfg) {
-  auto strategy =
-      std::make_unique<FedTransStrategy>(std::move(initial), cfg);
-  strategy_ = strategy.get();
-  engine_ = std::make_unique<FederationEngine>(
-      std::move(strategy), data, std::move(fleet),
-      static_cast<const SessionConfig&>(cfg));
+void FedTransStrategy::save_state(std::ostream& os) const {
+  write_pod<std::uint32_t>(os, static_cast<std::uint32_t>(models_.size()));
+  for (const auto& e : models_) {
+    write_pod<std::int32_t>(os, e.id);
+    write_pod<std::int32_t>(os, e.created_round);
+    save_model(*e.model, os);
+    e.opt->save_state(os);
+  }
+  cm_->save(os);
+  doc_.save(os);
+  act_->save(os);
+  write_pod<std::int32_t>(os, transforms_);
+  write_pod<std::int32_t>(os, next_model_id_);
+  write_pod<std::uint8_t>(os, exhausted_ ? 1 : 0);
+}
+
+void FedTransStrategy::load_state(std::istream& is) {
+  const auto n_models = read_pod<std::uint32_t>(is);
+  FT_CHECK_MSG(n_models >= 1, "checkpoint holds no models");
+  models_.clear();
+  for (std::uint32_t i = 0; i < n_models; ++i) {
+    ModelEntry e;
+    e.id = read_pod<std::int32_t>(is);
+    e.created_round = read_pod<std::int32_t>(is);
+    e.model = std::make_unique<Model>(load_model(is));
+    e.opt = make_server_opt(cfg_.server_opt);
+    e.opt->load_state(is);
+    models_.push_back(std::move(e));
+  }
+  cm_->load(is);
+  FT_CHECK_MSG(cm_->num_models() == static_cast<int>(n_models),
+               "checkpoint client-manager/model count mismatch");
+  doc_.load(is);
+  act_ = std::make_unique<ActivenessTracker>(
+      models_.back().model->num_cells(), cfg_.act_window);
+  act_->load(is);
+  transforms_ = read_pod<std::int32_t>(is);
+  next_model_id_ = read_pod<std::int32_t>(is);
+  exhausted_ = read_pod<std::uint8_t>(is) != 0;
 }
 
 }  // namespace fedtrans

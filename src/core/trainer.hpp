@@ -19,10 +19,11 @@
 namespace fedtrans {
 
 /// Full FedTrans configuration (paper §5.1 / Table 7 defaults where noted):
-/// the layered engine SessionConfig (shared runtime + scheduling/transport)
-/// plus the Model Transformer / Model Aggregator knobs. Field-compatible
-/// with the historical flat struct.
-struct FedTransConfig : SessionConfig {
+/// the shared session runtime block plus the Model Transformer / Model
+/// Aggregator knobs. Engine-level knobs (selector, fabric, async, …) live on
+/// the SessionConfig the engine runs with — `SessionConfig::from(cfg)` lifts
+/// this runtime block into one.
+struct FedTransConfig : SessionRuntime {
   FedTransConfig() { rounds = 60; }
 
   // Model Transformer.
@@ -81,8 +82,6 @@ struct FinalEval {
   double accuracy_iqr = 0.0;
 };
 
-class FedTransTrainer;
-
 /// The FedTrans coordinator (Algorithm 1) as an engine Strategy: per round
 /// it assigns every participant a compatible model by utility (the
 /// prepare_task hook), trains locally, jointly updates utilities,
@@ -117,6 +116,10 @@ class FedTransStrategy : public Strategy {
                       RoundContext& ctx) override;
   void absorb_reduced(const ClientTask& task, Model* payload, WeightSet& sum,
                       double weight, int count, RoundContext& ctx) override;
+  /// The model family (specs + weights + per-model optimizer state), client
+  /// utilities, DoC/activeness histories and transform counters.
+  void save_state(std::ostream& os) const override;
+  void load_state(std::istream& is) override;
 
   FinalEval evaluate_final();
 
@@ -128,8 +131,6 @@ class FedTransStrategy : public Strategy {
   const FedTransConfig& config() const { return cfg_; }
 
  private:
-  friend class FedTransTrainer;  // checkpointing serializes private state
-
   /// The transform hook: grow the family when the newest model's DoC
   /// crosses β (consumes ctx.rng exactly like the legacy coordinator).
   void maybe_transform(RoundContext& ctx);
@@ -162,52 +163,6 @@ class FedTransStrategy : public Strategy {
   std::vector<int> loss_cnt_;
   std::vector<Participation> parts_;
   double slowest_ = 0.0;
-};
-
-/// Historical entry point — a thin shim over FederationEngine +
-/// FedTransStrategy (bitwise parity with direct engine use is
-/// test-enforced).
-class FedTransTrainer {
- public:
-  FedTransTrainer(ModelSpec initial, const FederatedDataset& data,
-                  std::vector<DeviceProfile> fleet, FedTransConfig cfg);
-
-  /// Execute one round; returns mean participant loss.
-  double run_round() { return engine_->run_round(); }
-  void run() { engine_->run(); }  // cfg.rounds rounds
-
-  FinalEval evaluate_final() { return strategy_->evaluate_final(); }
-
-  /// Checkpointing. `save_checkpoint` persists the complete dynamic state:
-  /// the model family (specs + weights + per-model optimizer state), client
-  /// utilities, DoC/activeness histories, RNG state, cost meters and round
-  /// counters. `load_checkpoint` restores it into a trainer constructed
-  /// with the *same* dataset, fleet and config; resumed training then
-  /// replays bit-identically to an uninterrupted run (verified by tests).
-  void save_checkpoint(std::ostream& os);
-  void load_checkpoint(std::istream& is);
-  void save_checkpoint_file(const std::string& path);
-  void load_checkpoint_file(const std::string& path);
-
-  int num_models() const { return strategy_->num_models(); }
-  Model& model(int i) { return strategy_->model(i); }
-  const std::vector<ModelEntry>& entries() const {
-    return strategy_->entries();
-  }
-  const ClientManager& client_manager() const {
-    return strategy_->client_manager();
-  }
-  const CostMeter& costs() const { return engine_->costs(); }
-  const std::vector<RoundRecord>& history() const {
-    return engine_->history();
-  }
-  int rounds_done() const { return engine_->rounds_done(); }
-  int transforms_done() const { return strategy_->transforms_done(); }
-  FederationEngine& engine() { return *engine_; }
-
- private:
-  FedTransStrategy* strategy_;  // owned by engine_
-  std::unique_ptr<FederationEngine> engine_;
 };
 
 }  // namespace fedtrans

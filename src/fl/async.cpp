@@ -63,24 +63,4 @@ double FedBuffStrategy::probe_accuracy(const std::vector<int>& ids,
   return ids.empty() ? 0.0 : s / static_cast<double>(ids.size());
 }
 
-FedBuffRunner::FedBuffRunner(Model init, const FederatedDataset& data,
-                             std::vector<DeviceProfile> fleet,
-                             AsyncRunConfig cfg)
-    : data_(data) {
-  FT_CHECK(cfg.concurrency > 0 && cfg.buffer_size > 0 &&
-           cfg.aggregations > 0 && cfg.staleness_exponent >= 0.0);
-  auto strategy =
-      std::make_unique<FedBuffStrategy>(std::move(init), cfg.server_opt);
-  strategy_ = strategy.get();
-  engine_ = std::make_unique<FederationEngine>(
-      std::move(strategy), data, std::move(fleet), cfg.to_session());
-}
-
-double FedBuffRunner::mean_client_accuracy() {
-  double s = 0.0;
-  for (int c = 0; c < data_.num_clients(); ++c)
-    s += evaluate_accuracy(strategy_->model(), data_.client(c));
-  return data_.num_clients() > 0 ? s / data_.num_clients() : 0.0;
-}
-
 }  // namespace fedtrans

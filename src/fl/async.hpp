@@ -11,49 +11,15 @@
 
 namespace fedtrans {
 
-/// Configuration of a buffered-asynchronous FL run (FedBuff; Nguyen et al.,
-/// AISTATS'22 — the asynchronous scheduling work the paper cites for
-/// straggler mitigation). Field-compatible with the historical flat struct;
-/// the shared runtime block (local, seed, …) is inherited and the FedBuff
-/// knobs map onto the engine's AsyncBlock via to_session().
-struct AsyncRunConfig : SessionRuntime {
-  /// Number of client trainings kept in flight at all times.
-  int concurrency = 10;
-  /// Server aggregates after this many client updates arrive (FedBuff's K).
-  int buffer_size = 10;
-  /// Total number of server aggregations to perform.
-  int aggregations = 50;
-  /// Staleness discount exponent: update weight = (1 + τ)^(−p) where τ is
-  /// the number of server versions the client's weights are behind. p = 0.5
-  /// is FedBuff's default polynomial discount.
-  double staleness_exponent = 0.5;
-  ServerOptKind server_opt = ServerOptKind::FedAvg;
-
-  /// Run the event loop over the federation fabric: every dispatch is a
-  /// real ModelDown/UpdateUp round trip, completions are ordered by
-  /// server-side delivery time, and lost updates hit `topology`'s
-  /// ack-timeout/retry policy (under `fabric_faults` injection).
-  bool use_fabric = false;
-  FaultConfig fabric_faults{};
-  FabricTopology topology{};
-
-  SessionConfig to_session() const {
-    SessionConfig s = SessionConfig::from(*this);
-    s.with_async(AsyncBlock{concurrency, buffer_size, aggregations,
-                            staleness_exponent});
-    if (use_fabric) s.with_fabric(fabric_faults);
-    s.topology = topology;
-    return s;
-  }
-};
-
-/// FedBuff's aggregation policy as an engine Strategy: the engine's async
-/// scheduling mode owns the event loop — dispatch a new client the moment
-/// one finishes, fold completions in simulated-completion order, discount
-/// by staleness — and this strategy owns the buffer and the server model.
+/// FedBuff's (Nguyen et al., AISTATS'22) aggregation policy as an engine
+/// Strategy, run in SessionMode::Async: the engine owns the event loop —
+/// dispatch a new client the moment one finishes, fold completions in
+/// simulated-completion order, discount by staleness (SessionConfig::async)
+/// — and this strategy owns the buffer and the server model.
 class FedBuffStrategy : public Strategy {
  public:
-  FedBuffStrategy(Model init, ServerOptKind server_opt);
+  explicit FedBuffStrategy(Model init,
+                           ServerOptKind server_opt = ServerOptKind::FedAvg);
 
   std::string name() const override { return "fedbuff"; }
   void attach(RoundContext& ctx, Rng& rng) override;
@@ -81,44 +47,6 @@ class FedBuffStrategy : public Strategy {
   int buffered_ = 0;
   double loss_accum_ = 0.0;
   int loss_count_ = 0;
-};
-
-/// Event-driven simulation of buffered asynchronous federated learning —
-/// the historical entry point, now a thin shim over the FederationEngine's
-/// async scheduling mode + FedBuffStrategy.
-///
-/// Unlike the synchronous FedAvgRunner — whose wall-clock per round is the
-/// *slowest* participant (the straggler issue, paper Appendix C) — the async
-/// server dispatches a new client the moment one finishes, and folds late
-/// updates in with a staleness discount. Client completion times come from
-/// the same device-trace latency model the synchronous runner uses, so
-/// sync-vs-async wall-clock comparisons are apples-to-apples.
-class FedBuffRunner {
- public:
-  FedBuffRunner(Model init, const FederatedDataset& data,
-                std::vector<DeviceProfile> fleet, AsyncRunConfig cfg);
-
-  /// Run until cfg.aggregations server updates have been applied.
-  void run() { engine_->run(); }
-
-  Model& model() { return strategy_->model(); }
-  const CostMeter& costs() const { return engine_->costs(); }
-  const std::vector<RoundRecord>& history() const {
-    return engine_->history();
-  }
-  /// Simulated seconds since the run started.
-  double now_s() const { return engine_->now_s(); }
-  int aggregations_done() const { return engine_->versions_done(); }
-  /// Mean staleness (server versions behind) across all folded-in updates.
-  double mean_staleness() const { return engine_->mean_staleness(); }
-
-  double mean_client_accuracy();
-  FederationEngine& engine() { return *engine_; }
-
- private:
-  const FederatedDataset& data_;
-  FedBuffStrategy* strategy_;  // owned by engine_
-  std::unique_ptr<FederationEngine> engine_;
 };
 
 }  // namespace fedtrans

@@ -93,6 +93,16 @@ void Strategy::absorb_reduced(const ClientTask&, Model*, WeightSet&, double,
                              "aggregation (absorb_reduced not implemented)");
 }
 
+void Strategy::save_state(std::ostream&) const {
+  FT_CHECK_MSG(false, "strategy '" << name()
+                                   << "' does not support checkpointing");
+}
+
+void Strategy::load_state(std::istream&) {
+  FT_CHECK_MSG(false, "strategy '" << name()
+                                   << "' does not support checkpointing");
+}
+
 FederationEngine::FederationEngine(std::unique_ptr<Strategy> strategy,
                                    const ClientDataProvider& data,
                                    std::vector<DeviceProfile> fleet,
@@ -129,6 +139,13 @@ FederationEngine::FederationEngine(std::unique_ptr<Strategy> strategy,
       "SessionConfig: topology.quantize_partials needs "
       "topology.partial_aggregation — verbatim bundles must stay bit-exact, "
       "only numeric group sums may be quantized on the wire");
+  if (cfg_.mode == SessionMode::Async)
+    FT_CHECK_MSG(cfg_.async.concurrency > 0 && cfg_.async.buffer_size > 0 &&
+                     cfg_.async.aggregations > 0 &&
+                     cfg_.async.staleness_exponent >= 0.0,
+                 "SessionConfig: async concurrency, buffer_size and "
+                 "aggregations must be positive and staleness_exponent "
+                 "non-negative");
   selector_ = make_selector(cfg_.selector);
   {
     RoundContext ctx = make_context();
@@ -449,9 +466,6 @@ void FederationEngine::dispatch_async() {
 }
 
 void FederationEngine::run_async() {
-  FT_CHECK(cfg_.async.concurrency > 0 && cfg_.async.buffer_size > 0 &&
-           cfg_.async.aggregations > 0 &&
-           cfg_.async.staleness_exponent >= 0.0);
   if (cfg_.use_fabric) {
     run_async_fabric();
     return;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -54,10 +55,9 @@ void bill_trained_update(RoundContext& ctx, int client, double model_bytes,
 void bill_lost_update(RoundContext& ctx, ClientOutcome outcome,
                       double model_bytes, double model_macs);
 
-/// Observer of engine progress — the structured replacement for the ad-hoc
-/// eval_every / history plumbing the legacy runners grew. Observers are
-/// non-owning and invoked in registration order after each round (or, in
-/// async mode, after each server aggregation).
+/// Observer of engine progress. Observers are non-owning and invoked in
+/// registration order after each round (or, in async mode, after each
+/// server aggregation).
 class RoundObserver {
  public:
   virtual ~RoundObserver() = default;
@@ -88,10 +88,9 @@ class Strategy {
   virtual std::string name() const = 0;
 
   /// One-time binding, called from the engine constructor before any
-  /// round: build server models (the legacy runner constructors consumed
-  /// the coordinator Rng doing this — draws made here continue into round
-  /// 1 bit-identically) and capture the data/fleet references the strategy
-  /// needs outside of round hooks.
+  /// round: build server models (draws made here come out of the
+  /// coordinator Rng and continue into round 1 bit-identically) and capture
+  /// the data/fleet references the strategy needs outside of round hooks.
   virtual void attach(RoundContext& /*ctx*/, Rng& /*rng*/) {}
 
   /// Build this round's work list; may consume `rng` (selection draws).
@@ -202,6 +201,16 @@ class Strategy {
                                              RoundContext& /*ctx*/) {
     return std::nullopt;
   }
+
+  // --- checkpointing -----------------------------------------------------
+
+  /// Append / restore the strategy's dynamic state (server models,
+  /// optimizer state, per-strategy counters) — the last block of a
+  /// FederationEngine checkpoint. load_state runs on a strategy attached to
+  /// the same data, fleet and config. Default: refuse with an Error naming
+  /// the strategy.
+  virtual void save_state(std::ostream& os) const;
+  virtual void load_state(std::istream& is);
 };
 
 /// The one federation engine: owns the canonical round loop (select →
@@ -217,7 +226,7 @@ class FederationEngine {
                    std::vector<DeviceProfile> fleet, SessionConfig cfg);
   ~FederationEngine();
   // Not movable: strategies capture &fleet_/&data_ in attach(), so a moved
-  // engine would leave them dangling. Shims hold engines by unique_ptr.
+  // engine would leave them dangling. Hold engines by unique_ptr.
   FederationEngine(FederationEngine&&) = delete;
   FederationEngine& operator=(FederationEngine&&) = delete;
 
@@ -262,12 +271,17 @@ class FederationEngine {
   /// Mean staleness (server versions behind) across folded-in updates.
   double mean_staleness() const;
 
-  // Checkpointing access: the engine's dynamic state is part of a session
-  // checkpoint, so strategies' save/load routines reach it through these.
-  Rng& rng() { return rng_; }
-  CostMeter& costs_mutable() { return costs_; }
-  std::vector<RoundRecord>& history_mutable() { return history_; }
-  void set_rounds_done(int r) { round_ = r; }
+  /// Checkpoint the session: a header (magic, version, seed, fleet size,
+  /// strategy name), the engine's state (Rng, costs, selector, round
+  /// counter, history), then the strategy's save_state blob.
+  /// load_checkpoint restores it into an engine built with the same
+  /// dataset, fleet, config and strategy kind; resumed rounds then replay
+  /// bit-identically. A load that throws leaves the session untouched.
+  /// Both refuse fabric sessions with drop/duplicate/reorder faults (those
+  /// draws are keyed by transport sequence numbers a checkpoint does not
+  /// carry) and strategies without save_state (every one but FedTrans).
+  void save_checkpoint(std::ostream& os) const;
+  void load_checkpoint(std::istream& is);
 
  private:
   RoundContext make_context();
@@ -289,6 +303,8 @@ class FederationEngine {
   /// (fabric + partial_aggregation topology; validated against the
   /// strategy's supports_partial_aggregation).
   bool numeric_rounds() const;
+  void check_resumable() const;
+  void read_checkpoint(std::istream& is);
 
   std::unique_ptr<Strategy> strategy_;
   const ClientDataProvider& data_;
@@ -303,8 +319,8 @@ class FederationEngine {
   std::vector<std::unique_ptr<RoundObserver>> owned_observers_;
   int round_ = 0;
 
-  // Async-mode scheduling state (same completion-ordered queue the legacy
-  // FedBuffRunner used, so async runs replay bit-identically).
+  // Async-mode scheduling state: the completion-ordered queue of in-flight
+  // client trainings.
   struct InFlight {
     double finish_s = 0.0;
     int client = 0;

@@ -179,45 +179,4 @@ double FedAvgStrategy::probe_accuracy(const std::vector<int>& ids,
   return acc_sum / static_cast<double>(ids.size());
 }
 
-FedAvgRunner::FedAvgRunner(Model init, const FederatedDataset& data,
-                           std::vector<DeviceProfile> fleet, FlRunConfig cfg)
-    : data_(data) {
-  auto strategy =
-      std::make_unique<FedAvgStrategy>(std::move(init), cfg.options());
-  strategy_ = strategy.get();
-  engine_ = std::make_unique<FederationEngine>(
-      std::move(strategy), data, std::move(fleet), cfg.to_session());
-}
-
-FedAvgRunner::~FedAvgRunner() = default;
-FedAvgRunner::FedAvgRunner(FedAvgRunner&&) noexcept = default;
-
-std::vector<int> FedAvgRunner::select_clients(int population, int k,
-                                              Rng& rng) {
-  return uniform_select(population, k, rng);
-}
-
-double FedAvgRunner::run_round() { return engine_->run_round(); }
-
-void FedAvgRunner::run() { engine_->run(); }
-
-double FedAvgRunner::mean_client_accuracy() {
-  auto accs = per_client_accuracy();
-  double s = 0.0;
-  for (double a : accs) s += a;
-  return accs.empty() ? 0.0 : s / static_cast<double>(accs.size());
-}
-
-std::vector<double> FedAvgRunner::per_client_accuracy() {
-  std::vector<double> accs(static_cast<std::size_t>(data_.num_clients()), 0.0);
-  ThreadPool::global().parallel_for(
-      data_.num_clients(), 1, [&](std::int64_t lo, std::int64_t hi) {
-        Model probe = strategy_->model();
-        for (std::int64_t i = lo; i < hi; ++i)
-          accs[static_cast<std::size_t>(i)] =
-              evaluate_accuracy(probe, data_.client(static_cast<int>(i)));
-      });
-  return accs;
-}
-
 }  // namespace fedtrans

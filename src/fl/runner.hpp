@@ -14,8 +14,8 @@
 
 namespace fedtrans {
 
-/// FedAvg's per-strategy options block (everything beyond the shared
-/// SessionConfig runtime).
+/// FedAvg's per-strategy options block (everything beyond the engine's
+/// SessionConfig).
 struct FedAvgOptions {
   ServerOptKind server_opt = ServerOptKind::FedAvg;
   /// Uplink (client → server) delta compression; downlink stays dense.
@@ -33,20 +33,6 @@ struct FedAvgOptions {
   /// When true, clients whose capacity is below the model's MACs skip the
   /// round (single-model FL typically ignores this — the straggler issue).
   bool respect_capacity = false;
-};
-
-/// Configuration of a single-global-model FL run: the layered session
-/// config (shared runtime + scheduling/transport) plus FedAvg's options.
-/// Field-compatible with the historical flat struct — `cfg.rounds`,
-/// `cfg.compression`, `cfg.use_fabric`, … all keep working.
-struct FlRunConfig : SessionConfig, FedAvgOptions {
-  /// The engine-level slice of this config.
-  SessionConfig to_session() const {
-    return static_cast<const SessionConfig&>(*this);
-  }
-  FedAvgOptions options() const {
-    return static_cast<const FedAvgOptions&>(*this);
-  }
 };
 
 /// Classic single-model federated averaging expressed as an engine
@@ -80,7 +66,6 @@ class FedAvgStrategy : public Strategy {
                       double weight, int count, RoundContext& ctx) override;
 
   Model& model() { return model_; }
-  const FedAvgOptions& options() const { return opts_; }
 
  private:
   Model model_;
@@ -98,47 +83,6 @@ class FedAvgStrategy : public Strategy {
   int trained_ = 0;
   std::vector<int> dropped_;
   double deadline_ = 0.0;
-};
-
-/// Classic single-model federated averaging over a simulated fleet — a thin
-/// shim over FederationEngine + FedAvgStrategy (kept as the historical
-/// entry point; bitwise-parity with direct engine use is test-enforced).
-class FedAvgRunner {
- public:
-  FedAvgRunner(Model init, const FederatedDataset& data,
-               std::vector<DeviceProfile> fleet, FlRunConfig cfg);
-  ~FedAvgRunner();
-  FedAvgRunner(FedAvgRunner&&) noexcept;
-
-  /// Execute one round; returns the mean participant training loss.
-  double run_round();
-  /// Execute cfg.rounds rounds.
-  void run();
-
-  Model& model() { return strategy_->model(); }
-  const std::vector<RoundRecord>& history() const {
-    return engine_->history();
-  }
-  const CostMeter& costs() const { return engine_->costs(); }
-  int rounds_done() const { return engine_->rounds_done(); }
-  FederationEngine& engine() { return *engine_; }
-
-  /// Mean top-1 accuracy across every client's eval shard.
-  double mean_client_accuracy();
-  std::vector<double> per_client_accuracy();
-
-  /// Uniformly select k distinct clients (forwarding shim; the single
-  /// implementation lives in fl/selection as uniform_select).
-  static std::vector<int> select_clients(int population, int k, Rng& rng);
-
-  /// The federation fabric backing this run; null until the first
-  /// use_fabric round executes (and always null without use_fabric).
-  const FederationServer* fabric() const { return engine_->fabric(); }
-
- private:
-  const FederatedDataset& data_;
-  FedAvgStrategy* strategy_;  // owned by engine_
-  std::unique_ptr<FederationEngine> engine_;
 };
 
 }  // namespace fedtrans

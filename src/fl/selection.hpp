@@ -11,9 +11,8 @@ namespace fedtrans {
 
 /// Uniformly select k distinct clients from [0, population): full shuffle +
 /// truncate. The single selection helper behind UniformSelector, every
-/// strategy's ad-hoc draws, the engine's eval probes, and the legacy
-/// FedAvgRunner::select_clients entry point — all consume the Rng
-/// identically, so historical runs replay bit-exactly.
+/// strategy's ad-hoc draws and the engine's eval probes — all consume the
+/// Rng identically, so historical runs replay bit-exactly.
 std::vector<int> uniform_select(int population, int k, Rng& rng);
 
 /// Pluggable participant selection. The paper's protocol samples

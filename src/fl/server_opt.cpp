@@ -5,28 +5,9 @@
 #include <ostream>
 
 #include "common/check.hpp"
+#include "net/wire.hpp"
 
 namespace fedtrans {
-
-namespace {
-
-void save_weight_set(std::ostream& os, const WeightSet& ws) {
-  const std::uint32_t n = static_cast<std::uint32_t>(ws.size());
-  os.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  for (const Tensor& t : ws) t.save(os);
-}
-
-WeightSet load_weight_set(std::istream& is) {
-  std::uint32_t n = 0;
-  is.read(reinterpret_cast<char*>(&n), sizeof(n));
-  FT_CHECK_MSG(is.good(), "truncated optimizer state");
-  WeightSet ws;
-  ws.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) ws.push_back(Tensor::load(is));
-  return ws;
-}
-
-}  // namespace
 
 void FedAvgServerOpt::apply(WeightSet& global, const WeightSet& avg_delta) {
   ws_axpy(global, static_cast<float>(-lr_), avg_delta);
@@ -41,11 +22,11 @@ void FedAvgMServerOpt::apply(WeightSet& global, const WeightSet& avg_delta) {
 }
 
 void FedAvgMServerOpt::save_state(std::ostream& os) const {
-  save_weight_set(os, m_);
+  write_weight_set(os, m_);
 }
 
 void FedAvgMServerOpt::load_state(std::istream& is) {
-  m_ = load_weight_set(is);
+  m_ = read_weight_set(is);
 }
 
 void FedYogiServerOpt::apply(WeightSet& global, const WeightSet& avg_delta) {
@@ -74,13 +55,13 @@ void FedYogiServerOpt::apply(WeightSet& global, const WeightSet& avg_delta) {
 }
 
 void FedYogiServerOpt::save_state(std::ostream& os) const {
-  save_weight_set(os, m_);
-  save_weight_set(os, v_);
+  write_weight_set(os, m_);
+  write_weight_set(os, v_);
 }
 
 void FedYogiServerOpt::load_state(std::istream& is) {
-  m_ = load_weight_set(is);
-  v_ = load_weight_set(is);
+  m_ = read_weight_set(is);
+  v_ = read_weight_set(is);
 }
 
 void FedAdamServerOpt::apply(WeightSet& global, const WeightSet& avg_delta) {
@@ -107,13 +88,13 @@ void FedAdamServerOpt::apply(WeightSet& global, const WeightSet& avg_delta) {
 }
 
 void FedAdamServerOpt::save_state(std::ostream& os) const {
-  save_weight_set(os, m_);
-  save_weight_set(os, v_);
+  write_weight_set(os, m_);
+  write_weight_set(os, v_);
 }
 
 void FedAdamServerOpt::load_state(std::istream& is) {
-  m_ = load_weight_set(is);
-  v_ = load_weight_set(is);
+  m_ = read_weight_set(is);
+  v_ = read_weight_set(is);
 }
 
 void FedAdagradServerOpt::apply(WeightSet& global,
@@ -134,11 +115,11 @@ void FedAdagradServerOpt::apply(WeightSet& global,
 }
 
 void FedAdagradServerOpt::save_state(std::ostream& os) const {
-  save_weight_set(os, v_);
+  write_weight_set(os, v_);
 }
 
 void FedAdagradServerOpt::load_state(std::istream& is) {
-  v_ = load_weight_set(is);
+  v_ = read_weight_set(is);
 }
 
 std::unique_ptr<ServerOptimizer> make_server_opt(ServerOptKind kind) {

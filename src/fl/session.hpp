@@ -9,10 +9,9 @@
 namespace fedtrans {
 
 /// The shared runtime block every federated session carries — the one
-/// definition of the fields that were historically copy-pasted across
-/// FlRunConfig / FedTransConfig / BaselineConfig / AsyncRunConfig. The
-/// legacy config structs now inherit from this block, so a field added here
-/// is automatically available (and forwarded) everywhere.
+/// definition of these fields. SessionConfig extends it with the
+/// engine-level knobs; FedTransConfig inherits it so paper presets carry a
+/// whole run in one struct (SessionConfig::from lifts it back out).
 struct SessionRuntime {
   /// Synchronous rounds to run (async sessions count aggregations instead).
   int rounds = 50;
@@ -220,14 +219,6 @@ struct SessionConfig : SessionRuntime {
     socket = s;
     return *this;
   }
-  /// Sharded fabric: a 2-level aggregation tree with `k` leaf shards
-  /// (implies with_fabric()).
-  SessionConfig& with_shards(int k, int levels = 2) {
-    use_fabric = true;
-    topology.shards = k;
-    topology.levels = levels;
-    return *this;
-  }
   /// Deep aggregation tree: `levels` tiers above the clients, `shards`
   /// leaves, interior fan-out `branching` (implies with_fabric()).
   SessionConfig& with_tree(int levels, int shards, int branching = 0) {
@@ -295,7 +286,8 @@ struct SessionConfig : SessionRuntime {
     return *this;
   }
 
-  /// Lift a legacy config's shared block into an engine session config.
+  /// Lift a runtime block (e.g. a FedTransConfig's) into a session config
+  /// with default engine-level knobs.
   static SessionConfig from(const SessionRuntime& rt) {
     SessionConfig cfg;
     static_cast<SessionRuntime&>(cfg) = rt;

@@ -1,25 +1,91 @@
 #include "harness/experiments.hpp"
 
-#include "baselines/fedrolex.hpp"
-#include "baselines/fluid.hpp"
-#include "baselines/hetero_fl.hpp"
-#include "baselines/split_mix.hpp"
 #include "common/stats.hpp"
+#include "common/thread_pool.hpp"
 #include "fl/runner.hpp"
 #include "nn/loss.hpp"
 
 namespace fedtrans {
 
+std::vector<double> client_accuracy(const Model& model,
+                                    const ClientDataProvider& data) {
+  // Per-thread model copies: forward() mutates layer caches. Per-client
+  // slots keep the result order deterministic.
+  std::vector<double> accs(static_cast<std::size_t>(data.num_clients()), 0.0);
+  ThreadPool::global().parallel_for(
+      data.num_clients(), 1, [&](std::int64_t lo, std::int64_t hi) {
+        Model probe = model;
+        for (std::int64_t i = lo; i < hi; ++i)
+          accs[static_cast<std::size_t>(i)] =
+              evaluate_accuracy(probe, data.client(static_cast<int>(i)));
+      });
+  return accs;
+}
+
+std::vector<double> client_accuracy(HeteroFLStrategy& s,
+                                    const ClientDataProvider& data) {
+  std::vector<double> accs;
+  for (int c = 0; c < data.num_clients(); ++c) {
+    Model sub = s.submodel(s.level_for(c));
+    accs.push_back(evaluate_accuracy(sub, data.client(c)));
+  }
+  return accs;
+}
+
+std::vector<double> client_accuracy(SplitMixStrategy& s,
+                                    const ClientDataProvider& data) {
+  std::vector<double> accs;
+  for (int c = 0; c < data.num_clients(); ++c)
+    accs.push_back(s.ensemble_accuracy(c, s.budget_for(c)));
+  return accs;
+}
+
+std::vector<double> client_accuracy(FluidStrategy& s,
+                                    const ClientDataProvider& data) {
+  std::vector<double> accs;
+  for (int c = 0; c < data.num_clients(); ++c) {
+    Model sub = s.extract(s.kept_for_ratio(s.ratio_for(c)));
+    accs.push_back(evaluate_accuracy(sub, data.client(c)));
+  }
+  return accs;
+}
+
+std::vector<double> client_accuracy(FedRolexStrategy& s, int round,
+                                    const ClientDataProvider& data) {
+  std::vector<double> accs;
+  for (int c = 0; c < data.num_clients(); ++c) {
+    Model sub = s.submodel(s.level_for(c), round);
+    accs.push_back(evaluate_accuracy(sub, data.client(c)));
+  }
+  return accs;
+}
+
+double mean_client_accuracy(const Model& model,
+                            const ClientDataProvider& data) {
+  return mean(client_accuracy(model, data));
+}
+
+BaselineReport baseline_report(const FederationEngine& engine,
+                               std::vector<double> client_accuracy) {
+  BaselineReport rep;
+  rep.client_accuracy = std::move(client_accuracy);
+  rep.mean_accuracy = mean(rep.client_accuracy);
+  rep.accuracy_iqr = iqr(rep.client_accuracy);
+  rep.costs = engine.costs();
+  rep.history = engine.history();
+  return rep;
+}
+
 namespace {
-BaselineConfig to_baseline_cfg(const FedTransConfig& ft, int eval_every) {
-  // The shared runtime block (rounds, clients, local, eval, seed) is one
-  // definition since the SessionConfig refactor — slice it instead of
-  // copying field by field.
-  BaselineConfig cfg;
-  static_cast<SessionRuntime&>(cfg) = ft;
+
+/// The session every method runs under: the preset's FedTrans runtime block
+/// with the requested probe cadence.
+SessionConfig preset_session(const ExperimentPreset& p, int eval_every) {
+  SessionConfig cfg = SessionConfig::from(p.fedtrans);
   cfg.eval_every = eval_every;
   return cfg;
 }
+
 }  // namespace
 
 MethodResult run_fedtrans(const ExperimentPreset& p, int eval_every) {
@@ -27,24 +93,28 @@ MethodResult run_fedtrans(const ExperimentPreset& p, int eval_every) {
 }
 
 MethodResult run_fedtrans_cfg(const ExperimentPreset& p,
-                              const FedTransConfig& cfg_in, int eval_every) {
-  FedTransConfig cfg = cfg_in;
-  cfg.eval_every = eval_every;
+                              const FedTransConfig& cfg, int eval_every) {
+  SessionConfig session = SessionConfig::from(cfg);
+  session.eval_every = eval_every;
+  return run_fedtrans_cfg(p, cfg, session);
+}
+
+MethodResult run_fedtrans_cfg(const ExperimentPreset& p,
+                              const FedTransConfig& cfg,
+                              const SessionConfig& session) {
   auto data = FederatedDataset::generate(p.dataset);
-  auto fleet = sample_fleet(p.fleet);
-  FedTransTrainer trainer(p.initial_model, data, fleet, cfg);
-  trainer.run();
-  auto ev = trainer.evaluate_final();
+  FederationEngine engine(std::make_unique<FedTransStrategy>(p.initial_model,
+                                                             cfg),
+                          data, sample_fleet(p.fleet), session);
+  engine.run();
+  auto& ft = engine.strategy_as<FedTransStrategy>();
+  auto ev = ft.evaluate_final();
 
   MethodResult res;
   res.method = "FedTrans";
-  res.report.client_accuracy = ev.client_accuracy;
-  res.report.mean_accuracy = ev.mean_accuracy;
-  res.report.accuracy_iqr = ev.accuracy_iqr;
-  res.report.costs = trainer.costs();
-  res.report.history = trainer.history();
-  res.num_models = trainer.num_models();
-  Model& largest = trainer.model(trainer.num_models() - 1);
+  res.report = baseline_report(engine, ev.client_accuracy);
+  res.num_models = ft.num_models();
+  Model& largest = ft.model(ft.num_models() - 1);
   res.largest_spec = largest.spec();
   res.largest_macs = static_cast<double>(largest.macs());
   return res;
@@ -53,29 +123,29 @@ MethodResult run_fedtrans_cfg(const ExperimentPreset& p,
 MethodResult run_heterofl(const ExperimentPreset& p, const ModelSpec& largest,
                           int eval_every) {
   auto data = FederatedDataset::generate(p.dataset);
-  auto fleet = sample_fleet(p.fleet);
-  HeteroFLRunner runner(largest, data, fleet,
-                        to_baseline_cfg(p.fedtrans, eval_every));
-  runner.run();
+  FederationEngine engine(std::make_unique<HeteroFLStrategy>(largest), data,
+                          sample_fleet(p.fleet), preset_session(p, eval_every));
+  engine.run();
+  auto& s = engine.strategy_as<HeteroFLStrategy>();
   MethodResult res;
   res.method = "HeteroFL";
-  res.report = runner.report();
+  res.report = baseline_report(engine, client_accuracy(s, data));
   res.largest_spec = largest;
-  res.largest_macs = static_cast<double>(runner.global().macs());
+  res.largest_macs = static_cast<double>(s.global().macs());
   return res;
 }
 
 MethodResult run_splitmix(const ExperimentPreset& p, const ModelSpec& largest,
                           int eval_every) {
   auto data = FederatedDataset::generate(p.dataset);
-  auto fleet = sample_fleet(p.fleet);
-  SplitMixRunner runner(largest, data, fleet,
-                        to_baseline_cfg(p.fedtrans, eval_every));
-  runner.run();
+  FederationEngine engine(std::make_unique<SplitMixStrategy>(largest), data,
+                          sample_fleet(p.fleet), preset_session(p, eval_every));
+  engine.run();
+  auto& s = engine.strategy_as<SplitMixStrategy>();
   MethodResult res;
   res.method = "SplitMix";
-  res.report = runner.report();
-  res.num_models = runner.num_bases();
+  res.report = baseline_report(engine, client_accuracy(s, data));
+  res.num_models = s.num_bases();
   res.largest_spec = largest;
   return res;
 }
@@ -83,31 +153,32 @@ MethodResult run_splitmix(const ExperimentPreset& p, const ModelSpec& largest,
 MethodResult run_fedrolex(const ExperimentPreset& p, const ModelSpec& largest,
                           int eval_every) {
   auto data = FederatedDataset::generate(p.dataset);
-  auto fleet = sample_fleet(p.fleet);
-  FedRolexRunner runner(largest, data, fleet,
-                        to_baseline_cfg(p.fedtrans, eval_every));
-  runner.run();
+  FederationEngine engine(std::make_unique<FedRolexStrategy>(largest), data,
+                          sample_fleet(p.fleet), preset_session(p, eval_every));
+  engine.run();
+  auto& s = engine.strategy_as<FedRolexStrategy>();
   MethodResult res;
   res.method = "FedRolex";
-  res.report = runner.report();
-  res.num_models = runner.num_levels();
+  res.report = baseline_report(
+      engine, client_accuracy(s, engine.rounds_done(), data));
+  res.num_models = s.num_levels();
   res.largest_spec = largest;
-  res.largest_macs = static_cast<double>(runner.global().macs());
+  res.largest_macs = static_cast<double>(s.global().macs());
   return res;
 }
 
 MethodResult run_fluid(const ExperimentPreset& p, const ModelSpec& largest,
                        int eval_every) {
   auto data = FederatedDataset::generate(p.dataset);
-  auto fleet = sample_fleet(p.fleet);
-  FluidRunner runner(largest, data, fleet,
-                     to_baseline_cfg(p.fedtrans, eval_every));
-  runner.run();
+  FederationEngine engine(std::make_unique<FluidStrategy>(largest), data,
+                          sample_fleet(p.fleet), preset_session(p, eval_every));
+  engine.run();
+  auto& s = engine.strategy_as<FluidStrategy>();
   MethodResult res;
   res.method = "FLuID";
-  res.report = runner.report();
+  res.report = baseline_report(engine, client_accuracy(s, data));
   res.largest_spec = largest;
-  res.largest_macs = static_cast<double>(runner.global().macs());
+  res.largest_macs = static_cast<double>(s.global().macs());
   return res;
 }
 
@@ -115,31 +186,24 @@ MethodResult run_single_model(const ExperimentPreset& p, const ModelSpec& spec,
                               ServerOptKind opt, double prox_mu,
                               int eval_every) {
   auto data = FederatedDataset::generate(p.dataset);
-  auto fleet = sample_fleet(p.fleet);
-  FlRunConfig cfg;
-  cfg.rounds = p.fedtrans.rounds;
-  cfg.clients_per_round = p.fedtrans.clients_per_round;
-  cfg.local = p.fedtrans.local;
+  SessionConfig cfg = preset_session(p, eval_every);
   cfg.local.sgd.prox_mu = prox_mu;
-  cfg.server_opt = opt;
-  cfg.eval_every = eval_every;
-  cfg.eval_clients = p.fedtrans.eval_clients;
-  cfg.seed = p.fedtrans.seed;
+  FedAvgOptions opts;
+  opts.server_opt = opt;
   Rng rng(p.fedtrans.seed + 41);
-  FedAvgRunner runner(Model(spec, rng), data, fleet, cfg);
-  runner.run();
+  FederationEngine engine(
+      std::make_unique<FedAvgStrategy>(Model(spec, rng), opts), data,
+      sample_fleet(p.fleet), cfg);
+  engine.run();
+  Model& model = engine.strategy_as<FedAvgStrategy>().model();
 
   MethodResult res;
   res.method = opt == ServerOptKind::FedYogi
                    ? "FedYogi"
                    : (prox_mu > 0.0 ? "FedProx" : "FedAvg");
-  res.report.client_accuracy = runner.per_client_accuracy();
-  res.report.mean_accuracy = mean(res.report.client_accuracy);
-  res.report.accuracy_iqr = iqr(res.report.client_accuracy);
-  res.report.costs = runner.costs();
-  res.report.history = runner.history();
+  res.report = baseline_report(engine, client_accuracy(model, data));
   res.largest_spec = spec;
-  res.largest_macs = static_cast<double>(runner.model().macs());
+  res.largest_macs = static_cast<double>(model.macs());
   return res;
 }
 

@@ -62,6 +62,9 @@ void write_weight_set(std::ostream& os, const WeightSet& ws) {
 
 WeightSet read_weight_set(std::istream& is) {
   const auto n = read_pod<std::uint32_t>(is);
+  // Every tensor carries at least its 4-byte header word.
+  FT_CHECK_MSG(n <= stream_remaining(is) / sizeof(std::int32_t),
+               "weight-set count exceeds remaining stream");
   WeightSet ws;
   ws.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) ws.push_back(Tensor::load(is));

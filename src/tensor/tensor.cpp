@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "common/check.hpp"
+#include "common/serial.hpp"
 
 namespace fedtrans {
 
@@ -178,13 +179,26 @@ Tensor Tensor::load(std::istream& is) {
   FT_CHECK_MSG(is.good() && (hdr >> 16) == 0 && nd <= 8 && dt <= 2,
                "corrupt tensor header");
   std::vector<int> shape(static_cast<std::size_t>(nd));
+  // Bound the element count by the bytes left before allocating for it, so
+  // a corrupt dim fails as an Error instead of an int64 overflow or a
+  // multi-terabyte allocation (a negative dim converts to a huge count and
+  // fails the same way). O(1) per tensor: the wire decoder's stream seeks
+  // in place.
+  constexpr std::uint64_t kSaturated = std::uint64_t{1} << 62;
+  std::uint64_t numel = 1;
   for (auto& d : shape) {
     std::int32_t v = 0;
     is.read(reinterpret_cast<char*>(&v), sizeof(v));
     d = v;
+    const auto dim = static_cast<std::uint64_t>(v);
+    numel = dim != 0 && numel > kSaturated / dim ? kSaturated : numel * dim;
   }
+  const auto dtype = static_cast<Dtype>(dt);
+  FT_CHECK_MSG(numel <= stream_remaining(is) /
+                            static_cast<std::uint64_t>(dtype_bytes(dtype)),
+               "tensor payload exceeds remaining stream");
   Tensor t(shape);
-  t.dtype_ = static_cast<Dtype>(dt);
+  t.dtype_ = dtype;
   if (t.dtype_ == Dtype::F32) {
     is.read(reinterpret_cast<char*>(t.data()),
             static_cast<std::streamsize>(t.numel() * sizeof(float)));

@@ -259,22 +259,25 @@ std::vector<DeviceProfile> backend_fleet(int n) {
 
 // One FedAvg run per thread count; every metric and the final weights must be
 // identical — client Rngs are pre-forked and reductions run in fixed order.
-TEST(ConvBackend, RunnerRoundIdenticalAcrossThreadCounts) {
+TEST(ConvBackend, FedAvgRoundIdenticalAcrossThreadCounts) {
   auto data = backend_dataset();
   auto run = [&](int threads) {
     ThreadPool::set_global_threads(threads);
     Rng rng(7);
     Model init(ModelSpec::conv(1, 8, 4, 3, {4, 6}, {1, 1}, {1, 2}), rng);
-    FlRunConfig cfg;
+    SessionConfig cfg;
     cfg.rounds = 3;
     cfg.clients_per_round = 4;
     cfg.local.steps = 2;
     cfg.local.batch = 4;
     cfg.eval_every = 1;
     cfg.seed = 13;
-    FedAvgRunner runner(init, data, backend_fleet(data.num_clients()), cfg);
-    runner.run();
-    return std::make_pair(runner.history(), runner.model().weights());
+    auto engine = testing::make_engine<FedAvgStrategy>(
+        data, backend_fleet(data.num_clients()), cfg, init, FedAvgOptions{});
+    engine->run();
+    return std::make_pair(
+        engine->history(),
+        engine->strategy_as<FedAvgStrategy>().model().weights());
   };
   auto [hist1, w1] = run(1);
   auto [hist4, w4] = run(4);
@@ -292,7 +295,7 @@ TEST(ConvBackend, RunnerRoundIdenticalAcrossThreadCounts) {
       ASSERT_EQ(w1[t][i], w4[t][i]) << "weight diverged (tensor " << t << ")";
 }
 
-TEST(ConvBackend, TrainerRoundIdenticalAcrossThreadCounts) {
+TEST(ConvBackend, FedTransRoundIdenticalAcrossThreadCounts) {
   auto data = backend_dataset();
   auto run = [&](int threads) {
     ThreadPool::set_global_threads(threads);
@@ -303,11 +306,13 @@ TEST(ConvBackend, TrainerRoundIdenticalAcrossThreadCounts) {
     cfg.local.batch = 4;
     cfg.seed = 19;
     cfg.max_models = 2;
-    FedTransTrainer trainer(
-        ModelSpec::conv(1, 8, 4, 3, {4, 6}, {1, 1}, {1, 2}), data,
-        backend_fleet(data.num_clients()), cfg);
-    trainer.run();
-    return std::make_pair(trainer.history(), trainer.model(0).weights());
+    auto engine = testing::make_engine<FedTransStrategy>(
+        data, backend_fleet(data.num_clients()), SessionConfig::from(cfg),
+        ModelSpec::conv(1, 8, 4, 3, {4, 6}, {1, 1}, {1, 2}), cfg);
+    engine->run();
+    return std::make_pair(
+        engine->history(),
+        engine->strategy_as<FedTransStrategy>().model(0).weights());
   };
   auto [hist1, w1] = run(1);
   auto [hist4, w4] = run(4);

@@ -146,7 +146,7 @@ SyncOutcome run_fedavg(const FederatedDataset& data,
                        const Model& init, const TopoCase& t,
                        const FaultCase& f, std::uint64_t seed) {
   const std::string what = "fedavg " + scenario_name(t, f, seed);
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 3;
   cfg.clients_per_round = 5;
   cfg.local.steps = 2;
@@ -156,7 +156,7 @@ SyncOutcome run_fedavg(const FederatedDataset& data,
   cfg.use_fabric = true;
   apply_scenario(cfg.topology, cfg.fabric_faults, t, f, seed);
 
-  FedAvgRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(testing::fedavg(init), data, fleet, cfg);
   runner.run();  // invariant 1: terminates under every fault mix
 
   EXPECT_EQ(runner.history().size(), static_cast<std::size_t>(cfg.rounds))
@@ -175,8 +175,8 @@ SyncOutcome run_fedavg(const FederatedDataset& data,
   // Invariant 3: byte reconciliation — each aggregated update moved the
   // model down and up, each lost one spent its downlink, and resends /
   // failover redirects are billed exactly as the transport counted them.
-  const double model_bytes =
-      static_cast<double>(runner.model().param_bytes());
+  const double model_bytes = static_cast<double>(
+      runner.strategy_as<FedAvgStrategy>().model().param_bytes());
   const double extra =
       static_cast<double>(stats.retry_bytes_down.load()) +
       static_cast<double>(stats.retry_bytes_up.load()) +
@@ -188,7 +188,7 @@ SyncOutcome run_fedavg(const FederatedDataset& data,
   EXPECT_EQ(stats.frames_rejected.load(), 0u) << what;
 
   SyncOutcome out;
-  out.weights = runner.model().weights();
+  out.weights = runner.strategy_as<FedAvgStrategy>().model().weights();
   out.history = runner.history();
   out.network_bytes = runner.costs().network_bytes();
   return out;
@@ -210,10 +210,13 @@ SyncOutcome run_fedtrans(const FederatedDataset& data,
   cfg.act_window = 2;
   cfg.max_models = 2;
   cfg.seed = seed;
-  cfg.use_fabric = true;
-  apply_scenario(cfg.topology, cfg.fabric_faults, t, f, seed);
+  SessionConfig session = SessionConfig::from(cfg);
+  session.use_fabric = true;
+  apply_scenario(session.topology, session.fabric_faults, t, f, seed);
 
-  FedTransTrainer trainer(chaos_model(), data, fleet, cfg);
+  FederationEngine trainer(
+      std::make_unique<FedTransStrategy>(chaos_model(), cfg), data, fleet,
+      session);
   trainer.run();
 
   EXPECT_EQ(trainer.history().size(), static_cast<std::size_t>(cfg.rounds))
@@ -221,11 +224,11 @@ SyncOutcome run_fedtrans(const FederatedDataset& data,
   for (const auto& rec : trainer.history())
     EXPECT_EQ(rec.participants + rec.lost_updates, cfg.clients_per_round)
         << what << " round " << rec.round;
-  EXPECT_EQ(trainer.engine().fabric()->stats().frames_rejected.load(), 0u)
+  EXPECT_EQ(trainer.fabric()->stats().frames_rejected.load(), 0u)
       << what;
 
   SyncOutcome out;
-  out.weights = trainer.model(0).weights();
+  out.weights = trainer.strategy_as<FedTransStrategy>().model(0).weights();
   out.history = trainer.history();
   out.network_bytes = trainer.costs().network_bytes();
   return out;
@@ -242,10 +245,11 @@ AsyncOutcome run_fedbuff(const FederatedDataset& data,
                          const Model& init, const TopoCase& t,
                          const FaultCase& f, std::uint64_t seed) {
   const std::string what = "fedbuff " + scenario_name(t, f, seed);
-  AsyncRunConfig cfg;
-  cfg.concurrency = 3;
-  cfg.buffer_size = 2;
-  cfg.aggregations = 4;
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 3;
+  cfg.async.buffer_size = 2;
+  cfg.async.aggregations = 4;
   cfg.local.steps = 2;
   cfg.local.batch = 4;
   cfg.seed = seed;
@@ -253,21 +257,22 @@ AsyncOutcome run_fedbuff(const FederatedDataset& data,
   apply_scenario(cfg.topology, cfg.fabric_faults, t, f, seed);
   cfg.topology.ack_timeout_s = 30.0;  // above the tiny fleet's round trip
 
-  FedBuffRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(std::make_unique<FedBuffStrategy>(init),
+                          data, fleet, cfg);
   runner.run();  // invariant 1: ack-timeouts replace lost clients
 
-  EXPECT_EQ(runner.aggregations_done(), cfg.aggregations) << what;
+  EXPECT_EQ(runner.versions_done(), cfg.async.aggregations) << what;
   EXPECT_EQ(runner.history().size(),
-            static_cast<std::size_t>(cfg.aggregations))
+            static_cast<std::size_t>(cfg.async.aggregations))
       << what;
   for (const auto& rec : runner.history())
     EXPECT_GE(rec.lost_updates, 0) << what;
-  EXPECT_EQ(runner.engine().fabric()->stats().frames_rejected.load(), 0u)
+  EXPECT_EQ(runner.fabric()->stats().frames_rejected.load(), 0u)
       << what;
   EXPECT_GT(runner.costs().network_bytes(), 0.0) << what;
 
   AsyncOutcome out;
-  out.weights = runner.model().weights();
+  out.weights = runner.strategy_as<FedBuffStrategy>().model().weights();
   out.history = runner.history();
   out.now_s = runner.now_s();
   return out;
@@ -373,7 +378,7 @@ TEST(ChaosSweepTest, CombinedFaultsOnDeepTreeStillConserveAndTerminate) {
   Rng rng(3);
   Model init(chaos_model(), rng);
 
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 4;
   cfg.clients_per_round = 6;
   cfg.local.steps = 2;
@@ -394,7 +399,7 @@ TEST(ChaosSweepTest, CombinedFaultsOnDeepTreeStillConserveAndTerminate) {
   cfg.fabric_faults.leaf_death_prob = 0.2;
   cfg.fabric_faults.seed = 4242;
 
-  FedAvgRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(testing::fedavg(init), data, fleet, cfg);
   runner.run();
 
   ASSERT_EQ(runner.history().size(), 4u);
@@ -406,8 +411,8 @@ TEST(ChaosSweepTest, CombinedFaultsOnDeepTreeStillConserveAndTerminate) {
   }
   EXPECT_GT(participants, 0) << "some updates must still get through";
   const FabricStats& stats = runner.fabric()->stats();
-  const double model_bytes =
-      static_cast<double>(runner.model().param_bytes());
+  const double model_bytes = static_cast<double>(
+      runner.strategy_as<FedAvgStrategy>().model().param_bytes());
   const double extra =
       static_cast<double>(stats.retry_bytes_down.load()) +
       static_cast<double>(stats.retry_bytes_up.load()) +
@@ -416,9 +421,10 @@ TEST(ChaosSweepTest, CombinedFaultsOnDeepTreeStillConserveAndTerminate) {
               model_bytes * (2.0 * participants + lost) + extra, 1.0);
   EXPECT_EQ(stats.frames_rejected.load(), 0u);
 
-  FedAvgRunner again(init, data, fleet, cfg);
+  FederationEngine again(testing::fedavg(init), data, fleet, cfg);
   again.run();
-  expect_same_weights(runner.model().weights(), again.model().weights(),
+  expect_same_weights(runner.strategy_as<FedAvgStrategy>().model().weights(),
+                      again.strategy_as<FedAvgStrategy>().model().weights(),
                       "combined chaos replay");
   expect_same_history(runner.history(), again.history(), "combined chaos");
 }
@@ -452,7 +458,7 @@ SyncOutcome run_fedavg_v6(const FederatedDataset& data,
                           std::uint64_t seed) {
   const std::string what =
       "fedavg-v6 " + std::string(v.name) + " " + scenario_name(t, f, seed);
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 3;
   cfg.clients_per_round = 5;
   cfg.local.steps = 2;
@@ -466,7 +472,7 @@ SyncOutcome run_fedavg_v6(const FederatedDataset& data,
   cfg.topology.broadcast_cache = v.cache;
   cfg.topology.delta_downlink = v.delta;
 
-  FedAvgRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(testing::fedavg(init), data, fleet, cfg);
   runner.run();  // invariant 1: terminates under every fault mix
 
   EXPECT_EQ(runner.history().size(), static_cast<std::size_t>(cfg.rounds))
@@ -483,8 +489,8 @@ SyncOutcome run_fedavg_v6(const FederatedDataset& data,
   // Invariant 3, v6 form: per-update billing + resend/failover traffic
   // − the delta-downlink credit. Cache elision never enters CostMeter —
   // it only trims the free backbone — so no cache term appears.
-  const double model_bytes =
-      static_cast<double>(runner.model().param_bytes());
+  const double model_bytes = static_cast<double>(
+      runner.strategy_as<FedAvgStrategy>().model().param_bytes());
   const double extra =
       static_cast<double>(stats.retry_bytes_down.load()) +
       static_cast<double>(stats.retry_bytes_up.load()) +
@@ -496,7 +502,7 @@ SyncOutcome run_fedavg_v6(const FederatedDataset& data,
   EXPECT_EQ(stats.frames_rejected.load(), 0u) << what;  // invariant 5
 
   SyncOutcome out;
-  out.weights = runner.model().weights();
+  out.weights = runner.strategy_as<FedAvgStrategy>().model().weights();
   out.history = runner.history();
   out.network_bytes = runner.costs().network_bytes();
   return out;
@@ -612,7 +618,7 @@ SyncOutcome run_fedavg_byzantine(const FederatedDataset& data,
                                  const Model& init, const TopoCase& t,
                                  const ByzCase& b, std::uint64_t seed) {
   const std::string what = byz_scenario_name("fedavg", t, b, seed);
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 3;
   cfg.clients_per_round = 5;
   cfg.local.steps = 2;
@@ -625,7 +631,7 @@ SyncOutcome run_fedavg_byzantine(const FederatedDataset& data,
   cfg.topology.branching = t.branching;
   apply_byzantine(cfg.fabric_faults, b, seed);
 
-  FedAvgRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(testing::fedavg(init), data, fleet, cfg);
   runner.run();
 
   EXPECT_EQ(runner.history().size(), static_cast<std::size_t>(cfg.rounds))
@@ -640,15 +646,15 @@ SyncOutcome run_fedavg_byzantine(const FederatedDataset& data,
   check_byzantine_accounting(runner.history(), cfg.fabric_faults, b, what);
   // Attackers move the same bytes as honest clients — the reconciliation
   // is unchanged, and an honest wire never rejects a frame.
-  const double model_bytes =
-      static_cast<double>(runner.model().param_bytes());
+  const double model_bytes = static_cast<double>(
+      runner.strategy_as<FedAvgStrategy>().model().param_bytes());
   EXPECT_NEAR(runner.costs().network_bytes(),
               model_bytes * (2.0 * participants + lost), 1.0)
       << what;
   EXPECT_EQ(runner.fabric()->stats().frames_rejected.load(), 0u) << what;
 
   SyncOutcome out;
-  out.weights = runner.model().weights();
+  out.weights = runner.strategy_as<FedAvgStrategy>().model().weights();
   out.history = runner.history();
   out.network_bytes = runner.costs().network_bytes();
   return out;
@@ -670,13 +676,16 @@ SyncOutcome run_fedtrans_byzantine(const FederatedDataset& data,
   cfg.act_window = 2;
   cfg.max_models = 2;
   cfg.seed = seed;
-  cfg.use_fabric = true;
-  cfg.topology.levels = t.levels;
-  cfg.topology.shards = t.shards;
-  cfg.topology.branching = t.branching;
-  apply_byzantine(cfg.fabric_faults, b, seed);
+  SessionConfig session = SessionConfig::from(cfg);
+  session.use_fabric = true;
+  session.topology.levels = t.levels;
+  session.topology.shards = t.shards;
+  session.topology.branching = t.branching;
+  apply_byzantine(session.fabric_faults, b, seed);
 
-  FedTransTrainer trainer(chaos_model(), data, fleet, cfg);
+  FederationEngine trainer(
+      std::make_unique<FedTransStrategy>(chaos_model(), cfg), data, fleet,
+      session);
   trainer.run();
 
   EXPECT_EQ(trainer.history().size(), static_cast<std::size_t>(cfg.rounds))
@@ -684,12 +693,13 @@ SyncOutcome run_fedtrans_byzantine(const FederatedDataset& data,
   for (const auto& rec : trainer.history())
     EXPECT_EQ(rec.participants + rec.lost_updates, cfg.clients_per_round)
         << what << " round " << rec.round;
-  check_byzantine_accounting(trainer.history(), cfg.fabric_faults, b, what);
-  EXPECT_EQ(trainer.engine().fabric()->stats().frames_rejected.load(), 0u)
+  check_byzantine_accounting(trainer.history(), session.fabric_faults, b,
+                             what);
+  EXPECT_EQ(trainer.fabric()->stats().frames_rejected.load(), 0u)
       << what;
 
   SyncOutcome out;
-  out.weights = trainer.model(0).weights();
+  out.weights = trainer.strategy_as<FedTransStrategy>().model(0).weights();
   out.history = trainer.history();
   out.network_bytes = trainer.costs().network_bytes();
   return out;
@@ -874,7 +884,7 @@ double tail_best(const std::vector<RoundRecord>& history) {
 std::vector<RoundRecord> degradation_run_fedavg(
     const FederatedDataset& data, const std::vector<DeviceProfile>& fleet,
     const Model& init, double byz_prob, std::uint64_t seed) {
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = kDegRounds;
   cfg.clients_per_round = 9;
   cfg.local.steps = 6;
@@ -885,7 +895,7 @@ std::vector<RoundRecord> degradation_run_fedavg(
   apply_byzantine(cfg.fabric_faults,
                   {"sign-flip", byz_prob, ByzantineMode::SignFlip}, seed);
 
-  FedAvgRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(testing::fedavg(init), data, fleet, cfg);
   runner.run();
   return runner.history();
 }

@@ -1,18 +1,21 @@
-// Checkpoint/resume tests: a restored FedTransTrainer must continue
-// bit-identically to an uninterrupted run — weights, utilities, costs,
-// round history, RNG trajectory and the transformation schedule.
+// Checkpoint/resume tests: a FederationEngine restored from a checkpoint
+// must continue bit-identically to an uninterrupted run — weights,
+// utilities, costs, round history, RNG trajectory and the transformation
+// schedule — and a rejected checkpoint must leave the session untouched.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "common/check.hpp"
 #include "core/trainer.hpp"
+#include "fl/runner.hpp"
+#include "model/serialize.hpp"
 #include "test_util.hpp"
 
 namespace fedtrans {
 namespace {
-
 DatasetConfig tiny_data(int clients = 10) {
   DatasetConfig cfg;
   cfg.num_classes = 4;
@@ -53,9 +56,25 @@ FedTransConfig fast_cfg() {
 
 ModelSpec tiny_model() { return ModelSpec::conv(1, 8, 4, 4, {6, 8}); }
 
-void expect_same_state(FedTransTrainer& a, FedTransTrainer& b) {
+std::unique_ptr<FederationEngine> fedtrans_engine(
+    const FederatedDataset& data, std::vector<DeviceProfile> fleet,
+    const FedTransConfig& cfg, SessionConfig session) {
+  return testing::make_engine<FedTransStrategy>(data, std::move(fleet),
+                                                session, tiny_model(), cfg);
+}
+
+std::unique_ptr<FederationEngine> fedtrans_engine(
+    const FederatedDataset& data, std::vector<DeviceProfile> fleet,
+    const FedTransConfig& cfg = fast_cfg()) {
+  return fedtrans_engine(data, std::move(fleet), cfg,
+                         SessionConfig::from(cfg));
+}
+
+void expect_same_state(FederationEngine& ea, FederationEngine& eb) {
+  auto& a = ea.strategy_as<FedTransStrategy>();
+  auto& b = eb.strategy_as<FedTransStrategy>();
   ASSERT_EQ(a.num_models(), b.num_models());
-  EXPECT_EQ(a.rounds_done(), b.rounds_done());
+  EXPECT_EQ(ea.rounds_done(), eb.rounds_done());
   EXPECT_EQ(a.transforms_done(), b.transforms_done());
   for (int k = 0; k < a.num_models(); ++k) {
     EXPECT_EQ(a.model(k).spec(), b.model(k).spec()) << "model " << k;
@@ -73,28 +92,44 @@ void expect_same_state(FedTransTrainer& a, FedTransTrainer& b) {
     for (int k = 0; k < a.num_models(); ++k)
       EXPECT_EQ(cma.utility(c, k), cmb.utility(c, k))
           << "client " << c << " model " << k;
-  EXPECT_EQ(a.costs().total_macs(), b.costs().total_macs());
-  EXPECT_EQ(a.costs().network_bytes(), b.costs().network_bytes());
-  EXPECT_EQ(a.costs().storage_bytes(), b.costs().storage_bytes());
-  ASSERT_EQ(a.history().size(), b.history().size());
-  for (std::size_t i = 0; i < a.history().size(); ++i) {
-    EXPECT_EQ(a.history()[i].avg_loss, b.history()[i].avg_loss) << i;
-    EXPECT_EQ(a.history()[i].cum_macs, b.history()[i].cum_macs) << i;
+  EXPECT_EQ(ea.costs().total_macs(), eb.costs().total_macs());
+  EXPECT_EQ(ea.costs().network_bytes(), eb.costs().network_bytes());
+  EXPECT_EQ(ea.costs().storage_bytes(), eb.costs().storage_bytes());
+  ASSERT_EQ(ea.history().size(), eb.history().size());
+  for (std::size_t i = 0; i < ea.history().size(); ++i) {
+    EXPECT_EQ(ea.history()[i].avg_loss, eb.history()[i].avg_loss) << i;
+    EXPECT_EQ(ea.history()[i].cum_macs, eb.history()[i].cum_macs) << i;
   }
+}
+
+void run_rounds(FederationEngine& e, int n) {
+  for (int r = 0; r < n; ++r) e.run_round();
+}
+
+std::string checkpoint_of(const FederationEngine& e) {
+  std::stringstream ss;
+  e.save_checkpoint(ss);
+  return ss.str();
+}
+
+template <typename T>
+void patch(std::string& bytes, std::size_t at, T value) {
+  ASSERT_LE(at + sizeof(T), bytes.size());
+  std::memcpy(bytes.data() + at, &value, sizeof(T));
 }
 
 TEST(CheckpointTest, RoundTripRestoresIdenticalState) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  FedTransTrainer a(tiny_model(), data, fleet, fast_cfg());
-  for (int r = 0; r < 6; ++r) a.run_round();
+  auto a = fedtrans_engine(data, fleet);
+  run_rounds(*a, 6);
 
   std::stringstream ss;
-  a.save_checkpoint(ss);
+  a->save_checkpoint(ss);
 
-  FedTransTrainer b(tiny_model(), data, fleet, fast_cfg());
-  b.load_checkpoint(ss);
-  expect_same_state(a, b);
+  auto b = fedtrans_engine(data, fleet);
+  b->load_checkpoint(ss);
+  expect_same_state(*a, *b);
 }
 
 TEST(CheckpointTest, ResumedRunReplaysBitIdentically) {
@@ -102,19 +137,19 @@ TEST(CheckpointTest, ResumedRunReplaysBitIdentically) {
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
 
   // Uninterrupted reference: 6 + 6 rounds.
-  FedTransTrainer ref(tiny_model(), data, fleet, fast_cfg());
-  for (int r = 0; r < 6; ++r) ref.run_round();
+  auto ref = fedtrans_engine(data, fleet);
+  run_rounds(*ref, 6);
   std::stringstream ss;
-  ref.save_checkpoint(ss);
-  for (int r = 0; r < 6; ++r) ref.run_round();
+  ref->save_checkpoint(ss);
+  run_rounds(*ref, 6);
 
   // Interrupted run: restore at round 6, then the same 6 more rounds.
-  FedTransTrainer resumed(tiny_model(), data, fleet, fast_cfg());
-  resumed.load_checkpoint(ss);
-  EXPECT_EQ(resumed.rounds_done(), 6);
-  for (int r = 0; r < 6; ++r) resumed.run_round();
+  auto resumed = fedtrans_engine(data, fleet);
+  resumed->load_checkpoint(ss);
+  EXPECT_EQ(resumed->rounds_done(), 6);
+  run_rounds(*resumed, 6);
 
-  expect_same_state(ref, resumed);
+  expect_same_state(*ref, *resumed);
 }
 
 TEST(CheckpointTest, ResumeContinuesTransformationSchedule) {
@@ -124,97 +159,262 @@ TEST(CheckpointTest, ResumeContinuesTransformationSchedule) {
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   auto cfg = fast_cfg();
 
-  FedTransTrainer ref(tiny_model(), data, fleet, cfg);
-  ref.run_round();
-  ref.run_round();
-  ASSERT_EQ(ref.num_models(), 1) << "transform fired earlier than expected";
+  auto ref = fedtrans_engine(data, fleet, cfg);
+  ref->run_round();
+  ref->run_round();
+  ASSERT_EQ(ref->strategy_as<FedTransStrategy>().num_models(), 1)
+      << "transform fired earlier than expected";
   std::stringstream ss;
-  ref.save_checkpoint(ss);
-  for (int r = 2; r < cfg.rounds; ++r) ref.run_round();
-  ASSERT_GE(ref.num_models(), 2);
+  ref->save_checkpoint(ss);
+  run_rounds(*ref, cfg.rounds - 2);
+  ASSERT_GE(ref->strategy_as<FedTransStrategy>().num_models(), 2);
 
-  FedTransTrainer resumed(tiny_model(), data, fleet, cfg);
-  resumed.load_checkpoint(ss);
-  for (int r = 2; r < cfg.rounds; ++r) resumed.run_round();
-  expect_same_state(ref, resumed);
-}
-
-TEST(CheckpointTest, FileRoundTrip) {
-  auto data = FederatedDataset::generate(tiny_data());
-  auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  FedTransTrainer a(tiny_model(), data, fleet, fast_cfg());
-  for (int r = 0; r < 4; ++r) a.run_round();
-  const std::string path = ::testing::TempDir() + "/fedtrans_ckpt.bin";
-  a.save_checkpoint_file(path);
-
-  FedTransTrainer b(tiny_model(), data, fleet, fast_cfg());
-  b.load_checkpoint_file(path);
-  expect_same_state(a, b);
+  auto resumed = fedtrans_engine(data, fleet, cfg);
+  resumed->load_checkpoint(ss);
+  run_rounds(*resumed, cfg.rounds - 2);
+  expect_same_state(*ref, *resumed);
 }
 
 TEST(CheckpointTest, RejectsGarbageMagic) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  FedTransTrainer t(tiny_model(), data, fleet, fast_cfg());
+  auto t = fedtrans_engine(data, fleet);
   std::stringstream ss;
   ss << "not a checkpoint at all";
-  EXPECT_THROW(t.load_checkpoint(ss), Error);
+  EXPECT_THROW(t->load_checkpoint(ss), Error);
 }
 
 TEST(CheckpointTest, RejectsTruncatedStream) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  FedTransTrainer a(tiny_model(), data, fleet, fast_cfg());
-  for (int r = 0; r < 3; ++r) a.run_round();
-  std::stringstream ss;
-  a.save_checkpoint(ss);
-  const std::string full = ss.str();
+  auto a = fedtrans_engine(data, fleet);
+  run_rounds(*a, 3);
+  const std::string full = checkpoint_of(*a);
   std::stringstream cut(full.substr(0, full.size() / 2));
-  FedTransTrainer b(tiny_model(), data, fleet, fast_cfg());
-  EXPECT_THROW(b.load_checkpoint(cut), Error);
+  auto b = fedtrans_engine(data, fleet);
+  EXPECT_THROW(b->load_checkpoint(cut), Error);
 }
 
 TEST(CheckpointTest, RejectsMismatchedSeed) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  FedTransTrainer a(tiny_model(), data, fleet, fast_cfg());
-  a.run_round();
+  auto a = fedtrans_engine(data, fleet);
+  a->run_round();
   std::stringstream ss;
-  a.save_checkpoint(ss);
+  a->save_checkpoint(ss);
 
   auto other = fast_cfg();
   other.seed = 1234;
-  FedTransTrainer b(tiny_model(), data, fleet, other);
-  EXPECT_THROW(b.load_checkpoint(ss), Error);
+  auto b = fedtrans_engine(data, fleet, other);
+  EXPECT_THROW(b->load_checkpoint(ss), Error);
 }
 
 TEST(CheckpointTest, RejectsMismatchedFleet) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  FedTransTrainer a(tiny_model(), data, fleet, fast_cfg());
-  a.run_round();
+  auto a = fedtrans_engine(data, fleet);
+  a->run_round();
   std::stringstream ss;
-  a.save_checkpoint(ss);
+  a->save_checkpoint(ss);
 
   auto small = FederatedDataset::generate(tiny_data(6));
   auto small_fleet = fleet_with_capacity(6, 5e6);
-  FedTransTrainer b(tiny_model(), small, small_fleet, fast_cfg());
-  EXPECT_THROW(b.load_checkpoint(ss), Error);
+  auto b = fedtrans_engine(small, small_fleet);
+  EXPECT_THROW(b->load_checkpoint(ss), Error);
 }
 
 TEST(CheckpointTest, MidTrainingEvaluationUnaffectedBySaving) {
   // Saving is a read-only operation: run → save → run must equal run → run.
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  FedTransTrainer a(tiny_model(), data, fleet, fast_cfg());
-  FedTransTrainer b(tiny_model(), data, fleet, fast_cfg());
+  auto a = fedtrans_engine(data, fleet);
+  auto b = fedtrans_engine(data, fleet);
   for (int r = 0; r < 3; ++r) {
-    a.run_round();
+    a->run_round();
     std::stringstream ss;
-    a.save_checkpoint(ss);  // interleaved saves
-    b.run_round();
+    a->save_checkpoint(ss);  // interleaved saves
+    b->run_round();
   }
-  expect_same_state(a, b);
+  expect_same_state(*a, *b);
+}
+
+TEST(CheckpointTest, RejectedLoadLeavesSessionUntouched) {
+  // A checkpoint cut anywhere must fail as an Error, and the session that
+  // refused it must keep running exactly like a twin that never tried —
+  // even after cuts deep in the strategy blob, where the engine state and
+  // part of the model family had already been read.
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
+  auto donor = fedtrans_engine(data, fleet);
+  run_rounds(*donor, 8);
+  ASSERT_GE(donor->strategy_as<FedTransStrategy>().num_models(), 2);
+  const std::string full = checkpoint_of(*donor);
+
+  auto session = fedtrans_engine(data, fleet);
+  auto twin = fedtrans_engine(data, fleet);
+  run_rounds(*session, 3);
+  run_rounds(*twin, 3);
+  for (std::size_t cut : {std::size_t{0}, std::size_t{30}, full.size() / 8,
+                          full.size() / 4, full.size() / 2,
+                          3 * full.size() / 4, full.size() - 40,
+                          full.size() - 1}) {
+    std::stringstream ss(full.substr(0, cut));
+    EXPECT_THROW(session->load_checkpoint(ss), Error) << "cut at " << cut;
+  }
+  expect_same_state(*session, *twin);
+  run_rounds(*session, 4);
+  run_rounds(*twin, 4);
+  expect_same_state(*session, *twin);
+}
+
+TEST(CheckpointTest, HostileCountsThrowInsteadOfAllocating) {
+  // FedYogi keeps two weight-sized moment sets per model, so the blob holds
+  // optimizer weight sets. Each count the loader sizes an allocation from
+  // — the history length, an optimizer weight-set length, a tensor dim —
+  // patched to a huge value must fail as an Error, not as bad_alloc.
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
+  auto cfg = fast_cfg();
+  cfg.server_opt = ServerOptKind::FedYogi;
+  auto a = fedtrans_engine(data, fleet, cfg);
+  run_rounds(*a, 3);
+  const std::string full = checkpoint_of(*a);
+
+  // Layout: … [u64 history count][history] [strategy blob]; the blob opens
+  // with [u32 model count][i32 id][i32 created_round][model 0]
+  // [model 0's FedYogi m: u32 count, tensors…][v: …].
+  auto& ft = a->strategy_as<FedTransStrategy>();
+  std::stringstream blob, model0;
+  ft.save_state(blob);
+  save_model(ft.model(0), model0);
+  const std::size_t blob_at = full.size() - blob.str().size();
+  std::size_t history_bytes = 0;
+  for (const RoundRecord& r : a->history()) {
+    ASSERT_TRUE(r.byzantine_clients.empty());
+    history_bytes += 5 * sizeof(std::int32_t) + 5 * sizeof(double) +
+                     sizeof(std::uint64_t);
+  }
+  const std::size_t history_count_at =
+      blob_at - history_bytes - sizeof(std::uint64_t);
+  const std::size_t moment_count_at =
+      blob_at + 3 * sizeof(std::int32_t) + model0.str().size();
+  const std::size_t tensor_dim_at =
+      moment_count_at + sizeof(std::uint32_t) + sizeof(std::int32_t);
+
+  std::uint64_t hist = 0;
+  std::memcpy(&hist, full.data() + history_count_at, sizeof(hist));
+  ASSERT_EQ(hist, a->history().size()) << "layout drifted";
+  std::uint32_t moments = 0;
+  std::memcpy(&moments, full.data() + moment_count_at, sizeof(moments));
+  ASSERT_EQ(moments, ft.model(0).weights().size()) << "layout drifted";
+  std::int32_t dim = 0;
+  std::memcpy(&dim, full.data() + tensor_dim_at, sizeof(dim));
+  ASSERT_EQ(dim, ft.model(0).weights().front().dim(0)) << "layout drifted";
+
+  auto b = fedtrans_engine(data, fleet, cfg);
+  auto expect_rejected = [&](std::string bytes, const char* what) {
+    std::stringstream ss(bytes);
+    EXPECT_THROW(b->load_checkpoint(ss), Error) << what;
+  };
+  std::string bytes = full;
+  patch<std::uint64_t>(bytes, history_count_at, std::uint64_t{1} << 40);
+  expect_rejected(bytes, "history count");
+  bytes = full;
+  patch<std::uint32_t>(bytes, moment_count_at, 0xffffffffu);
+  expect_rejected(bytes, "optimizer weight-set count");
+  bytes = full;
+  patch<std::int32_t>(bytes, tensor_dim_at, 0x7fffffff);
+  expect_rejected(bytes, "tensor dim");
+
+  // The untouched checkpoint still loads.
+  std::stringstream ok(full);
+  b->load_checkpoint(ok);
+  expect_same_state(*a, *b);
+}
+
+TEST(CheckpointTest, TreeFabricSessionResumesBitwise) {
+  // Round-keyed faults (client dropout, leaf death) draw from (seed,
+  // round, …) alone, so they resume like the fault-free tree does.
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
+  FaultConfig round_keyed;
+  round_keyed.dropout_prob = 0.2;
+  round_keyed.leaf_death_prob = 0.2;
+  for (const FaultConfig& faults : {FaultConfig{}, round_keyed}) {
+    auto cfg = fast_cfg();
+    cfg.rounds = 8;
+    SessionConfig session = SessionConfig::from(cfg);
+    session.with_fabric(faults).with_tree(3, 4);
+
+    auto ref = fedtrans_engine(data, fleet, cfg, session);
+    run_rounds(*ref, 4);
+    std::stringstream ss;
+    ref->save_checkpoint(ss);
+    run_rounds(*ref, 4);
+
+    auto resumed = fedtrans_engine(data, fleet, cfg, session);
+    resumed->load_checkpoint(ss);
+    run_rounds(*resumed, 4);
+    expect_same_state(*ref, *resumed);
+    for (std::size_t r = 0; r < ref->history().size(); ++r) {
+      EXPECT_EQ(ref->history()[r].participants,
+                resumed->history()[r].participants);
+      EXPECT_EQ(ref->history()[r].lost_updates,
+                resumed->history()[r].lost_updates);
+      EXPECT_EQ(ref->history()[r].leaf_failovers,
+                resumed->history()[r].leaf_failovers);
+    }
+  }
+}
+
+TEST(CheckpointTest, RefusesSequenceKeyedFabricFaults) {
+  // Drop / duplicate / reorder draws are keyed by each link's frame
+  // sequence number, which a resumed transport restarts at zero.
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
+  for (int kind = 0; kind < 3; ++kind) {
+    FaultConfig faults;
+    (kind == 0 ? faults.drop_prob
+               : kind == 1 ? faults.dup_prob : faults.reorder_prob) = 0.15;
+    auto cfg = fast_cfg();
+    SessionConfig session = SessionConfig::from(cfg);
+    session.with_fabric(faults);
+    auto e = fedtrans_engine(data, fleet, cfg, session);
+    e->run_round();
+    std::stringstream ss;
+    try {
+      e->save_checkpoint(ss);
+      ADD_FAILURE() << "save accepted fault kind " << kind;
+    } catch (const Error& err) {
+      EXPECT_NE(std::string(err.what()).find("sequence number"),
+                std::string::npos)
+          << err.what();
+    }
+    EXPECT_EQ(ss.str().size(), 0u) << "refusal must come before any byte";
+
+    auto clean = fedtrans_engine(data, fleet);
+    std::stringstream good(checkpoint_of(*clean));
+    EXPECT_THROW(e->load_checkpoint(good), Error) << "fault kind " << kind;
+  }
+}
+
+TEST(CheckpointTest, StrategiesWithoutHooksRefuseByName) {
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
+  Rng rng(3);
+  auto e = testing::make_engine<FedAvgStrategy>(
+      data, fleet, SessionConfig{}, Model(tiny_model(), rng), FedAvgOptions{});
+  std::stringstream ss;
+  try {
+    e->save_checkpoint(ss);
+    ADD_FAILURE() << "fedavg has no checkpoint hooks";
+  } catch (const Error& err) {
+    EXPECT_NE(std::string(err.what()).find("fedavg"), std::string::npos)
+        << err.what();
+  }
+  auto ft = fedtrans_engine(data, fleet);
+  std::stringstream good(checkpoint_of(*ft));
+  EXPECT_THROW(e->load_checkpoint(good), Error);
 }
 
 // ---------------------------------------------------------- scaling policy
@@ -225,8 +425,9 @@ TEST(ScalingPolicyTest, WidenOnlyNeverDeepens) {
   auto cfg = fast_cfg();
   cfg.scaling_policy = ScalingPolicy::WidenOnly;
   cfg.max_models = 4;
-  FedTransTrainer t(tiny_model(), data, fleet, cfg);
-  t.run();
+  auto engine = fedtrans_engine(data, fleet, cfg);
+  engine->run();
+  auto& t = engine->strategy_as<FedTransStrategy>();
   ASSERT_GE(t.num_models(), 2);
   const auto n_cells0 = t.model(0).spec().cells.size();
   for (int k = 1; k < t.num_models(); ++k)
@@ -240,8 +441,9 @@ TEST(ScalingPolicyTest, DeepenOnlyNeverWidens) {
   auto cfg = fast_cfg();
   cfg.scaling_policy = ScalingPolicy::DeepenOnly;
   cfg.max_models = 4;
-  FedTransTrainer t(tiny_model(), data, fleet, cfg);
-  t.run();
+  auto engine = fedtrans_engine(data, fleet, cfg);
+  engine->run();
+  auto& t = engine->strategy_as<FedTransStrategy>();
   ASSERT_GE(t.num_models(), 2);
   // Widths of surviving (lineage-matched) cells never change; depth grows.
   for (int k = 1; k < t.num_models(); ++k) {
@@ -259,8 +461,9 @@ TEST(ScalingPolicyTest, CompoundAlternatesOperations) {
   auto cfg = fast_cfg();
   cfg.scaling_policy = ScalingPolicy::Compound;
   cfg.max_models = 4;
-  FedTransTrainer t(tiny_model(), data, fleet, cfg);
-  t.run();
+  auto engine = fedtrans_engine(data, fleet, cfg);
+  engine->run();
+  auto& t = engine->strategy_as<FedTransStrategy>();
   ASSERT_GE(t.num_models(), 3);
   // Generation 1 widens (fresh cells start un-widened); a later generation
   // must have inserted at least one cell (the deepen half of the cycle).

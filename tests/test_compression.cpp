@@ -1,6 +1,6 @@
 // Tests for uplink delta compression: top-k sparsification, uniform
-// quantization, error feedback, and the FedAvgRunner integration (network
-// accounting + accuracy under compression).
+// quantization, error feedback, and FedAvgStrategy sessions that compress
+// their uplinks (network accounting + accuracy under compression).
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include "common/check.hpp"
 #include "fl/compression.hpp"
 #include "fl/runner.hpp"
+#include "harness/experiments.hpp"
 #include "test_util.hpp"
 
 namespace fedtrans {
@@ -303,18 +304,19 @@ TEST(CompressedRunnerTest, TopKSlashesUplinkBytes) {
   Rng rng(21);
   Model init(ModelSpec::conv(1, 8, 4, 4, {6, 8}), rng);
 
-  FlRunConfig dense_cfg;
+  SessionConfig dense_cfg;
   dense_cfg.rounds = 4;
   dense_cfg.clients_per_round = 4;
   dense_cfg.local.steps = 2;
   dense_cfg.local.batch = 6;
-  FedAvgRunner dense(init, data, fleet, dense_cfg);
+  FederationEngine dense(testing::fedavg(init), data, fleet, dense_cfg);
   dense.run();
 
-  FlRunConfig comp_cfg = dense_cfg;
-  comp_cfg.compression = CompressionKind::TopK;
-  comp_cfg.topk_ratio = 0.05;
-  FedAvgRunner compressed(init, data, fleet, comp_cfg);
+  FedAvgOptions comp;
+  comp.compression = CompressionKind::TopK;
+  comp.topk_ratio = 0.05;
+  FederationEngine compressed(testing::fedavg(init, comp),
+                              data, fleet, dense_cfg);
   compressed.run();
 
   EXPECT_LT(compressed.costs().network_bytes(),
@@ -328,17 +330,21 @@ TEST(CompressedRunnerTest, QuantizedTrainingStillLearns) {
   Rng rng(22);
   Model init(ModelSpec::conv(1, 8, 4, 4, {6, 8}), rng);
 
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 20;
   cfg.clients_per_round = 5;
   cfg.local.steps = 6;
   cfg.local.batch = 8;
-  cfg.compression = CompressionKind::Quant8;
-  FedAvgRunner runner(init, data, fleet, cfg);
-  FedAvgRunner probe(init, data, fleet, cfg);
-  const double acc0 = probe.mean_client_accuracy();
+  FedAvgOptions opts;
+  opts.compression = CompressionKind::Quant8;
+  FederationEngine runner(testing::fedavg(init, opts), data, fleet, cfg);
+  FederationEngine probe(testing::fedavg(init, opts), data, fleet, cfg);
+  const double acc0 =
+      mean_client_accuracy(probe.strategy_as<FedAvgStrategy>().model(), data);
   runner.run();
-  EXPECT_GT(runner.mean_client_accuracy(), acc0 + 0.15);
+  EXPECT_GT(
+      mean_client_accuracy(runner.strategy_as<FedAvgStrategy>().model(), data),
+      acc0 + 0.15);
 }
 
 TEST(CompressedRunnerTest, ErrorFeedbackImprovesAggressiveTopK) {
@@ -347,18 +353,19 @@ TEST(CompressedRunnerTest, ErrorFeedbackImprovesAggressiveTopK) {
   Rng rng(23);
   Model init(ModelSpec::conv(1, 8, 4, 4, {6, 8}), rng);
 
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 25;
   cfg.clients_per_round = 5;
   cfg.local.steps = 6;
   cfg.local.batch = 8;
-  cfg.compression = CompressionKind::TopK;
-  cfg.topk_ratio = 0.02;  // aggressive: 2% of coordinates per round
+  FedAvgOptions opts;
+  opts.compression = CompressionKind::TopK;
+  opts.topk_ratio = 0.02;  // aggressive: 2% of coordinates per round
 
-  FedAvgRunner without(init, data, fleet, cfg);
+  FederationEngine without(testing::fedavg(init, opts), data, fleet, cfg);
   without.run();
-  cfg.error_feedback = true;
-  FedAvgRunner with(init, data, fleet, cfg);
+  opts.error_feedback = true;
+  FederationEngine with(testing::fedavg(init, opts), data, fleet, cfg);
   with.run();
 
   // EF must not hurt, and final train loss should improve (accuracy at this

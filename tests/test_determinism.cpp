@@ -56,21 +56,19 @@ TEST(DeterminismTest, FedBuffSameSeedSameTrajectory) {
   auto fleet = tiny_fleet();
   Rng rng(8);
   Model init(ModelSpec::conv(1, 8, 4, 4, {6}), rng);
-  AsyncRunConfig cfg;
-  cfg.concurrency = 3;
-  cfg.buffer_size = 2;
-  cfg.aggregations = 5;
+  SessionConfig cfg;
+  cfg.with_async(AsyncBlock{3, 2, 5, 0.5});
   cfg.local.steps = 3;
   cfg.local.batch = 6;
   cfg.seed = 42;
 
-  FedBuffRunner a(init, data, fleet, cfg);
-  FedBuffRunner b(init, data, fleet, cfg);
-  a.run();
-  b.run();
-  EXPECT_EQ(a.now_s(), b.now_s());
-  auto wa = a.model().weights();
-  auto wb = b.model().weights();
+  auto a = testing::make_engine<FedBuffStrategy>(data, fleet, cfg, init);
+  auto b = testing::make_engine<FedBuffStrategy>(data, fleet, cfg, init);
+  a->run();
+  b->run();
+  EXPECT_EQ(a->now_s(), b->now_s());
+  auto wa = a->strategy_as<FedBuffStrategy>().model().weights();
+  auto wb = b->strategy_as<FedBuffStrategy>().model().weights();
   for (std::size_t i = 0; i < wa.size(); ++i)
     EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0);
 }
@@ -80,22 +78,20 @@ TEST(DeterminismTest, FedBuffDifferentSeedDiverges) {
   auto fleet = tiny_fleet();
   Rng rng(8);
   Model init(ModelSpec::conv(1, 8, 4, 4, {6}), rng);
-  AsyncRunConfig cfg;
-  cfg.concurrency = 3;
-  cfg.buffer_size = 2;
-  cfg.aggregations = 5;
+  SessionConfig cfg;
+  cfg.with_async(AsyncBlock{3, 2, 5, 0.5});
   cfg.local.steps = 3;
   cfg.local.batch = 6;
 
   cfg.seed = 1;
-  FedBuffRunner a(init, data, fleet, cfg);
+  auto a = testing::make_engine<FedBuffStrategy>(data, fleet, cfg, init);
   cfg.seed = 2;
-  FedBuffRunner b(init, data, fleet, cfg);
-  a.run();
-  b.run();
+  auto b = testing::make_engine<FedBuffStrategy>(data, fleet, cfg, init);
+  a->run();
+  b->run();
   double diff = 0.0;
-  auto wa = a.model().weights();
-  auto wb = b.model().weights();
+  auto wa = a->strategy_as<FedBuffStrategy>().model().weights();
+  auto wb = b->strategy_as<FedBuffStrategy>().model().weights();
   for (std::size_t i = 0; i < wa.size(); ++i)
     diff += testing::max_abs_diff(wa[i], wb[i]);
   EXPECT_GT(diff, 0.0);

@@ -1,16 +1,12 @@
-// Engine/Strategy parity tests for the federation-engine refactor:
+// Engine/Strategy parity tests:
 //
-//  (1) every legacy entry point (FedAvgRunner, the four baseline runners,
-//      FedTransTrainer, FedBuffRunner) is bitwise identical to driving
-//      FederationEngine + the matching Strategy directly, across 2 seeds ×
-//      2 thread counts;
+//  (1) async sessions honor eval_every;
 //  (2) fault-free fabric rounds are bitwise identical to the in-process
 //      path for non-FedAvg strategies too (HeteroFL's heterogeneous
 //      submodels, SplitMix's multiple tasks per client, FedTrans's model
 //      family), and faulty runs still terminate with losses accounted;
-//  (3) the layered SessionConfig shared block really is the single
-//      definition of the runtime fields, and the legacy config shims
-//      forward every field;
+//  (3) the layered SessionConfig shared block is the single definition of
+//      the runtime fields;
 //  (4) the RoundObserver callback API reports exactly the records the
 //      history collects.
 
@@ -18,8 +14,6 @@
 
 #include <type_traits>
 
-#include "baselines/fedrolex.hpp"
-#include "baselines/fluid.hpp"
 #include "baselines/hetero_fl.hpp"
 #include "baselines/split_mix.hpp"
 #include "common/thread_pool.hpp"
@@ -85,22 +79,8 @@ void expect_same_costs(const CostMeter& a, const CostMeter& b) {
   EXPECT_EQ(a.storage_bytes(), b.storage_bytes());
 }
 
-/// Runs `fn(seed)` under every (seed, thread-count) combination the parity
-/// contract covers.
-template <typename Fn>
-void for_each_parity_config(Fn&& fn) {
-  const int prev_threads = ThreadPool::global().size();
-  for (std::uint64_t seed : {5ULL, 23ULL}) {
-    for (int threads : {1, 4}) {
-      ThreadPool::set_global_threads(threads);
-      fn(seed);
-    }
-  }
-  ThreadPool::set_global_threads(prev_threads);
-}
-
-BaselineConfig baseline_cfg(std::uint64_t seed) {
-  BaselineConfig cfg;
+SessionConfig baseline_cfg(std::uint64_t seed) {
+  SessionConfig cfg;
   cfg.rounds = 3;
   cfg.clients_per_round = 4;
   cfg.local.steps = 3;
@@ -112,208 +92,13 @@ BaselineConfig baseline_cfg(std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// (1) Legacy shim vs direct engine use.
-
-TEST(EngineParity, FedAvgShimMatchesDirectEngine) {
-  auto data = FederatedDataset::generate(tiny_data());
-  auto fleet = tiny_fleet(data.num_clients());
-  for_each_parity_config([&](std::uint64_t seed) {
-    FlRunConfig cfg;
-    cfg.rounds = 3;
-    cfg.clients_per_round = 4;
-    cfg.local.steps = 3;
-    cfg.local.batch = 6;
-    cfg.eval_every = 2;
-    cfg.seed = seed;
-    Rng rng(seed);
-    Model init(tiny_model(), rng);
-
-    FedAvgRunner shim(init, data, fleet, cfg);
-    shim.run();
-
-    FederationEngine engine(
-        std::make_unique<FedAvgStrategy>(init, cfg.options()), data, fleet,
-        cfg.to_session());
-    engine.run();
-
-    expect_same_weights(shim.model().weights(),
-                        engine.strategy_as<FedAvgStrategy>().model().weights(),
-                        "fedavg");
-    expect_same_history(shim.history(), engine.history());
-    expect_same_costs(shim.costs(), engine.costs());
-  });
-}
-
-TEST(EngineParity, HeteroFLShimMatchesDirectEngine) {
-  auto data = FederatedDataset::generate(tiny_data());
-  auto fleet = tiny_fleet(data.num_clients(), 1e6);
-  for_each_parity_config([&](std::uint64_t seed) {
-    auto cfg = baseline_cfg(seed);
-    HeteroFLRunner shim(tiny_model(), data, fleet, cfg);
-    shim.run();
-
-    FederationEngine engine(
-        std::make_unique<HeteroFLStrategy>(
-            tiny_model(),
-            std::vector<double>{1.0, 0.5, 0.25, 0.125, 0.0625}),
-        data, fleet, static_cast<const SessionConfig&>(cfg));
-    engine.run();
-
-    expect_same_weights(
-        shim.global().weights(),
-        engine.strategy_as<HeteroFLStrategy>().global().weights(),
-        "heterofl");
-    expect_same_history(shim.engine().history(), engine.history());
-    expect_same_costs(shim.engine().costs(), engine.costs());
-  });
-}
-
-TEST(EngineParity, SplitMixShimMatchesDirectEngine) {
-  auto data = FederatedDataset::generate(tiny_data());
-  auto fleet = tiny_fleet(data.num_clients(), 1e7);
-  for_each_parity_config([&](std::uint64_t seed) {
-    auto cfg = baseline_cfg(seed);
-    SplitMixRunner shim(tiny_model(), data, fleet, cfg, /*num_bases=*/4);
-    shim.run();
-
-    FederationEngine engine(
-        std::make_unique<SplitMixStrategy>(tiny_model(), 4), data, fleet,
-        static_cast<const SessionConfig&>(cfg));
-    engine.run();
-
-    auto& strat = engine.strategy_as<SplitMixStrategy>();
-    ASSERT_EQ(shim.num_bases(), strat.num_bases());
-    for (int b = 0; b < shim.num_bases(); ++b)
-      expect_same_weights(shim.base(b).weights(), strat.base(b).weights(),
-                          "splitmix base");
-    expect_same_history(shim.engine().history(), engine.history());
-    expect_same_costs(shim.engine().costs(), engine.costs());
-  });
-}
-
-TEST(EngineParity, FluidShimMatchesDirectEngine) {
-  auto data = FederatedDataset::generate(tiny_data());
-  auto fleet = tiny_fleet(data.num_clients(), 5e5);
-  for_each_parity_config([&](std::uint64_t seed) {
-    auto cfg = baseline_cfg(seed);
-    FluidRunner shim(tiny_model(), data, fleet, cfg);
-    shim.run();
-
-    FederationEngine engine(std::make_unique<FluidStrategy>(tiny_model()),
-                            data, fleet,
-                            static_cast<const SessionConfig&>(cfg));
-    engine.run();
-
-    expect_same_weights(
-        shim.global().weights(),
-        engine.strategy_as<FluidStrategy>().global().weights(), "fluid");
-    expect_same_history(shim.engine().history(), engine.history());
-    expect_same_costs(shim.engine().costs(), engine.costs());
-  });
-}
-
-TEST(EngineParity, FedRolexShimMatchesDirectEngine) {
-  auto data = FederatedDataset::generate(tiny_data());
-  auto fleet = tiny_fleet(data.num_clients(), 1e6);
-  for_each_parity_config([&](std::uint64_t seed) {
-    auto cfg = baseline_cfg(seed);
-    FedRolexRunner shim(tiny_model(), data, fleet, cfg);
-    shim.run();
-
-    FederationEngine engine(
-        std::make_unique<FedRolexStrategy>(
-            tiny_model(),
-            std::vector<double>{1.0, 0.5, 0.25, 0.125, 0.0625}),
-        data, fleet, static_cast<const SessionConfig&>(cfg));
-    engine.run();
-
-    expect_same_weights(
-        shim.global().weights(),
-        engine.strategy_as<FedRolexStrategy>().global().weights(),
-        "fedrolex");
-    expect_same_history(shim.engine().history(), engine.history());
-    expect_same_costs(shim.engine().costs(), engine.costs());
-  });
-}
-
-TEST(EngineParity, FedTransShimMatchesDirectEngine) {
-  auto data = FederatedDataset::generate(tiny_data());
-  auto fleet = tiny_fleet(data.num_clients());
-  for_each_parity_config([&](std::uint64_t seed) {
-    FedTransConfig cfg;
-    cfg.rounds = 6;
-    cfg.clients_per_round = 4;
-    cfg.local.steps = 3;
-    cfg.local.batch = 6;
-    cfg.gamma = 2;
-    cfg.doc_delta = 2;
-    cfg.beta = 10.0;  // force transformation
-    cfg.act_window = 2;
-    cfg.max_models = 3;
-    cfg.eval_every = 3;
-    cfg.seed = seed;
-
-    FedTransTrainer shim(tiny_model(), data, fleet, cfg);
-    shim.run();
-
-    FederationEngine engine(
-        std::make_unique<FedTransStrategy>(tiny_model(), cfg), data, fleet,
-        static_cast<const SessionConfig&>(cfg));
-    engine.run();
-
-    auto& strat = engine.strategy_as<FedTransStrategy>();
-    ASSERT_EQ(shim.num_models(), strat.num_models());
-    for (int k = 0; k < shim.num_models(); ++k)
-      expect_same_weights(shim.model(k).weights(), strat.model(k).weights(),
-                          "fedtrans model");
-    expect_same_history(shim.history(), engine.history());
-    expect_same_costs(shim.costs(), engine.costs());
-    EXPECT_EQ(shim.evaluate_final().mean_accuracy,
-              strat.evaluate_final().mean_accuracy);
-  });
-}
-
-TEST(EngineParity, FedBuffShimMatchesDirectEngine) {
-  auto data = FederatedDataset::generate(tiny_data());
-  auto fleet = tiny_fleet(data.num_clients());
-  for_each_parity_config([&](std::uint64_t seed) {
-    AsyncRunConfig cfg;
-    cfg.concurrency = 4;
-    cfg.buffer_size = 3;
-    cfg.aggregations = 5;
-    cfg.local.steps = 3;
-    cfg.local.batch = 6;
-    cfg.seed = seed;
-    Rng rng(seed + 1);
-    Model init(tiny_model(), rng);
-
-    FedBuffRunner shim(init, data, fleet, cfg);
-    shim.run();
-
-    FederationEngine engine(
-        std::make_unique<FedBuffStrategy>(init, cfg.server_opt), data, fleet,
-        cfg.to_session());
-    engine.run();
-
-    expect_same_weights(
-        shim.model().weights(),
-        engine.strategy_as<FedBuffStrategy>().model().weights(), "fedbuff");
-    expect_same_history(shim.history(), engine.history());
-    expect_same_costs(shim.costs(), engine.costs());
-    EXPECT_EQ(shim.now_s(), engine.now_s());
-    EXPECT_EQ(shim.mean_staleness(), engine.mean_staleness());
-  });
-}
-
-// eval_every is honored in async mode too: every k-th shipped server
+// (1) eval_every is honored in async mode too: every k-th shipped server
 // version carries an accuracy probe, the rest keep the -1 sentinel.
 TEST(EngineParity, AsyncSessionHonorsEvalEvery) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = tiny_fleet(data.num_clients());
-  AsyncRunConfig cfg;
-  cfg.concurrency = 4;
-  cfg.buffer_size = 3;
-  cfg.aggregations = 6;
+  SessionConfig cfg;
+  cfg.with_async(AsyncBlock{4, 3, 6, 0.5});
   cfg.local.steps = 3;
   cfg.local.batch = 6;
   cfg.seed = 5;
@@ -322,9 +107,8 @@ TEST(EngineParity, AsyncSessionHonorsEvalEvery) {
   Rng rng(cfg.seed + 1);
   Model init(tiny_model(), rng);
 
-  FederationEngine engine(
-      std::make_unique<FedBuffStrategy>(init, cfg.server_opt), data, fleet,
-      cfg.to_session());
+  FederationEngine engine(std::make_unique<FedBuffStrategy>(init), data,
+                          fleet, cfg);
   engine.run();
 
   ASSERT_EQ(engine.history().size(), 6u);
@@ -341,8 +125,8 @@ TEST(EngineParity, AsyncSessionHonorsEvalEvery) {
 // (2) Fabric parity beyond FedAvg: heterogeneous submodels, multiple tasks
 // per client, and model families all ride the wire bit-exactly.
 
-template <typename MakeRunner>
-void expect_fabric_parity(MakeRunner&& make) {
+template <typename MakeEngine>
+void expect_fabric_parity(MakeEngine&& make) {
   const int prev_threads = ThreadPool::global().size();
   for (std::uint64_t seed : {7ULL, 19ULL}) {
     for (int threads : {1, 4}) {
@@ -351,12 +135,12 @@ void expect_fabric_parity(MakeRunner&& make) {
       auto b = make(seed, /*use_fabric=*/true);
       a->run();
       b->run();
-      ASSERT_NE(b->engine().fabric(), nullptr);
-      EXPECT_EQ(b->engine().fabric()->stats().frames_dropped.load(), 0u);
-      EXPECT_EQ(b->engine().fabric()->stats().frames_rejected.load(), 0u)
+      ASSERT_NE(b->fabric(), nullptr);
+      EXPECT_EQ(b->fabric()->stats().frames_dropped.load(), 0u);
+      EXPECT_EQ(b->fabric()->stats().frames_rejected.load(), 0u)
           << "undecodable frames on a clean transport mean a codec bug";
-      expect_same_history(a->engine().history(), b->engine().history());
-      expect_same_costs(a->engine().costs(), b->engine().costs());
+      expect_same_history(a->history(), b->history());
+      expect_same_costs(a->costs(), b->costs());
     }
   }
   ThreadPool::set_global_threads(prev_threads);
@@ -368,17 +152,20 @@ TEST(FabricStrategyParity, HeteroFLFabricMatchesInProcessBitwise) {
   expect_fabric_parity([&](std::uint64_t seed, bool use_fabric) {
     auto cfg = baseline_cfg(seed);
     cfg.use_fabric = use_fabric;
-    auto r = std::make_unique<HeteroFLRunner>(tiny_model(), data, fleet, cfg);
-    return r;
+    return testing::make_engine<HeteroFLStrategy>(data, fleet, cfg,
+                                                  tiny_model());
   });
   // Weight-level check on one configuration.
   auto cfg = baseline_cfg(7);
-  HeteroFLRunner a(tiny_model(), data, fleet, cfg);
+  auto a = testing::make_engine<HeteroFLStrategy>(data, fleet, cfg,
+                                                  tiny_model());
   cfg.use_fabric = true;
-  HeteroFLRunner b(tiny_model(), data, fleet, cfg);
-  a.run();
-  b.run();
-  expect_same_weights(a.global().weights(), b.global().weights(),
+  auto b = testing::make_engine<HeteroFLStrategy>(data, fleet, cfg,
+                                                  tiny_model());
+  a->run();
+  b->run();
+  expect_same_weights(a->strategy_as<HeteroFLStrategy>().global().weights(),
+                      b->strategy_as<HeteroFLStrategy>().global().weights(),
                       "heterofl fabric");
 }
 
@@ -390,8 +177,8 @@ TEST(FabricStrategyParity, SplitMixFabricMatchesInProcessBitwise) {
   expect_fabric_parity([&](std::uint64_t seed, bool use_fabric) {
     auto cfg = baseline_cfg(seed);
     cfg.use_fabric = use_fabric;
-    return std::make_unique<SplitMixRunner>(tiny_model(), data, fleet, cfg,
-                                            4);
+    return testing::make_engine<SplitMixStrategy>(data, fleet, cfg,
+                                                  tiny_model(), 4);
   });
 }
 
@@ -415,20 +202,25 @@ TEST(FabricStrategyParity, FedTransFabricMatchesInProcessBitwise) {
     cfg.max_models = 3;
     cfg.seed = 13;
 
-    FedTransTrainer a(tiny_model(), data, fleet, cfg);
-    cfg.use_fabric = true;
-    FedTransTrainer b(tiny_model(), data, fleet, cfg);
-    a.run();
-    b.run();
+    SessionConfig session = SessionConfig::from(cfg);
+    auto ea = testing::make_engine<FedTransStrategy>(data, fleet, session,
+                                                     tiny_model(), cfg);
+    session.use_fabric = true;
+    auto eb = testing::make_engine<FedTransStrategy>(data, fleet, session,
+                                                     tiny_model(), cfg);
+    ea->run();
+    eb->run();
+    auto& a = ea->strategy_as<FedTransStrategy>();
+    auto& b = eb->strategy_as<FedTransStrategy>();
 
-    ASSERT_NE(b.engine().fabric(), nullptr);
+    ASSERT_NE(eb->fabric(), nullptr);
     ASSERT_EQ(a.num_models(), b.num_models());
     EXPECT_GE(a.num_models(), 2) << "transformation should have fired";
     for (int k = 0; k < a.num_models(); ++k)
       expect_same_weights(a.model(k).weights(), b.model(k).weights(),
                           "fedtrans fabric model");
-    expect_same_history(a.history(), b.history());
-    expect_same_costs(a.costs(), b.costs());
+    expect_same_history(ea->history(), eb->history());
+    expect_same_costs(ea->costs(), eb->costs());
   }
   ThreadPool::set_global_threads(prev_threads);
 }
@@ -445,83 +237,35 @@ TEST(FabricStrategyParity, HeteroFLFaultyRunTerminatesAndAccountsLosses) {
   cfg.fabric_faults.dropout_prob = 0.25;
   cfg.fabric_faults.seed = 99;
 
-  HeteroFLRunner runner(tiny_model(), data, fleet, cfg);
-  runner.run();  // must terminate despite losses
+  auto engine = testing::make_engine<HeteroFLStrategy>(data, fleet, cfg,
+                                                       tiny_model());
+  engine->run();  // must terminate despite losses
 
-  ASSERT_EQ(runner.engine().history().size(),
-            static_cast<std::size_t>(cfg.rounds));
+  ASSERT_EQ(engine->history().size(), static_cast<std::size_t>(cfg.rounds));
   int participants = 0, lost = 0;
-  for (const auto& rec : runner.engine().history()) {
+  for (const auto& rec : engine->history()) {
     participants += rec.participants;
     lost += rec.lost_updates;
   }
   EXPECT_GT(participants, 0) << "some updates must still get through";
   EXPECT_GT(lost, 0) << "heavy fault injection must lose some updates";
-  ASSERT_NE(runner.engine().fabric(), nullptr);
-  EXPECT_GT(runner.engine().fabric()->stats().frames_dropped.load(), 0u);
-  EXPECT_EQ(runner.engine().fabric()->stats().frames_rejected.load(), 0u);
+  ASSERT_NE(engine->fabric(), nullptr);
+  EXPECT_GT(engine->fabric()->stats().frames_dropped.load(), 0u);
+  EXPECT_EQ(engine->fabric()->stats().frames_rejected.load(), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// (3) Layered config: the shared block is the single definition and every
-// legacy config forwards it.
+// (3) Layered config: the shared block is the single definition.
 
 static_assert(std::is_base_of_v<SessionRuntime, SessionConfig>);
-static_assert(std::is_base_of_v<SessionConfig, FlRunConfig>);
-static_assert(std::is_base_of_v<SessionConfig, BaselineConfig>);
-static_assert(std::is_base_of_v<SessionConfig, FedTransConfig>);
-static_assert(std::is_base_of_v<SessionRuntime, AsyncRunConfig>);
-
-TEST(SessionConfigTest, LegacyConfigsForwardEverySharedField) {
-  // Mutate every shared-block field through the legacy struct and verify
-  // the engine session sees the same values — no copy-forwarding code left
-  // to drift.
-  FlRunConfig fl;
-  fl.rounds = 17;
-  fl.clients_per_round = 9;
-  fl.local.steps = 5;
-  fl.local.batch = 3;
-  fl.eval_every = 4;
-  fl.eval_clients = 11;
-  fl.seed = 123;
-  fl.selector = SelectorKind::Oort;
-  fl.use_fabric = true;
-  fl.fabric_faults.drop_prob = 0.5;
-  const SessionConfig s = fl.to_session();
-  EXPECT_EQ(s.rounds, 17);
-  EXPECT_EQ(s.clients_per_round, 9);
-  EXPECT_EQ(s.local.steps, 5);
-  EXPECT_EQ(s.local.batch, 3);
-  EXPECT_EQ(s.eval_every, 4);
-  EXPECT_EQ(s.eval_clients, 11);
-  EXPECT_EQ(s.seed, 123u);
-  EXPECT_EQ(s.selector, SelectorKind::Oort);
-  EXPECT_TRUE(s.use_fabric);
-  EXPECT_EQ(s.fabric_faults.drop_prob, 0.5);
-
-  AsyncRunConfig ac;
-  ac.concurrency = 3;
-  ac.buffer_size = 2;
-  ac.aggregations = 7;
-  ac.staleness_exponent = 0.25;
-  ac.seed = 55;
-  ac.local.steps = 9;
-  const SessionConfig as = ac.to_session();
-  EXPECT_EQ(as.mode, SessionMode::Async);
-  EXPECT_EQ(as.async.concurrency, 3);
-  EXPECT_EQ(as.async.buffer_size, 2);
-  EXPECT_EQ(as.async.aggregations, 7);
-  EXPECT_EQ(as.async.staleness_exponent, 0.25);
-  EXPECT_EQ(as.seed, 55u);
-  EXPECT_EQ(as.local.steps, 9);
-}
+// FedTransConfig carries only the runtime block; engine-level knobs live on
+// the SessionConfig the engine runs with.
+static_assert(std::is_base_of_v<SessionRuntime, FedTransConfig>);
+static_assert(!std::is_base_of_v<SessionConfig, FedTransConfig>);
 
 TEST(SessionConfigTest, DefaultsMatchLegacyDefaults) {
-  EXPECT_EQ(FlRunConfig{}.rounds, 50);
-  EXPECT_EQ(BaselineConfig{}.rounds, 60);
   EXPECT_EQ(FedTransConfig{}.rounds, 60);
   EXPECT_EQ(SessionConfig{}.eval_clients, 32);
-  EXPECT_EQ(AsyncRunConfig{}.buffer_size, 10);
 }
 
 TEST(SessionConfigTest, FluentBuilderComposes) {
@@ -559,7 +303,7 @@ class CountingObserver : public RoundObserver {
 TEST(RoundObserverTest, ObserverSeesEveryRoundRecord) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = tiny_fleet(data.num_clients());
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 4;
   cfg.clients_per_round = 3;
   cfg.local.steps = 2;
@@ -570,8 +314,8 @@ TEST(RoundObserverTest, ObserverSeesEveryRoundRecord) {
 
   FederationEngine engine(
       std::make_unique<FedAvgStrategy>(Model(tiny_model(), rng),
-                                       cfg.options()),
-      data, fleet, cfg.to_session());
+                                       FedAvgOptions{}),
+      data, fleet, cfg);
 
   CountingObserver obs;
   engine.add_observer(&obs);

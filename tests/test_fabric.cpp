@@ -54,8 +54,8 @@ std::vector<DeviceProfile> tiny_fleet(int n, std::uint64_t seed = 9) {
 
 ModelSpec tiny_model() { return ModelSpec::conv(1, 8, 4, 4, {6, 8}); }
 
-FlRunConfig base_cfg(std::uint64_t seed) {
-  FlRunConfig cfg;
+SessionConfig base_cfg(std::uint64_t seed) {
+  SessionConfig cfg;
   cfg.rounds = 3;
   cfg.clients_per_round = 4;
   cfg.local.steps = 3;
@@ -66,9 +66,9 @@ FlRunConfig base_cfg(std::uint64_t seed) {
   return cfg;
 }
 
-void expect_identical(FedAvgRunner& a, FedAvgRunner& b) {
-  auto wa = a.model().weights();
-  auto wb = b.model().weights();
+void expect_identical(FederationEngine& a, FederationEngine& b) {
+  auto wa = a.strategy_as<FedAvgStrategy>().model().weights();
+  auto wb = b.strategy_as<FedAvgStrategy>().model().weights();
   ASSERT_EQ(wa.size(), wb.size());
   for (std::size_t i = 0; i < wa.size(); ++i)
     EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0) << "tensor " << i;
@@ -102,13 +102,13 @@ TEST(FabricParityTest, FaultFreeFabricMatchesInProcessBitwise) {
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
 
-      FlRunConfig in_proc = base_cfg(seed);
-      FedAvgRunner a(init, data, fleet, in_proc);
+      SessionConfig in_proc = base_cfg(seed);
+      FederationEngine a(testing::fedavg(init), data, fleet, in_proc);
       a.run();
 
-      FlRunConfig on_fabric = base_cfg(seed);
+      SessionConfig on_fabric = base_cfg(seed);
       on_fabric.use_fabric = true;
-      FedAvgRunner b(init, data, fleet, on_fabric);
+      FederationEngine b(testing::fedavg(init), data, fleet, on_fabric);
       b.run();
 
       ASSERT_NE(b.fabric(), nullptr);
@@ -129,15 +129,16 @@ TEST(FabricParityTest, FabricWithStragglerPolicyMatchesInProcess) {
   Rng rng(5);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(21);
-  cfg.overcommit = 0.5;
-  cfg.deadline_quantile = 0.7;  // deadline-trim the straggler tail
-  FedAvgRunner a(init, data, fleet, cfg);
+  SessionConfig cfg = base_cfg(21);
+  FedAvgOptions opts;
+  opts.overcommit = 0.5;
+  opts.deadline_quantile = 0.7;  // deadline-trim the straggler tail
+  FederationEngine a(testing::fedavg(init, opts), data, fleet, cfg);
   a.run();
 
-  FlRunConfig fab = cfg;
+  SessionConfig fab = cfg;
   fab.use_fabric = true;
-  FedAvgRunner b(init, data, fleet, fab);
+  FederationEngine b(testing::fedavg(init, opts), data, fleet, fab);
   b.run();
   expect_identical(a, b);
   // With over-selection some rounds must actually drop stragglers.
@@ -152,12 +153,13 @@ TEST(FabricFaultTest, RoundsTerminateAndLossesAreAccounted) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(7);
+  SessionConfig cfg = base_cfg(7);
   cfg.rounds = 5;
   cfg.clients_per_round = 5;
   cfg.eval_every = 0;
-  cfg.overcommit = 0.4;
-  cfg.deadline_quantile = 0.8;
+  FedAvgOptions opts;
+  opts.overcommit = 0.4;
+  opts.deadline_quantile = 0.8;
   cfg.use_fabric = true;
   cfg.fabric_faults.drop_prob = 0.25;
   cfg.fabric_faults.dup_prob = 0.15;
@@ -165,7 +167,7 @@ TEST(FabricFaultTest, RoundsTerminateAndLossesAreAccounted) {
   cfg.fabric_faults.dropout_prob = 0.25;
   cfg.fabric_faults.seed = 1234;
 
-  FedAvgRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(testing::fedavg(init, opts), data, fleet, cfg);
   runner.run();  // must terminate despite lost invitations/models/updates
 
   ASSERT_EQ(runner.history().size(), static_cast<std::size_t>(cfg.rounds));
@@ -182,8 +184,8 @@ TEST(FabricFaultTest, RoundsTerminateAndLossesAreAccounted) {
   // CostMeter consistency with the per-round records: each aggregated
   // update moved the model down and up (2 × model bytes, no compression);
   // each lost update still burned its downlink.
-  const double model_bytes =
-      static_cast<double>(runner.model().param_bytes());
+  const double model_bytes = static_cast<double>(
+      runner.strategy_as<FedAvgStrategy>().model().param_bytes());
   EXPECT_NEAR(runner.costs().network_bytes(),
               model_bytes * (2.0 * participants + lost), 1.0);
 
@@ -207,17 +209,17 @@ TEST(FabricFaultTest, FaultRunsAreDeterministicAcrossThreadCounts) {
   Model init(tiny_model(), rng);
   const int prev_threads = ThreadPool::global().size();
 
-  FlRunConfig cfg = base_cfg(13);
+  SessionConfig cfg = base_cfg(13);
   cfg.eval_every = 0;
   cfg.use_fabric = true;
   cfg.fabric_faults.drop_prob = 0.3;
   cfg.fabric_faults.dropout_prob = 0.2;
 
   ThreadPool::set_global_threads(1);
-  FedAvgRunner a(init, data, fleet, cfg);
+  FederationEngine a(testing::fedavg(init), data, fleet, cfg);
   a.run();
   ThreadPool::set_global_threads(4);
-  FedAvgRunner b(init, data, fleet, cfg);
+  FederationEngine b(testing::fedavg(init), data, fleet, cfg);
   b.run();
   ThreadPool::set_global_threads(prev_threads);
 
@@ -329,16 +331,16 @@ TEST(ShardedParityTest, FedAvgShardedMatchesFlatBitwise) {
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
 
-      FlRunConfig flat = base_cfg(seed);
+      SessionConfig flat = base_cfg(seed);
       flat.use_fabric = true;
-      FedAvgRunner a(init, data, fleet, flat);
+      FederationEngine a(testing::fedavg(init), data, fleet, flat);
       a.run();
 
-      FlRunConfig sharded = base_cfg(seed);
+      SessionConfig sharded = base_cfg(seed);
       sharded.use_fabric = true;
       sharded.topology.levels = 2;
       sharded.topology.shards = 3;
-      FedAvgRunner b(init, data, fleet, sharded);
+      FederationEngine b(testing::fedavg(init), data, fleet, sharded);
       b.run();
 
       ASSERT_NE(b.fabric(), nullptr);
@@ -362,16 +364,16 @@ TEST(ShardedParityTest, ShardCountSweepAllMatchInProcess) {
   Rng rng(9);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(5);
-  FedAvgRunner ref(init, data, fleet, cfg);
+  SessionConfig cfg = base_cfg(5);
+  FederationEngine ref(testing::fedavg(init), data, fleet, cfg);
   ref.run();
 
   for (int shards : {1, 2, 4}) {
-    FlRunConfig sh = base_cfg(5);
+    SessionConfig sh = base_cfg(5);
     sh.use_fabric = true;
     sh.topology.levels = 2;
     sh.topology.shards = shards;
-    FedAvgRunner b(init, data, fleet, sh);
+    FederationEngine b(testing::fedavg(init), data, fleet, sh);
     b.run();
     expect_identical(ref, b);
   }
@@ -398,20 +400,25 @@ TEST(ShardedParityTest, FedTransShardedMatchesFlatBitwise) {
       cfg.act_window = 2;
       cfg.max_models = 3;
       cfg.seed = seed;
-      cfg.use_fabric = true;
+      SessionConfig session = SessionConfig::from(cfg);
+      session.use_fabric = true;
 
-      FedTransTrainer a(tiny_model(), data, fleet, cfg);
-      cfg.topology.levels = 2;
-      cfg.topology.shards = 2;
-      FedTransTrainer b(tiny_model(), data, fleet, cfg);
+      FederationEngine a(std::make_unique<FedTransStrategy>(tiny_model(), cfg),
+                         data, fleet, session);
+      session.topology.levels = 2;
+      session.topology.shards = 2;
+      FederationEngine b(std::make_unique<FedTransStrategy>(tiny_model(), cfg),
+                         data, fleet, session);
       a.run();
       b.run();
+      auto& fa = a.strategy_as<FedTransStrategy>();
+      auto& fb = b.strategy_as<FedTransStrategy>();
 
-      ASSERT_EQ(a.num_models(), b.num_models());
-      EXPECT_GE(a.num_models(), 2) << "transformation should have fired";
-      for (int k = 0; k < a.num_models(); ++k) {
-        auto wa = a.model(k).weights();
-        auto wb = b.model(k).weights();
+      ASSERT_EQ(fa.num_models(), fb.num_models());
+      EXPECT_GE(fa.num_models(), 2) << "transformation should have fired";
+      for (int k = 0; k < fa.num_models(); ++k) {
+        auto wa = fa.model(k).weights();
+        auto wb = fb.model(k).weights();
         ASSERT_EQ(wa.size(), wb.size());
         for (std::size_t i = 0; i < wa.size(); ++i)
           EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0)
@@ -438,7 +445,7 @@ TEST(ShardedParityTest, HeteroFLShardedMatchesFlatBitwise) {
   for (std::uint64_t seed : {7ULL, 19ULL}) {
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
-      BaselineConfig cfg;
+      SessionConfig cfg;
       cfg.rounds = 4;
       cfg.clients_per_round = 5;
       cfg.local.steps = 3;
@@ -448,27 +455,29 @@ TEST(ShardedParityTest, HeteroFLShardedMatchesFlatBitwise) {
       cfg.seed = seed;
       cfg.use_fabric = true;
 
-      HeteroFLRunner a(tiny_model(), data, fleet, cfg);
+      FederationEngine a(std::make_unique<HeteroFLStrategy>(tiny_model()),
+                         data, fleet, cfg);
       cfg.topology.levels = 2;
       cfg.topology.shards = 3;
-      HeteroFLRunner b(tiny_model(), data, fleet, cfg);
+      FederationEngine b(std::make_unique<HeteroFLStrategy>(tiny_model()),
+                         data, fleet, cfg);
       a.run();
       b.run();
 
-      auto wa = a.global().weights();
-      auto wb = b.global().weights();
+      auto wa = a.strategy_as<HeteroFLStrategy>().global().weights();
+      auto wb = b.strategy_as<HeteroFLStrategy>().global().weights();
       ASSERT_EQ(wa.size(), wb.size());
       for (std::size_t i = 0; i < wa.size(); ++i)
         EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0) << "tensor " << i;
-      ASSERT_EQ(a.engine().history().size(), b.engine().history().size());
-      for (std::size_t r = 0; r < a.engine().history().size(); ++r) {
-        EXPECT_EQ(a.engine().history()[r].avg_loss,
-                  b.engine().history()[r].avg_loss);
-        EXPECT_EQ(a.engine().history()[r].accuracy,
-                  b.engine().history()[r].accuracy);
+      ASSERT_EQ(a.history().size(), b.history().size());
+      for (std::size_t r = 0; r < a.history().size(); ++r) {
+        EXPECT_EQ(a.history()[r].avg_loss,
+                  b.history()[r].avg_loss);
+        EXPECT_EQ(a.history()[r].accuracy,
+                  b.history()[r].accuracy);
       }
-      EXPECT_EQ(a.engine().costs().network_bytes(),
-                b.engine().costs().network_bytes());
+      EXPECT_EQ(a.costs().network_bytes(),
+                b.costs().network_bytes());
     }
   }
   ThreadPool::set_global_threads(prev_threads);
@@ -481,7 +490,7 @@ TEST(ShardedFaultTest, ShardedFaultRunsTerminateDeterministically) {
   Model init(tiny_model(), rng);
   const int prev_threads = ThreadPool::global().size();
 
-  FlRunConfig cfg = base_cfg(7);
+  SessionConfig cfg = base_cfg(7);
   cfg.rounds = 5;
   cfg.clients_per_round = 6;
   cfg.eval_every = 0;
@@ -494,10 +503,10 @@ TEST(ShardedFaultTest, ShardedFaultRunsTerminateDeterministically) {
   cfg.fabric_faults.seed = 321;
 
   ThreadPool::set_global_threads(1);
-  FedAvgRunner a(init, data, fleet, cfg);
+  FederationEngine a(testing::fedavg(init), data, fleet, cfg);
   a.run();
   ThreadPool::set_global_threads(4);
-  FedAvgRunner b(init, data, fleet, cfg);
+  FederationEngine b(testing::fedavg(init), data, fleet, cfg);
   b.run();
   ThreadPool::set_global_threads(prev_threads);
 
@@ -521,7 +530,7 @@ TEST(ShardedFaultTest, ShardedRetriesRecoverBundlesAndReconcileBilling) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(7);
+  SessionConfig cfg = base_cfg(7);
   cfg.rounds = 6;
   cfg.clients_per_round = 6;
   cfg.eval_every = 0;
@@ -533,7 +542,7 @@ TEST(ShardedFaultTest, ShardedRetriesRecoverBundlesAndReconcileBilling) {
   cfg.fabric_faults.drop_prob = 0.3;
   cfg.fabric_faults.seed = 42;
 
-  FedAvgRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(testing::fedavg(init), data, fleet, cfg);
   runner.run();
 
   ASSERT_EQ(runner.history().size(), 6u);
@@ -548,8 +557,8 @@ TEST(ShardedFaultTest, ShardedRetriesRecoverBundlesAndReconcileBilling) {
   EXPECT_GT(stats.frames_retried.load(), 0u);
   EXPECT_GT(stats.retry_bytes_down.load(), 0u)
       << "a 30% drop rate over 18 ShardDown bundles must lose at least one";
-  const double model_bytes =
-      static_cast<double>(runner.model().param_bytes());
+  const double model_bytes = static_cast<double>(
+      runner.strategy_as<FedAvgStrategy>().model().param_bytes());
   const double retry_bytes =
       static_cast<double>(stats.retry_bytes_down.load()) +
       static_cast<double>(stats.retry_bytes_up.load());
@@ -568,7 +577,7 @@ TEST(RetryPolicyTest, DroppedUpdatesAreResentWithinBudget) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(7);
+  SessionConfig cfg = base_cfg(7);
   cfg.rounds = 4;
   cfg.clients_per_round = 6;
   cfg.eval_every = 0;
@@ -576,12 +585,12 @@ TEST(RetryPolicyTest, DroppedUpdatesAreResentWithinBudget) {
   cfg.fabric_faults.drop_prob = 0.25;
   cfg.fabric_faults.seed = 77;
 
-  FedAvgRunner no_retry(init, data, fleet, cfg);
+  FederationEngine no_retry(testing::fedavg(init), data, fleet, cfg);
   no_retry.run();
 
   cfg.topology.max_retries = 3;
   cfg.topology.ack_timeout_s = 5.0;
-  FedAvgRunner with_retry(init, data, fleet, cfg);
+  FederationEngine with_retry(testing::fedavg(init), data, fleet, cfg);
   with_retry.run();
 
   int p0 = 0, p1 = 0, lost1 = 0;
@@ -600,8 +609,8 @@ TEST(RetryPolicyTest, DroppedUpdatesAreResentWithinBudget) {
   // Billing: every aggregated update moved the model down and up once, every
   // lost update spent its downlink, and every resend attempt is billed on
   // top — exactly the transport's retry byte counters.
-  const double model_bytes =
-      static_cast<double>(with_retry.model().param_bytes());
+  const double model_bytes = static_cast<double>(
+      with_retry.strategy_as<FedAvgStrategy>().model().param_bytes());
   const double retry_bytes =
       static_cast<double>(stats.retry_bytes_down.load()) +
       static_cast<double>(stats.retry_bytes_up.load());
@@ -616,7 +625,7 @@ TEST(RetryPolicyTest, ExhaustedRetriesCountAsLostUpdates) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(7);
+  SessionConfig cfg = base_cfg(7);
   cfg.rounds = 5;
   cfg.clients_per_round = 6;
   cfg.eval_every = 0;
@@ -626,7 +635,7 @@ TEST(RetryPolicyTest, ExhaustedRetriesCountAsLostUpdates) {
   cfg.topology.max_retries = 1;
   cfg.topology.ack_timeout_s = 5.0;
 
-  FedAvgRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(testing::fedavg(init), data, fleet, cfg);
   runner.run();
 
   ASSERT_EQ(runner.history().size(), 5u);
@@ -637,7 +646,7 @@ TEST(RetryPolicyTest, ExhaustedRetriesCountAsLostUpdates) {
   EXPECT_GT(runner.fabric()->stats().frames_retried.load(), 0u);
 
   // Determinism: the same faulty retry run replays bit-identically.
-  FedAvgRunner again(init, data, fleet, cfg);
+  FederationEngine again(testing::fedavg(init), data, fleet, cfg);
   again.run();
   expect_identical(runner, again);
 }
@@ -653,10 +662,12 @@ TEST(AsyncFabricTest, FaultFreeSessionCompletesWithDeliveryOrdering) {
   Rng rng(8);
   Model init(tiny_model(), rng);
 
-  AsyncRunConfig cfg;
-  cfg.concurrency = 3;
-  cfg.buffer_size = 2;
-  cfg.aggregations = 6;
+  SessionConfig cfg;
+
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 3;
+  cfg.async.buffer_size = 2;
+  cfg.async.aggregations = 6;
   cfg.local.steps = 3;
   cfg.local.batch = 6;
   cfg.eval_every = 3;
@@ -664,12 +675,13 @@ TEST(AsyncFabricTest, FaultFreeSessionCompletesWithDeliveryOrdering) {
   cfg.seed = 42;
   cfg.use_fabric = true;
 
-  FedBuffRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(std::make_unique<FedBuffStrategy>(init),
+                          data, fleet, cfg);
   runner.run();
 
-  EXPECT_EQ(runner.aggregations_done(), cfg.aggregations);
+  EXPECT_EQ(runner.versions_done(), cfg.async.aggregations);
   ASSERT_EQ(runner.history().size(),
-            static_cast<std::size_t>(cfg.aggregations));
+            static_cast<std::size_t>(cfg.async.aggregations));
   // Delivery-time completion ordering: versions ship at nondecreasing
   // simulated instants, and no update was lost on a clean transport.
   double prev = 0.0;
@@ -681,7 +693,7 @@ TEST(AsyncFabricTest, FaultFreeSessionCompletesWithDeliveryOrdering) {
   EXPECT_GT(runner.now_s(), 0.0);
   EXPECT_GE(runner.mean_staleness(), 0.0);
 
-  const FederationServer* fabric = runner.engine().fabric();
+  const FederationServer* fabric = runner.fabric();
   ASSERT_NE(fabric, nullptr);
   EXPECT_GT(fabric->stats().frames_sent.load(), 0u);
   EXPECT_EQ(fabric->stats().frames_dropped.load(), 0u);
@@ -701,26 +713,30 @@ TEST(AsyncFabricTest, DeterministicAcrossThreadCounts) {
   Model init(tiny_model(), rng);
   const int prev_threads = ThreadPool::global().size();
 
-  AsyncRunConfig cfg;
-  cfg.concurrency = 3;
-  cfg.buffer_size = 2;
-  cfg.aggregations = 5;
+  SessionConfig cfg;
+
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 3;
+  cfg.async.buffer_size = 2;
+  cfg.async.aggregations = 5;
   cfg.local.steps = 2;
   cfg.local.batch = 4;
   cfg.seed = 13;
   cfg.use_fabric = true;
 
   ThreadPool::set_global_threads(1);
-  FedBuffRunner a(init, data, fleet, cfg);
+  FederationEngine a(std::make_unique<FedBuffStrategy>(init),
+                     data, fleet, cfg);
   a.run();
   ThreadPool::set_global_threads(4);
-  FedBuffRunner b(init, data, fleet, cfg);
+  FederationEngine b(std::make_unique<FedBuffStrategy>(init),
+                     data, fleet, cfg);
   b.run();
   ThreadPool::set_global_threads(prev_threads);
 
   EXPECT_EQ(a.now_s(), b.now_s());
-  auto wa = a.model().weights();
-  auto wb = b.model().weights();
+  auto wa = a.strategy_as<FedBuffStrategy>().model().weights();
+  auto wb = b.strategy_as<FedBuffStrategy>().model().weights();
   ASSERT_EQ(wa.size(), wb.size());
   for (std::size_t i = 0; i < wa.size(); ++i)
     EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0) << "tensor " << i;
@@ -735,10 +751,12 @@ TEST(AsyncFabricTest, FaultyAsyncSessionAccountsLostUpdates) {
   Rng rng(8);
   Model init(tiny_model(), rng);
 
-  AsyncRunConfig cfg;
-  cfg.concurrency = 4;
-  cfg.buffer_size = 2;
-  cfg.aggregations = 6;
+  SessionConfig cfg;
+
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 4;
+  cfg.async.buffer_size = 2;
+  cfg.async.aggregations = 6;
   cfg.local.steps = 2;
   cfg.local.batch = 4;
   cfg.seed = 7;
@@ -749,14 +767,15 @@ TEST(AsyncFabricTest, FaultyAsyncSessionAccountsLostUpdates) {
   cfg.topology.max_retries = 1;
   cfg.topology.ack_timeout_s = 30.0;
 
-  FedBuffRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(std::make_unique<FedBuffStrategy>(init),
+                          data, fleet, cfg);
   runner.run();  // must terminate: timeouts replace lost clients
 
-  EXPECT_EQ(runner.aggregations_done(), cfg.aggregations);
+  EXPECT_EQ(runner.versions_done(), cfg.async.aggregations);
   int lost = 0;
   for (const auto& rec : runner.history()) lost += rec.lost_updates;
   EXPECT_GT(lost, 0) << "heavy fault injection must lose some updates";
-  const FabricStats& stats = runner.engine().fabric()->stats();
+  const FabricStats& stats = runner.fabric()->stats();
   EXPECT_GT(stats.frames_dropped.load(), 0u);
   EXPECT_GT(stats.frames_retried.load(), 0u);
   EXPECT_EQ(stats.frames_rejected.load(), 0u);
@@ -765,7 +784,8 @@ TEST(AsyncFabricTest, FaultyAsyncSessionAccountsLostUpdates) {
   // attempt), so a resent update can actually land and be folded in —
   // the same session without a retry budget must lose strictly more.
   cfg.topology.max_retries = 0;
-  FedBuffRunner no_retry(init, data, fleet, cfg);
+  FederationEngine no_retry(std::make_unique<FedBuffStrategy>(init),
+                            data, fleet, cfg);
   no_retry.run();
   int lost0 = 0;
   for (const auto& rec : no_retry.history()) lost0 += rec.lost_updates;
@@ -789,16 +809,16 @@ TEST(DeepTreeParityTest, FedAvgThreeLevelMatchesInProcessBitwise) {
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
 
-      FlRunConfig in_proc = base_cfg(seed);
-      FedAvgRunner a(init, data, fleet, in_proc);
+      SessionConfig in_proc = base_cfg(seed);
+      FederationEngine a(testing::fedavg(init), data, fleet, in_proc);
       a.run();
 
-      FlRunConfig tree = base_cfg(seed);
+      SessionConfig tree = base_cfg(seed);
       tree.use_fabric = true;
       tree.topology.levels = 3;
       tree.topology.shards = 4;
       tree.topology.branching = 2;
-      FedAvgRunner b(init, data, fleet, tree);
+      FederationEngine b(testing::fedavg(init), data, fleet, tree);
       b.run();
 
       ASSERT_NE(b.fabric(), nullptr);
@@ -820,8 +840,8 @@ TEST(DeepTreeParityTest, DepthAndBranchingSweepAllMatchInProcess) {
   Rng rng(9);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(5);
-  FedAvgRunner ref(init, data, fleet, cfg);
+  SessionConfig cfg = base_cfg(5);
+  FederationEngine ref(testing::fedavg(init), data, fleet, cfg);
   ref.run();
 
   struct Shape {
@@ -829,12 +849,12 @@ TEST(DeepTreeParityTest, DepthAndBranchingSweepAllMatchInProcess) {
   };
   for (const Shape& s : {Shape{3, 4, 2}, Shape{3, 6, 3}, Shape{3, 5, 0},
                          Shape{4, 8, 2}, Shape{4, 3, 1}}) {
-    FlRunConfig tree = base_cfg(5);
+    SessionConfig tree = base_cfg(5);
     tree.use_fabric = true;
     tree.topology.levels = s.levels;
     tree.topology.shards = s.shards;
     tree.topology.branching = s.branching;
-    FedAvgRunner b(init, data, fleet, tree);
+    FederationEngine b(testing::fedavg(init), data, fleet, tree);
     b.run();
     expect_identical(ref, b);
     EXPECT_EQ(b.fabric()->stats().frames_rejected.load(), 0u)
@@ -861,20 +881,25 @@ TEST(DeepTreeParityTest, FedTransThreeLevelMatchesFlatBitwise) {
       cfg.act_window = 2;
       cfg.max_models = 3;
       cfg.seed = seed;
-      cfg.use_fabric = true;
+      SessionConfig session = SessionConfig::from(cfg);
+      session.use_fabric = true;
 
-      FedTransTrainer a(tiny_model(), data, fleet, cfg);
-      cfg.topology.levels = 3;
-      cfg.topology.shards = 4;
-      cfg.topology.branching = 2;
-      FedTransTrainer b(tiny_model(), data, fleet, cfg);
+      FederationEngine a(std::make_unique<FedTransStrategy>(tiny_model(), cfg),
+                         data, fleet, session);
+      session.topology.levels = 3;
+      session.topology.shards = 4;
+      session.topology.branching = 2;
+      FederationEngine b(std::make_unique<FedTransStrategy>(tiny_model(), cfg),
+                         data, fleet, session);
       a.run();
       b.run();
+      auto& fa = a.strategy_as<FedTransStrategy>();
+      auto& fb = b.strategy_as<FedTransStrategy>();
 
-      ASSERT_EQ(a.num_models(), b.num_models());
-      for (int k = 0; k < a.num_models(); ++k) {
-        auto wa = a.model(k).weights();
-        auto wb = b.model(k).weights();
+      ASSERT_EQ(fa.num_models(), fb.num_models());
+      for (int k = 0; k < fa.num_models(); ++k) {
+        auto wa = fa.model(k).weights();
+        auto wb = fb.model(k).weights();
         ASSERT_EQ(wa.size(), wb.size());
         for (std::size_t i = 0; i < wa.size(); ++i)
           EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0)
@@ -894,7 +919,7 @@ TEST(DeepTreeParityTest, HeteroFLThreeLevelMatchesFlatBitwise) {
   for (std::uint64_t seed : {7ULL, 19ULL}) {
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
-      BaselineConfig cfg;
+      SessionConfig cfg;
       cfg.rounds = 4;
       cfg.clients_per_round = 5;
       cfg.local.steps = 3;
@@ -904,21 +929,23 @@ TEST(DeepTreeParityTest, HeteroFLThreeLevelMatchesFlatBitwise) {
       cfg.seed = seed;
       cfg.use_fabric = true;
 
-      HeteroFLRunner a(tiny_model(), data, fleet, cfg);
+      FederationEngine a(std::make_unique<HeteroFLStrategy>(tiny_model()),
+                         data, fleet, cfg);
       cfg.topology.levels = 3;
       cfg.topology.shards = 4;
       cfg.topology.branching = 2;
-      HeteroFLRunner b(tiny_model(), data, fleet, cfg);
+      FederationEngine b(std::make_unique<HeteroFLStrategy>(tiny_model()),
+                         data, fleet, cfg);
       a.run();
       b.run();
 
-      auto wa = a.global().weights();
-      auto wb = b.global().weights();
+      auto wa = a.strategy_as<HeteroFLStrategy>().global().weights();
+      auto wb = b.strategy_as<HeteroFLStrategy>().global().weights();
       ASSERT_EQ(wa.size(), wb.size());
       for (std::size_t i = 0; i < wa.size(); ++i)
         EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0) << "tensor " << i;
-      EXPECT_EQ(a.engine().costs().network_bytes(),
-                b.engine().costs().network_bytes());
+      EXPECT_EQ(a.costs().network_bytes(),
+                b.costs().network_bytes());
     }
   }
   ThreadPool::set_global_threads(prev_threads);
@@ -949,22 +976,24 @@ TEST(PartialAggregationTest, FedAvgNumericMatchesFlatWithinTolerance) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig flat = base_cfg(21);
+  SessionConfig flat = base_cfg(21);
   flat.rounds = 4;
   flat.clients_per_round = 6;
   flat.eval_every = 0;
-  FedAvgRunner a(init, data, fleet, flat);
+  FederationEngine a(testing::fedavg(init), data, fleet, flat);
   a.run();
 
-  FlRunConfig numeric = flat;
+  SessionConfig numeric = flat;
   numeric.use_fabric = true;
   numeric.topology.levels = 2;
   numeric.topology.shards = 3;
   numeric.topology.partial_aggregation = true;
-  FedAvgRunner b(init, data, fleet, numeric);
+  FederationEngine b(testing::fedavg(init), data, fleet, numeric);
   b.run();
 
-  EXPECT_LT(max_rel_diff(a.model().weights(), b.model().weights()), 1e-5);
+  EXPECT_LT(max_rel_diff(a.strategy_as<FedAvgStrategy>().model().weights(),
+                         b.strategy_as<FedAvgStrategy>().model().weights()),
+            1e-5);
   // Metrics ride the tree verbatim, so participant counts and billing are
   // bitwise identical; losses track the (numerically perturbed) weights,
   // so round 0 is bitwise and later rounds tolerance-close.
@@ -995,23 +1024,28 @@ TEST(PartialAggregationTest, FedTransNumericMatchesFlatWithinTolerance) {
   cfg.max_models = 3;
   cfg.seed = 13;
 
-  FedTransTrainer a(tiny_model(), data, fleet, cfg);
+  SessionConfig session = SessionConfig::from(cfg);
+  FederationEngine a(std::make_unique<FedTransStrategy>(tiny_model(), cfg),
+                     data, fleet, session);
   a.run();
 
-  cfg.use_fabric = true;
-  cfg.topology.levels = 3;
-  cfg.topology.shards = 4;
-  cfg.topology.branching = 2;
-  cfg.topology.partial_aggregation = true;
-  FedTransTrainer b(tiny_model(), data, fleet, cfg);
+  session.use_fabric = true;
+  session.topology.levels = 3;
+  session.topology.shards = 4;
+  session.topology.branching = 2;
+  session.topology.partial_aggregation = true;
+  FederationEngine b(std::make_unique<FedTransStrategy>(tiny_model(), cfg),
+                     data, fleet, session);
   b.run();
+  auto& fa = a.strategy_as<FedTransStrategy>();
+  auto& fb = b.strategy_as<FedTransStrategy>();
 
   // Per-client losses ride the tree verbatim, so utility learning sees
   // (numerically) the same inputs and the model family grows identically;
   // weights agree to numeric tolerance.
-  ASSERT_EQ(a.num_models(), b.num_models());
-  for (int k = 0; k < a.num_models(); ++k)
-    EXPECT_LT(max_rel_diff(a.model(k).weights(), b.model(k).weights()), 1e-5)
+  ASSERT_EQ(fa.num_models(), fb.num_models());
+  for (int k = 0; k < fa.num_models(); ++k)
+    EXPECT_LT(max_rel_diff(fa.model(k).weights(), fb.model(k).weights()), 1e-5)
         << "model " << k;
   ASSERT_EQ(a.history().size(), b.history().size());
   for (std::size_t r = 0; r < a.history().size(); ++r)
@@ -1023,32 +1057,36 @@ TEST(PartialAggregationTest, HeteroFLNumericMatchesFlatWithinTolerance) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = tiny_fleet(data.num_clients(), /*seed=*/4);
 
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 4;
   cfg.clients_per_round = 6;
   cfg.local.steps = 3;
   cfg.local.batch = 6;
   cfg.seed = 19;
 
-  HeteroFLRunner a(tiny_model(), data, fleet, cfg);
+  FederationEngine a(std::make_unique<HeteroFLStrategy>(tiny_model()),
+                     data, fleet, cfg);
   a.run();
 
   cfg.use_fabric = true;
   cfg.topology.levels = 2;
   cfg.topology.shards = 3;
   cfg.topology.partial_aggregation = true;
-  HeteroFLRunner b(tiny_model(), data, fleet, cfg);
+  FederationEngine b(std::make_unique<HeteroFLStrategy>(tiny_model()),
+                     data, fleet, cfg);
   b.run();
 
-  EXPECT_LT(max_rel_diff(a.global().weights(), b.global().weights()), 1e-5);
-  ASSERT_EQ(a.engine().history().size(), b.engine().history().size());
-  for (std::size_t r = 0; r < a.engine().history().size(); ++r)
-    EXPECT_NEAR(a.engine().history()[r].avg_loss,
-                b.engine().history()[r].avg_loss,
+  EXPECT_LT(max_rel_diff(a.strategy_as<HeteroFLStrategy>().global().weights(),
+                         b.strategy_as<HeteroFLStrategy>().global().weights()),
+            1e-5);
+  ASSERT_EQ(a.history().size(), b.history().size());
+  for (std::size_t r = 0; r < a.history().size(); ++r)
+    EXPECT_NEAR(a.history()[r].avg_loss,
+                b.history()[r].avg_loss,
                 1e-5 * std::max(1.0, std::fabs(
-                                         a.engine().history()[r].avg_loss)));
-  EXPECT_EQ(a.engine().costs().network_bytes(),
-            b.engine().costs().network_bytes());
+                                         a.history()[r].avg_loss)));
+  EXPECT_EQ(a.costs().network_bytes(),
+            b.costs().network_bytes());
 }
 
 TEST(PartialAggregationTest, BitwiseAcrossShardCountsWithSingletonLeaves) {
@@ -1061,7 +1099,7 @@ TEST(PartialAggregationTest, BitwiseAcrossShardCountsWithSingletonLeaves) {
   Model init(tiny_model(), rng);
 
   auto run_with_shards = [&](int shards) {
-    FlRunConfig cfg = base_cfg(33);
+    SessionConfig cfg = base_cfg(33);
     cfg.rounds = 3;
     cfg.clients_per_round = 4;
     cfg.eval_every = 0;
@@ -1069,9 +1107,9 @@ TEST(PartialAggregationTest, BitwiseAcrossShardCountsWithSingletonLeaves) {
     cfg.topology.levels = 2;
     cfg.topology.shards = shards;
     cfg.topology.partial_aggregation = true;
-    FedAvgRunner r(init, data, fleet, cfg);
+    FederationEngine r(testing::fedavg(init), data, fleet, cfg);
     r.run();
-    return r.model().weights();
+    return r.strategy_as<FedAvgStrategy>().model().weights();
   };
 
   const WeightSet w4 = run_with_shards(4);
@@ -1091,7 +1129,7 @@ TEST(PartialAggregationTest, NumericModeDeterministicAcrossThreadCounts) {
   Model init(tiny_model(), rng);
   const int prev_threads = ThreadPool::global().size();
 
-  FlRunConfig cfg = base_cfg(17);
+  SessionConfig cfg = base_cfg(17);
   cfg.rounds = 3;
   cfg.clients_per_round = 6;
   cfg.eval_every = 0;
@@ -1102,10 +1140,10 @@ TEST(PartialAggregationTest, NumericModeDeterministicAcrossThreadCounts) {
   cfg.topology.partial_aggregation = true;
 
   ThreadPool::set_global_threads(1);
-  FedAvgRunner a(init, data, fleet, cfg);
+  FederationEngine a(testing::fedavg(init), data, fleet, cfg);
   a.run();
   ThreadPool::set_global_threads(4);
-  FedAvgRunner b(init, data, fleet, cfg);
+  FederationEngine b(testing::fedavg(init), data, fleet, cfg);
   b.run();
   ThreadPool::set_global_threads(prev_threads);
   expect_identical(a, b);
@@ -1121,13 +1159,15 @@ TEST(PartialAggregationTest, UnsupportedStrategyFailsLoudly) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(3);
+  SessionConfig cfg = base_cfg(3);
   cfg.use_fabric = true;
   cfg.topology.levels = 2;
   cfg.topology.shards = 2;
   cfg.topology.partial_aggregation = true;
-  cfg.compression = CompressionKind::TopK;  // per-client: can't pre-sum
-  EXPECT_THROW(FedAvgRunner(init, data, fleet, cfg), Error);
+  FedAvgOptions opts;
+  opts.compression = CompressionKind::TopK;  // per-client: can't pre-sum
+  EXPECT_THROW(FederationEngine(testing::fedavg(init, opts), data, fleet, cfg),
+               Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -1141,7 +1181,7 @@ TEST(LeafFailoverTest, DeadLeafPartitionFailsOverToSibling) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(7);
+  SessionConfig cfg = base_cfg(7);
   cfg.rounds = 6;
   cfg.clients_per_round = 6;
   cfg.eval_every = 0;
@@ -1151,7 +1191,7 @@ TEST(LeafFailoverTest, DeadLeafPartitionFailsOverToSibling) {
   cfg.fabric_faults.leaf_death_prob = 0.35;
   cfg.fabric_faults.seed = 99;
 
-  FedAvgRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(testing::fedavg(init), data, fleet, cfg);
   runner.run();
 
   ASSERT_EQ(runner.history().size(), 6u);
@@ -1172,8 +1212,8 @@ TEST(LeafFailoverTest, DeadLeafPartitionFailsOverToSibling) {
   // Siblings cover every death unless all three leaves die at once, so
   // nearly every update survives; the redirected bundles are billed.
   EXPECT_GT(participants, 0);
-  const double model_bytes =
-      static_cast<double>(runner.model().param_bytes());
+  const double model_bytes = static_cast<double>(
+      runner.strategy_as<FedAvgStrategy>().model().param_bytes());
   const double failover_bytes =
       static_cast<double>(stats.failover_bytes_down.load());
   EXPECT_GT(failover_bytes, 0.0);
@@ -1182,7 +1222,7 @@ TEST(LeafFailoverTest, DeadLeafPartitionFailsOverToSibling) {
               1.0);
 
   // Determinism: the same chaotic run replays bit-identically.
-  FedAvgRunner again(init, data, fleet, cfg);
+  FederationEngine again(testing::fedavg(init), data, fleet, cfg);
   again.run();
   expect_identical(runner, again);
 }
@@ -1197,7 +1237,7 @@ TEST(LeafFailoverTest, DeepTreeFailoverStaysWithinFaultDomain) {
   Model init(tiny_model(), rng);
   const int prev_threads = ThreadPool::global().size();
 
-  FlRunConfig cfg = base_cfg(7);
+  SessionConfig cfg = base_cfg(7);
   cfg.rounds = 5;
   cfg.clients_per_round = 6;
   cfg.eval_every = 0;
@@ -1209,10 +1249,10 @@ TEST(LeafFailoverTest, DeepTreeFailoverStaysWithinFaultDomain) {
   cfg.fabric_faults.seed = 1234;
 
   ThreadPool::set_global_threads(1);
-  FedAvgRunner a(init, data, fleet, cfg);
+  FederationEngine a(testing::fedavg(init), data, fleet, cfg);
   a.run();
   ThreadPool::set_global_threads(4);
-  FedAvgRunner b(init, data, fleet, cfg);
+  FederationEngine b(testing::fedavg(init), data, fleet, cfg);
   b.run();
   ThreadPool::set_global_threads(prev_threads);
 
@@ -1240,29 +1280,33 @@ TEST(AsyncTreeTest, FaultFreeTreeAsyncMatchesFlatBitwise) {
   Rng rng(8);
   Model init(tiny_model(), rng);
 
-  AsyncRunConfig cfg;
-  cfg.concurrency = 3;
-  cfg.buffer_size = 2;
-  cfg.aggregations = 6;
+  SessionConfig cfg;
+
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 3;
+  cfg.async.buffer_size = 2;
+  cfg.async.aggregations = 6;
   cfg.local.steps = 3;
   cfg.local.batch = 6;
   cfg.seed = 42;
   cfg.use_fabric = true;
 
-  FedBuffRunner flat(init, data, fleet, cfg);
+  FederationEngine flat(std::make_unique<FedBuffStrategy>(init),
+                        data, fleet, cfg);
   flat.run();
 
   for (int levels : {2, 3}) {
-    AsyncRunConfig tree_cfg = cfg;
+    SessionConfig tree_cfg = cfg;
     tree_cfg.topology.levels = levels;
     tree_cfg.topology.shards = 3;
     tree_cfg.topology.branching = 2;
-    FedBuffRunner tree(init, data, fleet, tree_cfg);
+    FederationEngine tree(std::make_unique<FedBuffStrategy>(init),
+                          data, fleet, tree_cfg);
     tree.run();
 
     EXPECT_EQ(flat.now_s(), tree.now_s()) << "levels=" << levels;
-    auto wa = flat.model().weights();
-    auto wb = tree.model().weights();
+    auto wa = flat.strategy_as<FedBuffStrategy>().model().weights();
+    auto wb = tree.strategy_as<FedBuffStrategy>().model().weights();
     ASSERT_EQ(wa.size(), wb.size());
     for (std::size_t i = 0; i < wa.size(); ++i)
       EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0)
@@ -1274,9 +1318,9 @@ TEST(AsyncTreeTest, FaultFreeTreeAsyncMatchesFlatBitwise) {
                 tree.history()[r].round_time_s);
     }
     // The tree moved more backbone frames for the same outcome.
-    EXPECT_GT(tree.engine().fabric()->stats().frames_sent.load(),
-              flat.engine().fabric()->stats().frames_sent.load());
-    EXPECT_EQ(tree.engine().fabric()->stats().frames_rejected.load(), 0u);
+    EXPECT_GT(tree.fabric()->stats().frames_sent.load(),
+              flat.fabric()->stats().frames_sent.load());
+    EXPECT_EQ(tree.fabric()->stats().frames_rejected.load(), 0u);
   }
 }
 
@@ -1286,10 +1330,12 @@ TEST(AsyncTreeTest, FaultyTreeAsyncTerminatesAndAccountsLosses) {
   Rng rng(8);
   Model init(tiny_model(), rng);
 
-  AsyncRunConfig cfg;
-  cfg.concurrency = 4;
-  cfg.buffer_size = 2;
-  cfg.aggregations = 6;
+  SessionConfig cfg;
+
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 4;
+  cfg.async.buffer_size = 2;
+  cfg.async.aggregations = 6;
   cfg.local.steps = 2;
   cfg.local.batch = 4;
   cfg.seed = 7;
@@ -1304,10 +1350,11 @@ TEST(AsyncTreeTest, FaultyTreeAsyncTerminatesAndAccountsLosses) {
   cfg.topology.max_retries = 1;
   cfg.topology.ack_timeout_s = 30.0;
 
-  FedBuffRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(std::make_unique<FedBuffStrategy>(init),
+                          data, fleet, cfg);
   runner.run();  // must terminate: timeouts replace lost clients
 
-  EXPECT_EQ(runner.aggregations_done(), cfg.aggregations);
+  EXPECT_EQ(runner.versions_done(), cfg.async.aggregations);
   int lost = 0, failovers = 0;
   for (const auto& rec : runner.history()) {
     lost += rec.lost_updates;
@@ -1317,13 +1364,14 @@ TEST(AsyncTreeTest, FaultyTreeAsyncTerminatesAndAccountsLosses) {
   // Failed-over jobs are recorded per shipped version, reconciling with
   // the transport counter up to the residual after the last ship.
   EXPECT_LE(static_cast<std::uint64_t>(failovers),
-            runner.engine().fabric()->stats().leaf_failovers.load());
-  EXPECT_GT(runner.engine().fabric()->stats().leaf_failovers.load(), 0u)
+            runner.fabric()->stats().leaf_failovers.load());
+  EXPECT_GT(runner.fabric()->stats().leaf_failovers.load(), 0u)
       << "a 15% leaf death rate over the session must reroute some jobs";
-  EXPECT_EQ(runner.engine().fabric()->stats().frames_rejected.load(), 0u);
+  EXPECT_EQ(runner.fabric()->stats().frames_rejected.load(), 0u);
 
   // Deterministic replay.
-  FedBuffRunner again(init, data, fleet, cfg);
+  FederationEngine again(std::make_unique<FedBuffStrategy>(init),
+                         data, fleet, cfg);
   again.run();
   EXPECT_EQ(runner.now_s(), again.now_s());
   ASSERT_EQ(runner.history().size(), again.history().size());
@@ -1345,7 +1393,7 @@ TEST(BandwidthTest, QuantizedFedAvgTreeMatchesExactNumericWithinTolerance) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig exact = base_cfg(21);
+  SessionConfig exact = base_cfg(21);
   exact.rounds = 4;
   exact.clients_per_round = 6;
   exact.eval_every = 0;
@@ -1354,15 +1402,17 @@ TEST(BandwidthTest, QuantizedFedAvgTreeMatchesExactNumericWithinTolerance) {
   exact.topology.shards = 4;
   exact.topology.branching = 2;
   exact.topology.partial_aggregation = true;
-  FedAvgRunner a(init, data, fleet, exact);
+  FederationEngine a(testing::fedavg(init), data, fleet, exact);
   a.run();
 
   for (PartialQuant q : {PartialQuant::Int8, PartialQuant::Fp16}) {
-    FlRunConfig quant = exact;
+    SessionConfig quant = exact;
     quant.topology.quantize_partials = q;
-    FedAvgRunner b(init, data, fleet, quant);
+    FederationEngine b(testing::fedavg(init), data, fleet, quant);
     b.run();
-    EXPECT_LT(max_rel_diff(a.model().weights(), b.model().weights()), 1e-3)
+    EXPECT_LT(max_rel_diff(a.strategy_as<FedAvgStrategy>().model().weights(),
+                           b.strategy_as<FedAvgStrategy>().model().weights()),
+              1e-3)
         << "quant mode " << static_cast<int>(q);
     // Metrics ride the tree verbatim either way.
     ASSERT_EQ(a.history().size(), b.history().size());
@@ -1379,7 +1429,7 @@ TEST(BandwidthTest, QuantizedHeteroFLTreeMatchesExactNumericWithinTolerance) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = tiny_fleet(data.num_clients(), /*seed=*/4);
 
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 4;
   cfg.clients_per_round = 6;
   cfg.local.steps = 3;
@@ -1390,15 +1440,19 @@ TEST(BandwidthTest, QuantizedHeteroFLTreeMatchesExactNumericWithinTolerance) {
   cfg.topology.shards = 3;
   cfg.topology.partial_aggregation = true;
 
-  HeteroFLRunner a(tiny_model(), data, fleet, cfg);
+  FederationEngine a(std::make_unique<HeteroFLStrategy>(tiny_model()),
+                     data, fleet, cfg);
   a.run();
 
   cfg.topology.quantize_partials = PartialQuant::Int8;
-  HeteroFLRunner b(tiny_model(), data, fleet, cfg);
+  FederationEngine b(std::make_unique<HeteroFLStrategy>(tiny_model()),
+                     data, fleet, cfg);
   b.run();
 
-  EXPECT_LT(max_rel_diff(a.global().weights(), b.global().weights()), 1e-3);
-  EXPECT_EQ(b.engine().fabric()->stats().frames_rejected.load(), 0u);
+  EXPECT_LT(max_rel_diff(a.strategy_as<HeteroFLStrategy>().global().weights(),
+                         b.strategy_as<HeteroFLStrategy>().global().weights()),
+            1e-3);
+  EXPECT_EQ(b.fabric()->stats().frames_rejected.load(), 0u);
 }
 
 TEST(BandwidthTest, QuantizedFedTransTreeMatchesExactNumericWithinTolerance) {
@@ -1416,25 +1470,30 @@ TEST(BandwidthTest, QuantizedFedTransTreeMatchesExactNumericWithinTolerance) {
   cfg.act_window = 2;
   cfg.max_models = 3;
   cfg.seed = 13;
-  cfg.use_fabric = true;
-  cfg.topology.levels = 3;
-  cfg.topology.shards = 4;
-  cfg.topology.branching = 2;
-  cfg.topology.partial_aggregation = true;
+  SessionConfig session = SessionConfig::from(cfg);
+  session.use_fabric = true;
+  session.topology.levels = 3;
+  session.topology.shards = 4;
+  session.topology.branching = 2;
+  session.topology.partial_aggregation = true;
 
-  FedTransTrainer a(tiny_model(), data, fleet, cfg);
+  FederationEngine a(std::make_unique<FedTransStrategy>(tiny_model(), cfg),
+                     data, fleet, session);
   a.run();
 
-  cfg.topology.quantize_partials = PartialQuant::Fp16;
-  FedTransTrainer b(tiny_model(), data, fleet, cfg);
+  session.topology.quantize_partials = PartialQuant::Fp16;
+  FederationEngine b(std::make_unique<FedTransStrategy>(tiny_model(), cfg),
+                     data, fleet, session);
   b.run();
+  auto& fa = a.strategy_as<FedTransStrategy>();
+  auto& fb = b.strategy_as<FedTransStrategy>();
 
   // Utility learning consumes the verbatim per-client losses; fp16 group
   // sums keep the weight drift small enough that the family trajectory is
   // preserved on this fixture.
-  ASSERT_EQ(a.num_models(), b.num_models());
-  for (int k = 0; k < a.num_models(); ++k)
-    EXPECT_LT(max_rel_diff(a.model(k).weights(), b.model(k).weights()), 1e-3)
+  ASSERT_EQ(fa.num_models(), fb.num_models());
+  for (int k = 0; k < fa.num_models(); ++k)
+    EXPECT_LT(max_rel_diff(fa.model(k).weights(), fb.model(k).weights()), 1e-3)
         << "model " << k;
 }
 
@@ -1445,7 +1504,7 @@ TEST(BandwidthTest, QuantizedModeDeterministicAcrossThreadCounts) {
   Model init(tiny_model(), rng);
   const int prev_threads = ThreadPool::global().size();
 
-  FlRunConfig cfg = base_cfg(17);
+  SessionConfig cfg = base_cfg(17);
   cfg.rounds = 3;
   cfg.clients_per_round = 6;
   cfg.eval_every = 0;
@@ -1457,10 +1516,10 @@ TEST(BandwidthTest, QuantizedModeDeterministicAcrossThreadCounts) {
   cfg.topology.quantize_partials = PartialQuant::Int8;
 
   ThreadPool::set_global_threads(1);
-  FedAvgRunner a(init, data, fleet, cfg);
+  FederationEngine a(testing::fedavg(init), data, fleet, cfg);
   a.run();
   ThreadPool::set_global_threads(4);
-  FedAvgRunner b(init, data, fleet, cfg);
+  FederationEngine b(testing::fedavg(init), data, fleet, cfg);
   b.run();
   ThreadPool::set_global_threads(prev_threads);
   expect_identical(a, b);
@@ -1474,12 +1533,13 @@ TEST(BandwidthTest, QuantizedPartialsRequireNumericMode) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(3);
+  SessionConfig cfg = base_cfg(3);
   cfg.use_fabric = true;
   cfg.topology.levels = 2;
   cfg.topology.shards = 2;
   cfg.topology.quantize_partials = PartialQuant::Int8;
-  EXPECT_THROW(FedAvgRunner(init, data, fleet, cfg), Error);
+  EXPECT_THROW(FederationEngine(testing::fedavg(init), data, fleet, cfg),
+               Error);
 }
 
 TEST(BandwidthTest, BroadcastCacheRoundsMatchColdRoundsBitwise) {
@@ -1493,17 +1553,17 @@ TEST(BandwidthTest, BroadcastCacheRoundsMatchColdRoundsBitwise) {
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
 
-      FlRunConfig cold = base_cfg(seed);
+      SessionConfig cold = base_cfg(seed);
       cold.use_fabric = true;
       cold.topology.levels = 3;
       cold.topology.shards = 4;
       cold.topology.branching = 2;
-      FedAvgRunner a(init, data, fleet, cold);
+      FederationEngine a(testing::fedavg(init), data, fleet, cold);
       a.run();
 
-      FlRunConfig cached = cold;
+      SessionConfig cached = cold;
       cached.topology.broadcast_cache = true;
-      FedAvgRunner b(init, data, fleet, cached);
+      FederationEngine b(testing::fedavg(init), data, fleet, cached);
       b.run();
 
       // Bitwise including costs: elision only trims the zero-latency
@@ -1519,16 +1579,16 @@ TEST(BandwidthTest, BroadcastCacheRoundsMatchColdRoundsBitwise) {
   // Socket leg: the elided frames survive stream reassembly too.
   Rng rng(3 + 11);
   Model init(tiny_model(), rng);
-  FlRunConfig cold = base_cfg(11);
+  SessionConfig cold = base_cfg(11);
   cold.use_fabric = true;
   cold.topology.levels = 2;
   cold.topology.shards = 3;
   cold.with_socket_transport();
-  FedAvgRunner a(init, data, fleet, cold);
+  FederationEngine a(testing::fedavg(init), data, fleet, cold);
   a.run();
-  FlRunConfig cached = cold;
+  SessionConfig cached = cold;
   cached.topology.broadcast_cache = true;
-  FedAvgRunner b(init, data, fleet, cached);
+  FederationEngine b(testing::fedavg(init), data, fleet, cached);
   b.run();
   expect_identical(a, b);
   EXPECT_EQ(b.fabric()->stats().frames_rejected.load(), 0u);
@@ -1545,22 +1605,22 @@ TEST(BandwidthTest, DeltaDownlinkKeepsResultsBitwiseIdentical) {
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
 
-      FlRunConfig full = base_cfg(seed);
+      SessionConfig full = base_cfg(seed);
       full.use_fabric = true;
       full.topology.levels = 2;
       full.topology.shards = 3;
-      FedAvgRunner a(init, data, fleet, full);
+      FederationEngine a(testing::fedavg(init), data, fleet, full);
       a.run();
 
-      FlRunConfig delta = full;
+      SessionConfig delta = full;
       delta.topology.delta_downlink = true;
-      FedAvgRunner b(init, data, fleet, delta);
+      FederationEngine b(testing::fedavg(init), data, fleet, delta);
       b.run();
 
       // Clients reconstruct the exact weights, so the whole trajectory is
       // bitwise; any shipped delta can only shrink the bill.
-      auto wa = a.model().weights();
-      auto wb = b.model().weights();
+      auto wa = a.strategy_as<FedAvgStrategy>().model().weights();
+      auto wb = b.strategy_as<FedAvgStrategy>().model().weights();
       ASSERT_EQ(wa.size(), wb.size());
       for (std::size_t i = 0; i < wa.size(); ++i)
         EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0) << "tensor " << i;
@@ -1578,17 +1638,17 @@ TEST(BandwidthTest, DeltaDownlinkKeepsResultsBitwiseIdentical) {
   // Socket leg, flat topology (delta applies to every sync downlink path).
   Rng rng(3 + 42);
   Model init(tiny_model(), rng);
-  FlRunConfig full = base_cfg(42);
+  SessionConfig full = base_cfg(42);
   full.use_fabric = true;
   full.with_socket_transport();
-  FedAvgRunner a(init, data, fleet, full);
+  FederationEngine a(testing::fedavg(init), data, fleet, full);
   a.run();
-  FlRunConfig delta = full;
+  SessionConfig delta = full;
   delta.topology.delta_downlink = true;
-  FedAvgRunner b(init, data, fleet, delta);
+  FederationEngine b(testing::fedavg(init), data, fleet, delta);
   b.run();
-  auto wa = a.model().weights();
-  auto wb = b.model().weights();
+  auto wa = a.strategy_as<FedAvgStrategy>().model().weights();
+  auto wb = b.strategy_as<FedAvgStrategy>().model().weights();
   ASSERT_EQ(wa.size(), wb.size());
   for (std::size_t i = 0; i < wa.size(); ++i)
     EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0) << "tensor " << i;

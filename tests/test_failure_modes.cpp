@@ -21,9 +21,10 @@ TEST(FailureModes, TrainerRejectsFleetSizeMismatch) {
   auto data = FederatedDataset::generate(dcfg);
   std::vector<DeviceProfile> fleet(3);  // wrong size
   FedTransConfig cfg;
-  EXPECT_THROW(
-      FedTransTrainer(ModelSpec::conv(1, 8, 3, 4, {6}), data, fleet, cfg),
-      Error);
+  EXPECT_THROW(FederationEngine(std::make_unique<FedTransStrategy>(
+                                    ModelSpec::conv(1, 8, 3, 4, {6}), cfg),
+                                data, fleet, SessionConfig::from(cfg)),
+               Error);
 }
 
 TEST(FailureModes, SingleClientFleetStillRuns) {
@@ -39,9 +40,11 @@ TEST(FailureModes, SingleClientFleetStillRuns) {
   cfg.rounds = 4;
   cfg.clients_per_round = 3;  // more than exist: clamped
   cfg.local.steps = 3;
-  FedTransTrainer trainer(ModelSpec::conv(1, 8, 3, 4, {6}), data, fleet, cfg);
-  EXPECT_NO_THROW(trainer.run());
-  auto ev = trainer.evaluate_final();
+  FederationEngine engine(
+      std::make_unique<FedTransStrategy>(ModelSpec::conv(1, 8, 3, 4, {6}), cfg),
+      data, fleet, SessionConfig::from(cfg));
+  EXPECT_NO_THROW(engine.run());
+  auto ev = engine.strategy_as<FedTransStrategy>().evaluate_final();
   EXPECT_EQ(ev.client_accuracy.size(), 1u);
 }
 
@@ -61,9 +64,11 @@ TEST(FailureModes, AllClientsIncompatibleFallBackToInitialModel) {
   cfg.rounds = 3;
   cfg.clients_per_round = 3;
   cfg.local.steps = 2;
-  FedTransTrainer trainer(ModelSpec::conv(1, 8, 3, 4, {6}), data, fleet, cfg);
-  EXPECT_NO_THROW(trainer.run());
-  auto ev = trainer.evaluate_final();
+  FederationEngine engine(
+      std::make_unique<FedTransStrategy>(ModelSpec::conv(1, 8, 3, 4, {6}), cfg),
+      data, fleet, SessionConfig::from(cfg));
+  EXPECT_NO_THROW(engine.run());
+  auto ev = engine.strategy_as<FedTransStrategy>().evaluate_final();
   for (int m : ev.client_model) EXPECT_EQ(m, 0);
 }
 
@@ -112,7 +117,7 @@ TEST(FailureModes, RepeatedTransformationsStayFunctionPreserving) {
     EXPECT_NEAR(y0[i], y4[i], 2e-3) << "chained transforms diverged at " << i;
 }
 
-TEST(FailureModes, RunnerWithZeroRoundsIsNoOp) {
+TEST(FailureModes, SessionWithZeroRoundsIsNoOp) {
   DatasetConfig dcfg;
   dcfg.num_clients = 4;
   dcfg.num_classes = 3;
@@ -121,13 +126,15 @@ TEST(FailureModes, RunnerWithZeroRoundsIsNoOp) {
   std::vector<DeviceProfile> fleet(4);
   for (auto& d : fleet) d.capacity_macs = 1e9;
   Rng rng(7);
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 0;
-  FedAvgRunner runner(Model(ModelSpec::conv(1, 8, 3, 4, {6}), rng), data,
-                      fleet, cfg);
-  runner.run();
-  EXPECT_EQ(runner.history().size(), 0u);
-  EXPECT_EQ(runner.costs().total_macs(), 0.0);
+  FederationEngine engine(
+      std::make_unique<FedAvgStrategy>(
+          Model(ModelSpec::conv(1, 8, 3, 4, {6}), rng), FedAvgOptions{}),
+      data, fleet, cfg);
+  engine.run();
+  EXPECT_EQ(engine.history().size(), 0u);
+  EXPECT_EQ(engine.costs().total_macs(), 0.0);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "fl/async.hpp"
 #include "fl/runner.hpp"
 #include "fl/selection.hpp"
+#include "harness/experiments.hpp"
 #include "model/align.hpp"
 #include "test_util.hpp"
 
@@ -234,15 +235,18 @@ TEST(FedBuffTest, CompletesRequestedAggregations) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   Rng rng(11);
-  AsyncRunConfig cfg;
-  cfg.concurrency = 4;
-  cfg.buffer_size = 3;
-  cfg.aggregations = 6;
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 4;
+  cfg.async.buffer_size = 3;
+  cfg.async.aggregations = 6;
   cfg.local.steps = 4;
   cfg.local.batch = 6;
-  FedBuffRunner runner(Model(tiny_model(), rng), data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedBuffStrategy>(Model(tiny_model(), rng)), data, fleet,
+      cfg);
   runner.run();
-  EXPECT_EQ(runner.aggregations_done(), 6);
+  EXPECT_EQ(runner.versions_done(), 6);
   EXPECT_EQ(runner.history().size(), 6u);
   EXPECT_GT(runner.now_s(), 0.0);
 }
@@ -251,13 +255,16 @@ TEST(FedBuffTest, WallClockIsMonotone) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   Rng rng(12);
-  AsyncRunConfig cfg;
-  cfg.concurrency = 4;
-  cfg.buffer_size = 2;
-  cfg.aggregations = 8;
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 4;
+  cfg.async.buffer_size = 2;
+  cfg.async.aggregations = 8;
   cfg.local.steps = 3;
   cfg.local.batch = 6;
-  FedBuffRunner runner(Model(tiny_model(), rng), data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedBuffStrategy>(Model(tiny_model(), rng)), data, fleet,
+      cfg);
   runner.run();
   double prev = 0.0;
   for (const auto& rec : runner.history()) {
@@ -272,10 +279,11 @@ TEST(FedBuffTest, FreshRunnerMetersAreZeroNotNan) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   Rng rng(99);
-  FedBuffRunner runner(Model(tiny_model(), rng), data, fleet,
-                       AsyncRunConfig{});
+  FederationEngine runner(
+      std::make_unique<FedBuffStrategy>(Model(tiny_model(), rng)), data, fleet,
+      SessionConfig{}.with_async(AsyncBlock{}));
   EXPECT_EQ(runner.mean_staleness(), 0.0);
-  EXPECT_EQ(runner.aggregations_done(), 0);
+  EXPECT_EQ(runner.versions_done(), 0);
   EXPECT_EQ(runner.now_s(), 0.0);
   EXPECT_TRUE(runner.history().empty());
   EXPECT_EQ(runner.costs().total_macs(), 0.0);
@@ -285,19 +293,22 @@ TEST(FedBuffTest, StalenessIsBoundedByConcurrencyWindow) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6, /*sigma=*/1.5);
   Rng rng(13);
-  AsyncRunConfig cfg;
-  cfg.concurrency = 6;
-  cfg.buffer_size = 2;
-  cfg.aggregations = 10;
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 6;
+  cfg.async.buffer_size = 2;
+  cfg.async.aggregations = 10;
   cfg.local.steps = 3;
   cfg.local.batch = 6;
-  FedBuffRunner runner(Model(tiny_model(), rng), data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedBuffStrategy>(Model(tiny_model(), rng)), data, fleet,
+      cfg);
   runner.run();
   // With C in flight and buffer K, an update can be at most
   // ceil(C/K) + aggregations behind only if it never returns; mean
   // staleness must at least be finite and non-negative.
   EXPECT_GE(runner.mean_staleness(), 0.0);
-  EXPECT_LE(runner.mean_staleness(), cfg.aggregations);
+  EXPECT_LE(runner.mean_staleness(), cfg.async.aggregations);
 }
 
 TEST(FedBuffTest, LearnsOnSeparableData) {
@@ -305,19 +316,22 @@ TEST(FedBuffTest, LearnsOnSeparableData) {
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   Rng rng(14);
   Model init(tiny_model(), rng);
-  FedBuffRunner probe(init, data, fleet, AsyncRunConfig{});
-  const double acc0 = probe.mean_client_accuracy();
+  const double acc0 = mean_client_accuracy(init, data);
 
-  AsyncRunConfig cfg;
-  cfg.concurrency = 5;
-  cfg.buffer_size = 5;
-  cfg.aggregations = 30;
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 5;
+  cfg.async.buffer_size = 5;
+  cfg.async.aggregations = 30;
   cfg.local.steps = 8;
   cfg.local.batch = 8;
   cfg.seed = 3;
-  FedBuffRunner runner(init, data, fleet, cfg);
+  FederationEngine runner(std::make_unique<FedBuffStrategy>(init),
+                          data, fleet, cfg);
   runner.run();
-  EXPECT_GT(runner.mean_client_accuracy(), acc0 + 0.15)
+  EXPECT_GT(
+      mean_client_accuracy(runner.strategy_as<FedBuffStrategy>().model(), data),
+      acc0 + 0.15)
       << "async training should improve over the random initialization";
 }
 
@@ -330,23 +344,25 @@ TEST(FedBuffTest, AsyncBeatsSyncWallClockUnderStragglers) {
   Rng rng(15);
   Model init(tiny_model(), rng);
 
-  FlRunConfig scfg;
+  SessionConfig scfg;
   scfg.rounds = 6;
   scfg.clients_per_round = 6;
   scfg.local.steps = 4;
   scfg.local.batch = 6;
-  FedAvgRunner sync(init, data, fleet, scfg);
+  FederationEngine sync(testing::fedavg(init), data, fleet, scfg);
   sync.run();
   double sync_wall = 0.0;
   for (const auto& rec : sync.history()) sync_wall += rec.round_time_s;
 
-  AsyncRunConfig acfg;
-  acfg.concurrency = 6;
-  acfg.buffer_size = 6;
-  acfg.aggregations = 6;  // same number of server updates
+  SessionConfig acfg;
+  acfg.mode = SessionMode::Async;
+  acfg.async.concurrency = 6;
+  acfg.async.buffer_size = 6;
+  acfg.async.aggregations = 6;  // same number of server updates
   acfg.local.steps = 4;
   acfg.local.batch = 6;
-  FedBuffRunner async_runner(init, data, fleet, acfg);
+  FederationEngine async_runner(std::make_unique<FedBuffStrategy>(init),
+                                data, fleet, acfg);
   async_runner.run();
 
   EXPECT_LT(async_runner.now_s(), sync_wall)
@@ -357,10 +373,14 @@ TEST(FedBuffTest, RejectsInvalidConfig) {
   auto data = FederatedDataset::generate(tiny_data(6));
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   Rng rng(16);
-  AsyncRunConfig cfg;
-  cfg.concurrency = 0;
-  EXPECT_THROW(FedBuffRunner(Model(tiny_model(), rng), data, fleet, cfg),
-               Error);
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 0;
+  EXPECT_THROW(
+      FederationEngine(
+          std::make_unique<FedBuffStrategy>(Model(tiny_model(), rng)), data,
+          fleet, cfg),
+      Error);
 }
 
 // ---------------------------------------------------------------- FedRolex
@@ -368,43 +388,49 @@ TEST(FedBuffTest, RejectsInvalidConfig) {
 TEST(FedRolexTest, OffsetsRollByOneEachRound) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 3;
   cfg.clients_per_round = 4;
   cfg.local.steps = 2;
   cfg.local.batch = 6;
-  FedRolexRunner runner(tiny_model(), data, fleet, cfg);
-  EXPECT_EQ(runner.offset_for_space(0), 0);
+  FederationEngine runner(std::make_unique<FedRolexStrategy>(tiny_model()),
+                          data, fleet, cfg);
+  auto& rolex = runner.strategy_as<FedRolexStrategy>();
+  EXPECT_EQ(rolex.offset_for_space(0, runner.rounds_done()), 0);
   runner.run_round();
-  EXPECT_EQ(runner.offset_for_space(0), 1);
+  EXPECT_EQ(rolex.offset_for_space(0, runner.rounds_done()), 1);
   runner.run_round();
-  EXPECT_EQ(runner.offset_for_space(0), 2);
+  EXPECT_EQ(rolex.offset_for_space(0, runner.rounds_done()), 2);
 }
 
 TEST(FedRolexTest, OffsetWrapsAtSpaceWidth) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 1;
   cfg.clients_per_round = 2;
   cfg.local.steps = 1;
   cfg.local.batch = 4;
   // tiny_model stem width is 4 → offset cycles with period 4.
-  FedRolexRunner runner(tiny_model(), data, fleet, cfg);
+  FederationEngine runner(std::make_unique<FedRolexStrategy>(tiny_model()),
+                          data, fleet, cfg);
+  auto& rolex = runner.strategy_as<FedRolexStrategy>();
   for (int r = 0; r < 9; ++r) runner.run_round();
-  EXPECT_EQ(runner.offset_for_space(0), 9 % 4);
+  EXPECT_EQ(rolex.offset_for_space(0, runner.rounds_done()), 9 % 4);
 }
 
 TEST(FedRolexTest, SubmodelWindowMatchesGlobalChannels) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  BaselineConfig cfg;
-  FedRolexRunner runner(tiny_model(), data, fleet, cfg);
+  SessionConfig cfg;
+  FederationEngine runner(std::make_unique<FedRolexStrategy>(tiny_model()),
+                          data, fleet, cfg);
+  auto& rolex = runner.strategy_as<FedRolexStrategy>();
 
   // Level 1 = half width. At round 0 (offset 0) the submodel is the prefix
   // crop, i.e. identical to HeteroFL's extraction.
-  Model sub = runner.submodel(1);
-  auto gp = runner.global().params();
+  Model sub = rolex.submodel(1, runner.rounds_done());
+  auto gp = rolex.global().params();
   auto sp = sub.params();
   ASSERT_EQ(gp.size(), sp.size());
   // Stem conv weight: sub rows must equal the first rows of the global.
@@ -422,14 +448,16 @@ TEST(FedRolexTest, FullWidthSubmodelIsBijective) {
   // model: same parameter count, same multiset of values per tensor.
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.clients_per_round = 3;
   cfg.local.steps = 2;
   cfg.local.batch = 4;
-  FedRolexRunner runner(tiny_model(), data, fleet, cfg);
+  FederationEngine runner(std::make_unique<FedRolexStrategy>(tiny_model()),
+                          data, fleet, cfg);
+  auto& rolex = runner.strategy_as<FedRolexStrategy>();
   runner.run_round();  // offset becomes 1 → genuinely rolled
-  Model sub = runner.submodel(0);
-  auto gp = runner.global().params();
+  Model sub = rolex.submodel(0, runner.rounds_done());
+  auto gp = rolex.global().params();
   auto sp = sub.params();
   for (std::size_t i = 0; i < gp.size(); ++i) {
     ASSERT_TRUE(gp[i].value->same_shape(*sp[i].value));
@@ -449,15 +477,17 @@ TEST(FedRolexTest, EveryGlobalChannelEventuallyTrains) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 1.0);  // tiny caps →
                                                               // weakest level
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 8;
   cfg.clients_per_round = 4;
   cfg.local.steps = 2;
   cfg.local.batch = 4;
-  FedRolexRunner runner(tiny_model(), data, fleet, cfg);
-  auto before = runner.global().weights();
+  FederationEngine runner(std::make_unique<FedRolexStrategy>(tiny_model()),
+                          data, fleet, cfg);
+  auto& rolex = runner.strategy_as<FedRolexStrategy>();
+  auto before = rolex.global().weights();
   runner.run();
-  auto after = runner.global().weights();
+  auto after = rolex.global().weights();
   // Stem conv weight rows: every row must have changed in ≥1 element.
   const Tensor& b0 = before[0];
   const Tensor& a0 = after[0];
@@ -474,12 +504,14 @@ TEST(FedRolexTest, EveryGlobalChannelEventuallyTrains) {
 TEST(FedRolexTest, LevelAssignmentRespectsCapacity) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6, /*sigma=*/1.5);
-  BaselineConfig cfg;
-  FedRolexRunner runner(tiny_model(), data, fleet, cfg);
+  SessionConfig cfg;
+  FederationEngine runner(std::make_unique<FedRolexStrategy>(tiny_model()),
+                          data, fleet, cfg);
+  auto& rolex = runner.strategy_as<FedRolexStrategy>();
   for (int c = 0; c < data.num_clients(); ++c) {
-    const int lvl = runner.level_for(c);
-    Model sub = runner.submodel(lvl);
-    if (lvl < runner.num_levels() - 1) {
+    const int lvl = rolex.level_for(c);
+    Model sub = rolex.submodel(lvl, runner.rounds_done());
+    if (lvl < rolex.num_levels() - 1) {
       EXPECT_LE(static_cast<double>(sub.macs()),
                 fleet[static_cast<std::size_t>(c)].capacity_macs);
     }
@@ -489,37 +521,44 @@ TEST(FedRolexTest, LevelAssignmentRespectsCapacity) {
 TEST(FedRolexTest, LearnsOnSeparableData) {
   auto data = FederatedDataset::generate(tiny_data(10));
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 25;
   cfg.clients_per_round = 5;
   cfg.local.steps = 8;
   cfg.local.batch = 8;
   cfg.seed = 5;
-  FedRolexRunner runner(tiny_model(), data, fleet, cfg);
-  auto rep_before = runner.report();
+  FederationEngine runner(std::make_unique<FedRolexStrategy>(tiny_model()),
+                          data, fleet, cfg);
+  auto& rolex = runner.strategy_as<FedRolexStrategy>();
+  auto rep_before = baseline_report(
+      runner, client_accuracy(rolex, runner.rounds_done(), data));
   runner.run();
-  auto rep_after = runner.report();
+  auto rep_after = baseline_report(
+      runner, client_accuracy(rolex, runner.rounds_done(), data));
   EXPECT_GT(rep_after.mean_accuracy, rep_before.mean_accuracy + 0.1);
 }
 
 TEST(FedRolexTest, RejectsAttentionModels) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.clients_per_round = 2;
   cfg.local.steps = 1;
   cfg.local.batch = 4;
   auto vit = ModelSpec::attention(1, 8, 4, 2, 8, {16});
-  FedRolexRunner runner(vit, data, fleet, cfg);
+  FederationEngine runner(std::make_unique<FedRolexStrategy>(vit),
+                          data, fleet, cfg);
   EXPECT_THROW(runner.run_round(), Error);
 }
 
 TEST(FedRolexTest, RejectsRatiosNotStartingAtOne) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  EXPECT_THROW(FedRolexRunner(tiny_model(), data, fleet, BaselineConfig{},
-                              {0.5, 0.25}),
-               Error);
+  EXPECT_THROW(
+      FederationEngine(std::make_unique<FedRolexStrategy>(
+                           tiny_model(), std::vector<double>{0.5, 0.25}),
+                       data, fleet, SessionConfig{}),
+      Error);
 }
 
 }  // namespace

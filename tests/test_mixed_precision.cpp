@@ -198,8 +198,8 @@ std::vector<DeviceProfile> mp_fleet(int n) {
   return fleet;
 }
 
-FlRunConfig mp_config() {
-  FlRunConfig cfg;
+SessionConfig mp_config() {
+  SessionConfig cfg;
   cfg.rounds = 5;
   cfg.clients_per_round = 4;
   cfg.local.steps = 2;
@@ -214,12 +214,14 @@ TEST(MixedPrecisionE2E, HalfStorageTracksFp32AndHalvesBilledBytes) {
   auto run = [&](Precision prec) {
     Rng rng(7);
     Model init(ModelSpec::conv(1, 8, 4, 3, {4, 6}, {1, 1}, {1, 2}), rng);
-    FlRunConfig cfg = mp_config();
+    SessionConfig cfg = mp_config();
     cfg.local.precision = prec;
-    FedAvgRunner runner(init, data, mp_fleet(data.num_clients()), cfg);
+    FederationEngine runner(testing::fedavg(init), data,
+                            mp_fleet(data.num_clients()), cfg);
     runner.run();
-    return std::make_tuple(runner.history(), runner.costs().network_bytes(),
-                           runner.model().weights());
+    return std::make_tuple(
+        runner.history(), runner.costs().network_bytes(),
+        runner.strategy_as<FedAvgStrategy>().model().weights());
   };
 
   auto [hist32, bytes32, w32] = run(Precision{});
@@ -258,13 +260,14 @@ TEST(MixedPrecisionE2E, FabricWireBytesDropRoughlyTwofold) {
   auto run = [&](Precision prec) {
     Rng rng(7);
     Model init(ModelSpec::conv(1, 8, 4, 3, {4, 6}, {1, 1}, {1, 2}), rng);
-    FlRunConfig cfg = mp_config();
+    SessionConfig cfg = mp_config();
     cfg.rounds = 2;
     cfg.use_fabric = true;
     cfg.local.precision = prec;
-    FedAvgRunner runner(init, data, mp_fleet(data.num_clients()), cfg);
+    FederationEngine runner(testing::fedavg(init),
+                            data, mp_fleet(data.num_clients()), cfg);
     runner.run();
-    const FederationServer* fabric = runner.engine().fabric();
+    const FederationServer* fabric = runner.fabric();
     EXPECT_NE(fabric, nullptr);
     return std::make_pair(
         static_cast<double>(fabric->stats().bytes_sent.load()),
@@ -294,13 +297,16 @@ TEST(MixedPrecisionE2E, FabricMatchesInProcessBitwiseInHalfMode) {
   auto run = [&](bool fabric) {
     Rng rng(7);
     Model init(ModelSpec::conv(1, 8, 4, 3, {4, 6}, {1, 1}, {1, 2}), rng);
-    FlRunConfig cfg = mp_config();
+    SessionConfig cfg = mp_config();
     cfg.rounds = 3;
     cfg.use_fabric = fabric;
     cfg.local.precision.dtype = Dtype::F16;
-    FedAvgRunner runner(init, data, mp_fleet(data.num_clients()), cfg);
+    FederationEngine runner(testing::fedavg(init),
+                            data, mp_fleet(data.num_clients()), cfg);
     runner.run();
-    return std::make_pair(runner.history(), runner.model().weights());
+    return std::make_pair(
+        runner.history(),
+        runner.strategy_as<FedAvgStrategy>().model().weights());
   };
   auto [hist_ip, w_ip] = run(false);
   auto [hist_fb, w_fb] = run(true);

@@ -87,8 +87,8 @@ std::vector<DeviceProfile> tiny_fleet(int n, std::uint64_t seed = 9) {
 
 ModelSpec tiny_model() { return ModelSpec::conv(1, 8, 4, 4, {6, 8}); }
 
-FlRunConfig base_cfg(std::uint64_t seed) {
-  FlRunConfig cfg;
+SessionConfig base_cfg(std::uint64_t seed) {
+  SessionConfig cfg;
   cfg.rounds = 3;
   cfg.clients_per_round = 4;
   cfg.local.steps = 3;
@@ -99,9 +99,9 @@ FlRunConfig base_cfg(std::uint64_t seed) {
   return cfg;
 }
 
-void expect_identical(FedAvgRunner& a, FedAvgRunner& b) {
-  auto wa = a.model().weights();
-  auto wb = b.model().weights();
+void expect_identical(FederationEngine& a, FederationEngine& b) {
+  auto wa = a.strategy_as<FedAvgStrategy>().model().weights();
+  auto wb = b.strategy_as<FedAvgStrategy>().model().weights();
   ASSERT_EQ(wa.size(), wb.size());
   for (std::size_t i = 0; i < wa.size(); ++i)
     EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0) << "tensor " << i;
@@ -302,12 +302,12 @@ TEST(MetricsTest, FabricRunReconcilesWithCostMeterAndFabricStats) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig cfg = base_cfg(11);
+  SessionConfig cfg = base_cfg(11);
   cfg.use_fabric = true;
   cfg.fabric_faults.drop_prob = 0.05;
   cfg.fabric_faults.dup_prob = 0.03;
   cfg.fabric_faults.seed = 77;
-  FedAvgRunner b(init, data, fleet, cfg);
+  FederationEngine b(testing::fedavg(init), data, fleet, cfg);
   b.run();
   ASSERT_NE(b.fabric(), nullptr);
   const FabricStats& st = b.fabric()->stats();
@@ -374,7 +374,7 @@ TEST(TraceTest, VirtualTracingDoesNotPerturbChaosRunsBitwise) {
     Model init(tiny_model(), rng);
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
-      FlRunConfig cfg = base_cfg(seed);
+      SessionConfig cfg = base_cfg(seed);
       cfg.use_fabric = true;
       cfg.topology.levels = 3;
       cfg.topology.shards = 4;
@@ -384,12 +384,12 @@ TEST(TraceTest, VirtualTracingDoesNotPerturbChaosRunsBitwise) {
       cfg.fabric_faults.leaf_death_prob = 0.1;
       cfg.fabric_faults.seed = 77;
 
-      FedAvgRunner a(init, data, fleet, cfg);
+      FederationEngine a(testing::fedavg(init), data, fleet, cfg);
       a.run();
 
       trace_clear();
       trace_start(TraceClock::Virtual);
-      FedAvgRunner b(init, data, fleet, cfg);
+      FederationEngine b(testing::fedavg(init), data, fleet, cfg);
       b.run();
       trace_stop();
 #ifndef FEDTRANS_TRACE_DISABLED

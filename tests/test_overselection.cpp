@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "fl/runner.hpp"
+#include "harness/experiments.hpp"
 #include "test_util.hpp"
 
 namespace fedtrans {
@@ -35,8 +36,15 @@ std::vector<DeviceProfile> long_tail_fleet(int n) {
 
 ModelSpec tiny_model() { return ModelSpec::conv(1, 8, 4, 4, {6, 8}); }
 
-FlRunConfig base_cfg() {
-  FlRunConfig cfg;
+FedAvgOptions overselect(double overcommit, double deadline_quantile) {
+  FedAvgOptions opts;
+  opts.overcommit = overcommit;
+  opts.deadline_quantile = deadline_quantile;
+  return opts;
+}
+
+SessionConfig base_cfg() {
+  SessionConfig cfg;
   cfg.rounds = 6;
   cfg.clients_per_round = 6;
   cfg.local.steps = 3;
@@ -51,16 +59,16 @@ TEST(OverSelectionTest, DefaultConfigReproducesLegacyRunExactly) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FedAvgRunner a(init, data, fleet, base_cfg());
+  FederationEngine a(testing::fedavg(init), data, fleet, base_cfg());
   a.run();
-  FlRunConfig explicit_defaults = base_cfg();
-  explicit_defaults.overcommit = 0.0;
-  explicit_defaults.deadline_quantile = 1.0;
-  FedAvgRunner b(init, data, fleet, explicit_defaults);
+  FederationEngine b(
+      testing::fedavg(init, overselect(/*overcommit=*/0.0,
+                                       /*deadline_quantile=*/1.0)),
+      data, fleet, base_cfg());
   b.run();
 
-  auto wa = a.model().weights();
-  auto wb = b.model().weights();
+  auto wa = a.strategy_as<FedAvgStrategy>().model().weights();
+  auto wb = b.strategy_as<FedAvgStrategy>().model().weights();
   for (std::size_t i = 0; i < wa.size(); ++i)
     EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0);
 }
@@ -71,15 +79,14 @@ TEST(OverSelectionTest, DeadlineCutsRoundTime) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FedAvgRunner plain(init, data, fleet, base_cfg());
+  FederationEngine plain(testing::fedavg(init), data, fleet, base_cfg());
   plain.run();
   double plain_wall = 0.0;
   for (const auto& rec : plain.history()) plain_wall += rec.round_time_s;
 
-  FlRunConfig oc = base_cfg();
-  oc.overcommit = 0.5;
-  oc.deadline_quantile = 0.7;  // drop the slowest ~30%
-  FedAvgRunner fast(init, data, fleet, oc);
+  // Drop the slowest ~30%.
+  FederationEngine fast(testing::fedavg(init, overselect(0.5, 0.7)), data,
+                        fleet, base_cfg());
   fast.run();
   double fast_wall = 0.0;
   for (const auto& rec : fast.history()) fast_wall += rec.round_time_s;
@@ -94,16 +101,16 @@ TEST(OverSelectionTest, DroppedClientsAreStillBilled) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  FlRunConfig oc = base_cfg();
+  SessionConfig oc = base_cfg();
   oc.rounds = 3;
-  oc.overcommit = 1.0;  // select 2k, aggregate at most k
-  oc.deadline_quantile = 0.5;
-  FedAvgRunner runner(init, data, fleet, oc);
+  // Select 2k, aggregate at most k.
+  FederationEngine runner(testing::fedavg(init, overselect(1.0, 0.5)), data,
+                          fleet, oc);
   runner.run();
 
-  FlRunConfig plain = base_cfg();
+  SessionConfig plain = base_cfg();
   plain.rounds = 3;
-  FedAvgRunner reference(init, data, fleet, plain);
+  FederationEngine reference(testing::fedavg(init), data, fleet, plain);
   reference.run();
 
   // Over-commit burns strictly more device compute (late clients train too).
@@ -115,19 +122,21 @@ TEST(OverSelectionTest, StillLearnsWithAggressiveDeadline) {
   auto fleet = long_tail_fleet(10);
   Rng rng(5);
   Model init(tiny_model(), rng);
-  FedAvgRunner probe(init, data, fleet, base_cfg());
-  const double acc0 = probe.mean_client_accuracy();
+  FederationEngine probe(testing::fedavg(init), data, fleet, base_cfg());
+  const double acc0 =
+      mean_client_accuracy(probe.strategy_as<FedAvgStrategy>().model(), data);
 
-  FlRunConfig oc = base_cfg();
+  SessionConfig oc = base_cfg();
   oc.rounds = 22;
   oc.clients_per_round = 5;
   oc.local.steps = 6;
   oc.local.batch = 8;
-  oc.overcommit = 0.6;
-  oc.deadline_quantile = 0.6;
-  FedAvgRunner runner(init, data, fleet, oc);
+  FederationEngine runner(testing::fedavg(init, overselect(0.6, 0.6)), data,
+                          fleet, oc);
   runner.run();
-  EXPECT_GT(runner.mean_client_accuracy(), acc0 + 0.15);
+  EXPECT_GT(
+      mean_client_accuracy(runner.strategy_as<FedAvgStrategy>().model(), data),
+      acc0 + 0.15);
 }
 
 TEST(OverSelectionTest, QuantileOneWithOvercommitTrimsToTargetCount) {
@@ -137,15 +146,15 @@ TEST(OverSelectionTest, QuantileOneWithOvercommitTrimsToTargetCount) {
   auto fleet = long_tail_fleet(data.num_clients());
   Rng rng(3);
   Model init(tiny_model(), rng);
-  FlRunConfig oc = base_cfg();
+  SessionConfig oc = base_cfg();
   oc.rounds = 1;
-  oc.overcommit = 1.0;
-  FedAvgRunner runner(init, data, fleet, oc);
+  FederationEngine runner(testing::fedavg(init, overselect(1.0, 1.0)), data,
+                          fleet, oc);
   runner.run();
   // k on-time participants uploaded; the over-committed remainder only
   // downloaded. Uplink < downlink in byte accounting proves the trim.
-  const double model_bytes =
-      static_cast<double>(runner.model().param_bytes());
+  const double model_bytes = static_cast<double>(
+      runner.strategy_as<FedAvgStrategy>().model().param_bytes());
   const double expected_down =
       model_bytes * (2.0 * base_cfg().clients_per_round);
   EXPECT_NEAR(runner.costs().network_bytes(),

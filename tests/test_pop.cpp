@@ -365,14 +365,12 @@ TEST(PopulationParityTest, LazyCohortFederationMatchesEagerBitwise) {
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
 
-      FederationEngine a(std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}),
-                         eager, pop.fleet(), session);
+      FederationEngine a(testing::fedavg(init), eager, pop.fleet(), session);
       a.set_selector(std::make_unique<PopulationSelector>(pop));
       a.run();
 
       PopulationDataView view(pop);
-      FederationEngine b(std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}),
-                         view, pop.fleet(), session);
+      FederationEngine b(testing::fedavg(init), view, pop.fleet(), session);
       b.set_selector(std::make_unique<PopulationSelector>(pop, &view));
       b.run();
 
@@ -417,15 +415,13 @@ TEST(PopulationParityTest, LazyFederationRunsOverSocketTransportToo) {
   session.seed = 7;
   session.use_fabric = true;
 
-  FederationEngine a(std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}),
-                     eager, pop.fleet(), session);
+  FederationEngine a(testing::fedavg(init), eager, pop.fleet(), session);
   a.set_selector(std::make_unique<PopulationSelector>(pop));
   a.run();
 
   session.with_socket_transport();
   PopulationDataView view(pop);
-  FederationEngine b(std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}),
-                     view, pop.fleet(), session);
+  FederationEngine b(testing::fedavg(init), view, pop.fleet(), session);
   b.set_selector(std::make_unique<PopulationSelector>(pop, &view));
   b.run();
 

@@ -266,7 +266,7 @@ TEST(SocketParityTest, FedAvgSocketLoopbackMatchesSimBitwise) {
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
 
-      FlRunConfig on_sim;
+      SessionConfig on_sim;
       on_sim.rounds = 3;
       on_sim.clients_per_round = 4;
       on_sim.local.steps = 3;
@@ -275,23 +275,23 @@ TEST(SocketParityTest, FedAvgSocketLoopbackMatchesSimBitwise) {
       on_sim.eval_clients = 6;
       on_sim.seed = seed;
       on_sim.use_fabric = true;
-      FedAvgRunner a(init, data, fleet, on_sim);
+      FederationEngine a(testing::fedavg(init), data, fleet, on_sim);
       a.run();
 
-      FlRunConfig on_socket = on_sim;
+      SessionConfig on_socket = on_sim;
       SocketOptions chunky;
       chunky.read_chunk = 11;  // exercise reassembly on every frame
       chunky.write_chunk = 9;
       on_socket.with_socket_transport(chunky);
-      FedAvgRunner b(init, data, fleet, on_socket);
+      FederationEngine b(testing::fedavg(init), data, fleet, on_socket);
       b.run();
 
       ASSERT_NE(b.fabric(), nullptr);
       EXPECT_EQ(b.fabric()->transport().name(), "socket");
       EXPECT_EQ(b.fabric()->stats().frames_rejected.load(), 0u);
 
-      auto wa = a.model().weights();
-      auto wb = b.model().weights();
+      auto wa = a.strategy_as<FedAvgStrategy>().model().weights();
+      auto wb = b.strategy_as<FedAvgStrategy>().model().weights();
       ASSERT_EQ(wa.size(), wb.size());
       for (std::size_t i = 0; i < wa.size(); ++i)
         EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0) << "tensor " << i;
@@ -323,19 +323,24 @@ TEST(SocketParityTest, FedTransSocketLoopbackMatchesSimBitwise) {
   cfg.act_window = 2;
   cfg.max_models = 3;
   cfg.seed = 13;
-  cfg.use_fabric = true;
+  SessionConfig session = SessionConfig::from(cfg);
+  session.use_fabric = true;
 
-  FedTransTrainer a(tiny_model(), data, fleet, cfg);
-  cfg.with_socket_transport();
-  FedTransTrainer b(tiny_model(), data, fleet, cfg);
+  FederationEngine a(std::make_unique<FedTransStrategy>(tiny_model(), cfg),
+                     data, fleet, session);
+  session.with_socket_transport();
+  FederationEngine b(std::make_unique<FedTransStrategy>(tiny_model(), cfg),
+                     data, fleet, session);
   a.run();
   b.run();
+  auto& fa = a.strategy_as<FedTransStrategy>();
+  auto& fb = b.strategy_as<FedTransStrategy>();
 
-  ASSERT_EQ(a.num_models(), b.num_models());
-  EXPECT_GE(a.num_models(), 2) << "transformation should have fired";
-  for (int k = 0; k < a.num_models(); ++k) {
-    auto wa = a.model(k).weights();
-    auto wb = b.model(k).weights();
+  ASSERT_EQ(fa.num_models(), fb.num_models());
+  EXPECT_GE(fa.num_models(), 2) << "transformation should have fired";
+  for (int k = 0; k < fa.num_models(); ++k) {
+    auto wa = fa.model(k).weights();
+    auto wb = fb.model(k).weights();
     ASSERT_EQ(wa.size(), wb.size());
     for (std::size_t i = 0; i < wa.size(); ++i)
       EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0)

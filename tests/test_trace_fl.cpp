@@ -5,6 +5,8 @@
 #include "fl/local_train.hpp"
 #include "fl/runner.hpp"
 #include "fl/server_opt.hpp"
+#include "harness/experiments.hpp"
+#include "test_util.hpp"
 #include "trace/device.hpp"
 
 namespace fedtrans {
@@ -115,46 +117,48 @@ TEST(LocalTrain, EmptyClientThrows) {
   EXPECT_THROW(local_train(model, empty, {}, rng), Error);
 }
 
-TEST(FedAvgRunner, LearnsSeparableTask) {
+TEST(FedAvgStrategyTest, LearnsSeparableTask) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = ample_fleet(data.num_clients());
   Rng rng(6);
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 15;
   cfg.clients_per_round = 4;
   cfg.local.steps = 10;
   cfg.local.batch = 8;
   cfg.seed = 6;
-  FedAvgRunner runner(Model(ModelSpec::conv(1, 8, 4, 4, {6}), rng), data,
-                      fleet, cfg);
-  const double acc0 = runner.mean_client_accuracy();
+  FederationEngine runner(
+      testing::fedavg(Model(ModelSpec::conv(1, 8, 4, 4, {6}), rng)), data,
+      fleet, cfg);
+  const Model& model = runner.strategy_as<FedAvgStrategy>().model();
+  const double acc0 = mean_client_accuracy(model, data);
   runner.run();
-  const double acc1 = runner.mean_client_accuracy();
+  const double acc1 = mean_client_accuracy(model, data);
   EXPECT_GT(acc1, acc0 + 0.15);
   EXPECT_GT(runner.costs().total_macs(), 0.0);
   EXPECT_EQ(runner.history().size(), 15u);
 }
 
-TEST(FedAvgRunner, CostAccountingConsistent) {
+TEST(FedAvgStrategyTest, CostAccountingConsistent) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = ample_fleet(data.num_clients());
   Rng rng(7);
   Model init(ModelSpec::conv(1, 8, 4, 4, {6}), rng);
   const double model_bytes = static_cast<double>(init.param_bytes());
   const double model_macs = static_cast<double>(init.macs());
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 3;
   cfg.clients_per_round = 4;
   cfg.local.steps = 5;
   cfg.local.batch = 6;
-  FedAvgRunner runner(std::move(init), data, fleet, cfg);
+  FederationEngine runner(testing::fedavg(std::move(init)), data, fleet, cfg);
   runner.run();
   // 3 rounds × 4 clients × (3 × macs × steps × batch).
   EXPECT_NEAR(runner.costs().total_macs(), 12 * 3 * model_macs * 5 * 6, 1.0);
   EXPECT_NEAR(runner.costs().network_bytes(), 12 * 2 * model_bytes, 1.0);
 }
 
-TEST(FedAvgRunner, RespectCapacitySkipsWeakClients) {
+TEST(FedAvgStrategyTest, RespectCapacitySkipsWeakClients) {
   auto data = FederatedDataset::generate(tiny_data());
   // All devices too weak for the model.
   std::vector<DeviceProfile> fleet(static_cast<std::size_t>(data.num_clients()));
@@ -164,22 +168,24 @@ TEST(FedAvgRunner, RespectCapacitySkipsWeakClients) {
     d.capacity_macs = 1.0;
   }
   Rng rng(8);
-  FlRunConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 2;
-  cfg.respect_capacity = true;
-  FedAvgRunner runner(Model(ModelSpec::conv(1, 8, 4, 4, {6}), rng), data,
-                      fleet, cfg);
+  FedAvgOptions opts;
+  opts.respect_capacity = true;
+  FederationEngine runner(
+      testing::fedavg(Model(ModelSpec::conv(1, 8, 4, 4, {6}), rng), opts),
+      data, fleet, cfg);
   runner.run();
   EXPECT_EQ(runner.costs().total_macs(), 0.0);
 }
 
-TEST(FedAvgRunner, SelectClientsDistinctAndBounded) {
+TEST(UniformSelectTest, SelectClientsDistinctAndBounded) {
   Rng rng(9);
-  auto sel = FedAvgRunner::select_clients(10, 4, rng);
+  auto sel = uniform_select(10, 4, rng);
   ASSERT_EQ(sel.size(), 4u);
   std::sort(sel.begin(), sel.end());
   EXPECT_EQ(std::unique(sel.begin(), sel.end()), sel.end());
-  auto all = FedAvgRunner::select_clients(3, 10, rng);
+  auto all = uniform_select(3, 10, rng);
   EXPECT_EQ(all.size(), 3u);
 }
 

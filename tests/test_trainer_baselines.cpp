@@ -7,6 +7,7 @@
 #include "baselines/hetero_fl.hpp"
 #include "baselines/split_mix.hpp"
 #include "core/trainer.hpp"
+#include "harness/experiments.hpp"
 #include "model/align.hpp"
 #include "test_util.hpp"
 
@@ -53,11 +54,19 @@ FedTransConfig fast_cfg() {
 
 ModelSpec tiny_model() { return ModelSpec::conv(1, 8, 4, 4, {6, 8}); }
 
-TEST(FedTransTrainer, SpawnsModelsWhenElbowForced) {
+std::unique_ptr<FederationEngine> fedtrans_engine(
+    const FederatedDataset& data, std::vector<DeviceProfile> fleet,
+    const FedTransConfig& cfg) {
+  return testing::make_engine<FedTransStrategy>(
+      data, std::move(fleet), SessionConfig::from(cfg), tiny_model(), cfg);
+}
+
+TEST(FedTransStrategyTest, SpawnsModelsWhenElbowForced) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  FedTransTrainer trainer(tiny_model(), data, fleet, fast_cfg());
-  trainer.run();
+  auto engine = fedtrans_engine(data, fleet, fast_cfg());
+  engine->run();
+  auto& trainer = engine->strategy_as<FedTransStrategy>();
   EXPECT_GE(trainer.num_models(), 2);
   EXPECT_EQ(trainer.transforms_done(), trainer.num_models() - 1);
   // Children are strictly larger.
@@ -65,28 +74,28 @@ TEST(FedTransTrainer, SpawnsModelsWhenElbowForced) {
     EXPECT_GT(trainer.model(i).macs(), trainer.model(i - 1).macs());
 }
 
-TEST(FedTransTrainer, NoTransformWhenDisabled) {
+TEST(FedTransStrategyTest, NoTransformWhenDisabled) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   auto cfg = fast_cfg();
   cfg.enable_transform = false;
-  FedTransTrainer trainer(tiny_model(), data, fleet, cfg);
-  trainer.run();
-  EXPECT_EQ(trainer.num_models(), 1);
+  auto engine = fedtrans_engine(data, fleet, cfg);
+  engine->run();
+  EXPECT_EQ(engine->strategy_as<FedTransStrategy>().num_models(), 1);
 }
 
-TEST(FedTransTrainer, RespectsMaxModels) {
+TEST(FedTransStrategyTest, RespectsMaxModels) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 1e9);
   auto cfg = fast_cfg();
   cfg.rounds = 20;
   cfg.max_models = 2;
-  FedTransTrainer trainer(tiny_model(), data, fleet, cfg);
-  trainer.run();
-  EXPECT_LE(trainer.num_models(), 2);
+  auto engine = fedtrans_engine(data, fleet, cfg);
+  engine->run();
+  EXPECT_LE(engine->strategy_as<FedTransStrategy>().num_models(), 2);
 }
 
-TEST(FedTransTrainer, StopsGrowingAtFleetCeiling) {
+TEST(FedTransStrategyTest, StopsGrowingAtFleetCeiling) {
   auto data = FederatedDataset::generate(tiny_data());
   // Tight fleet: even one doubling overshoots every device.
   Rng tmp(1);
@@ -97,16 +106,18 @@ TEST(FedTransTrainer, StopsGrowingAtFleetCeiling) {
     d.bandwidth_bytes_per_s = 1e6;
     d.capacity_macs = m0 * 1.05;
   }
-  FedTransTrainer trainer(tiny_model(), data, fleet, fast_cfg());
-  trainer.run();
-  EXPECT_EQ(trainer.num_models(), 1);  // child would exceed every client
+  auto engine = fedtrans_engine(data, fleet, fast_cfg());
+  engine->run();
+  // Child would exceed every client.
+  EXPECT_EQ(engine->strategy_as<FedTransStrategy>().num_models(), 1);
 }
 
-TEST(FedTransTrainer, NeverAssignsIncompatibleModels) {
+TEST(FedTransStrategyTest, NeverAssignsIncompatibleModels) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  FedTransTrainer trainer(tiny_model(), data, fleet, fast_cfg());
-  trainer.run();
+  auto engine = fedtrans_engine(data, fleet, fast_cfg());
+  engine->run();
+  auto& trainer = engine->strategy_as<FedTransStrategy>();
   auto ev = trainer.evaluate_final();
   const auto& cm = trainer.client_manager();
   for (int c = 0; c < data.num_clients(); ++c) {
@@ -116,25 +127,25 @@ TEST(FedTransTrainer, NeverAssignsIncompatibleModels) {
   }
 }
 
-TEST(FedTransTrainer, LearnsAndReportsCosts) {
+TEST(FedTransStrategyTest, LearnsAndReportsCosts) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   auto cfg = fast_cfg();
   cfg.rounds = 18;
   cfg.local.steps = 10;
-  FedTransTrainer trainer(tiny_model(), data, fleet, cfg);
-  trainer.run();
-  auto ev = trainer.evaluate_final();
+  auto engine = fedtrans_engine(data, fleet, cfg);
+  engine->run();
+  auto ev = engine->strategy_as<FedTransStrategy>().evaluate_final();
   EXPECT_GT(ev.mean_accuracy, 0.3);  // 4 classes, random = 0.25
-  EXPECT_GT(trainer.costs().total_macs(), 0.0);
-  EXPECT_GT(trainer.costs().network_bytes(), 0.0);
-  EXPECT_GT(trainer.costs().storage_bytes(), 0.0);
-  EXPECT_EQ(trainer.history().size(), 18u);
+  EXPECT_GT(engine->costs().total_macs(), 0.0);
+  EXPECT_GT(engine->costs().network_bytes(), 0.0);
+  EXPECT_GT(engine->costs().storage_bytes(), 0.0);
+  EXPECT_EQ(engine->history().size(), 18u);
   EXPECT_EQ(ev.client_accuracy.size(),
             static_cast<std::size_t>(data.num_clients()));
 }
 
-TEST(FedTransTrainer, AblationFlagsAllRun) {
+TEST(FedTransStrategyTest, AblationFlagsAllRun) {
   auto data = FederatedDataset::generate(tiny_data(8));
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   for (int variant = 0; variant < 5; ++variant) {
@@ -145,21 +156,23 @@ TEST(FedTransTrainer, AblationFlagsAllRun) {
     cfg.enable_warmup = variant < 3;
     cfg.enable_decay = variant < 4;
     cfg.enable_l2s = variant == 4;
-    FedTransTrainer trainer(tiny_model(), data, fleet, cfg);
-    EXPECT_NO_THROW(trainer.run()) << "variant " << variant;
-    EXPECT_NO_THROW(trainer.evaluate_final());
+    auto engine = fedtrans_engine(data, fleet, cfg);
+    EXPECT_NO_THROW(engine->run()) << "variant " << variant;
+    EXPECT_NO_THROW(engine->strategy_as<FedTransStrategy>().evaluate_final());
   }
 }
 
-TEST(FedTransTrainer, DeterministicForSeed) {
+TEST(FedTransStrategyTest, DeterministicForSeed) {
   auto data = FederatedDataset::generate(tiny_data(8));
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   auto cfg = fast_cfg();
   cfg.rounds = 6;
-  FedTransTrainer a(tiny_model(), data, fleet, cfg);
-  FedTransTrainer b(tiny_model(), data, fleet, cfg);
-  a.run();
-  b.run();
+  auto ea = fedtrans_engine(data, fleet, cfg);
+  auto eb = fedtrans_engine(data, fleet, cfg);
+  ea->run();
+  eb->run();
+  auto& a = ea->strategy_as<FedTransStrategy>();
+  auto& b = eb->strategy_as<FedTransStrategy>();
   EXPECT_EQ(a.num_models(), b.num_models());
   EXPECT_DOUBLE_EQ(a.evaluate_final().mean_accuracy,
                    b.evaluate_final().mean_accuracy);
@@ -170,10 +183,11 @@ TEST(FedTransTrainer, DeterministicForSeed) {
 TEST(HeteroFL, SubmodelIsPrefixCropOfGlobal) {
   auto data = FederatedDataset::generate(tiny_data(6));
   auto fleet = fleet_with_capacity(data.num_clients(), 1e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 2;
-  HeteroFLRunner runner(ModelSpec::conv(1, 8, 4, 8, {8, 16}), data, fleet,
-                        cfg);
+  auto engine = testing::make_engine<HeteroFLStrategy>(
+      data, fleet, cfg, ModelSpec::conv(1, 8, 4, 8, {8, 16}));
+  auto& runner = engine->strategy_as<HeteroFLStrategy>();
   Model sub = runner.submodel(1);  // half width
   auto pairs = align_params(sub, runner.global());
   ASSERT_FALSE(pairs.empty());
@@ -186,9 +200,10 @@ TEST(HeteroFL, SubmodelIsPrefixCropOfGlobal) {
 TEST(HeteroFL, LevelAssignmentFitsCapacity) {
   auto data = FederatedDataset::generate(tiny_data(10));
   auto fleet = fleet_with_capacity(data.num_clients(), 3e5);
-  BaselineConfig cfg;
-  HeteroFLRunner runner(ModelSpec::conv(1, 8, 4, 8, {8, 16}), data, fleet,
-                        cfg);
+  SessionConfig cfg;
+  auto engine = testing::make_engine<HeteroFLStrategy>(
+      data, fleet, cfg, ModelSpec::conv(1, 8, 4, 8, {8, 16}));
+  auto& runner = engine->strategy_as<HeteroFLStrategy>();
   for (int c = 0; c < data.num_clients(); ++c) {
     const int lvl = runner.level_for(c);
     Model sub = runner.submodel(lvl);
@@ -202,16 +217,18 @@ TEST(HeteroFL, LevelAssignmentFitsCapacity) {
 TEST(HeteroFL, TrainsAndImproves) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 2e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 12;
   cfg.clients_per_round = 5;
   cfg.local.steps = 8;
   cfg.local.batch = 8;
-  HeteroFLRunner runner(ModelSpec::conv(1, 8, 4, 6, {8, 12}), data, fleet,
-                        cfg);
-  auto before = runner.report().mean_accuracy;
-  runner.run();
-  auto rep = runner.report();
+  auto engine = testing::make_engine<HeteroFLStrategy>(
+      data, fleet, cfg, ModelSpec::conv(1, 8, 4, 6, {8, 12}));
+  auto& runner = engine->strategy_as<HeteroFLStrategy>();
+  auto before =
+      baseline_report(*engine, client_accuracy(runner, data)).mean_accuracy;
+  engine->run();
+  auto rep = baseline_report(*engine, client_accuracy(runner, data));
   EXPECT_GT(rep.mean_accuracy, before);
   EXPECT_GT(rep.costs.total_macs(), 0.0);
 }
@@ -221,9 +238,10 @@ TEST(HeteroFL, TrainsAndImproves) {
 TEST(SplitMix, BudgetClampedToBaseCount) {
   auto data = FederatedDataset::generate(tiny_data(6));
   auto fleet = fleet_with_capacity(data.num_clients(), 1e8);
-  BaselineConfig cfg;
-  SplitMixRunner runner(ModelSpec::conv(1, 8, 4, 8, {8, 16}), data, fleet,
-                        cfg, /*num_bases=*/4);
+  SessionConfig cfg;
+  auto engine = testing::make_engine<SplitMixStrategy>(
+      data, fleet, cfg, ModelSpec::conv(1, 8, 4, 8, {8, 16}), /*num_bases=*/4);
+  auto& runner = engine->strategy_as<SplitMixStrategy>();
   for (int c = 0; c < data.num_clients(); ++c) {
     EXPECT_GE(runner.budget_for(c), 1);
     EXPECT_LE(runner.budget_for(c), 4);
@@ -233,14 +251,15 @@ TEST(SplitMix, BudgetClampedToBaseCount) {
 TEST(SplitMix, TrainsAndReports) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 2e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 8;
   cfg.clients_per_round = 4;
   cfg.local.steps = 6;
-  SplitMixRunner runner(ModelSpec::conv(1, 8, 4, 8, {8, 16}), data, fleet,
-                        cfg, 4);
-  runner.run();
-  auto rep = runner.report();
+  auto engine = testing::make_engine<SplitMixStrategy>(
+      data, fleet, cfg, ModelSpec::conv(1, 8, 4, 8, {8, 16}), 4);
+  engine->run();
+  auto rep = baseline_report(
+      *engine, client_accuracy(engine->strategy_as<SplitMixStrategy>(), data));
   EXPECT_EQ(rep.client_accuracy.size(),
             static_cast<std::size_t>(data.num_clients()));
   EXPECT_GT(rep.costs.network_bytes(), 0.0);
@@ -251,8 +270,10 @@ TEST(SplitMix, TrainsAndReports) {
 TEST(Fluid, RatioRespectsCapacityGrid) {
   auto data = FederatedDataset::generate(tiny_data(8));
   auto fleet = fleet_with_capacity(data.num_clients(), 5e5);
-  BaselineConfig cfg;
-  FluidRunner runner(ModelSpec::conv(1, 8, 4, 8, {8, 16}), data, fleet, cfg);
+  SessionConfig cfg;
+  auto engine = testing::make_engine<FluidStrategy>(
+      data, fleet, cfg, ModelSpec::conv(1, 8, 4, 8, {8, 16}));
+  auto& runner = engine->strategy_as<FluidStrategy>();
   for (int c = 0; c < data.num_clients(); ++c) {
     const double r = runner.ratio_for(c);
     EXPECT_GE(r, 0.05);
@@ -263,8 +284,10 @@ TEST(Fluid, RatioRespectsCapacityGrid) {
 TEST(Fluid, ExtractFullRatioEqualsGlobal) {
   auto data = FederatedDataset::generate(tiny_data(6));
   auto fleet = fleet_with_capacity(data.num_clients(), 1e9);
-  BaselineConfig cfg;
-  FluidRunner runner(ModelSpec::conv(1, 8, 4, 6, {8, 12}), data, fleet, cfg);
+  SessionConfig cfg;
+  auto engine = testing::make_engine<FluidStrategy>(
+      data, fleet, cfg, ModelSpec::conv(1, 8, 4, 6, {8, 12}));
+  auto& runner = engine->strategy_as<FluidStrategy>();
   // Every client's ratio is 1.0 under this fleet: extraction = identity.
   Rng rng(3);
   Tensor x({2, 1, 8, 8});
@@ -273,30 +296,37 @@ TEST(Fluid, ExtractFullRatioEqualsGlobal) {
   for (int c = 0; c < 2; ++c) {
     ASSERT_DOUBLE_EQ(runner.ratio_for(c), 1.0);
   }
-  runner.run_round();  // also exercises merge with full coverage
-  EXPECT_EQ(runner.report().client_accuracy.size(),
+  engine->run_round();  // also exercises merge with full coverage
+  EXPECT_EQ(baseline_report(*engine, client_accuracy(runner, data))
+                .client_accuracy.size(),
             static_cast<std::size_t>(data.num_clients()));
 }
 
 TEST(Fluid, TrainsAndImproves) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 2e6);
-  BaselineConfig cfg;
+  SessionConfig cfg;
   cfg.rounds = 12;
   cfg.clients_per_round = 5;
   cfg.local.steps = 8;
-  FluidRunner runner(ModelSpec::conv(1, 8, 4, 6, {8, 12}), data, fleet, cfg);
-  auto before = runner.report().mean_accuracy;
-  runner.run();
-  EXPECT_GT(runner.report().mean_accuracy, before);
+  auto engine = testing::make_engine<FluidStrategy>(
+      data, fleet, cfg, ModelSpec::conv(1, 8, 4, 6, {8, 12}));
+  auto& runner = engine->strategy_as<FluidStrategy>();
+  auto before =
+      baseline_report(*engine, client_accuracy(runner, data)).mean_accuracy;
+  engine->run();
+  EXPECT_GT(
+      baseline_report(*engine, client_accuracy(runner, data)).mean_accuracy,
+      before);
 }
 
 TEST(Fluid, RejectsNonConvModels) {
   auto data = FederatedDataset::generate(tiny_data(6));
   auto fleet = fleet_with_capacity(data.num_clients(), 1e6);
-  BaselineConfig cfg;
-  EXPECT_THROW(
-      FluidRunner(ModelSpec::mlp(64, 4, 8, {16}), data, fleet, cfg), Error);
+  SessionConfig cfg;
+  EXPECT_THROW(testing::make_engine<FluidStrategy>(
+                   data, fleet, cfg, ModelSpec::mlp(64, 4, 8, {16})),
+               Error);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Integration tests for FedTransTrainer with the extension knobs: pluggable
+// Integration tests for FedTrans sessions with the extension knobs: pluggable
 // participant selection and alternative server optimizers, plus checkpoint
 // interaction with a stateful selector.
 
@@ -53,13 +53,21 @@ FedTransConfig fast_cfg() {
 
 ModelSpec tiny_model() { return ModelSpec::conv(1, 8, 4, 4, {6, 8}); }
 
+std::unique_ptr<FederationEngine> fedtrans_engine(
+    const FederatedDataset& data, std::vector<DeviceProfile> fleet,
+    const FedTransConfig& cfg, SelectorKind selector = SelectorKind::Uniform) {
+  return testing::make_engine<FedTransStrategy>(
+      data, std::move(fleet),
+      SessionConfig::from(cfg).with_selector(selector), tiny_model(), cfg);
+}
+
 TEST(TrainerSelectorTest, OortSelectorTrainsAndTransforms) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   auto cfg = fast_cfg();
-  cfg.selector = SelectorKind::Oort;
-  FedTransTrainer trainer(tiny_model(), data, fleet, cfg);
-  trainer.run();
+  auto engine = fedtrans_engine(data, fleet, cfg, SelectorKind::Oort);
+  engine->run();
+  auto& trainer = engine->strategy_as<FedTransStrategy>();
   EXPECT_GE(trainer.num_models(), 2);
   auto ev = trainer.evaluate_final();
   EXPECT_GT(ev.mean_accuracy, 0.0);
@@ -70,15 +78,14 @@ TEST(TrainerSelectorTest, SelectorChangesParticipantTrajectory) {
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   auto uniform_cfg = fast_cfg();
   auto oort_cfg = fast_cfg();
-  oort_cfg.selector = SelectorKind::Oort;
-  FedTransTrainer a(tiny_model(), data, fleet, uniform_cfg);
-  FedTransTrainer b(tiny_model(), data, fleet, oort_cfg);
-  a.run();
-  b.run();
+  auto a = fedtrans_engine(data, fleet, uniform_cfg);
+  auto b = fedtrans_engine(data, fleet, oort_cfg, SelectorKind::Oort);
+  a->run();
+  b->run();
   // Different selection → different training trajectories (loss history).
   bool differs = false;
-  for (std::size_t i = 0; i < a.history().size() && !differs; ++i)
-    differs = a.history()[i].avg_loss != b.history()[i].avg_loss;
+  for (std::size_t i = 0; i < a->history().size() && !differs; ++i)
+    differs = a->history()[i].avg_loss != b->history()[i].avg_loss;
   EXPECT_TRUE(differs);
 }
 
@@ -86,23 +93,22 @@ TEST(TrainerSelectorTest, CheckpointRoundTripsOortState) {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   auto cfg = fast_cfg();
-  cfg.selector = SelectorKind::Oort;
 
-  FedTransTrainer ref(tiny_model(), data, fleet, cfg);
-  for (int r = 0; r < 5; ++r) ref.run_round();
+  auto ref = fedtrans_engine(data, fleet, cfg, SelectorKind::Oort);
+  for (int r = 0; r < 5; ++r) ref->run_round();
   std::stringstream ss;
-  ref.save_checkpoint(ss);
-  for (int r = 0; r < 5; ++r) ref.run_round();
+  ref->save_checkpoint(ss);
+  for (int r = 0; r < 5; ++r) ref->run_round();
 
-  FedTransTrainer resumed(tiny_model(), data, fleet, cfg);
-  resumed.load_checkpoint(ss);
-  for (int r = 0; r < 5; ++r) resumed.run_round();
+  auto resumed = fedtrans_engine(data, fleet, cfg, SelectorKind::Oort);
+  resumed->load_checkpoint(ss);
+  for (int r = 0; r < 5; ++r) resumed->run_round();
 
   // Oort's exploration state must be part of the checkpoint, or the resumed
   // trajectory diverges. Compare loss histories exactly.
-  ASSERT_EQ(ref.history().size(), resumed.history().size());
-  for (std::size_t i = 0; i < ref.history().size(); ++i)
-    EXPECT_EQ(ref.history()[i].avg_loss, resumed.history()[i].avg_loss)
+  ASSERT_EQ(ref->history().size(), resumed->history().size());
+  for (std::size_t i = 0; i < ref->history().size(); ++i)
+    EXPECT_EQ(ref->history()[i].avg_loss, resumed->history()[i].avg_loss)
         << "round " << i;
 }
 
@@ -111,11 +117,11 @@ TEST(TrainerServerOptTest, FedAdamComposesWithFedTrans) {
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   auto cfg = fast_cfg();
   cfg.server_opt = ServerOptKind::FedAdam;
-  FedTransTrainer trainer(tiny_model(), data, fleet, cfg);
-  trainer.run();
-  EXPECT_GE(trainer.num_models(), 2);
+  auto engine = fedtrans_engine(data, fleet, cfg);
+  engine->run();
+  EXPECT_GE(engine->strategy_as<FedTransStrategy>().num_models(), 2);
   // Loss must broadly decrease from the first to the last third of rounds.
-  const auto& h = trainer.history();
+  const auto& h = engine->history();
   double early = 0.0, late = 0.0;
   const std::size_t third = h.size() / 3;
   for (std::size_t i = 0; i < third; ++i) early += h[i].avg_loss;
@@ -133,9 +139,9 @@ TEST(TrainerServerOptTest, EveryServerOptKindRunsToCompletion) {
     auto cfg = fast_cfg();
     cfg.rounds = 4;
     cfg.server_opt = kind;
-    FedTransTrainer trainer(tiny_model(), data, fleet, cfg);
-    trainer.run();
-    EXPECT_EQ(trainer.rounds_done(), 4) << server_opt_name(kind);
+    auto engine = fedtrans_engine(data, fleet, cfg);
+    engine->run();
+    EXPECT_EQ(engine->rounds_done(), 4) << server_opt_name(kind);
   }
 }
 

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <utility>
 
+#include "fl/engine.hpp"
+#include "fl/runner.hpp"
 #include "nn/layer.hpp"
 
 namespace fedtrans::testing {
@@ -70,6 +74,23 @@ inline double max_abs_diff(const Tensor& a, const Tensor& b) {
   for (std::int64_t i = 0; i < a.numel(); ++i)
     m = std::max(m, std::fabs(static_cast<double>(a[i]) - b[i]));
   return m;
+}
+
+/// FedAvg over a copy of `init` — the strategy most tests run.
+inline std::unique_ptr<FedAvgStrategy> fedavg(const Model& init,
+                                              const FedAvgOptions& opts = {}) {
+  return std::make_unique<FedAvgStrategy>(init, opts);
+}
+
+/// A session over `data`/`fleet` running a strategy S built from `args`.
+template <typename S, typename... Args>
+std::unique_ptr<FederationEngine> make_engine(const ClientDataProvider& data,
+                                              std::vector<DeviceProfile> fleet,
+                                              const SessionConfig& cfg,
+                                              Args&&... args) {
+  return std::make_unique<FederationEngine>(
+      std::make_unique<S>(std::forward<Args>(args)...), data, std::move(fleet),
+      cfg);
 }
 
 }  // namespace fedtrans::testing

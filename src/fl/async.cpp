@@ -25,7 +25,8 @@ std::optional<double> FedBuffStrategy::absorb_async(int, LocalTrainResult& res,
   loss_accum_ += res.avg_loss;
   ++loss_count_;
 
-  const double model_bytes = static_cast<double>(model_.param_bytes());
+  const double model_bytes = static_cast<double>(model_.param_bytes()) *
+                             wire_dtype_scale(ctx.session);
   ctx.costs.add_training_macs(res.macs_used);
   ctx.costs.add_transfer(model_bytes, model_bytes);
 

@@ -8,10 +8,11 @@
 
 namespace fedtrans {
 
-/// Byzantine client behavior, applied identically on every training path —
-/// the in-process engine, ClientAgent workers on the fabric, and the async
-/// fabric — so adversarial runs replay bit-identically whichever path
-/// executes them (see docs/robustness.md for the threat model).
+/// Byzantine client behavior, applied identically at both train sites —
+/// the engine's in-process path and the fabric's ClientAgent, each serving
+/// synchronous rounds and async dispatches — so adversarial runs replay
+/// bit-identically whichever path executes them (see docs/robustness.md
+/// for the threat model).
 ///
 /// Whether a client attacks is the pure (seed, round, client) draw
 /// `byzantine_client` (net/transport.hpp); *how* it attacks is

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <queue>
 #include <unordered_map>
 
 #include "common/check.hpp"
@@ -27,15 +28,6 @@ class CallbackObserver : public RoundObserver {
   std::function<void(const RoundRecord&)> fn_;
 };
 
-/// Wire width of a weight payload relative to fp32: 0.5 in mixed-precision
-/// sessions (tensors ship 2 bytes/element), 1 otherwise. Strategies quote
-/// model_bytes as fp32 param_bytes; billing rescales here so CostMeter
-/// matches what actually crosses the (real or simulated) wire.
-double wire_dtype_scale(const SessionConfig& cfg) {
-  const Precision& p = cfg.local.precision;
-  return p.enabled() ? static_cast<double>(dtype_bytes(p.dtype)) / 4.0 : 1.0;
-}
-
 /// Snap a weight copy onto the session's storage grid so its fabric
 /// serialization is half-width (and exactly what local_train would produce
 /// by quantizing on entry — keeping fabric and in-process rounds in parity).
@@ -46,6 +38,11 @@ WeightSet quantized_for_wire(WeightSet ws, const Precision& p) {
 }
 
 }  // namespace
+
+double wire_dtype_scale(const SessionConfig& cfg) {
+  const Precision& p = cfg.local.precision;
+  return p.enabled() ? static_cast<double>(dtype_bytes(p.dtype)) / 4.0 : 1.0;
+}
 
 void bill_trained_update(RoundContext& ctx, int client, double model_bytes,
                          double model_macs, const LocalTrainResult& res,
@@ -115,6 +112,7 @@ FederationEngine::FederationEngine(std::unique_ptr<Strategy> strategy,
   FT_CHECK_MSG(strategy_ != nullptr, "engine requires a strategy");
   FT_CHECK_MSG(static_cast<int>(fleet_.size()) == data_.num_clients(),
                "fleet size must match client count");
+  validate_topology(cfg_.topology);
   // Validate the partial-aggregation/strategy combination here, at session
   // build time, instead of letting the first round throw: a numeric tree
   // can only pre-sum weighted-linear-sum reductions. Strategies that
@@ -133,12 +131,6 @@ FederationEngine::FederationEngine(std::unique_ptr<Strategy> strategy,
                "compose with aggregation trees of any depth — or pick a "
                "linear strategy (FedAvg without compression, FedTrans, "
                "HeteroFL).");
-  FT_CHECK_MSG(
-      cfg_.topology.quantize_partials == PartialQuant::None ||
-          cfg_.topology.partial_aggregation,
-      "SessionConfig: topology.quantize_partials needs "
-      "topology.partial_aggregation — verbatim bundles must stay bit-exact, "
-      "only numeric group sums may be quantized on the wire");
   if (cfg_.mode == SessionMode::Async)
     FT_CHECK_MSG(cfg_.async.concurrency > 0 && cfg_.async.buffer_size > 0 &&
                      cfg_.async.aggregations > 0 &&
@@ -174,6 +166,25 @@ RoundContext FederationEngine::make_context() {
                       rng_,  round_, 0,      0};
 }
 
+FederationServer& FederationEngine::server() {
+  if (!fabric_)
+    fabric_ = std::make_unique<FederationServer>(
+        strategy_->reference_model(), data_, fleet_, cfg_.local,
+        cfg_.fabric_faults, cfg_.topology, cfg_.transport, cfg_.socket);
+  return *fabric_;
+}
+
+LocalTrainResult FederationEngine::train_locally(Model& model, int client,
+                                                 Rng& rng,
+                                                 std::uint32_t round) const {
+  // Byzantine behavior is a *client* property (drawn per (seed, round,
+  // client)), so it applies here exactly as it does on the fabric —
+  // keeping adversarial runs path-independent.
+  return byzantine_local_train(model, data_.client(client),
+                               data_.num_classes(), cfg_.local, rng,
+                               cfg_.fabric_faults, round, client);
+}
+
 bool FederationEngine::numeric_rounds() const {
   if (!cfg_.use_fabric || !cfg_.topology.partial_aggregation ||
       cfg_.topology.levels < 2 || cfg_.mode != SessionMode::Sync)
@@ -196,10 +207,7 @@ ExchangeResult FederationEngine::exchange(
     // receipt and upload UpdateUp. The fixed-order reduction in run_round
     // is shared with the in-process path, so a fault-free fabric round is
     // bitwise identical to it — for every strategy.
-    if (!fabric_)
-      fabric_ = std::make_unique<FederationServer>(
-          strategy_->reference_model(), data_, fleet_, cfg_.local,
-          cfg_.fabric_faults, cfg_.topology, cfg_.transport, cfg_.socket);
+    FederationServer& fabric = server();
     std::vector<int> clients;
     clients.reserve(tasks.size());
     for (const ClientTask& t : tasks) clients.push_back(t.client);
@@ -216,7 +224,7 @@ ExchangeResult FederationEngine::exchange(
     if (Model* shared = strategy_->shared_model()) {
       // Single-global-model strategies broadcast one encoded weight blob
       // (snapped to the session's storage grid for half-width ModelDown).
-      ex = fabric_->run_round(
+      ex = fabric.run_round(
           static_cast<std::uint32_t>(round_),
           quantized_for_wire(shared->weights(), cfg_.local.precision), clients,
           client_rngs, reduce_keys);
@@ -246,8 +254,8 @@ ExchangeResult FederationEngine::exchange(
         task_models[i] = m;
         ptrs.push_back(m);
       }
-      ex = fabric_->run_round(static_cast<std::uint32_t>(round_), ptrs,
-                              clients, client_rngs, reduce_keys);
+      ex = fabric.run_round(static_cast<std::uint32_t>(round_), ptrs,
+                            clients, client_rngs, reduce_keys);
     }
     // Retry-policy resends and leaf-failover redirects are real network
     // traffic the strategies never see (they bill one down + one up per
@@ -280,23 +288,14 @@ ExchangeResult FederationEngine::exchange(
       [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t i = lo; i < hi; ++i) {
           const auto idx = static_cast<std::size_t>(i);
-          // Byzantine behavior is a *client* property (drawn per (seed,
-          // round, client)), so it applies on this path exactly as it does
-          // on the fabric — keeping adversarial runs path-independent.
-          if (shared != nullptr) {
-            Model local = *shared;
-            ex.results[idx] = byzantine_local_train(
-                local, data_.client(tasks[idx].client), data_.num_classes(),
-                cfg_.local, client_rngs[idx], cfg_.fabric_faults,
-                static_cast<std::uint32_t>(round_), tasks[idx].client);
-          } else {
-            payloads[idx].emplace(strategy_->client_payload(tasks[idx]));
-            ex.results[idx] = byzantine_local_train(
-                *payloads[idx], data_.client(tasks[idx].client),
-                data_.num_classes(), cfg_.local, client_rngs[idx],
-                cfg_.fabric_faults, static_cast<std::uint32_t>(round_),
-                tasks[idx].client);
-          }
+          std::optional<Model> transient;
+          Model& local = shared != nullptr
+                             ? transient.emplace(*shared)
+                             : payloads[idx].emplace(
+                                   strategy_->client_payload(tasks[idx]));
+          ex.results[idx] =
+              train_locally(local, tasks[idx].client, client_rngs[idx],
+                            static_cast<std::uint32_t>(round_));
         }
       });
   for (std::size_t i = 0; i < tasks.size(); ++i)
@@ -450,86 +449,20 @@ void FederationEngine::run() {
   maybe_write_run_report_env(*this);
 }
 
-void FederationEngine::dispatch_async() {
-  const int c = rng_.uniform_int(0, data_.num_clients() - 1);
-  const DeviceProfile& dev = fleet_[static_cast<std::size_t>(c)];
-  Model* m = strategy_->shared_model();
-  FT_CHECK_MSG(m != nullptr,
-               "async scheduling requires a shared-model strategy");
-  const double model_bytes = static_cast<double>(m->param_bytes()) *
-                             wire_dtype_scale(cfg_);
-  const double t =
-      client_round_time_s(dev, static_cast<double>(m->macs()),
-                          cfg_.local.steps, cfg_.local.batch, model_bytes);
-  in_flight_.push(InFlight{now_s_ + t, c, version_, next_async_job_++});
-  costs_.add_client_round_time(t);
-}
-
 void FederationEngine::run_async() {
-  if (cfg_.use_fabric) {
-    run_async_fabric();
-    return;
-  }
-  RoundContext ctx = make_context();
-  for (int i = 0; i < cfg_.async.concurrency; ++i) dispatch_async();
-  while (version_ < cfg_.async.aggregations) {
-    FT_CHECK_MSG(!in_flight_.empty(), "async scheduler starved");
-    const InFlight job = in_flight_.top();
-    in_flight_.pop();
-    now_s_ = job.finish_s;
-
-    // The client trains from the weights it downloaded at dispatch time.
-    // The simulation trains lazily at completion instead of keeping
-    // per-client snapshots; staleness enters through the FedBuff discount.
-    Model local = strategy_->client_payload(ClientTask{job.client, 0});
-    Rng crng = rng_.fork();
-    LocalTrainResult res = byzantine_local_train(
-        local, data_.client(job.client), data_.num_classes(), cfg_.local,
-        crng, cfg_.fabric_faults, job.job, job.client);
-
-    const int staleness = version_ - job.version;
-    staleness_sum_ += staleness;
-    ++async_updates_;
-    const double discount =
-        std::pow(1.0 + staleness, -cfg_.async.staleness_exponent);
-
-    ctx.round = version_;
-    const auto shipped =
-        strategy_->absorb_async(job.client, res, discount, ctx);
-    if (shipped.has_value()) {
-      ++version_;
-      RoundRecord rec;
-      rec.round = version_;
-      rec.avg_loss = *shipped;
-      rec.cum_macs = costs_.total_macs();
-      rec.round_time_s = now_s_;  // wall-clock at which this version shipped
-      FT_VSPAN_ARG("engine", "version_shipped", now_s_, 0.0, kTrackEngine,
-                   "version", version_);
-      maybe_probe(version_, ctx, rec);
-      history_.push_back(rec);
-      for (RoundObserver* obs : observers_) obs->on_round_end(rec);
-    }
-    dispatch_async();
-  }
-}
-
-void FederationEngine::run_async_fabric() {
-  // FedBuff over real messages: every dispatch is a wire-level ModelDown /
-  // UpdateUp round trip through the FederationServer, and the event loop
-  // orders completions by the *server-side delivery instant* of each
-  // UpdateUp — uplink latency, retries and reordering all shift when an
-  // update is folded in, unlike the in-process approximation (which orders
-  // by client finish time and forks Rngs at completion; the two modes are
-  // deliberately distinct simulations, not bitwise twins). The staleness
-  // here is also more faithful: weights ride the ModelDown frame, so a
-  // client trains on the snapshot it downloaded at dispatch time.
+  // FedBuff's event loop. Every dispatch trains at once, on the weights
+  // the client downloaded, and the loop folds its update in when it
+  // reaches the server — staleness enters through the FedBuff discount.
+  // In-process, the update arrives one simulated client round time after
+  // dispatch. Over the fabric, each dispatch is a wire-level ModelDown /
+  // UpdateUp round trip through the FederationServer and the update
+  // arrives at the server-side delivery instant of its UpdateUp (uplink
+  // latency, retries and reordering all shift it); one the server has not
+  // received within the ack-timeout deadline is lost and the client
+  // replaced.
   Model* shared = strategy_->shared_model();
   FT_CHECK_MSG(shared != nullptr,
                "async scheduling requires a shared-model strategy");
-  if (!fabric_)
-    fabric_ = std::make_unique<FederationServer>(
-        strategy_->reference_model(), data_, fleet_, cfg_.local,
-        cfg_.fabric_faults, cfg_.topology, cfg_.transport, cfg_.socket);
   RoundContext ctx = make_context();
   const double model_bytes = static_cast<double>(shared->param_bytes()) *
                              wire_dtype_scale(cfg_);
@@ -542,7 +475,7 @@ void FederationEngine::run_async_fabric() {
       cfg_.topology.ack_timeout_s;
 
   // One pending server-side event per in-flight client: either the arrival
-  // of its UpdateUp, or the ack-timeout at which the server gives up on it
+  // of its update, or the ack-timeout at which the server gives up on it
   // (the update was lost despite retries, or lands too late to count).
   struct Pending {
     double t = 0.0;
@@ -565,10 +498,25 @@ void FederationEngine::run_async_fabric() {
 
   auto dispatch = [&] {
     const int c = rng_.uniform_int(0, data_.num_clients() - 1);
+    // The dispatch-order job id keys the client's Byzantine draw and, over
+    // the fabric, its frames.
+    const std::uint32_t job = next_job++;
     Rng crng = rng_.fork();
-    AsyncTurnaround turn = fabric_->async_exchange(
-        next_job, c, quantized_for_wire(shared->weights(), cfg_.local.precision),
-        crng, now_s_);
+    AsyncTurnaround turn;
+    if (cfg_.use_fabric) {
+      turn = server().async_exchange(
+          job, c, quantized_for_wire(shared->weights(), cfg_.local.precision),
+          crng, now_s_);
+    } else {
+      Model local = *shared;
+      turn.res = train_locally(local, c, crng, job);
+      turn.outcome = ClientOutcome::Trained;
+      turn.busy_s = client_round_time_s(
+          fleet_[static_cast<std::size_t>(c)],
+          static_cast<double>(shared->macs()), cfg_.local.steps,
+          cfg_.local.batch, model_bytes);
+      turn.update_at_s = now_s_ + turn.busy_s;
+    }
     if (turn.retry_up_bytes > 0.0)
       costs_.add_transfer(0.0, turn.retry_up_bytes);
     costs_.add_client_round_time(turn.busy_s);
@@ -576,11 +524,13 @@ void FederationEngine::run_async_fabric() {
     // next shipped version's record, mirroring the sync path's accounting.
     if (turn.failed_over) ++failovers_since_ship;
     Pending p;
-    p.job = next_job++;
+    p.job = job;
     p.client = c;
     p.version = version_;
+    // The ack-timeout deadline is a fabric policy: in-process updates
+    // always arrive.
     if (turn.outcome == ClientOutcome::Trained &&
-        turn.update_at_s <= now_s_ + deadline_s) {
+        (!cfg_.use_fabric || turn.update_at_s <= now_s_ + deadline_s)) {
       p.arrival = true;
       p.t = turn.update_at_s;
       p.res = std::move(turn.res);

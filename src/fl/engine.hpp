@@ -4,7 +4,6 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -54,6 +53,11 @@ void bill_trained_update(RoundContext& ctx, int client, double model_bytes,
                          double& slowest, double up_bytes = -1.0);
 void bill_lost_update(RoundContext& ctx, ClientOutcome outcome,
                       double model_bytes, double model_macs);
+/// Wire width of a weight payload relative to fp32: 0.5 in mixed-precision
+/// sessions (tensors ship 2 bytes/element), 1 otherwise. Strategies quote
+/// model bytes as fp32 param_bytes; billing rescales by this so CostMeter
+/// matches what actually crosses the (real or simulated) wire.
+double wire_dtype_scale(const SessionConfig& cfg);
 
 /// Observer of engine progress. Observers are non-owning and invoked in
 /// registration order after each round (or, in async mode, after each
@@ -285,12 +289,17 @@ class FederationEngine {
 
  private:
   RoundContext make_context();
+  /// FedBuff's event loop, in-process or over the fabric: each dispatched
+  /// client trains at once on the weights it downloaded, and its update is
+  /// folded in when it reaches the server.
   void run_async();
-  /// FedBuff's event loop over real fabric messages: completions are
-  /// ordered by the server-side delivery instant of each UpdateUp, lost
-  /// updates hit an ack-timeout and are replaced.
-  void run_async_fabric();
-  void dispatch_async();
+  /// The fabric server, built on first use (so transport and socket setup
+  /// stays out of engine construction).
+  FederationServer& server();
+  /// In-process client training: what a ClientAgent does on receipt of its
+  /// ModelDown, minus the wire.
+  LocalTrainResult train_locally(Model& model, int client, Rng& rng,
+                                 std::uint32_t round) const;
   /// Periodic accuracy probe shared by both modes: fills rec.accuracy when
   /// eval_every divides `tick` (the round in sync mode, the shipped server
   /// version in async mode).
@@ -319,20 +328,7 @@ class FederationEngine {
   std::vector<std::unique_ptr<RoundObserver>> owned_observers_;
   int round_ = 0;
 
-  // Async-mode scheduling state: the completion-ordered queue of in-flight
-  // client trainings.
-  struct InFlight {
-    double finish_s = 0.0;
-    int client = 0;
-    int version = 0;  // server version the client started from
-    /// Dispatch-order job id — the Byzantine draw's round key, matching the
-    /// fabric async path (which keys draws on its job counter).
-    std::uint32_t job = 0;
-    bool operator>(const InFlight& o) const { return finish_s > o.finish_s; }
-  };
-  std::priority_queue<InFlight, std::vector<InFlight>, std::greater<>>
-      in_flight_;
-  std::uint32_t next_async_job_ = 0;
+  // Async-mode progress.
   double now_s_ = 0.0;
   int version_ = 0;
   std::int64_t async_updates_ = 0;

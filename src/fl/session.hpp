@@ -89,7 +89,8 @@ struct FabricTopology {
   /// `branching` children on the tier below (0 = auto: ceil square-ish
   /// root so the tiers shrink evenly).
   int branching = 0;
-  /// Numeric leaf/interior reduction (see above). Ignored when levels < 2.
+  /// Numeric leaf/interior reduction (see above). An error when
+  /// levels < 2: a flat fabric has no aggregators to reduce at.
   bool partial_aggregation = false;
   /// Quantize reduced PartialUp group sums on the wire (requires
   /// partial_aggregation — the engine fails loudly otherwise).

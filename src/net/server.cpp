@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -119,6 +120,70 @@ bool send_with_retry(Transport& net, std::int32_t src, std::int32_t dst,
     }
   }
   return false;
+}
+
+/// Drain `node`'s mailbox, handing every frame `decode` parses to `use`
+/// along with its envelope. An undecodable frame is treated as loss, but
+/// counted: the transport never corrupts bytes, so frames_rejected > 0
+/// means a codec bug (asserted 0 in tests).
+template <typename Decode, typename Use>
+void for_each_decoded(Transport& net, std::int32_t node, Decode&& decode,
+                      Use&& use) {
+  for (Envelope& env : net.drain(node)) {
+    decltype(decode(env.frame)) msg;
+    try {
+      msg = decode(env.frame);
+    } catch (const Error&) {
+      net.stats_mutable().frames_rejected.fetch_add(1,
+                                                    std::memory_order_relaxed);
+      continue;
+    }
+    use(msg, env);
+  }
+}
+
+/// The PartialUp bundles in `node`'s mailbox for `round`, first arrival per
+/// (sender, partition) — duplicate deliveries dedup at bundle granularity;
+/// Ack/Abort frames are bookkeeping only. `last_s` advances to the latest
+/// kept delivery instant.
+std::vector<PartialUpdate> drain_bundles(Transport& net, std::int32_t node,
+                                         std::uint32_t round,
+                                         double& last_s) {
+  std::vector<PartialUpdate> bundles;
+  std::set<std::pair<std::int32_t, std::int32_t>> seen;
+  for_each_decoded(
+      net, node,
+      [](const std::string& frame) -> std::optional<PartialUpdate> {
+        if (frame_type(frame) != MsgType::PartialUp) return std::nullopt;
+        return decode_partial_up(frame);
+      },
+      [&](std::optional<PartialUpdate>& p, const Envelope& env) {
+        if (!p || p->round != round) return;
+        if (!seen.insert({p->sender, p->shard}).second) return;
+        last_s = std::max(last_s, env.deliver_at_s);
+        bundles.push_back(std::move(*p));
+      });
+  return bundles;
+}
+
+/// A frame one async round trip waits for, and its delivery instant.
+struct Arrival {
+  FabricMessage msg;
+  double at_s = 0.0;
+};
+
+/// Drain `node`'s mailbox for the first `type` frame of async job `job`
+/// (later copies are duplicates); nullopt when none arrived.
+std::optional<Arrival> first_arrival(Transport& net, std::int32_t node,
+                                     std::uint32_t job, MsgType type) {
+  std::optional<Arrival> first;
+  for_each_decoded(
+      net, node, [](const std::string& frame) { return decode_message(frame); },
+      [&](FabricMessage& msg, const Envelope& env) {
+        if (first || msg.round != job || msg.type != type) return;
+        first = Arrival{std::move(msg), env.deliver_at_s};
+      });
+  return first;
 }
 
 /// The [slot][spec][weights] head shared by every ModelDown payload: the
@@ -291,35 +356,30 @@ void ClientAgent::poll(std::uint32_t round, const Model& prototype,
   std::map<std::int32_t, FabricMessage> downs;  // task -> first ModelDown
   std::map<std::int32_t, double> down_at_s;
 
-  for (Envelope& env : net.drain(id_)) {
-    FabricMessage msg;
-    try {
-      msg = decode_message(env.frame, prev ? &prev->weights : nullptr,
-                           prev ? prev->version : 0);
-    } catch (const Error&) {
-      // Treated as loss, but counted: the transport never corrupts bytes,
-      // so frames_rejected > 0 means a codec bug (asserted 0 in tests).
-      net.stats_mutable().frames_rejected.fetch_add(
-          1, std::memory_order_relaxed);
-      continue;
-    }
-    if (msg.round != round) continue;
-    if (msg.type == MsgType::JoinRound) {
-      if (invited.insert(msg.task).second) {
-        FabricMessage ack;
-        ack.type = MsgType::Ack;
-        ack.round = round;
-        ack.sender = id_;
-        ack.receiver = msg.sender;
-        net.send(id_, msg.sender, encode_message(ack), env.deliver_at_s);
-      }
-    } else if (msg.type == MsgType::ModelDown) {
-      if (downs.find(msg.task) == downs.end()) {
-        down_at_s[msg.task] = env.deliver_at_s;
-        downs.emplace(msg.task, std::move(msg));
-      }
-    }
-  }
+  for_each_decoded(
+      net, id_,
+      [&prev](const std::string& frame) {
+        return decode_message(frame, prev ? &prev->weights : nullptr,
+                              prev ? prev->version : 0);
+      },
+      [&](FabricMessage& msg, const Envelope& env) {
+        if (msg.round != round) return;
+        if (msg.type == MsgType::JoinRound) {
+          if (invited.insert(msg.task).second) {
+            FabricMessage ack;
+            ack.type = MsgType::Ack;
+            ack.round = round;
+            ack.sender = id_;
+            ack.receiver = msg.sender;
+            net.send(id_, msg.sender, encode_message(ack), env.deliver_at_s);
+          }
+        } else if (msg.type == MsgType::ModelDown) {
+          if (downs.find(msg.task) == downs.end()) {
+            down_at_s[msg.task] = env.deliver_at_s;
+            downs.emplace(msg.task, std::move(msg));
+          }
+        }
+      });
 
   // Mid-round dropout is a per-(round, client) device event: if it fires,
   // every task trains (burning real compute) and then vanishes unsent.
@@ -334,58 +394,13 @@ void ClientAgent::poll(std::uint32_t round, const Model& prototype,
     if (invited.find(task) == invited.end()) continue;
     if (task < 0 || task >= static_cast<std::int32_t>(outcomes.size()))
       continue;
-
-    // Train exactly as the in-process path would: the payload architecture
-    // (prototype or on-the-wire spec), the weights, and the coordinator-
-    // forked Rng all arrived on the wire.
-    Rng spawn(0);  // init weights are overwritten below
-    Model local = msg.spec_text.empty()
-                      ? prototype
-                      : Model(ModelSpec::deserialize(msg.spec_text), spawn);
-    local.set_weights(msg.weights);
-    Rng rng;
-    rng.set_state(msg.rng_state);
-    LocalTrainResult res =
-        byzantine_local_train(local, data_->client(id_), data_->num_classes(),
-                              local_, rng, net.faults(), round, id_);
-
-    const double compute_s =
-        res.macs_used / net.device(id_).compute_macs_per_s;
-    const double done_s = down_at_s[task] + compute_s;
-    // The device's train window on the simulated timeline: model arrival
-    // to upload-ready, on the client's own track.
-    FT_VSPAN_ARG("client", "train", down_at_s[task], compute_s,
-                 kTrackClients + id_, "task", task);
+    const TaskRun run =
+        train_and_upload(msg, down_at_s[task], prototype, net, "task",
+                         static_cast<std::uint32_t>(task));
     trained_any = true;
-    last_done_s = std::max(last_done_s, done_s);
+    last_done_s = std::max(last_done_s, run.done_s);
     coordinators.insert(msg.sender);
-
-    if (dropped_out) {
-      outcomes[static_cast<std::size_t>(task)] = ClientOutcome::Dropout;
-      continue;
-    }
-
-    // Upload to the coordinator that sent the model (the root, or the
-    // shard aggregator owning this slot), resending a lost frame under the
-    // retry policy. A dropped-out device never retries — it is gone.
-    FabricMessage up;
-    up.type = MsgType::UpdateUp;
-    up.round = round;
-    up.sender = id_;
-    up.receiver = msg.sender;
-    up.task = task;
-    up.weights = std::move(res.delta);
-    up.avg_loss = res.avg_loss;
-    up.num_samples = res.num_samples;
-    up.macs_used = res.macs_used;
-    const bool delivered = send_with_retry(
-        net, id_, msg.sender, done_s, policy_, /*downlink=*/false,
-        [&up](std::uint8_t flags) {
-          up.flags = flags;
-          return encode_message(up);
-        });
-    outcomes[static_cast<std::size_t>(task)] =
-        delivered ? ClientOutcome::Trained : ClientOutcome::LostUp;
+    outcomes[static_cast<std::size_t>(task)] = run.outcome;
   }
 
   if (dropped_out && trained_any) {
@@ -426,6 +441,79 @@ void ClientAgent::poll(std::uint32_t round, const Model& prototype,
   }
 }
 
+ClientAgent::TaskRun ClientAgent::train_and_upload(
+    const FabricMessage& down, double down_at_s, const Model& prototype,
+    Transport& net, [[maybe_unused]] const char* span_arg,
+    [[maybe_unused]] std::uint32_t span_val) {
+  // Train exactly as the in-process path would: the payload architecture
+  // (prototype or on-the-wire spec), the weights, and the coordinator-
+  // forked Rng all arrived on the wire.
+  Rng spawn(0);  // init weights are overwritten below
+  Model local = down.spec_text.empty()
+                    ? prototype
+                    : Model(ModelSpec::deserialize(down.spec_text), spawn);
+  local.set_weights(down.weights);
+  Rng rng;
+  rng.set_state(down.rng_state);
+  TaskRun run;
+  run.res =
+      byzantine_local_train(local, data_->client(id_), data_->num_classes(),
+                            local_, rng, net.faults(), down.round, id_);
+
+  const double compute_s =
+      run.res.macs_used / net.device(id_).compute_macs_per_s;
+  run.done_s = down_at_s + compute_s;
+  // The device's train window on the simulated timeline: model arrival to
+  // upload-ready, on the client's own track.
+  FT_VSPAN_ARG("client", "train", down_at_s, compute_s, kTrackClients + id_,
+               span_arg, span_val);
+
+  if (net.client_dropped_out(down.round, id_)) {
+    run.outcome = ClientOutcome::Dropout;
+    return run;
+  }
+
+  // Upload to the coordinator that sent the model (the root, or the leaf
+  // owning this slot), resending a lost frame under the retry policy. A
+  // dropped-out device never retries — it is gone.
+  FabricMessage up;
+  up.type = MsgType::UpdateUp;
+  up.round = down.round;
+  up.sender = id_;
+  up.receiver = down.sender;
+  up.task = down.task;
+  up.weights = std::move(run.res.delta);
+  up.avg_loss = run.res.avg_loss;
+  up.num_samples = run.res.num_samples;
+  up.macs_used = run.res.macs_used;
+  const bool delivered = send_with_retry(
+      net, id_, down.sender, run.done_s, policy_, /*downlink=*/false,
+      [&up](std::uint8_t flags) {
+        up.flags = flags;
+        return encode_message(up);
+      });
+  run.outcome = delivered ? ClientOutcome::Trained : ClientOutcome::LostUp;
+  return run;
+}
+
+void validate_topology(const FabricTopology& topo) {
+  FT_CHECK_MSG(topo.levels >= 1 && topo.levels <= 6,
+               "fabric topology supports 1 (flat) up to 6 aggregation "
+               "levels, got " << topo.levels);
+  FT_CHECK_MSG(topo.shards >= 1, "fabric topology needs >= 1 shard");
+  FT_CHECK_MSG(topo.branching >= 0, "negative fabric branching factor");
+  FT_CHECK_MSG(!topo.partial_aggregation || topo.levels >= 2,
+               "partial aggregation needs an aggregation tree (levels >= 2)");
+  FT_CHECK_MSG(topo.max_retries >= 0 && topo.ack_timeout_s > 0.0,
+               "fabric retry policy needs max_retries >= 0 and a positive "
+               "ack timeout");
+  FT_CHECK_MSG(topo.quantize_partials == PartialQuant::None ||
+                   topo.partial_aggregation,
+               "quantized partials (with_quantized_partials) require the "
+               "numeric reduction (with_partial_aggregation) — verbatim "
+               "bundles must stay bit-exact");
+}
+
 FederationServer::FederationServer(const Model& prototype,
                                    const ClientDataProvider& data,
                                    std::vector<DeviceProfile> fleet,
@@ -436,21 +524,7 @@ FederationServer::FederationServer(const Model& prototype,
     : prototype_(prototype), data_(&data), local_(local), topo_(topology) {
   FT_CHECK_MSG(static_cast<int>(fleet.size()) == data.num_clients(),
                "fabric fleet size must match client count");
-  FT_CHECK_MSG(topo_.levels >= 1 && topo_.levels <= 6,
-               "fabric topology supports 1 (flat) up to 6 aggregation "
-               "levels, got " << topo_.levels);
-  FT_CHECK_MSG(topo_.shards >= 1, "fabric topology needs >= 1 shard");
-  FT_CHECK_MSG(topo_.branching >= 0, "negative fabric branching factor");
-  FT_CHECK_MSG(!topo_.partial_aggregation || topo_.levels >= 2,
-               "partial aggregation needs an aggregation tree (levels >= 2)");
-  FT_CHECK_MSG(topo_.max_retries >= 0 && topo_.ack_timeout_s > 0.0,
-               "fabric retry policy needs max_retries >= 0 and a positive "
-               "ack timeout");
-  FT_CHECK_MSG(topo_.quantize_partials == PartialQuant::None ||
-                   topo_.partial_aggregation,
-               "quantized partials (with_quantized_partials) require the "
-               "numeric reduction (with_partial_aggregation) — verbatim "
-               "bundles must stay bit-exact");
+  validate_topology(topo_);
   if (sharded()) tree_ = FabricTree(topo_);
   if (topo_.broadcast_cache && sharded()) {
     // One receiver cache + one sender-side known-map per aggregator; sized
@@ -540,10 +614,9 @@ FederationServer::ParsedBody FederationServer::parse_body(
 }
 
 std::string FederationServer::model_down_for(
-    std::uint32_t round, std::int32_t slot, int client,
-    const std::string& body, const ParsedBody* parsed,
-    const std::array<std::uint64_t, 4>& rng_state, std::uint8_t& flags) {
-  (void)round;
+    std::int32_t slot, int client, const std::string& body,
+    const ParsedBody* parsed, const std::array<std::uint64_t, 4>& rng_state,
+    std::uint8_t& flags) {
   flags = 0;
   if (topo_.delta_downlink && parsed != nullptr) {
     const auto entry = delta_store_.peek(client);
@@ -585,123 +658,49 @@ void FederationServer::send_join(std::uint32_t round, std::int32_t task,
   net_->send(coordinator, client, encode_message(join), sent_at_s);
 }
 
-void FederationServer::broadcast_shared(std::uint32_t round,
-                                        const WeightSet& global,
-                                        const std::vector<int>& clients,
-                                        const std::vector<Rng>& client_rngs) {
+void FederationServer::broadcast(std::uint32_t round,
+                                 const std::vector<int>& clients,
+                                 const std::vector<Rng>& client_rngs,
+                                 const std::vector<std::int32_t>& reduce_keys,
+                                 const BodyEncoder& encode) {
   FT_SPAN_ARG("server", "broadcast", "tasks", clients.size());
-  // Serialize the weight set once; per task only the (tiny) slot id and
-  // Rng-state sections of the ModelDown payload differ, so broadcast is one
-  // encode plus a couple of memcpys per client rather than n WeightSet
-  // deep copies.
-  const std::string body = shared_body(global);
-
-  if (sharded()) {
-    std::vector<const std::string*> slot_body(clients.size(), &body);
-    broadcast_sharded(round, clients, client_rngs, slot_body);
-    return;
-  }
-
-  std::unique_ptr<ParsedBody> parsed;
-  if (topo_.delta_downlink)
-    parsed = std::make_unique<ParsedBody>(parse_body(body));
+  // One bundle holds the whole round: each distinct payload body encoded
+  // once, and per task only the (tiny) slot id and Rng-state sections of
+  // the ModelDown payload differ — one encode plus a couple of memcpys per
+  // client rather than n WeightSet deep copies.
+  ShardDownlink all;
+  all.tasks.resize(clients.size());
   for (std::size_t i = 0; i < clients.size(); ++i) {
-    const int c = clients[i];
-    send_join(round, static_cast<std::int32_t>(i), c, kServerId);
-    std::uint8_t flags = 0;
-    const std::string payload =
-        model_down_for(round, static_cast<std::int32_t>(i), c, body,
-                       parsed.get(), client_rngs[i].state(), flags);
-    net_->send(kServerId, c,
-               encode_frame(MsgType::ModelDown, round, kServerId, c, payload,
-                            flags));
-  }
-}
-
-void FederationServer::broadcast_tasks(std::uint32_t round,
-                                       const std::vector<Model*>& payloads,
-                                       const std::vector<int>& clients,
-                                       const std::vector<Rng>& client_rngs) {
-  FT_SPAN_ARG("server", "broadcast", "tasks", clients.size());
-  // Architecture + weights ride the frame: the agent rebuilds the exact
-  // submodel this task trains, no shared prototype required. The engine
-  // hands tasks in the same payload_key group one Model instance, so the
-  // (large) spec + weights section is encoded once per distinct instance
-  // and reused; only the slot id and Rng state differ per frame.
-  std::unordered_map<const Model*, std::string> encoded;
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    std::string& body = encoded[payloads[i]];
-    if (body.empty()) body = task_body(*payloads[i]);
-  }
-
-  if (sharded()) {
-    std::vector<const std::string*> slot_body(clients.size());
-    for (std::size_t i = 0; i < clients.size(); ++i)
-      slot_body[i] = &encoded[payloads[i]];
-    broadcast_sharded(round, clients, client_rngs, slot_body);
-    return;
-  }
-
-  std::unordered_map<const std::string*, std::unique_ptr<ParsedBody>> parsed;
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const int c = clients[i];
-    const std::string& body = encoded[payloads[i]];
-    send_join(round, static_cast<std::int32_t>(i), c, kServerId);
-    const ParsedBody* pb = nullptr;
-    if (topo_.delta_downlink) {
-      auto& slot = parsed[&body];
-      if (!slot) slot = std::make_unique<ParsedBody>(parse_body(body));
-      pb = slot.get();
-    }
-    std::uint8_t flags = 0;
-    const std::string payload =
-        model_down_for(round, static_cast<std::int32_t>(i), c, body, pb,
-                       client_rngs[i].state(), flags);
-    net_->send(kServerId, c,
-               encode_frame(MsgType::ModelDown, round, kServerId, c, payload,
-                            flags));
-  }
-}
-
-void FederationServer::broadcast_sharded(
-    std::uint32_t round, const std::vector<int>& clients,
-    const std::vector<Rng>& client_rngs,
-    const std::vector<const std::string*>& slot_body) {
-  FT_SPAN_ARG("server", "broadcast_sharded", "tasks", clients.size());
-  // Root → tree: one bundle per root child, built in a single pass over
-  // the task list (each distinct payload body copied once per child that
-  // references it — the broadcast hot path never materializes a full-tree
-  // bundle). Interior tiers split their bundle further; a bundle lost
-  // despite retries leaves its whole subtree's tasks at LostDown.
-  const int kids = tree_.tier_width(1);
-  std::vector<ShardDownlink> bundles(static_cast<std::size_t>(kids));
-  std::vector<std::unordered_map<const std::string*, std::uint32_t>>
-      body_idx(static_cast<std::size_t>(kids));
-  for (int j = 0; j < kids; ++j) {
-    auto& b = bundles[static_cast<std::size_t>(j)];
-    const auto [lo, hi] = tree_.leaf_range(1, j);
-    b.leaf_lo = lo;
-    b.leaf_hi = hi;
-    b.shard = hi - lo == 1 ? lo : -1;
-  }
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const int leaf = static_cast<int>(i) % topo_.shards;
-    const auto j = static_cast<std::size_t>(tree_.node_covering(1, leaf));
-    auto& b = bundles[j];
-    auto [it, fresh] = body_idx[j].emplace(
-        slot_body[i], static_cast<std::uint32_t>(b.bodies.size()));
-    if (fresh) b.bodies.push_back(*slot_body[i]);
-    DownlinkTask t;
+    DownlinkTask& t = all.tasks[i];
     t.task = static_cast<std::int32_t>(i);
     t.client = clients[i];
-    t.body = it->second;
-    t.reduce = round_reduce_.empty() ? -1 : round_reduce_[i];
+    t.reduce = reduce_keys.empty() ? -1 : reduce_keys[i];
     t.rng_state = client_rngs[i].state();
-    b.tasks.push_back(t);
   }
-  for (int j = 0; j < kids; ++j)
-    send_bundle(round, kServerId, 1, j, bundles[static_cast<std::size_t>(j)],
-                /*sent_at_s=*/0.0);
+  encode(all);
+  leaf_served_.assign(sharded() ? static_cast<std::size_t>(topo_.shards) : 1,
+                      {});
+  if (sharded()) {
+    broadcast_sharded(round, all);
+  } else {
+    // Flat: the root is the degenerate tree's only leaf and fans the
+    // bundle out to every client itself, at the round's start.
+    fan_out(round, kServerId, all, /*at_s=*/0.0, leaf_served_[0]);
+  }
+}
+
+void FederationServer::broadcast_sharded(std::uint32_t round,
+                                         const ShardDownlink& all) {
+  FT_SPAN_ARG("server", "broadcast_sharded", "tasks", all.tasks.size());
+  // Root → tree: one bundle per root child, holding each body its leaf
+  // range references once. Interior tiers split their bundle further; a
+  // bundle lost despite retries leaves its whole subtree's tasks at
+  // LostDown.
+  for (int j = 0; j < tree_.tier_width(1); ++j) {
+    const auto [lo, hi] = tree_.leaf_range(1, j);
+    send_bundle(round, kServerId, 1, j,
+                subset_bundle(all, topo_.shards, lo, hi), /*sent_at_s=*/0.0);
+  }
   route_tiers_down(round);
   fan_out_shards(round);
 }
@@ -710,19 +709,21 @@ void FederationServer::send_bundle(std::uint32_t round, std::int32_t src,
                                    int tier, int j, const ShardDownlink& d,
                                    double sent_at_s) {
   if (d.tasks.empty()) return;
-  if (tier < topo_.levels - 1) {
-    // Interior destination: straight down under the retry policy. The elide
-    // mask is computed once per destination decision — retries reuse it, so
-    // cache savings are counted once even when the frame is resent.
-    const std::int32_t dst = tree_.node_id(tier, j);
+  // One delivery attempt under the retry policy. The elide mask is computed
+  // once per destination decision — retries reuse it, so cache savings are
+  // counted once even when the frame is resent.
+  const auto ship = [&](std::int32_t dst, double at_s) {
     const std::vector<std::uint8_t> elide = elide_mask_for(dst, d);
-    const bool delivered = send_with_retry(
-        *net_, src, dst, sent_at_s, topo_, /*downlink=*/true,
-        [&](std::uint8_t flags) {
-          return encode_shard_down(round, src, dst, d, flags,
-                                   elide.empty() ? nullptr : &elide);
-        });
-    if (delivered) note_bundle_known(dst, d);
+    if (send_with_retry(*net_, src, dst, at_s, topo_, /*downlink=*/true,
+                        [&](std::uint8_t flags) {
+                          return encode_shard_down(
+                              round, src, dst, d, flags,
+                              elide.empty() ? nullptr : &elide);
+                        }))
+      note_bundle_known(dst, d);
+  };
+  if (tier < topo_.levels - 1) {  // interior destination: straight down
+    ship(tree_.node_id(tier, j), sent_at_s);
     return;
   }
   // Leaf destination: the per-shard fault domain. An alive leaf gets its
@@ -732,15 +733,7 @@ void FederationServer::send_bundle(std::uint32_t round, std::int32_t src,
   // whole sibling group down the partition is lost for the round.
   const int owner = owner_leaf(round, j);
   if (owner == j) {
-    const std::int32_t dst = tree_.leaf_id(j);
-    const std::vector<std::uint8_t> elide = elide_mask_for(dst, d);
-    const bool delivered = send_with_retry(
-        *net_, src, dst, sent_at_s, topo_, /*downlink=*/true,
-        [&](std::uint8_t flags) {
-          return encode_shard_down(round, src, dst, d, flags,
-                                   elide.empty() ? nullptr : &elide);
-        });
-    if (delivered) note_bundle_known(dst, d);
+    ship(tree_.leaf_id(j), sent_at_s);
     return;
   }
   // The wasted frame elides against the dead leaf's known-map (the sender
@@ -760,15 +753,7 @@ void FederationServer::send_bundle(std::uint32_t round, std::int32_t src,
                                                  std::memory_order_relaxed);
   net_->stats_mutable().failover_bytes_down.fetch_add(
       bytes, std::memory_order_relaxed);
-  const std::int32_t dst = tree_.leaf_id(owner);
-  const std::vector<std::uint8_t> elide = elide_mask_for(dst, d);
-  const bool delivered = send_with_retry(
-      *net_, src, dst, sent_at_s + topo_.ack_timeout_s, topo_,
-      /*downlink=*/true, [&](std::uint8_t flags) {
-        return encode_shard_down(round, src, dst, d, flags,
-                                 elide.empty() ? nullptr : &elide);
-      });
-  if (delivered) note_bundle_known(dst, d);
+  ship(tree_.leaf_id(owner), sent_at_s + topo_.ack_timeout_s);
 }
 
 void FederationServer::route_tiers_down(std::uint32_t round) {
@@ -782,29 +767,26 @@ void FederationServer::route_tiers_down(std::uint32_t round) {
             const int j = static_cast<int>(jj);
             const std::int32_t node = tree_.node_id(t, j);
             std::set<std::int32_t> handled;  // first arrival per leaf range
-            for (Envelope& env : net_->drain(node)) {
-              ShardDownlink d;
-              try {
-                d = decode_shard_down(env.frame,
-                                      topo_.broadcast_cache
-                                          ? &bcast_cache_[agg_index(node)]
-                                          : nullptr);
-              } catch (const Error&) {
-                net_->stats_mutable().frames_rejected.fetch_add(
-                    1, std::memory_order_relaxed);
-                continue;
-              }
-              if (d.round != round) continue;
-              if (!handled.insert(d.leaf_lo).second) continue;
-              drop_missing_bodies(d, node);
-              const auto [clo, chi] = tree_.child_range(t, j);
-              for (int c = clo; c < chi; ++c) {
-                const auto [llo, lhi] = tree_.leaf_range(t + 1, c);
-                send_bundle(round, tree_.node_id(t, j), t + 1, c,
-                            subset_bundle(d, topo_.shards, llo, lhi),
-                            env.deliver_at_s);
-              }
-            }
+            for_each_decoded(
+                *net_, node,
+                [&](const std::string& frame) {
+                  return decode_shard_down(
+                      frame, topo_.broadcast_cache
+                                 ? &bcast_cache_[agg_index(node)]
+                                 : nullptr);
+                },
+                [&](ShardDownlink& d, const Envelope& env) {
+                  if (d.round != round) return;
+                  if (!handled.insert(d.leaf_lo).second) return;
+                  drop_missing_bodies(d, node);
+                  const auto [clo, chi] = tree_.child_range(t, j);
+                  for (int c = clo; c < chi; ++c) {
+                    const auto [llo, lhi] = tree_.leaf_range(t + 1, c);
+                    send_bundle(round, node, t + 1, c,
+                                subset_bundle(d, topo_.shards, llo, lhi),
+                                env.deliver_at_s);
+                  }
+                });
           }
         });
   }
@@ -812,15 +794,10 @@ void FederationServer::route_tiers_down(std::uint32_t round) {
 
 void FederationServer::fan_out_shards(std::uint32_t round) {
   FT_SPAN("server", "fan_out_shards");
-  // Leaves fan their bundle(s) out to the client partition — JoinRound +
-  // ModelDown per task, byte-identical payloads to what a flat broadcast
-  // would have sent (only the coordinator id differs), so agents train
-  // bit-identically. Node-parallel on the shared ThreadPool: a leaf may
-  // serve several partitions after a failover, but partitions are disjoint
-  // and the transport mailboxes are thread-safe. Each leaf records what it
-  // fanned out (slot → reduce key) for its collect pass; a leaf dead this
-  // round fans out nothing.
-  leaf_served_.assign(static_cast<std::size_t>(topo_.shards), {});
+  // Leaves fan their bundle(s) out to the client partition — node-parallel
+  // on the shared ThreadPool: a leaf may serve several partitions after a
+  // failover, but partitions are disjoint and the transport mailboxes are
+  // thread-safe. A leaf dead this round fans out nothing.
   ThreadPool::global().parallel_for(
       topo_.shards, 1, [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t s = lo; s < hi; ++s) {
@@ -830,49 +807,53 @@ void FederationServer::fan_out_shards(std::uint32_t round) {
             continue;
           }
           std::set<std::int32_t> handled;  // first arrival per partition
-          for (Envelope& env : net_->drain(leaf)) {
-            ShardDownlink d;
-            try {
-              d = decode_shard_down(env.frame,
-                                    topo_.broadcast_cache
-                                        ? &bcast_cache_[agg_index(leaf)]
-                                        : nullptr);
-            } catch (const Error&) {
-              net_->stats_mutable().frames_rejected.fetch_add(
-                  1, std::memory_order_relaxed);
-              continue;
-            }
-            if (d.round != round) continue;
-            if (!handled.insert(d.shard).second) continue;
-            drop_missing_bodies(d, leaf);
-            // One parse per distinct body in the bundle, built lazily —
-            // rounds without delta downlinks never deserialize here.
-            std::vector<std::unique_ptr<ParsedBody>> parsed(d.bodies.size());
-            for (const DownlinkTask& t : d.tasks) {
-              // Both per-client frames leave when the bundle arrived — a
-              // retried ShardDown must not invite clients retroactively.
-              send_join(round, t.task, t.client, leaf, env.deliver_at_s);
-              const ParsedBody* pb = nullptr;
-              if (topo_.delta_downlink) {
-                auto& slot = parsed[t.body];
-                if (!slot)
-                  slot = std::make_unique<ParsedBody>(
-                      parse_body(d.bodies[t.body]));
-                pb = slot.get();
-              }
-              std::uint8_t flags = 0;
-              const std::string payload =
-                  model_down_for(round, t.task, t.client, d.bodies[t.body],
-                                 pb, t.rng_state, flags);
-              net_->send(leaf, t.client,
-                         encode_frame(MsgType::ModelDown, round, leaf,
-                                      t.client, payload, flags),
-                         env.deliver_at_s);
-              leaf_served_[static_cast<std::size_t>(s)][t.task] = t.reduce;
-            }
-          }
+          for_each_decoded(
+              *net_, leaf,
+              [&](const std::string& frame) {
+                return decode_shard_down(frame,
+                                         topo_.broadcast_cache
+                                             ? &bcast_cache_[agg_index(leaf)]
+                                             : nullptr);
+              },
+              [&](ShardDownlink& d, const Envelope& env) {
+                if (d.round != round) return;
+                if (!handled.insert(d.shard).second) return;
+                drop_missing_bodies(d, leaf);
+                // Both per-client frames leave when the bundle arrived — a
+                // retried ShardDown must not invite clients retroactively.
+                fan_out(round, leaf, d, env.deliver_at_s,
+                        leaf_served_[static_cast<std::size_t>(s)]);
+              });
         }
       });
+}
+
+void FederationServer::fan_out(std::uint32_t round, std::int32_t node,
+                               const ShardDownlink& d, double at_s,
+                               std::map<std::int32_t, std::int32_t>& served) {
+  // JoinRound + ModelDown per task: the payloads are byte-identical
+  // whichever node sends them (only the coordinator id differs), so agents
+  // train bit-identically under any tree shape. One parse per distinct
+  // body, built lazily — rounds without delta downlinks never deserialize.
+  std::vector<std::unique_ptr<ParsedBody>> parsed(d.bodies.size());
+  for (const DownlinkTask& t : d.tasks) {
+    send_join(round, t.task, t.client, node, at_s);
+    const ParsedBody* pb = nullptr;
+    if (topo_.delta_downlink) {
+      auto& slot = parsed[t.body];
+      if (!slot)
+        slot = std::make_unique<ParsedBody>(parse_body(d.bodies[t.body]));
+      pb = slot.get();
+    }
+    std::uint8_t flags = 0;
+    const std::string payload = model_down_for(
+        t.task, t.client, d.bodies[t.body], pb, t.rng_state, flags);
+    net_->send(node, t.client,
+               encode_frame(MsgType::ModelDown, round, node, t.client,
+                            payload, flags),
+               at_s);
+    served[t.task] = t.reduce;
+  }
 }
 
 void FederationServer::poll_agents(std::uint32_t round,
@@ -906,52 +887,84 @@ void FederationServer::poll_agents(std::uint32_t round,
       });
 }
 
+std::map<std::int32_t, UpdateEntry> FederationServer::match_updates(
+    std::uint32_t round, std::int32_t node,
+    const std::map<std::int32_t, std::int32_t>& served,
+    const std::vector<int>& clients, std::map<std::int32_t, double>& up_at) {
+  // Duplicates are dropped on the floor here (first arrival wins); stale
+  // rounds, unknown slots and sender/slot mismatches are ignored, and Ack
+  // and Abort are bookkeeping-only: the agents' ground-truth outcomes
+  // already account for dropouts.
+  std::map<std::int32_t, UpdateEntry> matched;  // slot -> first win
+  for_each_decoded(
+      *net_, node,
+      [](const std::string& frame) { return decode_message(frame); },
+      [&](FabricMessage& msg, const Envelope& env) {
+        if (msg.round != round || msg.type != MsgType::UpdateUp) return;
+        const std::int32_t i = msg.task;
+        if (!admissible_slot(i, msg.sender, clients)) return;
+        // A leaf only owns slots it fanned out itself.
+        if (served.find(i) == served.end()) return;
+        if (matched.count(i) != 0) return;
+        UpdateEntry e;
+        e.task = i;
+        e.client = msg.sender;
+        e.delta = std::move(msg.weights);
+        e.avg_loss = msg.avg_loss;
+        e.num_samples = msg.num_samples;
+        e.macs_used = msg.macs_used;
+        matched.emplace(i, std::move(e));
+        auto& at = up_at[i % topo_.shards];
+        at = std::max(at, env.deliver_at_s);
+      });
+  return matched;
+}
+
 void FederationServer::collect(std::uint32_t round,
                                const std::vector<int>& clients,
                                ExchangeResult& out) {
-  FT_SPAN("server", "collect");
+  FT_SPAN("server", sharded() ? "collect_sharded" : "collect");
   poll_agents(round, clients, out);
 
-  // Match the server's inbound mail to the task list. Duplicates are
-  // dropped on the floor here (first arrival wins); stale rounds, unknown
-  // slots and sender/slot mismatches are ignored.
+  PartialUpdate merged;
+  if (!sharded()) {
+    // Flat: the root, as the degenerate tree's only leaf, matches its own
+    // mailbox and keeps the entries rather than forwarding them.
+    std::map<std::int32_t, double> up_at;
+    for (auto& [slot, e] :
+         match_updates(round, kServerId, leaf_served_[0], clients, up_at))
+      merged.entries.push_back(std::move(e));
+  } else {
+    merged = collect_tree(round, clients, out);
+  }
+
+  // Root: write the surviving entries back into the task list — the same
+  // slot/sender validation and first-arrival dedup at every tree depth
+  // (and, in a numeric round, hand over the merged reduce groups the
+  // engine's absorb_reduced path consumes).
   std::vector<bool> seen(clients.size(), false);
-  for (Envelope& env : net_->drain(kServerId)) {
-    FabricMessage msg;
-    try {
-      msg = decode_message(env.frame);
-    } catch (const Error&) {
-      net_->stats_mutable().frames_rejected.fetch_add(
-          1, std::memory_order_relaxed);
-      continue;
-    }
-    if (msg.round != round) continue;
-    if (msg.type != MsgType::UpdateUp) continue;
-    // Ack and Abort are bookkeeping-only: the agents' ground-truth
-    // outcomes already account for dropouts.
-    if (!admissible_slot(msg.task, msg.sender, clients)) continue;
-    const auto slot = static_cast<std::size_t>(msg.task);
+  for (UpdateEntry& e : merged.entries) {
+    if (!admissible_slot(e.task, e.client, clients)) continue;
+    const auto slot = static_cast<std::size_t>(e.task);
     if (seen[slot]) continue;
     seen[slot] = true;
     LocalTrainResult& res = out.results[slot];
-    res.delta = std::move(msg.weights);
-    res.avg_loss = msg.avg_loss;
-    res.num_samples = msg.num_samples;
-    res.macs_used = msg.macs_used;
+    res.delta = std::move(e.delta);
+    res.avg_loss = e.avg_loss;
+    res.num_samples = e.num_samples;
+    res.macs_used = e.macs_used;
   }
-  // An agent that believes its update was delivered must be matched by an
-  // UpdateUp in the server's mailbox; anything else is a fabric bug.
+  if (reduced_round_) out.groups = std::move(merged.groups);
+  // An agent that believes its update was delivered must be matched at the
+  // root; anything else is a fabric bug.
   for (std::size_t i = 0; i < clients.size(); ++i)
     if (out.outcomes[i] == ClientOutcome::Trained)
-      FT_CHECK_MSG(seen[i], "delivered update missing from server mailbox");
+      FT_CHECK_MSG(seen[i], "delivered update missing from root mailbox");
 }
 
-void FederationServer::collect_sharded(std::uint32_t round,
-                                       const std::vector<int>& clients,
-                                       ExchangeResult& out) {
-  FT_SPAN("server", "collect_sharded");
-  poll_agents(round, clients, out);
-
+PartialUpdate FederationServer::collect_tree(std::uint32_t round,
+                                             const std::vector<int>& clients,
+                                             ExchangeResult& out) {
   // Leaf pass: each alive leaf matches the partitions it served at fan-out
   // and forwards one PartialUp per partition upstream — node-parallel on
   // the shared ThreadPool (partitions are disjoint, so outcome flips never
@@ -968,35 +981,9 @@ void FederationServer::collect_sharded(std::uint32_t round,
             net_->drain(leaf);  // dead or idle: nothing was fanned out
             continue;
           }
-          std::map<std::int32_t, UpdateEntry> matched;  // slot -> first win
           std::map<std::int32_t, double> up_at;  // partition -> last deliver
-          for (Envelope& env : net_->drain(leaf)) {
-            FabricMessage msg;
-            try {
-              msg = decode_message(env.frame);
-            } catch (const Error&) {
-              net_->stats_mutable().frames_rejected.fetch_add(
-                  1, std::memory_order_relaxed);
-              continue;
-            }
-            if (msg.round != round || msg.type != MsgType::UpdateUp)
-              continue;
-            const std::int32_t i = msg.task;
-            if (!admissible_slot(i, msg.sender, clients)) continue;
-            // This leaf only owns slots it fanned out itself.
-            if (served.find(i) == served.end()) continue;
-            if (matched.count(i) != 0) continue;
-            UpdateEntry e;
-            e.task = i;
-            e.client = msg.sender;
-            e.delta = std::move(msg.weights);
-            e.avg_loss = msg.avg_loss;
-            e.num_samples = msg.num_samples;
-            e.macs_used = msg.macs_used;
-            matched.emplace(i, std::move(e));
-            auto& at = up_at[i % topo_.shards];
-            at = std::max(at, env.deliver_at_s);
-          }
+          std::map<std::int32_t, UpdateEntry> matched =
+              match_updates(round, leaf, served, clients, up_at);
           if (matched.empty()) continue;
 
           // One bundle per served partition, slots in ascending order
@@ -1062,24 +1049,9 @@ void FederationServer::collect_sharded(std::uint32_t round,
           for (std::int64_t jj = nlo; jj < nhi; ++jj) {
             const int j = static_cast<int>(jj);
             const std::int32_t node = tree_.node_id(t, j);
-            std::vector<PartialUpdate> bundles;
-            std::set<std::pair<std::int32_t, std::int32_t>> seen_b;
             double last_s = 0.0;
-            for (Envelope& env : net_->drain(node)) {
-              PartialUpdate p;
-              try {
-                if (frame_type(env.frame) != MsgType::PartialUp) continue;
-                p = decode_partial_up(env.frame);
-              } catch (const Error&) {
-                net_->stats_mutable().frames_rejected.fetch_add(
-                    1, std::memory_order_relaxed);
-                continue;
-              }
-              if (p.round != round) continue;
-              if (!seen_b.insert({p.sender, p.shard}).second) continue;
-              last_s = std::max(last_s, env.deliver_at_s);
-              bundles.push_back(std::move(p));
-            }
+            std::vector<PartialUpdate> bundles =
+                drain_bundles(*net_, node, round, last_s);
             if (bundles.empty()) continue;
             PartialUpdate m = merge_bundles(std::move(bundles),
                                             reduced_round_);
@@ -1103,58 +1075,24 @@ void FederationServer::collect_sharded(std::uint32_t round,
         });
   }
 
-  // Root: merge the surviving bundles back into the flat task list — the
-  // same slot/sender validation and first-arrival dedup as a flat collect,
-  // just over bundled entries (and, in a numeric round, the merged reduce
-  // groups the engine's absorb_reduced path consumes).
-  std::vector<PartialUpdate> bundles;
-  std::set<std::pair<std::int32_t, std::int32_t>> seen_b;
-  for (Envelope& env : net_->drain(kServerId)) {
-    PartialUpdate p;
-    try {
-      if (frame_type(env.frame) != MsgType::PartialUp)
-        continue;  // Ack/Abort: bookkeeping only
-      p = decode_partial_up(env.frame);
-    } catch (const Error&) {
-      net_->stats_mutable().frames_rejected.fetch_add(
-          1, std::memory_order_relaxed);
-      continue;
-    }
-    if (p.round != round) continue;
-    if (!seen_b.insert({p.sender, p.shard}).second) continue;
-    bundles.push_back(std::move(p));
-  }
-  PartialUpdate merged = merge_bundles(std::move(bundles), reduced_round_);
-
-  std::vector<bool> seen(clients.size(), false);
-  for (UpdateEntry& e : merged.entries) {
-    if (!admissible_slot(e.task, e.client, clients)) continue;
-    const auto slot = static_cast<std::size_t>(e.task);
-    if (seen[slot]) continue;
-    seen[slot] = true;
-    LocalTrainResult& res = out.results[slot];
-    res.delta = std::move(e.delta);
-    res.avg_loss = e.avg_loss;
-    res.num_samples = e.num_samples;
-    res.macs_used = e.macs_used;
-  }
-  if (reduced_round_) out.groups = std::move(merged.groups);
-  for (std::size_t i = 0; i < clients.size(); ++i)
-    if (out.outcomes[i] == ClientOutcome::Trained)
-      FT_CHECK_MSG(seen[i], "delivered update missing from root mailbox");
+  // Root: merge the surviving bundles back into one entry list (and, in a
+  // numeric round, the merged reduce groups).
+  double last_s = 0.0;
+  return merge_bundles(drain_bundles(*net_, kServerId, round, last_s),
+                       reduced_round_);
 }
 
 ExchangeResult FederationServer::exchange(
-    std::uint32_t round, const std::vector<int>& clients, std::size_t n_rngs,
-    const std::function<void()>& broadcast_fn) {
+    std::uint32_t round, const std::vector<int>& clients,
+    const std::vector<Rng>& client_rngs,
+    const std::vector<std::int32_t>& reduce_keys, const BodyEncoder& encode) {
   FT_SPAN_ARG("server", "exchange", "tasks", clients.size());
-  FT_CHECK_MSG(clients.size() == n_rngs,
+  FT_CHECK_MSG(clients.size() == client_rngs.size(),
                "one forked Rng per task slot required");
-  FT_CHECK_MSG(round_reduce_.empty() ||
-                   round_reduce_.size() == clients.size(),
+  FT_CHECK_MSG(reduce_keys.empty() || reduce_keys.size() == clients.size(),
                "one reduce key per task slot required");
-  reduced_round_ = topo_.partial_aggregation && sharded() &&
-                   !round_reduce_.empty();
+  reduced_round_ =
+      topo_.partial_aggregation && sharded() && !reduce_keys.empty();
   ExchangeResult out;
   out.results.resize(clients.size());
   out.outcomes.assign(clients.size(), ClientOutcome::LostDown);
@@ -1166,12 +1104,9 @@ ExchangeResult FederationServer::exchange(
   const std::uint64_t delta_saved0 = net_->stats().delta_saved_bytes.load();
 
   phase_ = Phase::Broadcast;
-  broadcast_fn();
+  broadcast(round, clients, client_rngs, reduce_keys, encode);
   phase_ = Phase::Collect;
-  if (sharded())
-    collect_sharded(round, clients, out);
-  else
-    collect(round, clients, out);
+  collect(round, clients, out);
   phase_ = Phase::Aggregate;  // aggregation happens in the caller
 
   out.retry_down_bytes = static_cast<double>(
@@ -1184,7 +1119,6 @@ ExchangeResult FederationServer::exchange(
       net_->stats().failover_bytes_down.load() - failover_b0);
   out.delta_saved_bytes = static_cast<double>(
       net_->stats().delta_saved_bytes.load() - delta_saved0);
-  round_reduce_.clear();
   return out;
 }
 
@@ -1192,10 +1126,12 @@ ExchangeResult FederationServer::run_round(
     std::uint32_t round, const WeightSet& global,
     const std::vector<int>& clients, const std::vector<Rng>& client_rngs,
     const std::vector<std::int32_t>& reduce_keys) {
-  round_reduce_ = reduce_keys;
-  return exchange(round, clients, client_rngs.size(), [&] {
-    broadcast_shared(round, global, clients, client_rngs);
-  });
+  // One body, which every task (body index 0) downloads into the
+  // prototype architecture.
+  return exchange(round, clients, client_rngs, reduce_keys,
+                  [&](ShardDownlink& all) {
+                    all.bodies.push_back(shared_body(global));
+                  });
 }
 
 ExchangeResult FederationServer::run_round(
@@ -1204,10 +1140,21 @@ ExchangeResult FederationServer::run_round(
     const std::vector<std::int32_t>& reduce_keys) {
   FT_CHECK_MSG(payloads.size() == clients.size(),
                "one payload model per task slot required");
-  round_reduce_ = reduce_keys;
-  return exchange(round, clients, client_rngs.size(), [&] {
-    broadcast_tasks(round, payloads, clients, client_rngs);
-  });
+  // Architecture + weights ride the frame: the agent rebuilds the exact
+  // submodel this task trains, no shared prototype required. The engine
+  // hands tasks in the same payload_key group one Model instance, so the
+  // (large) spec + weights body is encoded once per distinct instance.
+  return exchange(round, clients, client_rngs, reduce_keys,
+                  [&](ShardDownlink& all) {
+                    std::unordered_map<const Model*, std::uint32_t> index;
+                    for (std::size_t i = 0; i < payloads.size(); ++i) {
+                      const auto [it, fresh] = index.emplace(
+                          payloads[i],
+                          static_cast<std::uint32_t>(all.bodies.size()));
+                      if (fresh) all.bodies.push_back(task_body(*payloads[i]));
+                      all.tasks[i].body = it->second;
+                    }
+                  });
 }
 
 AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
@@ -1251,162 +1198,60 @@ AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
       model_down_payload(0, shared_body(global), rng.state());
   std::int32_t down_src = kServerId;
   double down_sent_s = now_s;
+  chain.push_back(client);  // the last downlink hop is the radio link
+  std::optional<Arrival> down;
   for (std::int32_t hop : chain) {
     if (!net_->send(down_src, hop,
                     encode_frame(MsgType::ModelDown, job, down_src, hop,
                                  payload),
                     down_sent_s))
       return t;
-    bool hop_got = false;
-    for (Envelope& env : net_->drain(hop)) {
-      FabricMessage msg;
-      try {
-        msg = decode_message(env.frame);
-      } catch (const Error&) {
-        net_->stats_mutable().frames_rejected.fetch_add(
-            1, std::memory_order_relaxed);
-        continue;
-      }
-      if (msg.round != job || msg.type != MsgType::ModelDown || hop_got)
-        continue;  // duplicates: first arrival wins
-      hop_got = true;
-      down_sent_s = env.deliver_at_s;
-    }
-    FT_CHECK_MSG(hop_got,
-                 "delivered ModelDown missing from aggregator mailbox");
+    down = first_arrival(*net_, hop, job, MsgType::ModelDown);
+    FT_CHECK_MSG(down, "delivered ModelDown missing from mailbox of "
+                           << hop);
     down_src = hop;
+    down_sent_s = down->at_s;
   }
-  const bool down_ok = net_->send(
-      down_src, client,
-      encode_frame(MsgType::ModelDown, job, down_src, client, payload),
-      down_sent_s);
-  if (!down_ok) return t;  // LostDown: the device never saw the job
+  chain.pop_back();
 
-  // Client side: drain, decode, train on receipt.
-  double down_at = 0.0;
-  FabricMessage down;
-  bool got_down = false;
-  for (Envelope& env : net_->drain(client)) {
-    FabricMessage msg;
-    try {
-      msg = decode_message(env.frame);
-    } catch (const Error&) {
-      net_->stats_mutable().frames_rejected.fetch_add(
-          1, std::memory_order_relaxed);
-      continue;
-    }
-    if (msg.round != job || msg.type != MsgType::ModelDown || got_down)
-      continue;  // duplicates: first arrival wins
-    got_down = true;
-    down_at = env.deliver_at_s;
-    down = std::move(msg);
-  }
-  FT_CHECK_MSG(got_down, "delivered ModelDown missing from client mailbox");
+  // Client side: train on receipt, upload to the coordinator (the leaf in
+  // tree sessions) under the retry policy.
+  ClientAgent::TaskRun run =
+      ClientAgent(client, *data_, local_, topo_)
+          .train_and_upload(down->msg, down->at_s, prototype_, *net_, "job",
+                            job);
+  t.outcome = run.outcome;
+  t.res = std::move(run.res);
+  t.busy_s = run.done_s - now_s;
 
-  Model local = prototype_;
-  local.set_weights(down.weights);
-  Rng crng;
-  crng.set_state(down.rng_state);
-  t.res = byzantine_local_train(local, data_->client(client),
-                                data_->num_classes(), local_, crng,
-                                net_->faults(), job, client);
-  const double compute_s =
-      t.res.macs_used / net_->device(client).compute_macs_per_s;
-  const double done_s = down_at + compute_s;
-  FT_VSPAN_ARG("client", "train", down_at, compute_s, kTrackClients + client,
-               "job", job);
-  t.busy_s = done_s - now_s;
-
-  if (net_->client_dropped_out(job, client)) {
-    t.outcome = ClientOutcome::Dropout;
-    return t;  // trained, then vanished — no upload, no retries
-  }
-
-  // Uplink under the retry policy: client → its coordinator (the leaf in
-  // tree sessions), then hop by hop back to the root, each backbone leg
-  // under the same retry policy.
-  FabricMessage up;
-  up.type = MsgType::UpdateUp;
-  up.round = job;
-  up.sender = client;
-  up.receiver = chain.empty() ? kServerId : chain.back();
-  up.task = 0;
-  up.weights = std::move(t.res.delta);
-  up.avg_loss = t.res.avg_loss;
-  up.num_samples = t.res.num_samples;
-  up.macs_used = t.res.macs_used;
-  const bool delivered = send_with_retry(
-      *net_, client, up.receiver, done_s, topo_, /*downlink=*/false,
-      [&up](std::uint8_t flags) {
-        up.flags = flags;
-        return encode_message(up);
-      });
-  if (!delivered) {
-    t.retry_up_bytes = static_cast<double>(
-        net_->stats().retry_bytes_up.load() - retry0);
-    t.outcome = ClientOutcome::LostUp;
-    return t;
-  }
-  for (std::size_t k = chain.size(); k-- > 0;) {
+  // Then hop by hop back to the root, each backbone leg under the same
+  // retry policy.
+  for (std::size_t k = chain.size();
+       t.outcome == ClientOutcome::Trained && k-- > 0;) {
     const std::int32_t node = chain[k];
-    FabricMessage fwd;
-    bool hop_got = false;
-    double up_at = 0.0;
-    for (Envelope& env : net_->drain(node)) {
-      FabricMessage msg;
-      try {
-        msg = decode_message(env.frame);
-      } catch (const Error&) {
-        net_->stats_mutable().frames_rejected.fetch_add(
-            1, std::memory_order_relaxed);
-        continue;
-      }
-      if (msg.round != job || msg.type != MsgType::UpdateUp || hop_got)
-        continue;
-      hop_got = true;
-      up_at = env.deliver_at_s;
-      fwd = std::move(msg);
-    }
-    FT_CHECK_MSG(hop_got,
-                 "delivered update missing from aggregator mailbox");
+    std::optional<Arrival> fwd =
+        first_arrival(*net_, node, job, MsgType::UpdateUp);
+    FT_CHECK_MSG(fwd, "delivered update missing from aggregator mailbox");
     const std::int32_t parent = k == 0 ? kServerId : chain[k - 1];
-    fwd.sender = node;
-    fwd.receiver = parent;
-    const bool fwd_ok = send_with_retry(
-        *net_, node, parent, up_at, topo_, /*downlink=*/false,
-        [&fwd](std::uint8_t flags) {
-          fwd.flags = flags;
-          return encode_message(fwd);
-        });
-    if (!fwd_ok) {
-      t.retry_up_bytes = static_cast<double>(
-          net_->stats().retry_bytes_up.load() - retry0);
+    fwd->msg.sender = node;
+    fwd->msg.receiver = parent;
+    if (!send_with_retry(*net_, node, parent, fwd->at_s, topo_,
+                         /*downlink=*/false, [&fwd](std::uint8_t flags) {
+                           fwd->msg.flags = flags;
+                           return encode_message(fwd->msg);
+                         }))
       t.outcome = ClientOutcome::LostUp;
-      return t;
-    }
   }
-  t.retry_up_bytes = static_cast<double>(
-      net_->stats().retry_bytes_up.load() - retry0);
+  t.retry_up_bytes =
+      static_cast<double>(net_->stats().retry_bytes_up.load() - retry0);
+  if (t.outcome != ClientOutcome::Trained) return t;  // Dropout or LostUp
 
   // Server side: collect this job's UpdateUp and its delivery instant.
-  bool got_up = false;
-  for (Envelope& env : net_->drain(kServerId)) {
-    FabricMessage msg;
-    try {
-      msg = decode_message(env.frame);
-    } catch (const Error&) {
-      net_->stats_mutable().frames_rejected.fetch_add(
-          1, std::memory_order_relaxed);
-      continue;
-    }
-    if (msg.round != job || msg.type != MsgType::UpdateUp || got_up)
-      continue;
-    got_up = true;
-    t.update_at_s = env.deliver_at_s;
-    t.res.delta = std::move(msg.weights);
-  }
-  FT_CHECK_MSG(got_up, "delivered update missing from server mailbox");
-  t.outcome = ClientOutcome::Trained;
+  std::optional<Arrival> up =
+      first_arrival(*net_, kServerId, job, MsgType::UpdateUp);
+  FT_CHECK_MSG(up, "delivered update missing from server mailbox");
+  t.update_at_s = up->at_s;
+  t.res.delta = std::move(up->msg.weights);
   t.busy_s = std::max(t.busy_s, t.update_at_s - now_s);
   return t;
 }

@@ -140,6 +140,12 @@ class DeltaStore {
   std::unordered_map<int, std::shared_ptr<const Entry>> map_;
 };
 
+/// Reject a topology no fabric can run — levels outside 1..6, no shard, a
+/// negative branching factor, partial aggregation without a tree, a
+/// negative retry budget or a non-positive ack timeout, quantized partials
+/// without the numeric reduction — with an Error.
+void validate_topology(const FabricTopology& topo);
+
 /// Edge-device worker: owns one client's fabric endpoint. On receipt of a
 /// (JoinRound, ModelDown) pair for a task slot it materializes the payload
 /// model — the round prototype for shared-blob broadcasts, or the
@@ -163,6 +169,23 @@ class ClientAgent {
   void poll(std::uint32_t round, const Model& prototype, Transport& net,
             std::vector<ClientOutcome>& outcomes, DeltaStore* store = nullptr);
 
+  /// What training one received task left on the device.
+  struct TaskRun {
+    ClientOutcome outcome = ClientOutcome::Trained;
+    double done_s = 0.0;   ///< upload-ready instant
+    LocalTrainResult res;  ///< metrics; the delta left in the UpdateUp
+  };
+  /// The device's one train site: train the task `down` carries (payload
+  /// architecture, weights and coordinator-forked Rng all arrived in the
+  /// frame, delivered at `down_at_s`), then upload UpdateUp to the frame's
+  /// sender under the retry policy — unless the device drops out of
+  /// `down.round` after training. Outcome is Trained iff the upload was
+  /// delivered. `span_arg`/`span_val` tag the virtual train span (the task
+  /// slot in synchronous rounds, the job id in async round trips).
+  TaskRun train_and_upload(const FabricMessage& down, double down_at_s,
+                           const Model& prototype, Transport& net,
+                           const char* span_arg, std::uint32_t span_val);
+
  private:
   int id_;
   const ClientDataProvider* data_;
@@ -181,6 +204,8 @@ class ClientAgent {
 ///    in-process path, which is what makes fault-free fabric runs bitwise
 ///    identical.)
 ///
+/// A flat topology is the degenerate tree: the root is its only leaf, and
+/// fans out and matches updates with the same code a leaf aggregator runs.
 /// With a tree topology (FabricTopology::levels >= 2) the same round runs
 /// over an aggregation tree of arbitrary depth: the root ships one bundled
 /// ShardDown frame per child, interior tiers split bundles among their
@@ -257,22 +282,23 @@ class FederationServer {
   bool sharded() const { return topo_.levels >= 2; }
 
  private:
+  /// Fills a round's task bundle with its [spec][weights] body table and
+  /// points each task at the body it downloads (the per-overload encoder).
+  using BodyEncoder = std::function<void(ShardDownlink&)>;
+
   void send_join(std::uint32_t round, std::int32_t task, int client,
-                 std::int32_t coordinator, double sent_at_s = 0.0);
-  void broadcast_shared(std::uint32_t round, const WeightSet& global,
-                        const std::vector<int>& clients,
-                        const std::vector<Rng>& client_rngs);
-  void broadcast_tasks(std::uint32_t round,
-                       const std::vector<Model*>& payloads,
-                       const std::vector<int>& clients,
-                       const std::vector<Rng>& client_rngs);
-  /// Tree broadcast: per root child, one ShardDown bundle referencing
-  /// `slot_body[i]` (the [spec][weights] section task i downloads);
-  /// interior tiers split bundles downward; leaves fan out to per-client
-  /// JoinRound + ModelDown frames.
-  void broadcast_sharded(std::uint32_t round, const std::vector<int>& clients,
-                         const std::vector<Rng>& client_rngs,
-                         const std::vector<const std::string*>& slot_body);
+                 std::int32_t coordinator, double sent_at_s);
+  /// Build the round's task bundle (every slot, encoded bodies) and ship
+  /// it: a flat root fans it out itself, as the degenerate tree's only
+  /// leaf; a tree root splits it among its children.
+  void broadcast(std::uint32_t round, const std::vector<int>& clients,
+                 const std::vector<Rng>& client_rngs,
+                 const std::vector<std::int32_t>& reduce_keys,
+                 const BodyEncoder& encode);
+  /// Tree broadcast: per root child, the ShardDown bundle of its leaf
+  /// range; interior tiers split bundles downward; leaves fan out to
+  /// per-client JoinRound + ModelDown frames.
+  void broadcast_sharded(std::uint32_t round, const ShardDownlink& all);
   /// Send one pre-filtered bundle down to node (tier, j): leaf bundles
   /// apply the failover policy, interior bundles go straight down with the
   /// retry policy.
@@ -282,20 +308,36 @@ class FederationServer {
   /// bundle among the node's children (node-parallel per tier).
   void route_tiers_down(std::uint32_t round);
   void fan_out_shards(std::uint32_t round);
+  /// A leaf's fan-out of one bundle: JoinRound + ModelDown per task from
+  /// `node`, leaving at `at_s`; records slot → reduce key in `served`.
+  void fan_out(std::uint32_t round, std::int32_t node, const ShardDownlink& d,
+               double at_s, std::map<std::int32_t, std::int32_t>& served);
   /// Concurrent ClientAgent polling (one worker per distinct client).
   void poll_agents(std::uint32_t round, const std::vector<int>& clients,
                    ExchangeResult& out);
+  /// A leaf's update matching: drain `node`'s mailbox and keep the first
+  /// admissible UpdateUp of each slot it fanned out (`served`), noting the
+  /// last delivery instant per partition in `up_at`.
+  std::map<std::int32_t, UpdateEntry> match_updates(
+      std::uint32_t round, std::int32_t node,
+      const std::map<std::int32_t, std::int32_t>& served,
+      const std::vector<int>& clients, std::map<std::int32_t, double>& up_at);
+  /// Collect: poll the agents, gather the round's updates at the root —
+  /// a flat root matches its own mailbox like a leaf — and write them back
+  /// into the task list (or, reduced, the group list).
   void collect(std::uint32_t round, const std::vector<int>& clients,
                ExchangeResult& out);
-  /// Tree collect: leaves match their partition(s) and forward PartialUp
-  /// bundles; interior tiers merge child bundles upward (node-parallel);
-  /// the root merges into the task list (or, reduced, the group list).
-  void collect_sharded(std::uint32_t round, const std::vector<int>& clients,
-                       ExchangeResult& out);
+  /// Tree part of collect: leaves match their partition(s) and forward
+  /// PartialUp bundles, interior tiers merge child bundles upward
+  /// (node-parallel), and the root merges what reached it.
+  PartialUpdate collect_tree(std::uint32_t round,
+                             const std::vector<int>& clients,
+                             ExchangeResult& out);
   ExchangeResult exchange(std::uint32_t round,
                           const std::vector<int>& clients,
-                          std::size_t n_rngs,
-                          const std::function<void()>& broadcast_fn);
+                          const std::vector<Rng>& client_rngs,
+                          const std::vector<std::int32_t>& reduce_keys,
+                          const BodyEncoder& encode);
   /// The leaf serving partition `s` in `round` under the failover policy
   /// (itself when alive, else the next alive sibling, wrapping; -1 when
   /// the whole sibling group is dead).
@@ -329,8 +371,8 @@ class FederationServer {
   /// the client's DeltaStore entry when the topology opts in, the store
   /// matches and the diff is smaller — else the full `body`-backed payload.
   /// Savings are billed into FabricStats at the decision point.
-  std::string model_down_for(std::uint32_t round, std::int32_t slot,
-                             int client, const std::string& body,
+  std::string model_down_for(std::int32_t slot, int client,
+                             const std::string& body,
                              const ParsedBody* parsed,
                              const std::array<std::uint64_t, 4>& rng_state,
                              std::uint8_t& flags);
@@ -342,11 +384,10 @@ class FederationServer {
   FabricTree tree_;
   std::unique_ptr<Transport> net_;
   /// Per-round, per-leaf fan-out memory: slot → reduce key of the tasks
-  /// this leaf served (written only by the owning leaf's worker), plus the
-  /// round's numeric-mode flag and per-slot reduce keys. Consumed by the
-  /// leaf's collect pass.
+  /// this leaf served (written only by the owning leaf's worker; a flat
+  /// root is the single leaf), plus the round's numeric-mode flag.
+  /// Consumed by the leaf's collect pass.
   std::vector<std::map<std::int32_t, std::int32_t>> leaf_served_;
-  std::vector<std::int32_t> round_reduce_;
   bool reduced_round_ = false;
   Phase phase_ = Phase::Idle;
   /// Receiver-side broadcast caches, one per aggregator (broadcast_cache).

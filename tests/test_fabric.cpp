@@ -11,7 +11,7 @@
 // updates, with resend traffic billed; (6) fabric-backed async (FedBuff)
 // sessions complete over real messages with delivery-time completion
 // ordering, flat or routed through the tree (bitwise-equal when
-// fault-free); (7) numeric partial aggregation matches flat reductions
+// fault-free), and agree with in-process async sessions; (7) numeric partial aggregation matches flat reductions
 // within 1e-5 relative tolerance, keeps metrics/billing bitwise, and is
 // bitwise self-consistent across thread counts (and across shard counts
 // with singleton leaves); (8) dead leaves fail over to siblings with the
@@ -793,6 +793,47 @@ TEST(AsyncFabricTest, FaultyAsyncSessionAccountsLostUpdates) {
       << "retries must recover updates the no-retry run times out on";
 }
 
+TEST(AsyncFabricTest, InProcessAgreesWithFabric) {
+  // One FedBuff event loop for both paths: each client trains at dispatch
+  // on the weights it downloaded. The two paths time completions
+  // differently (client_round_time_s vs per-frame link latency), which may
+  // reorder jobs inside one buffer, so the match is close, not bitwise.
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = tiny_fleet(data.num_clients());
+  Rng rng(8);
+  Model init(tiny_model(), rng);
+
+  SessionConfig cfg;
+  cfg.mode = SessionMode::Async;
+  cfg.async.concurrency = 3;
+  cfg.async.buffer_size = 2;
+  cfg.async.aggregations = 6;
+  cfg.local.steps = 3;
+  cfg.local.batch = 6;
+  cfg.seed = 42;
+
+  FederationEngine in_process(std::make_unique<FedBuffStrategy>(init), data,
+                              fleet, cfg);
+  in_process.run();
+  cfg.use_fabric = true;
+  FederationEngine fabric(std::make_unique<FedBuffStrategy>(init), data,
+                          fleet, cfg);
+  fabric.run();
+
+  EXPECT_EQ(in_process.versions_done(), fabric.versions_done());
+  EXPECT_EQ(in_process.mean_staleness(), fabric.mean_staleness());
+  ASSERT_EQ(in_process.history().size(), fabric.history().size());
+  for (std::size_t v = 0; v < fabric.history().size(); ++v)
+    EXPECT_NEAR(in_process.history()[v].avg_loss,
+                fabric.history()[v].avg_loss, 1e-6)
+        << "version " << v + 1;
+  auto wa = in_process.strategy_as<FedBuffStrategy>().model().weights();
+  auto wb = fabric.strategy_as<FedBuffStrategy>().model().weights();
+  ASSERT_EQ(wa.size(), wb.size());
+  for (std::size_t i = 0; i < wa.size(); ++i)
+    EXPECT_LT(testing::max_abs_diff(wa[i], wb[i]), 1e-5) << "tensor " << i;
+}
+
 // ---------------------------------------------------------------------------
 // Deep aggregation trees (levels >= 3): verbatim bundles split down the
 // interior tiers and merge back up must leave every round bitwise identical
@@ -1540,6 +1581,37 @@ TEST(BandwidthTest, QuantizedPartialsRequireNumericMode) {
   cfg.topology.quantize_partials = PartialQuant::Int8;
   EXPECT_THROW(FederationEngine(testing::fedavg(init), data, fleet, cfg),
                Error);
+}
+
+TEST(BandwidthTest, InvalidTopologiesFailAtEngineConstruction) {
+  // A topology no fabric can run is a configuration error of the session,
+  // caught when the engine is built rather than in its first round.
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = tiny_fleet(data.num_clients());
+  Rng rng(3);
+  Model init(tiny_model(), rng);
+
+  const std::vector<std::pair<const char*, void (*)(FabricTopology&)>>
+      cases = {
+          {"flat + partial aggregation",
+           [](FabricTopology& t) { t.partial_aggregation = true; }},
+          {"levels 7", [](FabricTopology& t) { t.levels = 7; }},
+          {"shards 0",
+           [](FabricTopology& t) {
+             t.levels = 2;
+             t.shards = 0;
+           }},
+          {"max_retries -1", [](FabricTopology& t) { t.max_retries = -1; }},
+          {"ack_timeout_s 0", [](FabricTopology& t) { t.ack_timeout_s = 0; }},
+      };
+  for (const auto& [name, corrupt] : cases) {
+    SessionConfig cfg = base_cfg(3);
+    cfg.use_fabric = true;
+    corrupt(cfg.topology);
+    EXPECT_THROW(FederationEngine(testing::fedavg(init), data, fleet, cfg),
+                 Error)
+        << name;
+  }
 }
 
 TEST(BandwidthTest, BroadcastCacheRoundsMatchColdRoundsBitwise) {

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <vector>
 
+#include "fl/async.hpp"
 #include "fl/runner.hpp"
 #include "tensor/dtype.hpp"
 #include "tensor/tensor.hpp"
@@ -252,6 +253,33 @@ TEST(MixedPrecisionE2E, HalfStorageTracksFp32AndHalvesBilledBytes) {
                                      w32[t][i]));
     }
     EXPECT_LT(max_diff, 0.1) << dtype_name(d);
+  }
+}
+
+TEST(MixedPrecisionE2E, AsyncFedBuffBillsHalfBytesInHalfMode) {
+  // FedBuff bills each absorbed update's down + up transfer at the
+  // session's wire width, in-process and over the fabric alike.
+  auto data = mp_dataset();
+  auto billed = [&](bool fabric, Dtype dtype) {
+    Rng rng(7);
+    Model init(ModelSpec::conv(1, 8, 4, 3, {4, 6}, {1, 1}, {1, 2}), rng);
+    SessionConfig cfg = mp_config();
+    cfg.mode = SessionMode::Async;
+    cfg.async.concurrency = 3;
+    cfg.async.buffer_size = 2;
+    cfg.async.aggregations = 6;
+    cfg.use_fabric = fabric;
+    cfg.local.precision.dtype = dtype;
+    FederationEngine runner(std::make_unique<FedBuffStrategy>(init), data,
+                            mp_fleet(data.num_clients()), cfg);
+    runner.run();
+    return runner.costs().network_bytes();
+  };
+  for (bool fabric : {false, true}) {
+    const double bytes32 = billed(fabric, Dtype::F32);
+    EXPECT_GT(bytes32, 0.0);
+    EXPECT_DOUBLE_EQ(billed(fabric, Dtype::F16), 0.5 * bytes32)
+        << (fabric ? "fabric" : "in-process");
   }
 }
 

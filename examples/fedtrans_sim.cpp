@@ -15,6 +15,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/check.hpp"
 #include "common/table.hpp"
 #include "harness/experiments.hpp"
 
@@ -68,9 +69,11 @@ int main(int argc, char** argv) {
   }
 
   Scale scale = Scale::Tiny;
-  if (scale_s == "small") scale = Scale::Small;
-  else if (scale_s == "full") scale = Scale::Full;
-  else if (scale_s != "tiny") usage("bad --scale");
+  try {
+    scale = parse_scale(scale_s);
+  } catch (const Error& e) {
+    usage(e.what());
+  }
 
   ExperimentPreset preset;
   if (dataset == "cifar") preset = cifar_like(scale, seed);

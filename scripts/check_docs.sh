@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Docs cross-checker: fail if a page under docs/ (or README.md) references
-# a repo path or code symbol that no longer exists, so the architecture
-# docs cannot silently rot. Three kinds of references are checked:
+# a repo path, build target or code symbol that no longer exists, so the
+# architecture docs cannot silently rot. Four kinds of references are
+# checked:
 #
 #   1. repo paths          src/net/wire.hpp, scripts/bench_micro.sh,
 #                          src/net/wire.* (glob), src/common/x.{hpp,cpp}
@@ -9,6 +10,9 @@
 #   3. backticked symbols  `FederationServer`, `RoundRecord::lost_updates` —
 #                          every ::-component must appear somewhere in
 #                          src/ tests/ bench/ examples/ scripts/ CMakeLists.txt
+#   4. build targets       build/bench_X needs bench/bench_X.cpp,
+#                          build/example_X examples/X.cpp, build/test_X
+#                          tests/test_X.cpp (the CMake globs' naming)
 #
 # Usage: scripts/check_docs.sh   (run from anywhere; exits nonzero on rot)
 set -euo pipefail
@@ -83,6 +87,17 @@ for doc in "${DOCS[@]}"; do
         complain "$doc" "unknown symbol '$sym' (component '$part')"
     done
   done < <(grep -oE '`[A-Za-z_][A-Za-z0-9_:]*(\(\))?`' "$doc" | sort -u)
+
+  # 4. build targets: an executable exists only while its source does.
+  while IFS= read -r target; do
+    case $target in
+      bench_*) src=bench/$target.cpp ;;
+      example_*) src=examples/${target#example_}.cpp ;;
+      test_*) src=tests/$target.cpp ;;
+    esac
+    [[ -e $src ]] || complain "$doc" "build target '$target' has no source $src"
+  done < <(grep -oE '\bbuild/(bench|example|test)_[A-Za-z0-9_]+' "$doc" |
+             sed 's|^build/||' | sort -u)
 done
 
 if [[ $fail -ne 0 ]]; then

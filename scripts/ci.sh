@@ -47,6 +47,13 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" "$@"
 # a CI failure instead of a stuck job.
 FEDTRANS_THREADS=4 timeout 300 "$BUILD_DIR"/example_multiproc_federation
 
+# Paper-harness leg: bench_paper rows at tiny scale, one per shared runner
+# (the ablation_scaling sweep, the ext_fedrolex §A.1 comparison) plus the
+# two rows that train nothing (fig1a, table5). Gated on the exit status
+# only; the printed numbers are not pinned.
+FEDTRANS_BENCH_SCALE=tiny FEDTRANS_THREADS=4 timeout 300 \
+  "$BUILD_DIR"/bench_paper fig1a table5 ablation_scaling ext_fedrolex
+
 # Tracing-enabled adversarial leg: the chaos-scenario sweep (now including
 # the Byzantine attack matrix and the robust-aggregation suite), the
 # robust-reducer unit/property gates and the parity gates must stay

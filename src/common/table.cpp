@@ -43,18 +43,6 @@ void TablePrinter::print(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-void TablePrinter::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ',';
-      os << cells[c];
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-}
-
 std::string fmt_fixed(double v, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << v;

@@ -7,7 +7,7 @@
 namespace fedtrans {
 
 /// Column-aligned plain-text table writer used by the benchmark harness to
-/// print paper-style result tables to stdout (and optionally CSV to disk).
+/// print paper-style result tables to stdout.
 class TablePrinter {
  public:
   explicit TablePrinter(std::vector<std::string> headers);
@@ -15,8 +15,6 @@ class TablePrinter {
   void add_row(std::vector<std::string> cells);
   /// Pretty-print with aligned columns and a header separator.
   void print(std::ostream& os) const;
-  /// Emit RFC-4180-ish CSV (no quoting of commas required by our content).
-  void print_csv(std::ostream& os) const;
 
   std::size_t num_rows() const { return rows_.size(); }
 

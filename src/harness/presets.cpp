@@ -1,16 +1,21 @@
 #include "harness/presets.hpp"
 
 #include <cstdlib>
-#include <cstring>
+
+#include "common/check.hpp"
 
 namespace fedtrans {
 
+Scale parse_scale(std::string_view name) {
+  for (Scale s : {Scale::Tiny, Scale::Small, Scale::Full})
+    if (name == scale_name(s)) return s;
+  throw Error("unknown scale '" + std::string(name) +
+              "' (expected tiny|small|full)");
+}
+
 Scale bench_scale() {
   const char* env = std::getenv("FEDTRANS_BENCH_SCALE");
-  if (env == nullptr) return Scale::Tiny;
-  if (std::strcmp(env, "full") == 0) return Scale::Full;
-  if (std::strcmp(env, "small") == 0) return Scale::Small;
-  return Scale::Tiny;
+  return env == nullptr ? Scale::Tiny : parse_scale(env);
 }
 
 const char* scale_name(Scale s) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
@@ -14,6 +15,10 @@ namespace fedtrans {
 /// grows client counts and round budgets toward the paper's protocol.
 enum class Scale { Tiny, Small, Full };
 
+/// "tiny", "small" or "full", exactly as scale_name spells them; any other
+/// name throws Error.
+Scale parse_scale(std::string_view name);
+/// FEDTRANS_BENCH_SCALE through parse_scale; unset means Tiny.
 Scale bench_scale();
 const char* scale_name(Scale s);
 

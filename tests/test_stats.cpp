@@ -77,14 +77,6 @@ TEST(Table, AlignedPrintContainsCellsAndSeparator) {
   EXPECT_NE(s.find("---"), std::string::npos);
 }
 
-TEST(Table, CsvRows) {
-  TablePrinter t({"a", "b"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(Table, RowArityMismatchThrows) {
   TablePrinter t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), Error);

@@ -178,6 +178,21 @@ TEST(FedTransStrategyTest, DeterministicForSeed) {
                    b.evaluate_final().mean_accuracy);
 }
 
+// ------------------------------------------------------------ Presets ---
+
+TEST(Presets, ParseScaleRoundTripsAndRejectsUnknownNames) {
+  for (Scale s : {Scale::Tiny, Scale::Small, Scale::Full})
+    EXPECT_EQ(parse_scale(scale_name(s)), s);
+  EXPECT_THROW(parse_scale("Small"), Error);
+  try {
+    parse_scale("medium");
+    ADD_FAILURE() << "\"medium\" parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("tiny|small|full"),
+              std::string::npos);
+  }
+}
+
 // ----------------------------------------------------------- HeteroFL ---
 
 TEST(HeteroFL, SubmodelIsPrefixCropOfGlobal) {

@@ -13,14 +13,15 @@
 #
 # Beyond the main leg, two auxiliary builds gate kernel hygiene:
 #   * an ASan+UBSan build (FEDTRANS_SANITIZE=ON) running the tensor/nn
-#     suites, test_pop, test_checkpoint and the fabric suites — the
-#     packed-panel GEMM micro-kernels, the batched im2col lowering and the
-#     chunked availability scan are exactly the code where an off-by-one
-#     tail read would otherwise go unnoticed, the checkpoint loader's
-#     hostile-count tests must fail as Errors where an oversized allocation
-#     would abort, and the fabric's exchange path moves decoded buffers
-#     between node-parallel workers and keeps pointer tables into payload
-#     bodies;
+#     suites, test_pop, test_checkpoint, the fabric suites and the
+#     baseline suites — the packed-panel GEMM micro-kernels, the batched
+#     im2col lowering and the chunked availability scan are exactly the
+#     code where an off-by-one tail read would otherwise go unnoticed, the
+#     checkpoint loader's hostile-count tests must fail as Errors where an
+#     oversized allocation would abort, the fabric's exchange path moves
+#     decoded buffers between node-parallel workers and keeps pointer
+#     tables into payload bodies, and the width-scaled baselines' channel
+#     maps write through computed flat indices;
 #   * a SIMD-disabled build (FEDTRANS_SIMD=OFF, still -Werror) proving the
 #     scalar parity reference compiles warnings-clean on its own.
 # Set FEDTRANS_CI_FAST=1 to skip both auxiliary legs.
@@ -70,19 +71,22 @@ if [ -z "${FEDTRANS_CI_FAST:-}" ]; then
   # conv lowerings, layers), the population layer, whose chunked
   # availability scan writes at chunk boundaries and a partial tail chunk,
   # checkpoint loading, where a corrupt count must raise an Error before
-  # the allocator (which aborts under ASan) ever sees it, and the fabric
+  # the allocator (which aborts under ASan) ever sees it, the fabric
   # suites: one exchange path serves flat and tree rounds, sync and async,
   # moving decoded buffers between node-parallel workers and keeping
   # pointer tables into payload bodies, where a use-after-move or a
-  # dangling body index would otherwise go unnoticed.
+  # dangling body index would otherwise go unnoticed, and the baseline
+  # suites (test_trainer_baselines, test_fl_extensions): the HeteroFL,
+  # FedRolex and FLuID channel maps write through computed flat indices.
   SAN_DIR="$BUILD_DIR-asan"
   cmake -B "$SAN_DIR" -S . -DFEDTRANS_SANITIZE=ON
   cmake --build "$SAN_DIR" -j "$JOBS" --target \
     test_tensor test_gemm_simd test_mixed_precision test_backend \
     test_layers test_layers_extended test_pop test_checkpoint \
-    test_fabric test_socket_transport test_engine_parity test_fl_extensions
+    test_fabric test_socket_transport test_engine_parity test_fl_extensions \
+    test_trainer_baselines
   ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
-    -R 'test_(tensor|gemm_simd|mixed_precision|backend|layers|layers_extended|pop|checkpoint|fabric|socket_transport|engine_parity|fl_extensions)$'
+    -R 'test_(tensor|gemm_simd|mixed_precision|backend|layers|layers_extended|pop|checkpoint|fabric|socket_transport|engine_parity|fl_extensions|trainer_baselines)$'
 
   # Scalar-only build: the always-on parity reference must stay
   # warnings-clean without any SIMD code paths compiled in.

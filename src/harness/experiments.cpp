@@ -22,7 +22,7 @@ std::vector<double> client_accuracy(const Model& model,
   return accs;
 }
 
-std::vector<double> client_accuracy(HeteroFLStrategy& s,
+std::vector<double> client_accuracy(SubmodelStrategy& s,
                                     const ClientDataProvider& data) {
   std::vector<double> accs;
   for (int c = 0; c < data.num_clients(); ++c) {
@@ -37,26 +37,6 @@ std::vector<double> client_accuracy(SplitMixStrategy& s,
   std::vector<double> accs;
   for (int c = 0; c < data.num_clients(); ++c)
     accs.push_back(s.ensemble_accuracy(c, s.budget_for(c)));
-  return accs;
-}
-
-std::vector<double> client_accuracy(FluidStrategy& s,
-                                    const ClientDataProvider& data) {
-  std::vector<double> accs;
-  for (int c = 0; c < data.num_clients(); ++c) {
-    Model sub = s.extract(s.kept_for_ratio(s.ratio_for(c)));
-    accs.push_back(evaluate_accuracy(sub, data.client(c)));
-  }
-  return accs;
-}
-
-std::vector<double> client_accuracy(FedRolexStrategy& s, int round,
-                                    const ClientDataProvider& data) {
-  std::vector<double> accs;
-  for (int c = 0; c < data.num_clients(); ++c) {
-    Model sub = s.submodel(s.level_for(c), round);
-    accs.push_back(evaluate_accuracy(sub, data.client(c)));
-  }
   return accs;
 }
 
@@ -84,6 +64,25 @@ SessionConfig preset_session(const ExperimentPreset& p, int eval_every) {
   SessionConfig cfg = SessionConfig::from(p.fedtrans);
   cfg.eval_every = eval_every;
   return cfg;
+}
+
+/// The width-scaled baselines share one protocol: train the ladder over
+/// `largest`, then deploy each client's level submodel.
+MethodResult run_submodel(std::string method,
+                          std::unique_ptr<SubmodelStrategy> strategy,
+                          const ExperimentPreset& p, const ModelSpec& largest,
+                          int eval_every) {
+  auto data = FederatedDataset::generate(p.dataset);
+  FederationEngine engine(std::move(strategy), data, sample_fleet(p.fleet),
+                          preset_session(p, eval_every));
+  engine.run();
+  auto& s = engine.strategy_as<SubmodelStrategy>();
+  MethodResult res;
+  res.method = std::move(method);
+  res.report = baseline_report(engine, client_accuracy(s, data));
+  res.largest_spec = largest;
+  res.largest_macs = static_cast<double>(s.global().macs());
+  return res;
 }
 
 }  // namespace
@@ -120,21 +119,6 @@ MethodResult run_fedtrans_cfg(const ExperimentPreset& p,
   return res;
 }
 
-MethodResult run_heterofl(const ExperimentPreset& p, const ModelSpec& largest,
-                          int eval_every) {
-  auto data = FederatedDataset::generate(p.dataset);
-  FederationEngine engine(std::make_unique<HeteroFLStrategy>(largest), data,
-                          sample_fleet(p.fleet), preset_session(p, eval_every));
-  engine.run();
-  auto& s = engine.strategy_as<HeteroFLStrategy>();
-  MethodResult res;
-  res.method = "HeteroFL";
-  res.report = baseline_report(engine, client_accuracy(s, data));
-  res.largest_spec = largest;
-  res.largest_macs = static_cast<double>(s.global().macs());
-  return res;
-}
-
 MethodResult run_splitmix(const ExperimentPreset& p, const ModelSpec& largest,
                           int eval_every) {
   auto data = FederatedDataset::generate(p.dataset);
@@ -150,36 +134,22 @@ MethodResult run_splitmix(const ExperimentPreset& p, const ModelSpec& largest,
   return res;
 }
 
+MethodResult run_heterofl(const ExperimentPreset& p, const ModelSpec& largest,
+                          int eval_every) {
+  return run_submodel("HeteroFL", std::make_unique<HeteroFLStrategy>(largest),
+                      p, largest, eval_every);
+}
+
 MethodResult run_fedrolex(const ExperimentPreset& p, const ModelSpec& largest,
                           int eval_every) {
-  auto data = FederatedDataset::generate(p.dataset);
-  FederationEngine engine(std::make_unique<FedRolexStrategy>(largest), data,
-                          sample_fleet(p.fleet), preset_session(p, eval_every));
-  engine.run();
-  auto& s = engine.strategy_as<FedRolexStrategy>();
-  MethodResult res;
-  res.method = "FedRolex";
-  res.report = baseline_report(
-      engine, client_accuracy(s, engine.rounds_done(), data));
-  res.num_models = s.num_levels();
-  res.largest_spec = largest;
-  res.largest_macs = static_cast<double>(s.global().macs());
-  return res;
+  return run_submodel("FedRolex", std::make_unique<FedRolexStrategy>(largest),
+                      p, largest, eval_every);
 }
 
 MethodResult run_fluid(const ExperimentPreset& p, const ModelSpec& largest,
                        int eval_every) {
-  auto data = FederatedDataset::generate(p.dataset);
-  FederationEngine engine(std::make_unique<FluidStrategy>(largest), data,
-                          sample_fleet(p.fleet), preset_session(p, eval_every));
-  engine.run();
-  auto& s = engine.strategy_as<FluidStrategy>();
-  MethodResult res;
-  res.method = "FLuID";
-  res.report = baseline_report(engine, client_accuracy(s, data));
-  res.largest_spec = largest;
-  res.largest_macs = static_cast<double>(s.global().macs());
-  return res;
+  return run_submodel("FLuID", std::make_unique<FluidStrategy>(largest), p,
+                      largest, eval_every);
 }
 
 MethodResult run_single_model(const ExperimentPreset& p, const ModelSpec& spec,

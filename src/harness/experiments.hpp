@@ -30,19 +30,14 @@ struct MethodResult {
 };
 
 /// Every client's top-1 accuracy on its eval shard, as each method deploys:
-/// one global model (FedAvg, FedBuff); HeteroFL's level submodel; SplitMix's
-/// base ensemble within the client's budget; FLuID's extracted submodel;
-/// FedRolex's level submodel under `round`'s rolling offsets (pass the
-/// engine's rounds_done()).
+/// one global model (FedAvg, FedBuff); the client's level submodel
+/// (HeteroFL, FedRolex, FLuID); SplitMix's base ensemble within the
+/// client's budget.
 std::vector<double> client_accuracy(const Model& model,
                                     const ClientDataProvider& data);
-std::vector<double> client_accuracy(HeteroFLStrategy& s,
+std::vector<double> client_accuracy(SubmodelStrategy& s,
                                     const ClientDataProvider& data);
 std::vector<double> client_accuracy(SplitMixStrategy& s,
-                                    const ClientDataProvider& data);
-std::vector<double> client_accuracy(FluidStrategy& s,
-                                    const ClientDataProvider& data);
-std::vector<double> client_accuracy(FedRolexStrategy& s, int round,
                                     const ClientDataProvider& data);
 /// Mean of client_accuracy(model, data).
 double mean_client_accuracy(const Model& model,

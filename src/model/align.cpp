@@ -77,15 +77,6 @@ void for_each_overlap(
   }
 }
 
-void copy_overlap(Model& dst, Model& src) {
-  for (auto& pair : align_params(dst, src)) {
-    Tensor& d = *pair.dst;
-    const Tensor& s = *pair.src;
-    for_each_overlap(d, s,
-                     [&](std::int64_t di, std::int64_t si) { d[di] = s[si]; });
-  }
-}
-
 std::unordered_map<const Tensor*, std::size_t> param_index(Model& m) {
   std::unordered_map<const Tensor*, std::size_t> idx;
   auto ps = m.params();

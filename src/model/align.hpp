@@ -27,9 +27,6 @@ std::vector<AlignedPair> align_params(Model& dst, Model& src);
 void for_each_overlap(const Tensor& a, const Tensor& b,
                       const std::function<void(std::int64_t, std::int64_t)>& fn);
 
-/// dst op over overlap: dst = src (copy overlapping prefix region).
-void copy_overlap(Model& dst, Model& src);
-
 /// Map parameter Tensor* -> index in model.params() order (to resolve
 /// AlignedPair entries against external WeightSets such as client deltas).
 std::unordered_map<const Tensor*, std::size_t> param_index(Model& m);

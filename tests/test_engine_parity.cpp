@@ -2,9 +2,10 @@
 //
 //  (1) async sessions honor eval_every;
 //  (2) fault-free fabric rounds are bitwise identical to the in-process
-//      path for non-FedAvg strategies too (HeteroFL's heterogeneous
-//      submodels, SplitMix's multiple tasks per client, FedTrans's model
-//      family), and faulty runs still terminate with losses accounted;
+//      path for non-FedAvg strategies too (the heterogeneous submodels of
+//      HeteroFL, FedRolex and FLuID, SplitMix's multiple tasks per client,
+//      FedTrans's model family), and faulty runs still terminate with
+//      losses accounted;
 //  (3) the layered SessionConfig shared block is the single definition of
 //      the runtime fields;
 //  (4) the RoundObserver callback API reports exactly the records the
@@ -12,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <type_traits>
 
+#include "baselines/fedrolex.hpp"
+#include "baselines/fluid.hpp"
 #include "baselines/hetero_fl.hpp"
 #include "baselines/split_mix.hpp"
 #include "common/thread_pool.hpp"
@@ -167,6 +171,37 @@ TEST(FabricStrategyParity, HeteroFLFabricMatchesInProcessBitwise) {
   expect_same_weights(a->strategy_as<HeteroFLStrategy>().global().weights(),
                       b->strategy_as<HeteroFLStrategy>().global().weights(),
                       "heterofl fabric");
+}
+
+// The width-scaled baselines at a fleet median of 2e4 MACs, where clients
+// spread over several levels: HeteroFL's prefix crops, FedRolex's rolled
+// windows and FLuID's ranked channel subsets all cross the wire.
+template <typename S>
+void expect_submodel_fabric_parity(const char* what) {
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = tiny_fleet(data.num_clients(), 2e4);
+  auto make = [&](std::uint64_t seed, bool use_fabric) {
+    auto cfg = baseline_cfg(seed);
+    cfg.use_fabric = use_fabric;
+    return testing::make_engine<S>(data, fleet, cfg, tiny_model());
+  };
+  expect_fabric_parity(make);
+  auto a = make(7, false);
+  auto b = make(7, true);
+  auto& sa = a->template strategy_as<S>();
+  std::set<int> levels;
+  for (int c = 0; c < data.num_clients(); ++c) levels.insert(sa.level_for(c));
+  EXPECT_GT(levels.size(), 1u) << what << ": clients share one level";
+  a->run();
+  b->run();
+  expect_same_weights(sa.global().weights(),
+                      b->template strategy_as<S>().global().weights(), what);
+}
+
+TEST(FabricStrategyParity, SubmodelBaselinesAcrossLevelsMatchInProcess) {
+  expect_submodel_fabric_parity<HeteroFLStrategy>("heterofl fabric");
+  expect_submodel_fabric_parity<FedRolexStrategy>("fedrolex fabric");
+  expect_submodel_fabric_parity<FluidStrategy>("fluid fabric");
 }
 
 TEST(FabricStrategyParity, SplitMixFabricMatchesInProcessBitwise) {

@@ -1,6 +1,7 @@
 // Tests for the FL extension modules: client selection strategies, the
-// extended server-optimizer family, the FedBuff asynchronous runner, and
-// the FedRolex rolling-submodel baseline.
+// extended server-optimizer family, the FedBuff asynchronous runner, the
+// FedRolex rolling-submodel baseline, and the probe-vs-deployment check
+// shared by the width-scaled baselines.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,10 @@
 #include <sstream>
 
 #include "baselines/fedrolex.hpp"
+#include "baselines/fluid.hpp"
+#include "baselines/hetero_fl.hpp"
 #include "common/check.hpp"
+#include "common/stats.hpp"
 #include "fl/async.hpp"
 #include "fl/runner.hpp"
 #include "fl/selection.hpp"
@@ -396,11 +400,11 @@ TEST(FedRolexTest, OffsetsRollByOneEachRound) {
   FederationEngine runner(std::make_unique<FedRolexStrategy>(tiny_model()),
                           data, fleet, cfg);
   auto& rolex = runner.strategy_as<FedRolexStrategy>();
-  EXPECT_EQ(rolex.offset_for_space(0, runner.rounds_done()), 0);
+  EXPECT_EQ(rolex.offset_for_space(0), 0);
   runner.run_round();
-  EXPECT_EQ(rolex.offset_for_space(0, runner.rounds_done()), 1);
+  EXPECT_EQ(rolex.offset_for_space(0), 1);
   runner.run_round();
-  EXPECT_EQ(rolex.offset_for_space(0, runner.rounds_done()), 2);
+  EXPECT_EQ(rolex.offset_for_space(0), 2);
 }
 
 TEST(FedRolexTest, OffsetWrapsAtSpaceWidth) {
@@ -416,7 +420,7 @@ TEST(FedRolexTest, OffsetWrapsAtSpaceWidth) {
                           data, fleet, cfg);
   auto& rolex = runner.strategy_as<FedRolexStrategy>();
   for (int r = 0; r < 9; ++r) runner.run_round();
-  EXPECT_EQ(rolex.offset_for_space(0, runner.rounds_done()), 9 % 4);
+  EXPECT_EQ(rolex.offset_for_space(0), 9 % 4);
 }
 
 TEST(FedRolexTest, SubmodelWindowMatchesGlobalChannels) {
@@ -429,7 +433,7 @@ TEST(FedRolexTest, SubmodelWindowMatchesGlobalChannels) {
 
   // Level 1 = half width. At round 0 (offset 0) the submodel is the prefix
   // crop, i.e. identical to HeteroFL's extraction.
-  Model sub = rolex.submodel(1, runner.rounds_done());
+  Model sub = rolex.submodel(1);
   auto gp = rolex.global().params();
   auto sp = sub.params();
   ASSERT_EQ(gp.size(), sp.size());
@@ -456,7 +460,7 @@ TEST(FedRolexTest, FullWidthSubmodelIsBijective) {
                           data, fleet, cfg);
   auto& rolex = runner.strategy_as<FedRolexStrategy>();
   runner.run_round();  // offset becomes 1 → genuinely rolled
-  Model sub = rolex.submodel(0, runner.rounds_done());
+  Model sub = rolex.submodel(0);
   auto gp = rolex.global().params();
   auto sp = sub.params();
   for (std::size_t i = 0; i < gp.size(); ++i) {
@@ -510,7 +514,7 @@ TEST(FedRolexTest, LevelAssignmentRespectsCapacity) {
   auto& rolex = runner.strategy_as<FedRolexStrategy>();
   for (int c = 0; c < data.num_clients(); ++c) {
     const int lvl = rolex.level_for(c);
-    Model sub = rolex.submodel(lvl, runner.rounds_done());
+    Model sub = rolex.submodel(lvl);
     if (lvl < rolex.num_levels() - 1) {
       EXPECT_LE(static_cast<double>(sub.macs()),
                 fleet[static_cast<std::size_t>(c)].capacity_macs);
@@ -530,25 +534,15 @@ TEST(FedRolexTest, LearnsOnSeparableData) {
   FederationEngine runner(std::make_unique<FedRolexStrategy>(tiny_model()),
                           data, fleet, cfg);
   auto& rolex = runner.strategy_as<FedRolexStrategy>();
-  auto rep_before = baseline_report(
-      runner, client_accuracy(rolex, runner.rounds_done(), data));
+  auto rep_before = baseline_report(runner, client_accuracy(rolex, data));
   runner.run();
-  auto rep_after = baseline_report(
-      runner, client_accuracy(rolex, runner.rounds_done(), data));
+  auto rep_after = baseline_report(runner, client_accuracy(rolex, data));
   EXPECT_GT(rep_after.mean_accuracy, rep_before.mean_accuracy + 0.1);
 }
 
 TEST(FedRolexTest, RejectsAttentionModels) {
-  auto data = FederatedDataset::generate(tiny_data());
-  auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
-  SessionConfig cfg;
-  cfg.clients_per_round = 2;
-  cfg.local.steps = 1;
-  cfg.local.batch = 4;
   auto vit = ModelSpec::attention(1, 8, 4, 2, 8, {16});
-  FederationEngine runner(std::make_unique<FedRolexStrategy>(vit),
-                          data, fleet, cfg);
-  EXPECT_THROW(runner.run_round(), Error);
+  EXPECT_THROW(FedRolexStrategy{vit}, Error);
 }
 
 TEST(FedRolexTest, RejectsRatiosNotStartingAtOne) {
@@ -559,6 +553,49 @@ TEST(FedRolexTest, RejectsRatiosNotStartingAtOne) {
                            tiny_model(), std::vector<double>{0.5, 0.25}),
                        data, fleet, SessionConfig{}),
       Error);
+}
+
+TEST(FedRolexTest, RejectsLaddersNotStrictlyDescending) {
+  // level_for takes the first level that fits, so an unordered ladder
+  // would put clients on a smaller submodel than they can afford.
+  EXPECT_THROW(FedRolexStrategy(tiny_model(), {1.0, 0.25, 0.5}), Error);
+  EXPECT_THROW(FedRolexStrategy(tiny_model(), {1.0, 0.5, 0.5}), Error);
+  EXPECT_NO_THROW(FedRolexStrategy(tiny_model(), {1.0, 0.5, 0.25}));
+}
+
+// -------------------------------------------------- width-scaled baselines
+
+template <typename S>
+void expect_last_probe_scores_deployment(std::uint64_t seed, int rounds) {
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = fleet_with_capacity(data.num_clients(), 1.5e5);
+  SessionConfig cfg;
+  cfg.rounds = rounds;
+  cfg.clients_per_round = 5;
+  cfg.local.steps = 6;
+  cfg.local.batch = 8;
+  cfg.eval_every = 1;
+  cfg.eval_clients = 0;  // probe every client
+  cfg.seed = seed;
+  FederationEngine engine(std::make_unique<S>(tiny_model()), data, fleet,
+                          cfg);
+  engine.run();
+  auto& s = engine.strategy_as<S>();
+  EXPECT_DOUBLE_EQ(engine.history().back().accuracy,
+                   mean(client_accuracy(s, data)))
+      << s.name() << ", seed " << seed << ", " << rounds << " rounds";
+}
+
+TEST(SubmodelBaselinesTest, LastProbeScoresTheDeployedSubmodels) {
+  // The periodic probe runs after finish_round, so it must score the
+  // submodels the harness deploys once the run ends. FedRolex once probed
+  // the window it had just trained, one round behind its deployment.
+  for (std::uint64_t seed : {1ULL, 2ULL})
+    for (int rounds : {4, 6}) {
+      expect_last_probe_scores_deployment<HeteroFLStrategy>(seed, rounds);
+      expect_last_probe_scores_deployment<FedRolexStrategy>(seed, rounds);
+      expect_last_probe_scores_deployment<FluidStrategy>(seed, rounds);
+    }
 }
 
 }  // namespace

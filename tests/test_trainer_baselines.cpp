@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "common/check.hpp"
+#include "baselines/fedrolex.hpp"
 #include "baselines/fluid.hpp"
 #include "baselines/hetero_fl.hpp"
 #include "baselines/split_mix.hpp"
@@ -246,6 +248,61 @@ TEST(HeteroFL, TrainsAndImproves) {
   auto rep = baseline_report(*engine, client_accuracy(runner, data));
   EXPECT_GT(rep.mean_accuracy, before);
   EXPECT_GT(rep.costs.total_macs(), 0.0);
+}
+
+TEST(HeteroFL, RejectsLaddersNotStrictlyDescending) {
+  // level_for takes the first level that fits, so an unordered ladder
+  // would put clients on a smaller submodel than they can afford.
+  const ModelSpec spec = ModelSpec::conv(1, 8, 4, 4, {6, 8});
+  EXPECT_THROW(HeteroFLStrategy(spec, {1.0, 0.25, 0.5}), Error);
+  EXPECT_THROW(HeteroFLStrategy(spec, {1.0, 0.5, 0.5}), Error);
+  EXPECT_NO_THROW(HeteroFLStrategy(spec, {1.0, 0.5, 0.25}));
+}
+
+// --------------------------------------------- width-scaled baselines ---
+
+// The element-map contract of SubmodelStrategy: every element of every
+// level's submodel is a copy of one global element, and no two submodel
+// elements share one. Numbering the global elements 1..N makes both
+// visible in the extracted values.
+template <typename S>
+void expect_submodels_take_distinct_global_elements() {
+  auto data = FederatedDataset::generate(tiny_data(8));
+  auto fleet = fleet_with_capacity(data.num_clients(), 1e6);
+  SessionConfig cfg;
+  cfg.rounds = 2;
+  cfg.clients_per_round = 4;
+  cfg.local.steps = 2;
+  auto engine = testing::make_engine<S>(data, fleet, cfg,
+                                        ModelSpec::conv(1, 8, 4, 6, {8, 12}));
+  engine->run();  // FedRolex rolls its window, FLuID re-ranks its channels
+  auto& s = engine->template strategy_as<S>();
+  WeightSet w = s.global().weights();
+  float next = 1.0f;
+  for (Tensor& t : w)
+    for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = next++;
+  s.global().set_weights(w);
+  for (int level = 0; level < s.num_levels(); ++level) {
+    Model sub = s.submodel(level);
+    std::set<float> seen;
+    std::int64_t elements = 0;
+    for (const Tensor& t : sub.weights())
+      for (std::int64_t i = 0; i < t.numel(); ++i, ++elements) {
+        const float v = t[i];
+        EXPECT_TRUE(v >= 1.0f && v < next && v == std::floor(v))
+            << s.name() << " level " << level << ": " << v
+            << " is no global element";
+        seen.insert(v);
+      }
+    EXPECT_EQ(static_cast<std::int64_t>(seen.size()), elements)
+        << s.name() << " level " << level;
+  }
+}
+
+TEST(SubmodelStrategies, EveryLevelTakesDistinctGlobalElements) {
+  expect_submodels_take_distinct_global_elements<HeteroFLStrategy>();
+  expect_submodels_take_distinct_global_elements<FedRolexStrategy>();
+  expect_submodels_take_distinct_global_elements<FluidStrategy>();
 }
 
 // ----------------------------------------------------------- SplitMix ---

@@ -10,18 +10,19 @@
 //
 //   1. plan_round      -> default (uniform selection) is inherited
 //   2. client_payload  -> every client downloads the global model
-//   3. absorb_update   -> stash each client's delta (fixed task order)
-//   4. finish_round    -> trimmed-mean the deltas into the global model
-//   5. probe_accuracy  -> evaluate the global model on probe clients
+//   3. shared_model    -> that model is also what every client deploys, so
+//                         the eval probes and client_accuracy score it
+//   4. absorb_update   -> stash each client's delta (fixed task order)
+//   5. finish_round    -> trimmed-mean the deltas into the global model
 //
 // Build: cmake --build build --target example_custom_strategy
 
 #include <algorithm>
 #include <cstdio>
 
+#include "common/stats.hpp"
 #include "fl/engine.hpp"
-#include "fl/local_train.hpp"
-#include "harness/presets.hpp"
+#include "harness/experiments.hpp"
 
 using namespace fedtrans;
 
@@ -71,15 +72,6 @@ class TrimmedMeanStrategy : public Strategy {
                        : loss_sum_ / static_cast<double>(deltas_.size());
   }
 
-  double probe_accuracy(const std::vector<int>& ids,
-                        RoundContext& ctx) override {
-    double s = 0.0;
-    for (int c : ids) s += evaluate_accuracy(model_, ctx.data.client(c));
-    return s / static_cast<double>(ids.size());
-  }
-
-  Model& model() { return model_; }
-
  private:
   Model model_;
   std::vector<WeightSet> deltas_;
@@ -107,11 +99,8 @@ int main() {
   });
   engine.run();
 
-  auto& strat = engine.strategy_as<TrimmedMeanStrategy>();
-  double acc = 0.0;
-  for (int c = 0; c < data.num_clients(); ++c)
-    acc += evaluate_accuracy(strat.model(), data.client(c));
-  std::printf("mean client accuracy: %.3f\n", acc / data.num_clients());
+  std::printf("mean client accuracy: %.3f\n",
+              mean(client_accuracy(engine.strategy(), data)));
   std::printf("network: %.1f MB, compute: %.2e MACs\n",
               engine.costs().network_mb(), engine.costs().total_macs());
   return 0;

@@ -23,8 +23,12 @@
 #     tables into payload bodies, and the width-scaled baselines' channel
 #     maps write through computed flat indices;
 #   * a SIMD-disabled build (FEDTRANS_SIMD=OFF, still -Werror) proving the
-#     scalar parity reference compiles warnings-clean on its own.
-# Set FEDTRANS_CI_FAST=1 to skip both auxiliary legs.
+#     scalar parity reference compiles warnings-clean on its own;
+#   * a ThreadSanitizer build running the deployment-probe tests: every
+#     strategy's deployed models are evaluated concurrently on pool
+#     workers, where a forward through a shared model would be a data race
+#     the ASan+UBSan build cannot see.
+# Set FEDTRANS_CI_FAST=1 to skip the three auxiliary legs.
 #
 # Usage: scripts/ci.sh [extra ctest args...]
 #   BUILD_DIR  build directory   (default: build)
@@ -96,4 +100,17 @@ if [ -z "${FEDTRANS_CI_FAST:-}" ]; then
     test_gemm_simd test_mixed_precision
   ctest --test-dir "$NOSIMD_DIR" --output-on-failure -j "$JOBS" \
     -R 'test_(gemm_simd|mixed_precision)$'
+
+  # ThreadSanitizer over the deployment path (Strategy::deployed_accuracy):
+  # the probe tests of the width-scaled baselines, FedAvg, RobustStrategy,
+  # SplitMix and FedBuff. The FedTrans case trains cifar-like families and
+  # is left out for time; its evaluation copies models the same way.
+  TSAN_DIR="$BUILD_DIR-tsan"
+  cmake -B "$TSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+    -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
+  cmake --build "$TSAN_DIR" -j "$JOBS" --target test_fl_extensions
+  FEDTRANS_THREADS=4 TSAN_OPTIONS=halt_on_error=1 \
+    "$TSAN_DIR"/test_fl_extensions \
+    --gtest_filter='SubmodelBaselinesTest.LastProbe*:DeploymentProbeTest.*'
 fi

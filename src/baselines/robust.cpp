@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
-#include "fl/local_train.hpp"
 #include "obs/metrics.hpp"
 
 namespace fedtrans {
@@ -259,24 +257,6 @@ void RobustStrategy::finish_round(RoundContext&, RoundRecord& rec) {
                      : loss_sum_ / static_cast<double>(deltas_.size());
   rec.round_time_s = slowest_;
   deltas_.clear();
-}
-
-double RobustStrategy::probe_accuracy(const std::vector<int>& ids,
-                                      RoundContext& ctx) {
-  // Per-thread model copies, fixed-order summation — same pattern as
-  // FedAvgStrategy::probe_accuracy.
-  std::vector<double> accs(ids.size(), 0.0);
-  ThreadPool::global().parallel_for(
-      static_cast<std::int64_t>(ids.size()), 1,
-      [&](std::int64_t lo, std::int64_t hi) {
-        Model probe = model_;
-        for (std::int64_t i = lo; i < hi; ++i)
-          accs[static_cast<std::size_t>(i)] = evaluate_accuracy(
-              probe, ctx.data.client(ids[static_cast<std::size_t>(i)]));
-      });
-  double acc_sum = 0.0;
-  for (double a : accs) acc_sum += a;
-  return ids.empty() ? 0.0 : acc_sum / static_cast<double>(ids.size());
 }
 
 std::unique_ptr<Strategy> make_robust_strategy(Model init,

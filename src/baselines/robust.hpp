@@ -60,8 +60,6 @@ class RobustStrategy final : public Strategy {
   void lost_update(const ClientTask& task, ClientOutcome outcome,
                    RoundContext& ctx) override;
   void finish_round(RoundContext& ctx, RoundRecord& rec) override;
-  double probe_accuracy(const std::vector<int>& ids,
-                        RoundContext& ctx) override;
 
   Model& model() { return model_; }
   const RobustConfig& config() const { return cfg_; }

@@ -14,7 +14,6 @@ SplitMixStrategy::SplitMixStrategy(ModelSpec full_spec, int num_bases)
 }
 
 void SplitMixStrategy::attach(RoundContext& ctx, Rng& rng) {
-  data_ = &ctx.data;
   fleet_ = &ctx.fleet;
   const ModelSpec base_spec =
       scale_widths(full_spec_, 1.0 / static_cast<double>(requested_bases_));
@@ -114,28 +113,20 @@ void SplitMixStrategy::finish_round(RoundContext& ctx, RoundRecord& rec) {
   rec.round_time_s = slowest_;
 }
 
-double SplitMixStrategy::ensemble_accuracy(int client, int m) {
-  const auto& cd = data_->client(client);
-  const int n = cd.eval_size();
+double SplitMixStrategy::deployed_accuracy(int client,
+                                           const ClientData& data) {
+  const int n = data.eval_size();
   if (n == 0) return 0.0;
   Tensor sum_logits;
-  for (int t = 0; t < m; ++t) {
-    const int b = (client + t) % num_bases();
-    Tensor logits =
-        bases_[static_cast<std::size_t>(b)]->forward(cd.x_eval, false);
+  for (int t = 0; t < budget_for(client); ++t) {
+    Model base = *bases_[static_cast<std::size_t>((client + t) % num_bases())];
+    Tensor logits = base.forward(data.x_eval, false);
     if (t == 0)
-      sum_logits = logits;
+      sum_logits = std::move(logits);
     else
       sum_logits.add_(logits);
   }
-  return static_cast<double>(count_correct(sum_logits, cd.y_eval)) / n;
-}
-
-double SplitMixStrategy::probe_accuracy(const std::vector<int>& ids,
-                                        RoundContext&) {
-  double s = 0.0;
-  for (int c : ids) s += ensemble_accuracy(c, budget_for(c));
-  return s / static_cast<double>(ids.size());
+  return static_cast<double>(count_correct(sum_logits, data.y_eval)) / n;
 }
 
 }  // namespace fedtrans

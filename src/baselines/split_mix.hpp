@@ -35,15 +35,14 @@ class SplitMixStrategy : public Strategy {
   void lost_update(const ClientTask& task, ClientOutcome outcome,
                    RoundContext& ctx) override;
   void finish_round(RoundContext& ctx, RoundRecord& rec) override;
-  double probe_accuracy(const std::vector<int>& ids,
-                        RoundContext& ctx) override;
+  /// The client's ensemble: its budget_for(client) bases, rotated per
+  /// client, with their logits summed.
+  double deployed_accuracy(int client, const ClientData& data) override;
 
   int num_bases() const { return static_cast<int>(bases_.size()); }
   /// How many bases the client can run (≥1, ≤ num_bases).
   int budget_for(int client) const;
   Model& base(int i) { return *bases_[static_cast<std::size_t>(i)]; }
-  /// Average ensemble accuracy of the first `m` bases (rotated per client).
-  double ensemble_accuracy(int client, int m);
 
  private:
   /// Base trained by `task` under this round's rotation.
@@ -52,7 +51,6 @@ class SplitMixStrategy : public Strategy {
 
   ModelSpec full_spec_;
   int requested_bases_;
-  const ClientDataProvider* data_ = nullptr;
   const std::vector<DeviceProfile>* fleet_ = nullptr;
   std::vector<std::unique_ptr<Model>> bases_;
   double base_macs_ = 0.0;

@@ -123,7 +123,6 @@ std::vector<ClientTask> SubmodelStrategy::plan_round(RoundContext& ctx,
   wsum_ = ws_zeros_like(global_w);
   loss_sum_ = 0.0;
   slowest_ = 0.0;
-  round_tasks_ = tasks.size();
   return tasks;
 }
 
@@ -172,7 +171,7 @@ void SubmodelStrategy::lost_update(const ClientTask& task,
   bill_lost_update(ctx, outcome, level_bytes_[lvl], level_macs_[lvl]);
 }
 
-void SubmodelStrategy::finish_round(RoundContext&, RoundRecord& rec) {
+void SubmodelStrategy::finish_round(RoundContext& ctx, RoundRecord& rec) {
   WeightSet global_w = global_->weights();
   for (std::size_t p = 0; p < global_w.size(); ++p)
     for (std::int64_t e = 0; e < global_w[p].numel(); ++e) {
@@ -186,20 +185,15 @@ void SubmodelStrategy::finish_round(RoundContext&, RoundRecord& rec) {
     }
   global_->set_weights(global_w);
 
-  rec.avg_loss = round_tasks_ == 0
-                     ? 0.0
-                     : loss_sum_ / static_cast<double>(round_tasks_);
+  // The mean over absorbed updates: lost ones reported no loss.
+  rec.avg_loss = ctx.trained == 0 ? 0.0 : loss_sum_ / ctx.trained;
   rec.round_time_s = slowest_;
 }
 
-double SubmodelStrategy::probe_accuracy(const std::vector<int>& ids,
-                                        RoundContext& ctx) {
-  double s = 0.0;
-  for (int c : ids) {
-    Model sub = submodel(level_for(c));
-    s += evaluate_accuracy(sub, ctx.data.client(c));
-  }
-  return s / static_cast<double>(ids.size());
+double SubmodelStrategy::deployed_accuracy(int client,
+                                           const ClientData& data) {
+  Model sub = submodel(level_for(client));
+  return evaluate_accuracy(sub, data);
 }
 
 }  // namespace fedtrans

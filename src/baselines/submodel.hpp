@@ -36,8 +36,8 @@ class SubmodelStrategy : public Strategy {
   void absorb_reduced(const ClientTask& task, Model* payload, WeightSet& sum,
                       double weight, int count, RoundContext& ctx) override;
   void finish_round(RoundContext& ctx, RoundRecord& rec) override;
-  double probe_accuracy(const std::vector<int>& ids,
-                        RoundContext& ctx) override;
+  /// The client's level submodel.
+  double deployed_accuracy(int client, const ClientData& data) override;
 
   Model& global() { return *global_; }
   int num_levels() const { return static_cast<int>(level_specs_.size()); }
@@ -104,7 +104,6 @@ class SubmodelStrategy : public Strategy {
   WeightSet wsum_;
   double loss_sum_ = 0.0;
   double slowest_ = 0.0;
-  std::size_t round_tasks_ = 0;
 };
 
 }  // namespace fedtrans

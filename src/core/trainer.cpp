@@ -242,24 +242,31 @@ void FedTransStrategy::maybe_transform(RoundContext& ctx) {
   ctx.costs.note_storage(storage);
 }
 
-double FedTransStrategy::probe_accuracy(const std::vector<int>& ids,
-                                        RoundContext& ctx) {
-  // Private model copies per evaluation: forward() mutates layer caches.
-  std::vector<double> accs(ids.size(), 0.0);
-  ThreadPool::global().parallel_for(
-      static_cast<std::int64_t>(ids.size()), 1,
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          const int c = ids[static_cast<std::size_t>(i)];
-          const int best = cm_->best_model(c);
-          Model probe = *models_[static_cast<std::size_t>(best)].model;
-          accs[static_cast<std::size_t>(i)] =
-              evaluate_accuracy(probe, ctx.data.client(c));
-        }
-      });
-  double s = 0.0;
-  for (double a : accs) s += a;
-  return s / static_cast<double>(ids.size());
+int FedTransStrategy::deployed_model(int client,
+                                     const ClientData& data) const {
+  if (cfg_.final_assignment == FedTransConfig::FinalAssignment::Utility)
+    return cm_->best_model(client);
+  // Client-side probe: among compatible models, the one with the lowest
+  // loss on the client's own training shard (its data never leaves the
+  // device; only the choice does).
+  const auto compat = cm_->compatible_models(client);
+  int best = compat.front();
+  double best_loss = 1e300;
+  for (int k : compat) {
+    Model probe = *models_[static_cast<std::size_t>(k)].model;
+    const double l = evaluate_loss(probe, data);
+    if (l < best_loss) {
+      best_loss = l;
+      best = k;
+    }
+  }
+  return best;
+}
+
+double FedTransStrategy::deployed_accuracy(int client,
+                                           const ClientData& data) {
+  Model deploy = model(deployed_model(client, data));
+  return evaluate_accuracy(deploy, data);
 }
 
 FinalEval FedTransStrategy::evaluate_final() {
@@ -267,37 +274,18 @@ FinalEval FedTransStrategy::evaluate_final() {
   const auto n = static_cast<std::size_t>(data_->num_clients());
   ev.client_accuracy.assign(n, 0.0);
   ev.client_model.assign(n, 0);
-  // Deployment evaluation is read-only on the family apart from layer
-  // caches, so each worker probes private model copies; per-client slots
-  // keep the result order (and thus mean/IQR) deterministic.
+  // Per-client slots keep the result order (and thus mean/IQR)
+  // deterministic.
   ThreadPool::global().parallel_for(
       static_cast<std::int64_t>(n), 1, [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t i = lo; i < hi; ++i) {
           const int c = static_cast<int>(i);
-          int best;
-          if (cfg_.final_assignment ==
-              FedTransConfig::FinalAssignment::Utility) {
-            best = cm_->best_model(c);
-          } else {
-            // Client-side probe: among compatible models, the one with the
-            // lowest loss on the client's own training shard (its data never
-            // leaves the device; only the choice does).
-            const auto compat = cm_->compatible_models(c);
-            best = compat.front();
-            double best_loss = 1e300;
-            for (int k : compat) {
-              Model probe = *models_[static_cast<std::size_t>(k)].model;
-              const double l = evaluate_loss(probe, data_->client(c));
-              if (l < best_loss) {
-                best_loss = l;
-                best = k;
-              }
-            }
-          }
-          ev.client_model[static_cast<std::size_t>(i)] = best;
-          Model deploy = *models_[static_cast<std::size_t>(best)].model;
+          const ClientData& d = data_->client(c);
+          const int k = deployed_model(c, d);
+          ev.client_model[static_cast<std::size_t>(i)] = k;
+          Model deploy = model(k);
           ev.client_accuracy[static_cast<std::size_t>(i)] =
-              evaluate_accuracy(deploy, data_->client(c));
+              evaluate_accuracy(deploy, d);
         }
       });
   ev.mean_accuracy = mean(ev.client_accuracy);

@@ -74,7 +74,7 @@ struct ModelEntry {
 };
 
 /// Deployment-time evaluation report (paper metric: every client evaluated
-/// on its best-utility compatible model).
+/// on the family member it deploys).
 struct FinalEval {
   std::vector<double> client_accuracy;
   std::vector<int> client_model;
@@ -106,8 +106,8 @@ class FedTransStrategy : public Strategy {
   void lost_update(const ClientTask& task, ClientOutcome outcome,
                    RoundContext& ctx) override;
   void finish_round(RoundContext& ctx, RoundRecord& rec) override;
-  double probe_accuracy(const std::vector<int>& ids,
-                        RoundContext& ctx) override;
+  /// The family member deployed_model picks.
+  double deployed_accuracy(int client, const ClientData& data) override;
   /// Per-model FedAvg is a weighted linear sum per family member (the
   /// reduce key is the assigned model index); utility learning only needs
   /// the per-client losses, which ride the tree verbatim as metrics.
@@ -121,6 +121,11 @@ class FedTransStrategy : public Strategy {
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
+  /// Index of the family member `client` deploys, chosen from its shards
+  /// `data` by cfg.final_assignment. Evaluates private model copies, so
+  /// safe to call concurrently.
+  int deployed_model(int client, const ClientData& data) const;
+  /// Every client's deployed_model and its accuracy.
   FinalEval evaluate_final();
 
   int num_models() const { return static_cast<int>(models_.size()); }

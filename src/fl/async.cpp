@@ -57,11 +57,4 @@ void FedBuffStrategy::finish_round(RoundContext&, RoundRecord&) {
                       "SessionMode::Async");
 }
 
-double FedBuffStrategy::probe_accuracy(const std::vector<int>& ids,
-                                       RoundContext& ctx) {
-  double s = 0.0;
-  for (int c : ids) s += evaluate_accuracy(model_, ctx.data.client(c));
-  return ids.empty() ? 0.0 : s / static_cast<double>(ids.size());
-}
-
 }  // namespace fedtrans

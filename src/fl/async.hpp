@@ -34,7 +34,6 @@ class FedBuffStrategy : public Strategy {
   void absorb_update(const ClientTask&, Model*, LocalTrainResult&,
                      RoundContext&) override;
   void finish_round(RoundContext&, RoundRecord&) override;
-  double probe_accuracy(const std::vector<int>&, RoundContext&) override;
 
   Model& model() { return model_; }
 

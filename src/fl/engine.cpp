@@ -6,8 +6,10 @@
 #include <unordered_map>
 
 #include "common/check.hpp"
+#include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "fl/byzantine.hpp"
+#include "fl/local_train.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -88,6 +90,39 @@ void Strategy::absorb_reduced(const ClientTask&, Model*, WeightSet&, double,
                           << name()
                           << "' does not support numeric partial "
                              "aggregation (absorb_reduced not implemented)");
+}
+
+double Strategy::deployed_accuracy(int, const ClientData& data) {
+  const Model* shared = shared_model();
+  FT_CHECK_MSG(shared != nullptr,
+               "strategy '" << name()
+                            << "' has no shared model: override "
+                               "deployed_accuracy");
+  Model local = *shared;
+  return evaluate_accuracy(local, data);
+}
+
+double Strategy::probe_accuracy(const std::vector<int>& ids,
+                                RoundContext& ctx) {
+  return mean(deployed_accuracies(*this, ids, ctx.data));
+}
+
+std::vector<double> deployed_accuracies(Strategy& s,
+                                        const std::vector<int>& ids,
+                                        const ClientDataProvider& data) {
+  // Per-client slots keep the result order, and so every mean over it,
+  // independent of the thread count.
+  std::vector<double> accs(ids.size(), 0.0);
+  ThreadPool::global().parallel_for(
+      static_cast<std::int64_t>(ids.size()), 1,
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) {
+          const int c = ids[static_cast<std::size_t>(i)];
+          accs[static_cast<std::size_t>(i)] =
+              s.deployed_accuracy(c, data.client(c));
+        }
+      });
+  return accs;
 }
 
 void Strategy::save_state(std::ostream&) const {

@@ -85,7 +85,8 @@ class RoundObserver {
 ///   absorb_update ×n   fixed task-order reduction (+ cost billing)
 ///   lost_update  ×k    billing for fabric casualties / dropped stragglers
 ///   finish_round       aggregate, optionally transform, fill the record
-///   probe_accuracy     periodic eval probe (engine picks the client ids)
+///   probe_accuracy     periodic eval probe (engine picks the client ids),
+///                      scoring deployed_accuracy per probed client
 class Strategy {
  public:
   virtual ~Strategy() = default;
@@ -189,9 +190,18 @@ class Strategy {
   /// round / cum_macs / participants / accuracy.
   virtual void finish_round(RoundContext& ctx, RoundRecord& rec) = 0;
 
-  /// Mean deployment accuracy over `ids` for the periodic probe.
+  /// Top-1 accuracy, on `data` (the client's shards), of what `client`
+  /// deploys once training ends. The periodic probe and the harness both
+  /// score it. Called concurrently for distinct clients from pool workers,
+  /// so evaluate private model copies: forward() mutates layer caches.
+  /// Default: a copy of shared_model(); a strategy without one must
+  /// override (the default throws).
+  virtual double deployed_accuracy(int client, const ClientData& data);
+
+  /// Mean deployed_accuracy over `ids` for the periodic probe, summed in
+  /// id order (0 for no ids). Virtual only for decorators that forward it.
   virtual double probe_accuracy(const std::vector<int>& ids,
-                                RoundContext& ctx) = 0;
+                                RoundContext& ctx);
 
   // --- async scheduling mode (FedBuff) -----------------------------------
 
@@ -216,6 +226,12 @@ class Strategy {
   virtual void save_state(std::ostream& os) const;
   virtual void load_state(std::istream& is);
 };
+
+/// The deployment evaluator: `s.deployed_accuracy` of each client in `ids`,
+/// evaluated concurrently on the shared ThreadPool; slot i holds ids[i]'s.
+std::vector<double> deployed_accuracies(Strategy& s,
+                                        const std::vector<int>& ids,
+                                        const ClientDataProvider& data);
 
 /// The one federation engine: owns the canonical round loop (select →
 /// materialize per-client payloads → local train on the shared ThreadPool →

@@ -5,7 +5,6 @@
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "net/server.hpp"
 
 namespace fedtrans {
@@ -158,25 +157,6 @@ void FedAvgStrategy::finish_round(RoundContext& ctx, RoundRecord& rec) {
   rec.avg_loss = trained_ > 0 ? loss_sum_ / trained_ : 0.0;
   rec.round_time_s = slowest_;
   rec.lost_updates = static_cast<int>(dropped_.size());  // engine adds wire losses
-}
-
-double FedAvgStrategy::probe_accuracy(const std::vector<int>& ids,
-                                      RoundContext& ctx) {
-  // Per-thread model copies: forward() mutates layer caches, so the shared
-  // model cannot be evaluated concurrently. Fixed-order summation keeps
-  // the probe deterministic.
-  std::vector<double> accs(ids.size(), 0.0);
-  ThreadPool::global().parallel_for(
-      static_cast<std::int64_t>(ids.size()), 1,
-      [&](std::int64_t lo, std::int64_t hi) {
-        Model probe = model_;
-        for (std::int64_t i = lo; i < hi; ++i)
-          accs[static_cast<std::size_t>(i)] = evaluate_accuracy(
-              probe, ctx.data.client(ids[static_cast<std::size_t>(i)]));
-      });
-  double acc_sum = 0.0;
-  for (double a : accs) acc_sum += a;
-  return acc_sum / static_cast<double>(ids.size());
 }
 
 }  // namespace fedtrans

@@ -53,8 +53,6 @@ class FedAvgStrategy : public Strategy {
   void lost_update(const ClientTask& task, ClientOutcome outcome,
                    RoundContext& ctx) override;
   void finish_round(RoundContext& ctx, RoundRecord& rec) override;
-  double probe_accuracy(const std::vector<int>& ids,
-                        RoundContext& ctx) override;
   /// The weighted mean is a linear sum — numeric tree reduction applies as
   /// long as no per-client uplink compression rewrites the deltas.
   bool supports_partial_aggregation() const override {

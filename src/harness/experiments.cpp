@@ -1,5 +1,11 @@
 #include "harness/experiments.hpp"
 
+#include <numeric>
+
+#include "baselines/fedrolex.hpp"
+#include "baselines/fluid.hpp"
+#include "baselines/hetero_fl.hpp"
+#include "baselines/split_mix.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "fl/runner.hpp"
@@ -22,22 +28,11 @@ std::vector<double> client_accuracy(const Model& model,
   return accs;
 }
 
-std::vector<double> client_accuracy(SubmodelStrategy& s,
+std::vector<double> client_accuracy(Strategy& s,
                                     const ClientDataProvider& data) {
-  std::vector<double> accs;
-  for (int c = 0; c < data.num_clients(); ++c) {
-    Model sub = s.submodel(s.level_for(c));
-    accs.push_back(evaluate_accuracy(sub, data.client(c)));
-  }
-  return accs;
-}
-
-std::vector<double> client_accuracy(SplitMixStrategy& s,
-                                    const ClientDataProvider& data) {
-  std::vector<double> accs;
-  for (int c = 0; c < data.num_clients(); ++c)
-    accs.push_back(s.ensemble_accuracy(c, s.budget_for(c)));
-  return accs;
+  std::vector<int> ids(static_cast<std::size_t>(data.num_clients()));
+  std::iota(ids.begin(), ids.end(), 0);
+  return deployed_accuracies(s, ids, data);
 }
 
 double mean_client_accuracy(const Model& model,
@@ -66,23 +61,36 @@ SessionConfig preset_session(const ExperimentPreset& p, int eval_every) {
   return cfg;
 }
 
-/// The width-scaled baselines share one protocol: train the ladder over
-/// `largest`, then deploy each client's level submodel.
+/// The one run body: train `strategy` on the preset's data and fleet, then
+/// score every client's deployment. `describe` fills the method's model
+/// fields from the trained strategy.
+template <typename S, typename Describe>
+MethodResult run_method(std::string method, std::unique_ptr<S> strategy,
+                        const ExperimentPreset& p,
+                        const SessionConfig& session, Describe describe) {
+  auto data = FederatedDataset::generate(p.dataset);
+  FederationEngine engine(std::move(strategy), data, sample_fleet(p.fleet),
+                          session);
+  engine.run();
+  auto& s = engine.strategy_as<S>();
+  MethodResult res;
+  res.method = std::move(method);
+  res.report = baseline_report(engine, client_accuracy(s, data));
+  describe(s, res);
+  return res;
+}
+
+/// The width-scaled baselines train the ladder over `largest`.
 MethodResult run_submodel(std::string method,
                           std::unique_ptr<SubmodelStrategy> strategy,
                           const ExperimentPreset& p, const ModelSpec& largest,
                           int eval_every) {
-  auto data = FederatedDataset::generate(p.dataset);
-  FederationEngine engine(std::move(strategy), data, sample_fleet(p.fleet),
-                          preset_session(p, eval_every));
-  engine.run();
-  auto& s = engine.strategy_as<SubmodelStrategy>();
-  MethodResult res;
-  res.method = std::move(method);
-  res.report = baseline_report(engine, client_accuracy(s, data));
-  res.largest_spec = largest;
-  res.largest_macs = static_cast<double>(s.global().macs());
-  return res;
+  return run_method(std::move(method), std::move(strategy), p,
+                    preset_session(p, eval_every),
+                    [&](SubmodelStrategy& s, MethodResult& res) {
+                      res.largest_spec = largest;
+                      res.largest_macs = static_cast<double>(s.global().macs());
+                    });
 }
 
 }  // namespace
@@ -101,37 +109,24 @@ MethodResult run_fedtrans_cfg(const ExperimentPreset& p,
 MethodResult run_fedtrans_cfg(const ExperimentPreset& p,
                               const FedTransConfig& cfg,
                               const SessionConfig& session) {
-  auto data = FederatedDataset::generate(p.dataset);
-  FederationEngine engine(std::make_unique<FedTransStrategy>(p.initial_model,
-                                                             cfg),
-                          data, sample_fleet(p.fleet), session);
-  engine.run();
-  auto& ft = engine.strategy_as<FedTransStrategy>();
-  auto ev = ft.evaluate_final();
-
-  MethodResult res;
-  res.method = "FedTrans";
-  res.report = baseline_report(engine, ev.client_accuracy);
-  res.num_models = ft.num_models();
-  Model& largest = ft.model(ft.num_models() - 1);
-  res.largest_spec = largest.spec();
-  res.largest_macs = static_cast<double>(largest.macs());
-  return res;
+  return run_method(
+      "FedTrans", std::make_unique<FedTransStrategy>(p.initial_model, cfg), p,
+      session, [](FedTransStrategy& ft, MethodResult& res) {
+        res.num_models = ft.num_models();
+        Model& largest = ft.model(ft.num_models() - 1);
+        res.largest_spec = largest.spec();
+        res.largest_macs = static_cast<double>(largest.macs());
+      });
 }
 
 MethodResult run_splitmix(const ExperimentPreset& p, const ModelSpec& largest,
                           int eval_every) {
-  auto data = FederatedDataset::generate(p.dataset);
-  FederationEngine engine(std::make_unique<SplitMixStrategy>(largest), data,
-                          sample_fleet(p.fleet), preset_session(p, eval_every));
-  engine.run();
-  auto& s = engine.strategy_as<SplitMixStrategy>();
-  MethodResult res;
-  res.method = "SplitMix";
-  res.report = baseline_report(engine, client_accuracy(s, data));
-  res.num_models = s.num_bases();
-  res.largest_spec = largest;
-  return res;
+  return run_method("SplitMix", std::make_unique<SplitMixStrategy>(largest), p,
+                    preset_session(p, eval_every),
+                    [&](SplitMixStrategy& s, MethodResult& res) {
+                      res.num_models = s.num_bases();
+                      res.largest_spec = largest;
+                    });
 }
 
 MethodResult run_heterofl(const ExperimentPreset& p, const ModelSpec& largest,
@@ -155,26 +150,19 @@ MethodResult run_fluid(const ExperimentPreset& p, const ModelSpec& largest,
 MethodResult run_single_model(const ExperimentPreset& p, const ModelSpec& spec,
                               ServerOptKind opt, double prox_mu,
                               int eval_every) {
-  auto data = FederatedDataset::generate(p.dataset);
   SessionConfig cfg = preset_session(p, eval_every);
   cfg.local.sgd.prox_mu = prox_mu;
   FedAvgOptions opts;
   opts.server_opt = opt;
   Rng rng(p.fedtrans.seed + 41);
-  FederationEngine engine(
-      std::make_unique<FedAvgStrategy>(Model(spec, rng), opts), data,
-      sample_fleet(p.fleet), cfg);
-  engine.run();
-  Model& model = engine.strategy_as<FedAvgStrategy>().model();
-
-  MethodResult res;
-  res.method = opt == ServerOptKind::FedYogi
-                   ? "FedYogi"
-                   : (prox_mu > 0.0 ? "FedProx" : "FedAvg");
-  res.report = baseline_report(engine, client_accuracy(model, data));
-  res.largest_spec = spec;
-  res.largest_macs = static_cast<double>(model.macs());
-  return res;
+  return run_method(opt == ServerOptKind::FedYogi
+                        ? "FedYogi"
+                        : (prox_mu > 0.0 ? "FedProx" : "FedAvg"),
+                    std::make_unique<FedAvgStrategy>(Model(spec, rng), opts),
+                    p, cfg, [&](FedAvgStrategy& s, MethodResult& res) {
+                      res.largest_spec = spec;
+                      res.largest_macs = static_cast<double>(s.model().macs());
+                    });
 }
 
 MethodResult run_centralized(const ExperimentPreset& p,

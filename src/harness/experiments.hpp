@@ -1,9 +1,6 @@
 #pragma once
 
-#include "baselines/fedrolex.hpp"
-#include "baselines/fluid.hpp"
-#include "baselines/hetero_fl.hpp"
-#include "baselines/split_mix.hpp"
+#include "fl/engine.hpp"
 #include "fl/server_opt.hpp"
 #include "harness/presets.hpp"
 
@@ -29,15 +26,11 @@ struct MethodResult {
   double largest_macs = 0.0;
 };
 
-/// Every client's top-1 accuracy on its eval shard, as each method deploys:
-/// one global model (FedAvg, FedBuff); the client's level submodel
-/// (HeteroFL, FedRolex, FLuID); SplitMix's base ensemble within the
-/// client's budget.
+/// Every client's top-1 accuracy on its eval shard: of one model, or of
+/// what the strategy deploys to each client (Strategy::deployed_accuracy).
 std::vector<double> client_accuracy(const Model& model,
                                     const ClientDataProvider& data);
-std::vector<double> client_accuracy(SubmodelStrategy& s,
-                                    const ClientDataProvider& data);
-std::vector<double> client_accuracy(SplitMixStrategy& s,
+std::vector<double> client_accuracy(Strategy& s,
                                     const ClientDataProvider& data);
 /// Mean of client_accuracy(model, data).
 double mean_client_accuracy(const Model& model,

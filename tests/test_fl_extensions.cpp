@@ -1,7 +1,7 @@
 // Tests for the FL extension modules: client selection strategies, the
 // extended server-optimizer family, the FedBuff asynchronous runner, the
-// FedRolex rolling-submodel baseline, and the probe-vs-deployment check
-// shared by the width-scaled baselines.
+// FedRolex rolling-submodel baseline, the width-scaled baselines' round
+// loss, and the probe-vs-deployment check every strategy shares.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,8 @@
 #include "baselines/fedrolex.hpp"
 #include "baselines/fluid.hpp"
 #include "baselines/hetero_fl.hpp"
+#include "baselines/robust.hpp"
+#include "baselines/split_mix.hpp"
 #include "common/check.hpp"
 #include "common/stats.hpp"
 #include "fl/async.hpp"
@@ -565,37 +567,204 @@ TEST(FedRolexTest, RejectsLaddersNotStrictlyDescending) {
 
 // -------------------------------------------------- width-scaled baselines
 
+/// Forwards the hooks of a verbatim synchronous session without probes to
+/// the wrapped strategy, and records per round the mean loss of the updates
+/// it absorbed.
+class AbsorbedLossRecorder : public Strategy {
+ public:
+  explicit AbsorbedLossRecorder(std::unique_ptr<Strategy> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  void attach(RoundContext& ctx, Rng& rng) override {
+    inner_->attach(ctx, rng);
+  }
+  std::vector<ClientTask> plan_round(RoundContext& ctx, Rng& rng) override {
+    losses_.clear();
+    return inner_->plan_round(ctx, rng);
+  }
+  void prepare_task(ClientTask& task, Rng& rng, RoundContext& ctx) override {
+    inner_->prepare_task(task, rng, ctx);
+  }
+  Model client_payload(const ClientTask& task) override {
+    return inner_->client_payload(task);
+  }
+  Model* shared_model() override { return inner_->shared_model(); }
+  int payload_key(const ClientTask& task) const override {
+    return inner_->payload_key(task);
+  }
+  const Model& reference_model() const override {
+    return inner_->reference_model();
+  }
+  double initial_storage_bytes() const override {
+    return inner_->initial_storage_bytes();
+  }
+  void absorb_update(const ClientTask& task, Model* trained,
+                     LocalTrainResult& res, RoundContext& ctx) override {
+    losses_.push_back(res.avg_loss);
+    inner_->absorb_update(task, trained, res, ctx);
+  }
+  void lost_update(const ClientTask& task, ClientOutcome outcome,
+                   RoundContext& ctx) override {
+    inner_->lost_update(task, outcome, ctx);
+  }
+  void finish_round(RoundContext& ctx, RoundRecord& rec) override {
+    inner_->finish_round(ctx, rec);
+    round_means_.push_back(mean(losses_));
+  }
+
+  const std::vector<double>& round_means() const { return round_means_; }
+
+ private:
+  std::unique_ptr<Strategy> inner_;
+  std::vector<double> losses_;
+  std::vector<double> round_means_;
+};
+
 template <typename S>
-void expect_last_probe_scores_deployment(std::uint64_t seed, int rounds) {
+void expect_round_loss_averages_absorbed_updates() {
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 1.5e5);
+  FaultConfig faults;
+  faults.dropout_prob = 0.35;
+  SessionConfig cfg = SessionConfig{}.with_fabric(faults);
+  cfg.rounds = 6;
+  cfg.clients_per_round = 6;
+  cfg.local.steps = 3;
+  cfg.local.batch = 8;
+  cfg.seed = 3;
+  FederationEngine engine(std::make_unique<AbsorbedLossRecorder>(
+                              std::make_unique<S>(tiny_model())),
+                          data, fleet, cfg);
+  engine.run();
+  const auto& means =
+      engine.strategy_as<AbsorbedLossRecorder>().round_means();
+  int lost = 0;
+  for (const RoundRecord& rec : engine.history()) {
+    lost += rec.lost_updates;
+    EXPECT_DOUBLE_EQ(rec.avg_loss, means[static_cast<std::size_t>(rec.round)])
+        << engine.strategy().name() << ", round " << rec.round << " lost "
+        << rec.lost_updates << " of " << rec.participants + rec.lost_updates;
+  }
+  EXPECT_GT(lost, 0) << "the faults should drop some updates";
+}
+
+TEST(SubmodelBaselinesTest, RoundLossAveragesTheAbsorbedUpdates) {
+  // A lost update reports no loss, so the round mean must not count it.
+  expect_round_loss_averages_absorbed_updates<HeteroFLStrategy>();
+  expect_round_loss_averages_absorbed_updates<FedRolexStrategy>();
+  expect_round_loss_averages_absorbed_updates<FluidStrategy>();
+}
+
+// ------------------------------------------------ probe vs deployment
+
+/// Run `strategy` with the session's probes covering every client, then
+/// check that the last probe read the mean of what the strategy deploys
+/// once the run ends. The session must probe its last round.
+std::unique_ptr<FederationEngine> expect_last_probe_scores_deployment(
+    std::unique_ptr<Strategy> strategy, const ClientDataProvider& data,
+    std::vector<DeviceProfile> fleet, SessionConfig cfg) {
+  cfg.eval_clients = 0;  // probe every client
+  auto engine = std::make_unique<FederationEngine>(
+      std::move(strategy), data, std::move(fleet), cfg);
+  engine->run();
+  const double probed = engine->history().back().accuracy;
+  EXPECT_GE(probed, 0.0) << "the last round was not probed";
+  EXPECT_DOUBLE_EQ(probed, mean(client_accuracy(engine->strategy(), data)))
+      << engine->strategy().name() << ", seed " << cfg.seed << ", "
+      << engine->history().size() << " rounds";
+  return engine;
+}
+
+SessionConfig probed_every_round(std::uint64_t seed, int rounds) {
   SessionConfig cfg;
   cfg.rounds = rounds;
   cfg.clients_per_round = 5;
   cfg.local.steps = 6;
   cfg.local.batch = 8;
   cfg.eval_every = 1;
-  cfg.eval_clients = 0;  // probe every client
   cfg.seed = seed;
-  FederationEngine engine(std::make_unique<S>(tiny_model()), data, fleet,
-                          cfg);
-  engine.run();
-  auto& s = engine.strategy_as<S>();
-  EXPECT_DOUBLE_EQ(engine.history().back().accuracy,
-                   mean(client_accuracy(s, data)))
-      << s.name() << ", seed " << seed << ", " << rounds << " rounds";
+  return cfg;
 }
 
 TEST(SubmodelBaselinesTest, LastProbeScoresTheDeployedSubmodels) {
   // The periodic probe runs after finish_round, so it must score the
   // submodels the harness deploys once the run ends. FedRolex once probed
   // the window it had just trained, one round behind its deployment.
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = fleet_with_capacity(data.num_clients(), 1.5e5);
   for (std::uint64_t seed : {1ULL, 2ULL})
     for (int rounds : {4, 6}) {
-      expect_last_probe_scores_deployment<HeteroFLStrategy>(seed, rounds);
-      expect_last_probe_scores_deployment<FedRolexStrategy>(seed, rounds);
-      expect_last_probe_scores_deployment<FluidStrategy>(seed, rounds);
+      const SessionConfig cfg = probed_every_round(seed, rounds);
+      expect_last_probe_scores_deployment(
+          std::make_unique<HeteroFLStrategy>(tiny_model()), data, fleet, cfg);
+      expect_last_probe_scores_deployment(
+          std::make_unique<FedRolexStrategy>(tiny_model()), data, fleet, cfg);
+      expect_last_probe_scores_deployment(
+          std::make_unique<FluidStrategy>(tiny_model()), data, fleet, cfg);
     }
+}
+
+TEST(DeploymentProbeTest, LastProbeScoresSharedModelsAndSplitMixEnsembles) {
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = fleet_with_capacity(data.num_clients(), 1.5e5);
+  for (std::uint64_t seed : {1ULL, 2ULL}) {
+    const SessionConfig cfg = probed_every_round(seed, 4);
+    Rng rng(seed);
+    expect_last_probe_scores_deployment(
+        std::make_unique<FedAvgStrategy>(Model(tiny_model(), rng),
+                                         FedAvgOptions{}),
+        data, fleet, cfg);
+    RobustConfig trimmed;
+    trimmed.aggregator = RobustAggregator::TrimmedMean;
+    expect_last_probe_scores_deployment(
+        std::make_unique<RobustStrategy>(Model(tiny_model(), rng), trimmed),
+        data, fleet, cfg);
+    auto splitmix = expect_last_probe_scores_deployment(
+        std::make_unique<SplitMixStrategy>(tiny_model()), data, fleet, cfg);
+    auto& sm = splitmix->strategy_as<SplitMixStrategy>();
+    int ensembles = 0;
+    for (int c = 0; c < data.num_clients(); ++c)
+      ensembles += sm.budget_for(c) > 1 ? 1 : 0;
+    EXPECT_GT(ensembles, 0) << "some client should ensemble several bases";
+
+    // FedBuff probes by shipped server version; 6 versions, every 3rd
+    // probed, so the last one is.
+    SessionConfig async = cfg;
+    async.mode = SessionMode::Async;
+    async.async.concurrency = 4;
+    async.async.buffer_size = 3;
+    async.async.aggregations = 6;
+    async.eval_every = 3;
+    expect_last_probe_scores_deployment(
+        std::make_unique<FedBuffStrategy>(Model(tiny_model(), rng)), data,
+        fleet, async);
+  }
+}
+
+TEST(FedTransDeploymentTest, LastProbeScoresTheFinalAssignment) {
+  // FedTrans deploys the family member cfg.final_assignment picks, so its
+  // probe must score that choice. Under LossProbe the pick can differ from
+  // the utility-best member only once the family has grown.
+  for (std::uint64_t seed : {1ULL, 2ULL}) {
+    const auto p = cifar_like(Scale::Tiny, seed);
+    auto data = FederatedDataset::generate(p.dataset);
+    for (auto assignment : {FedTransConfig::FinalAssignment::LossProbe,
+                            FedTransConfig::FinalAssignment::Utility}) {
+      FedTransConfig ft = p.fedtrans;
+      ft.final_assignment = assignment;
+      SessionConfig cfg = SessionConfig::from(ft);
+      cfg.eval_every = cfg.rounds - 1;  // probes the first and last rounds
+      auto engine = expect_last_probe_scores_deployment(
+          std::make_unique<FedTransStrategy>(p.initial_model, ft), data,
+          sample_fleet(p.fleet), cfg);
+      auto& s = engine->strategy_as<FedTransStrategy>();
+      EXPECT_GT(s.num_models(), 1) << "the family should grow, seed " << seed;
+      EXPECT_DOUBLE_EQ(engine->history().back().accuracy,
+                       s.evaluate_final().mean_accuracy)
+          << "seed " << seed;
+    }
+  }
 }
 
 }  // namespace

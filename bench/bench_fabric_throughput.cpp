@@ -84,6 +84,7 @@ void BM_FabricRound(benchmark::State& state) {
       static_cast<double>(bytes) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_FabricRound)->Arg(8)->Arg(32)->Arg(128)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// The same full round over the sharded aggregation tree (2 levels ×
@@ -138,6 +139,7 @@ void BM_FabricRoundSharded(benchmark::State& state) {
       static_cast<double>(bytes) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_FabricRoundSharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// Depth sweep over the aggregation tree (64-client fleet): levels 2 and 3,
@@ -214,6 +216,7 @@ BENCHMARK(BM_FabricRoundTree)
     ->Args({3, 4, 1})
     ->Args({3, 8, 0})
     ->Args({3, 8, 1})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// The numeric tree again with wire-v6 quantized partials: every
@@ -276,6 +279,7 @@ BENCHMARK(BM_FabricRoundTreeQuant)
     ->Args({2, 8})
     ->Args({3, 4})
     ->Args({3, 8})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// Repeat-broadcast rounds (frozen global, fixed cohort) over the 2-level
@@ -345,6 +349,7 @@ BENCHMARK(BM_FabricRoundRepeat)
     ->Arg(1)
     ->Arg(2)
     ->Arg(3)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// Full fabric rounds over a huge sparse population (10k → 1M clients,
@@ -448,7 +453,7 @@ void BM_WireCodec(benchmark::State& state) {
   state.counters["frames_per_s"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_WireCodec);
+BENCHMARK(BM_WireCodec)->UseRealTime();
 
 }  // namespace
 }  // namespace fedtrans

@@ -6,7 +6,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "baselines/robust.hpp"
 #include "common/thread_pool.hpp"
@@ -17,7 +19,6 @@
 #include "fl/server_opt.hpp"
 #include "model/transform.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/grouped_conv2d.hpp"
 #include "obs/trace.hpp"
 #include "tensor/gemm.hpp"
 #include "trace/device.hpp"
@@ -41,7 +42,7 @@ void BM_Gemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n) *
                           n * n);
 }
-BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 
 // Thread-count scaling of the acceptance-criterion shape (256³).
 void BM_GemmThreads(benchmark::State& state) {
@@ -60,7 +61,7 @@ void BM_GemmThreads(benchmark::State& state) {
                           n * n);
   ThreadPool::set_global_threads(ThreadPool::global_threads());
 }
-BENCHMARK(BM_GemmThreads)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_GemmThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // Backend sweep on the acceptance shape (256³, single thread): BM_GemmSimd
 // forces the best available SIMD micro-kernel, BM_GemmScalar the plain-C
@@ -90,7 +91,7 @@ void gemm_backend_bench(benchmark::State& state, GemmBackend b) {
 void BM_GemmScalar(benchmark::State& state) {
   gemm_backend_bench(state, GemmBackend::Scalar);
 }
-BENCHMARK(BM_GemmScalar);
+BENCHMARK(BM_GemmScalar)->UseRealTime();
 
 void BM_GemmSimd(benchmark::State& state) {
   const GemmBackend best = best_gemm_backend();
@@ -100,15 +101,37 @@ void BM_GemmSimd(benchmark::State& state) {
   }
   gemm_backend_bench(state, best);
 }
-BENCHMARK(BM_GemmSimd);
+BENCHMARK(BM_GemmSimd)->UseRealTime();
 
-void conv_bench_backend(benchmark::State& state, bool backward) {
-  set_conv_backend(state.range(0) == 0 ? ConvBackend::Im2col
-                                       : ConvBackend::Direct);
+// Conv2d forward/backward over one spec table, registered as
+// BM_Conv2dForward/<label>/<backend> and BM_Conv2dBackward/<label>/<backend>.
+// items == MACs per pass, so the GFLOP/s rates compare across group counts
+// even though a grouped layer does 1/g the work: the batched im2col lowering
+// packs a whole batch tile into one [ckk, bt·oh·ow] panel per group, which
+// keeps grouped GFLOP/s in dense's ballpark instead of paying a sliver-GEMM
+// penalty per image. `resnet` is the ResNet body layer (3×3, 64→64 on a
+// 14×14 map), the dense comparator for its grouped rows.
+struct ConvBenchSpec {
+  const char* label;
+  int in_c, out_c, k, groups, batch, hw;
+  std::vector<ConvBackend> backends;
+};
+
+const ConvBenchSpec kConvBenchSpecs[] = {
+    {"small", 8, 16, 3, 1, 8, 12, {ConvBackend::Im2col, ConvBackend::Direct}},
+    {"resnet", 64, 64, 3, 1, 4, 14, {ConvBackend::Im2col, ConvBackend::Direct}},
+    {"resnet_g4", 64, 64, 3, 4, 4, 14, {ConvBackend::Im2col}},
+    {"resnet_g8", 64, 64, 3, 8, 4, 14, {ConvBackend::Im2col}},
+};
+
+void conv_bench(benchmark::State& state, const ConvBenchSpec& spec,
+                ConvBackend backend, bool backward) {
+  set_conv_backend(backend);
   Rng rng(2);
-  Conv2d conv(8, 16, 3, 1);
+  Conv2d conv(spec.in_c, spec.out_c, spec.k, /*stride=*/1, /*padding=*/-1,
+              /*bias=*/true, spec.groups);
   conv.init(rng);
-  Tensor x({8, 8, 12, 12});
+  Tensor x({spec.batch, spec.in_c, spec.hw, spec.hw});
   x.randn(rng);
   Tensor y = conv.forward(x, true);
   Tensor g(y.shape());
@@ -122,98 +145,29 @@ void conv_bench_backend(benchmark::State& state, bool backward) {
       benchmark::DoNotOptimize(out.data());
     }
   }
-  state.SetItemsProcessed(state.iterations() * conv.macs({8, 12, 12}) * 8);
+  state.SetItemsProcessed(state.iterations() *
+                          conv.macs({spec.in_c, spec.hw, spec.hw}) *
+                          spec.batch);
   set_conv_backend(ConvBackend::Im2col);
 }
 
-// Arg 0 = im2col (default backend), Arg 1 = direct reference loops.
-void BM_Conv2dForward(benchmark::State& state) {
-  conv_bench_backend(state, /*backward=*/false);
-}
-BENCHMARK(BM_Conv2dForward)->Arg(0)->Arg(1);
-
-void BM_Conv2dBackward(benchmark::State& state) {
-  conv_bench_backend(state, /*backward=*/true);
-}
-BENCHMARK(BM_Conv2dBackward)->Arg(0)->Arg(1);
-
-// ResNet-style body layer: 3×3, 64→64 channels on a 14×14 map (the
-// acceptance-criterion conv shape). items == MACs per forward pass.
-void BM_ResNetConvForward(benchmark::State& state) {
-  set_conv_backend(state.range(0) == 0 ? ConvBackend::Im2col
-                                       : ConvBackend::Direct);
-  Rng rng(7);
-  Conv2d conv(64, 64, 3, 1);
-  conv.init(rng);
-  Tensor x({4, 64, 14, 14});
-  x.randn(rng);
-  for (auto _ : state) {
-    Tensor y = conv.forward(x, true);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * conv.macs({64, 14, 14}) * 4);
-  set_conv_backend(ConvBackend::Im2col);
-}
-BENCHMARK(BM_ResNetConvForward)->Arg(0)->Arg(1);
-
-void BM_ResNetConvBackward(benchmark::State& state) {
-  set_conv_backend(state.range(0) == 0 ? ConvBackend::Im2col
-                                       : ConvBackend::Direct);
-  Rng rng(8);
-  Conv2d conv(64, 64, 3, 1);
-  conv.init(rng);
-  Tensor x({4, 64, 14, 14});
-  x.randn(rng);
-  Tensor y = conv.forward(x, true);
-  Tensor g(y.shape());
-  g.fill(0.1f);
-  for (auto _ : state) {
-    Tensor dx = conv.backward(g);
-    benchmark::DoNotOptimize(dx.data());
-  }
-  state.SetItemsProcessed(state.iterations() * conv.macs({64, 14, 14}) * 4);
-  set_conv_backend(ConvBackend::Im2col);
-}
-BENCHMARK(BM_ResNetConvBackward)->Arg(0)->Arg(1);
-
-// Grouped vs dense conv throughput on the ResNet body shape (items == MACs,
-// so the GFLOP/s *rates* are comparable across group counts even though the
-// grouped layers do 1/g the work). Arg = groups; Arg(1) is the dense
-// comparator. The batched im2col lowering packs a whole batch tile into one
-// [ckk, bt·oh·ow] panel per group, which is what keeps grouped GFLOP/s
-// in dense's ballpark instead of paying a sliver-GEMM penalty per image
-// (forward also rides the short-M B-direct GEMM kernels).
-void grouped_conv_bench(benchmark::State& state, bool backward) {
-  const int groups = static_cast<int>(state.range(0));
-  Rng rng(9);
-  GroupedConv2d conv(64, 64, 3, groups, 1);
-  conv.init(rng);
-  Tensor x({4, 64, 14, 14});
-  x.randn(rng);
-  Tensor y = conv.forward(x, true);
-  Tensor g(y.shape());
-  g.fill(0.1f);
-  for (auto _ : state) {
-    if (backward) {
-      Tensor dx = conv.backward(g);
-      benchmark::DoNotOptimize(dx.data());
-    } else {
-      Tensor out = conv.forward(x, true);
-      benchmark::DoNotOptimize(out.data());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * conv.macs({64, 14, 14}) * 4);
-}
-
-void BM_GroupedConvForward(benchmark::State& state) {
-  grouped_conv_bench(state, /*backward=*/false);
-}
-BENCHMARK(BM_GroupedConvForward)->Arg(1)->Arg(4)->Arg(8);
-
-void BM_GroupedConvBackward(benchmark::State& state) {
-  grouped_conv_bench(state, /*backward=*/true);
-}
-BENCHMARK(BM_GroupedConvBackward)->Arg(1)->Arg(4)->Arg(8);
+const bool kConvBenchesRegistered = [] {
+  for (const bool backward : {false, true})
+    for (const ConvBenchSpec& spec : kConvBenchSpecs)
+      for (const ConvBackend backend : spec.backends) {
+        const std::string name =
+            std::string(backward ? "BM_Conv2dBackward/" : "BM_Conv2dForward/") +
+            spec.label +
+            (backend == ConvBackend::Im2col ? "/im2col" : "/direct");
+        benchmark::RegisterBenchmark(
+            name.c_str(),
+            [&spec, backend, backward](benchmark::State& state) {
+              conv_bench(state, spec, backend, backward);
+            })
+            ->UseRealTime();
+      }
+  return true;
+}();
 
 void BM_LocalTrainStep(benchmark::State& state) {
   DatasetConfig dcfg;
@@ -232,7 +186,7 @@ void BM_LocalTrainStep(benchmark::State& state) {
     benchmark::DoNotOptimize(res.avg_loss);
   }
 }
-BENCHMARK(BM_LocalTrainStep);
+BENCHMARK(BM_LocalTrainStep)->UseRealTime();
 
 void BM_WidenTransform(benchmark::State& state) {
   Rng rng(5);
@@ -242,7 +196,7 @@ void BM_WidenTransform(benchmark::State& state) {
     benchmark::DoNotOptimize(child.macs());
   }
 }
-BENCHMARK(BM_WidenTransform);
+BENCHMARK(BM_WidenTransform)->UseRealTime();
 
 void BM_SoftAggregation(benchmark::State& state) {
   Rng rng(6);
@@ -259,7 +213,7 @@ void BM_SoftAggregation(benchmark::State& state) {
     benchmark::DoNotOptimize(models[2]);
   }
 }
-BENCHMARK(BM_SoftAggregation);
+BENCHMARK(BM_SoftAggregation)->UseRealTime();
 
 // Robust (Byzantine-tolerant) reductions vs the linear FedAvg fold over
 // the same batch of client deltas. arg0 = client count, arg1 = reducer
@@ -305,7 +259,8 @@ BENCHMARK(BM_RobustAggregation)
     ->Args({64, 2})
     ->Args({256, 0})
     ->Args({256, 1})
-    ->Args({256, 2});
+    ->Args({256, 2})
+    ->UseRealTime();
 
 // ---------------------------------------------------------------------------
 // Engine dispatch overhead: one FedAvg round driven through the
@@ -435,7 +390,8 @@ void BM_EngineRoundOverhead(benchmark::State& state) {
 BENCHMARK(BM_EngineRoundOverhead)
     ->Arg(0)  // engine-dispatched round
     ->Arg(1)  // inline legacy-style loop
-    ->MinTime(2.0);  // sub-1% deltas need a stable clock
+    ->MinTime(2.0)  // sub-1% deltas need a stable clock
+    ->UseRealTime();
 
 // Tracing overhead: the same engine round with wall-clock tracing off
 // (arg 0) vs on (arg 1). Every span site fires — engine phases, kernel
@@ -469,7 +425,8 @@ void BM_TraceOverhead(benchmark::State& state) {
 BENCHMARK(BM_TraceOverhead)
     ->Arg(0)  // tracing compiled in, runtime-disabled (the default)
     ->Arg(1)  // wall-clock tracing live
-    ->MinTime(2.0);
+    ->MinTime(2.0)
+    ->UseRealTime();
 
 // Wire bytes of one FedAvg round at fp32 vs f16 storage. The benchmark's
 // timing is incidental; the payload is the `bytes_per_round` counter read
@@ -498,7 +455,7 @@ void BM_HalfWireBytes(benchmark::State& state) {
   state.counters["bytes_per_round"] = bytes;
   state.SetLabel(half ? "f16" : "f32");
 }
-BENCHMARK(BM_HalfWireBytes)->Arg(0)->Arg(1);
+BENCHMARK(BM_HalfWireBytes)->Arg(0)->Arg(1)->UseRealTime();
 
 }  // namespace
 }  // namespace fedtrans

@@ -1,5 +1,5 @@
 // Using the NN substrate directly: build a custom architecture from
-// individual layers (BatchNorm, MaxPool2d, Dropout, GroupedConv2d,
+// individual layers (BatchNorm, MaxPool2d, Dropout, grouped Conv2d,
 // Sequential) without the Cell-based ModelSpec machinery, train it on a
 // pooled dataset, and demonstrate the grouped→dense conversion the paper's
 // appendix applies before handing models to HeteroFL/SplitMix.
@@ -12,7 +12,6 @@
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dropout.hpp"
-#include "nn/grouped_conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/pool.hpp"
@@ -99,7 +98,8 @@ int main() {
 
   // Grouped→dense conversion (paper Appendix A.1): identical function,
   // higher MACs — the price of baseline compatibility.
-  GroupedConv2d grouped(8, 8, 3, /*groups=*/8);
+  Conv2d grouped(8, 8, 3, /*stride=*/1, /*padding=*/-1, /*bias=*/true,
+                 /*groups=*/8);
   grouped.init(rng);
   auto dense = grouped.to_dense();
   const std::vector<int> shape{8, 10, 10};

@@ -1,11 +1,11 @@
 // A hand-rolled Vision Transformer from substrate pieces: patch-embedding
-// conv → tokens → pre-norm residual blocks (LayerNorm + MultiHeadAttention,
-// LayerNorm + TokenMlp) → mean-pool → linear head.
+// conv → tokens → pre-norm residual blocks (LayerNorm + multi-head
+// Attention, LayerNorm + TokenMlp) → mean-pool → linear head.
 //
 // The paper's Table 4 transforms single-head attention Cells through the
-// ModelSpec machinery; this example shows the same substrate being used
-// directly for a custom multi-head ViT, trained centrally on the pooled
-// synthetic dataset.
+// ModelSpec machinery; this example builds the same Attention layer with
+// several heads, directly from the substrate, and trains it centrally on
+// the pooled synthetic dataset.
 
 #include <iostream>
 
@@ -17,7 +17,6 @@
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/multihead_attention.hpp"
 #include "nn/sgd.hpp"
 
 using namespace fedtrans;
@@ -63,11 +62,11 @@ MiniViT build_vit(int channels, int hw, int classes, int dim, int heads,
   vit.embed->init(rng);
   for (int d = 0; d < depth; ++d) {
     {
-      auto mha = std::make_unique<MultiHeadAttention>(dim, heads);
-      mha->init(rng);
+      auto attn = std::make_unique<Attention>(dim, heads);
+      attn->init(rng);
       std::vector<std::unique_ptr<Layer>> ls;
       ls.push_back(std::make_unique<LayerNorm>(dim));
-      ls.push_back(std::move(mha));
+      ls.push_back(std::move(attn));
       vit.blocks.push_back(
           std::make_unique<Block>(std::move(ls), /*residual=*/true));
     }

@@ -4,6 +4,12 @@
 # benchmark: {op, shape, ms, gflops?, counters...} — so successive PRs have
 # a perf trajectory to compare against.
 #
+# Every registration must use UseRealTime(), which makes google-benchmark
+# divide items and kIsRate counters by wall time and append "/real_time"
+# to the run name. The distiller refuses to write the file (and names the
+# offenders) if any run lacks that suffix, so `ms`, `gflops` and every
+# `*_per_s` counter in the file share one clock.
+#
 # Usage: scripts/bench_micro.sh [filter-regex]
 #   BUILD_DIR  build directory (default: build)
 #   OUT        output path      (default: BENCH_micro_ops.json)
@@ -64,6 +70,7 @@ out_path, raw_paths = sys.argv[1], sys.argv[2:]
 
 context = {}
 records = []
+cpu_clocked = []
 # google-benchmark's own per-run keys; anything else numeric is a user
 # counter (msgs_per_s, bytes_per_round, ...) and passes through verbatim.
 known = {
@@ -95,15 +102,17 @@ for raw_path in raw_paths:
     ctx.update(context)
     context = ctx
     for b in raw.get("benchmarks", []):
+        if not b["name"].endswith("/real_time"):
+            cpu_clocked.append(b["name"])
+            continue
         if b.get("error_occurred"):
             # Keep the healthy records; surface the failure on stderr.
             print(f"warning: {b.get('name', '?')} errored: "
                   f"{b.get('error_message', 'unknown')}", file=sys.stderr)
             continue
-        name = b["name"]
         # UseRealTime() appends "/real_time" to the name: a timing mode,
         # not part of the shape.
-        op, _, shape = name.removesuffix("/real_time").partition("/")
+        op, _, shape = b["name"].removesuffix("/real_time").partition("/")
         unit = b.get("time_unit", "ns")
         scale = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}[unit]
         rec = {
@@ -124,6 +133,12 @@ for raw_path in raw_paths:
             if key not in known and isinstance(val, (int, float)):
                 rec[key] = round(val, 3)
         records.append(rec)
+
+if cpu_clocked:
+    sys.exit(
+        "error: refusing to record: these benchmarks ran on the CPU clock "
+        "(register them with ->UseRealTime()):\n  " +
+        "\n  ".join(cpu_clocked))
 
 with open(out_path, "w") as f:
     json.dump({"context": context, "benchmarks": records}, f, indent=2)

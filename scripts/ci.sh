@@ -11,14 +11,18 @@
 # FEDTRANS_THREADS), the robust-aggregation gates (test_robust), and the
 # fabric-vs-in-process strategy parity gates (test_engine_parity).
 #
-# Beyond the main leg, two auxiliary builds gate kernel hygiene:
+# The main leg also checks with nm that the GEMM micro-kernels sit on
+# 64-byte boundaries, so code layout cannot move benchmark timings.
+#
+# Beyond the main leg, three auxiliary builds gate kernel hygiene:
 #   * an ASan+UBSan build (FEDTRANS_SANITIZE=ON) running the tensor/nn
 #     suites, test_pop, test_checkpoint, the fabric suites and the
 #     baseline suites — the packed-panel GEMM micro-kernels, the batched
-#     im2col lowering and the chunked availability scan are exactly the
-#     code where an off-by-one tail read would otherwise go unnoticed, the
-#     checkpoint loader's hostile-count tests must fail as Errors where an
-#     oversized allocation would abort, the fabric's exchange path moves
+#     im2col lowering, the per-head attention slices and the chunked
+#     availability scan are exactly the code where an off-by-one tail or
+#     strided read would otherwise go unnoticed, the checkpoint loader's
+#     hostile-count tests must fail as Errors where an oversized
+#     allocation would abort, the fabric's exchange path moves
 #     decoded buffers between node-parallel workers and keeps pointer
 #     tables into payload bodies, and the width-scaled baselines' channel
 #     maps write through computed flat indices;
@@ -43,6 +47,25 @@ scripts/check_docs.sh
 cmake -B "$BUILD_DIR" -S . -DFEDTRANS_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" "$@"
+
+# Code-layout leg: src/tensor/gemm.cpp pins every GEMM micro-kernel to a
+# 64-byte boundary, so a change elsewhere in the library cannot shift a
+# kernel within its cache line and move end-to-end round times. Fail if a
+# micro_kernel_* symbol in a linked binary sits off that boundary (or if
+# none is found, which would make the check vacuous).
+kernels=0
+misaligned=0
+while read -r addr _ sym; do
+  kernels=$((kernels + 1))
+  if (( 16#$addr % 64 )); then
+    echo "ci: $sym at 0x$addr is not 64-byte aligned" >&2
+    misaligned=1
+  fi
+done < <(nm "$BUILD_DIR"/test_gemm_simd | grep micro_kernel_)
+if (( kernels == 0 || misaligned )); then
+  echo "ci: GEMM micro-kernel alignment check failed ($kernels symbols)" >&2
+  exit 1
+fi
 
 # Multi-process leg: leaf aggregators as forked child processes over real
 # Unix-domain sockets (examples/multiproc_federation.cpp). The example
@@ -72,7 +95,9 @@ FEDTRANS_TRACE=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
 
 if [ -z "${FEDTRANS_CI_FAST:-}" ]; then
   # ASan+UBSan over the kernel-heavy suites (tensor, dtype, GEMM backends,
-  # conv lowerings, layers), the population layer, whose chunked
+  # conv lowerings, layers, and attention, whose per-head Q/K/V slices are
+  # read through computed offsets with lda = D), the population layer,
+  # whose chunked
   # availability scan writes at chunk boundaries and a partial tail chunk,
   # checkpoint loading, where a corrupt count must raise an Error before
   # the allocator (which aborts under ASan) ever sees it, the fabric
@@ -86,11 +111,11 @@ if [ -z "${FEDTRANS_CI_FAST:-}" ]; then
   cmake -B "$SAN_DIR" -S . -DFEDTRANS_SANITIZE=ON
   cmake --build "$SAN_DIR" -j "$JOBS" --target \
     test_tensor test_gemm_simd test_mixed_precision test_backend \
-    test_layers test_layers_extended test_pop test_checkpoint \
+    test_layers test_layers_extended test_attention test_pop test_checkpoint \
     test_fabric test_socket_transport test_engine_parity test_fl_extensions \
     test_trainer_baselines
   ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
-    -R 'test_(tensor|gemm_simd|mixed_precision|backend|layers|layers_extended|pop|checkpoint|fabric|socket_transport|engine_parity|fl_extensions|trainer_baselines)$'
+    -R 'test_(tensor|gemm_simd|mixed_precision|backend|layers|layers_extended|attention|pop|checkpoint|fabric|socket_transport|engine_parity|fl_extensions|trainer_baselines)$'
 
   # Scalar-only build: the always-on parity reference must stay
   # warnings-clean without any SIMD code paths compiled in.

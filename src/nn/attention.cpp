@@ -3,46 +3,19 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "nn/linear.hpp"
 
 namespace fedtrans {
 
-namespace {
-// y[N*T, out] = x[N*T, in] * W^T + b. Shared by the token-wise projections.
-Tensor project(const Tensor& x2d, const Tensor& w, const Tensor& b) {
-  const int rows = x2d.dim(0), in = x2d.dim(1), out = w.dim(0);
-  Tensor y({rows, out});
-  gemm(false, true, rows, out, in, 1.0f, x2d.data(), in, w.data(), in, 0.0f,
-       y.data(), out);
-  if (!b.empty())
-    for (int i = 0; i < rows; ++i)
-      for (int j = 0; j < out; ++j) y.at(i, j) += b[j];
-  return y;
-}
-
-// Accumulate grads for a projection: gW += g^T x; gb += colsum(g); returns
-// dx = g W.
-Tensor project_backward(const Tensor& g2d, const Tensor& x2d, const Tensor& w,
-                        Tensor& gw, Tensor& gb) {
-  const int rows = g2d.dim(0), out = g2d.dim(1), in = x2d.dim(1);
-  gemm(true, false, out, in, rows, 1.0f, g2d.data(), out, x2d.data(), in, 1.0f,
-       gw.data(), in);
-  if (!gb.empty())
-    for (int i = 0; i < rows; ++i)
-      for (int j = 0; j < out; ++j) gb[j] += g2d.at(i, j);
-  Tensor dx({rows, in});
-  gemm(false, false, rows, in, out, 1.0f, g2d.data(), out, w.data(), in, 0.0f,
-       dx.data(), in);
-  return dx;
-}
-}  // namespace
-
-Attention::Attention(int dim)
+Attention::Attention(int dim, int heads)
     : d_(dim),
+      h_(heads),
       wq_({dim, dim}), gwq_({dim, dim}), bq_({dim}), gbq_({dim}),
       wk_({dim, dim}), gwk_({dim, dim}), bk_({dim}), gbk_({dim}),
       wv_({dim, dim}), gwv_({dim, dim}), bv_({dim}), gbv_({dim}),
       wo_({dim, dim}), gwo_({dim, dim}), bo_({dim}), gbo_({dim}) {
-  FT_CHECK(dim > 0);
+  FT_CHECK_MSG(dim > 0 && heads > 0 && dim % heads == 0,
+               "heads (" << heads << ") must divide dim (" << dim << ")");
 }
 
 void Attention::init(Rng& rng) {
@@ -60,94 +33,98 @@ Tensor Attention::forward(const Tensor& x, bool /*train*/) {
   FT_CHECK_MSG(x.ndim() == 3 && x.dim(2) == d_,
                "Attention expects [N,T," << d_ << "]");
   x_ = x;
-  const int n = x.dim(0), t = x.dim(1);
+  const int n = x.dim(0), t = x.dim(1), dh = head_dim();
   const Tensor x2d = x.reshape({n * t, d_});
-  q_ = project(x2d, wq_, bq_);
-  k_ = project(x2d, wk_, bk_);
-  v_ = project(x2d, wv_, bv_);
+  q_ = dense_forward(x2d, wq_, bq_);
+  k_ = dense_forward(x2d, wk_, bk_);
+  v_ = dense_forward(x2d, wv_, bv_);
 
-  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(d_));
-  attn_ = Tensor({n, t, t});
-  for (int b = 0; b < n; ++b) {
-    const float* qb = q_.data() + static_cast<std::int64_t>(b) * t * d_;
-    const float* kb = k_.data() + static_cast<std::int64_t>(b) * t * d_;
-    float* ab = attn_.data() + static_cast<std::int64_t>(b) * t * t;
-    gemm(false, true, t, t, d_, inv_sqrt, qb, d_, kb, d_, 0.0f, ab, t);
-    // row-wise softmax
-    for (int i = 0; i < t; ++i) {
-      float* row = ab + static_cast<std::int64_t>(i) * t;
-      float mx = row[0];
-      for (int j = 1; j < t; ++j) mx = std::max(mx, row[j]);
-      double denom = 0.0;
-      for (int j = 0; j < t; ++j) {
-        row[j] = std::exp(row[j] - mx);
-        denom += row[j];
-      }
-      const float inv = static_cast<float>(1.0 / denom);
-      for (int j = 0; j < t; ++j) row[j] *= inv;
-    }
-  }
-
+  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
+  const std::int64_t tt = static_cast<std::int64_t>(t) * t;
+  attn_ = Tensor({n * h_, t, t});
   o_ = Tensor({n * t, d_});
   for (int b = 0; b < n; ++b) {
-    const float* ab = attn_.data() + static_cast<std::int64_t>(b) * t * t;
-    const float* vb = v_.data() + static_cast<std::int64_t>(b) * t * d_;
-    float* ob = o_.data() + static_cast<std::int64_t>(b) * t * d_;
-    gemm(false, false, t, d_, t, 1.0f, ab, t, vb, d_, 0.0f, ob, d_);
+    const std::int64_t row0 = static_cast<std::int64_t>(b) * t;
+    for (int h = 0; h < h_; ++h) {
+      const int off = h * dh;
+      const float* qh = q_.data() + row0 * d_ + off;
+      const float* kh = k_.data() + row0 * d_ + off;
+      const float* vh = v_.data() + row0 * d_ + off;
+      float* a = attn_.data() + (static_cast<std::int64_t>(b) * h_ + h) * tt;
+      // scores = Q_h K_h^T / sqrt(d_h); per-head slices live inside the
+      // packed [T, D] activations, hence lda = D.
+      gemm(false, true, t, t, dh, inv_sqrt, qh, d_, kh, d_, 0.0f, a, t);
+      for (int i = 0; i < t; ++i) {
+        float* row = a + static_cast<std::int64_t>(i) * t;
+        float mx = row[0];
+        for (int j = 1; j < t; ++j) mx = std::max(mx, row[j]);
+        double denom = 0.0;
+        for (int j = 0; j < t; ++j) {
+          row[j] = std::exp(row[j] - mx);
+          denom += row[j];
+        }
+        const float inv = static_cast<float>(1.0 / denom);
+        for (int j = 0; j < t; ++j) row[j] *= inv;
+      }
+      // O_h = A V_h written straight into the concat slice.
+      gemm(false, false, t, dh, t, 1.0f, a, t, vh, d_, 0.0f,
+           o_.data() + row0 * d_ + off, d_);
+    }
   }
-  Tensor y2d = project(o_, wo_, bo_);
+  Tensor y2d = dense_forward(o_, wo_, bo_);
   return y2d.reshape({n, t, d_});
 }
 
 Tensor Attention::backward(const Tensor& grad_out) {
-  const int n = x_.dim(0), t = x_.dim(1);
+  const int n = x_.dim(0), t = x_.dim(1), dh = head_dim();
   FT_CHECK(grad_out.ndim() == 3 && grad_out.dim(0) == n &&
            grad_out.dim(1) == t && grad_out.dim(2) == d_);
   const Tensor g2d = grad_out.reshape({n * t, d_});
-  Tensor d_o = project_backward(g2d, o_, wo_, gwo_, gbo_);
+  Tensor d_o = dense_backward(g2d, o_, wo_, gwo_, gbo_);
 
-  Tensor d_attn({n, t, t});
-  Tensor d_v({n * t, d_});
+  Tensor d_q({n * t, d_}), d_k({n * t, d_}), d_v({n * t, d_});
+  Tensor d_s({t, t});
+  const std::int64_t tt = static_cast<std::int64_t>(t) * t;
+  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
   for (int b = 0; b < n; ++b) {
-    const std::int64_t tb = static_cast<std::int64_t>(b) * t;
-    const float* dob = d_o.data() + tb * d_;
-    const float* vb = v_.data() + tb * d_;
-    const float* ab = attn_.data() + static_cast<std::int64_t>(b) * t * t;
-    float* dab = d_attn.data() + static_cast<std::int64_t>(b) * t * t;
-    float* dvb = d_v.data() + tb * d_;
-    // dA = dO V^T ; dV = A^T dO
-    gemm(false, true, t, t, d_, 1.0f, dob, d_, vb, d_, 0.0f, dab, t);
-    gemm(true, false, t, d_, t, 1.0f, ab, t, dob, d_, 0.0f, dvb, d_);
-    // softmax backward per row: dS = A * (dA - sum(dA*A))
-    for (int i = 0; i < t; ++i) {
-      const float* arow = ab + static_cast<std::int64_t>(i) * t;
-      float* drow = dab + static_cast<std::int64_t>(i) * t;
-      double dot = 0.0;
-      for (int j = 0; j < t; ++j) dot += static_cast<double>(drow[j]) * arow[j];
-      for (int j = 0; j < t; ++j)
-        drow[j] = arow[j] * (drow[j] - static_cast<float>(dot));
+    const std::int64_t row0 = static_cast<std::int64_t>(b) * t;
+    for (int h = 0; h < h_; ++h) {
+      const int off = h * dh;
+      const float* doh = d_o.data() + row0 * d_ + off;
+      const float* qh = q_.data() + row0 * d_ + off;
+      const float* kh = k_.data() + row0 * d_ + off;
+      const float* vh = v_.data() + row0 * d_ + off;
+      const float* a =
+          attn_.data() + (static_cast<std::int64_t>(b) * h_ + h) * tt;
+
+      // dA = dO_h V_h^T ; dV_h = A^T dO_h.
+      gemm(false, true, t, t, dh, 1.0f, doh, d_, vh, d_, 0.0f, d_s.data(), t);
+      gemm(true, false, t, dh, t, 1.0f, a, t, doh, d_, 0.0f,
+           d_v.data() + row0 * d_ + off, d_);
+
+      // Softmax backward per row, in place: dS = A ∘ (dA − Σ_j dA∘A).
+      for (int i = 0; i < t; ++i) {
+        const float* arow = a + static_cast<std::int64_t>(i) * t;
+        float* drow = d_s.data() + static_cast<std::int64_t>(i) * t;
+        double dot = 0.0;
+        for (int j = 0; j < t; ++j)
+          dot += static_cast<double>(drow[j]) * arow[j];
+        for (int j = 0; j < t; ++j)
+          drow[j] = arow[j] * (drow[j] - static_cast<float>(dot));
+      }
+
+      // dQ_h = dS K_h / sqrt(d_h) ; dK_h = dS^T Q_h / sqrt(d_h).
+      gemm(false, false, t, dh, t, inv_sqrt, d_s.data(), t, kh, d_, 0.0f,
+           d_q.data() + row0 * d_ + off, d_);
+      gemm(true, false, t, dh, t, inv_sqrt, d_s.data(), t, qh, d_, 0.0f,
+           d_k.data() + row0 * d_ + off, d_);
     }
   }
 
-  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(d_));
-  Tensor d_q({n * t, d_});
-  Tensor d_k({n * t, d_});
-  for (int b = 0; b < n; ++b) {
-    const std::int64_t tb = static_cast<std::int64_t>(b) * t;
-    const float* dab = d_attn.data() + static_cast<std::int64_t>(b) * t * t;
-    const float* qb = q_.data() + tb * d_;
-    const float* kb = k_.data() + tb * d_;
-    // dQ = dS K / sqrt(d) ; dK = dS^T Q / sqrt(d)
-    gemm(false, false, t, d_, t, inv_sqrt, dab, t, kb, d_, 0.0f,
-         d_q.data() + tb * d_, d_);
-    gemm(true, false, t, d_, t, inv_sqrt, dab, t, qb, d_, 0.0f,
-         d_k.data() + tb * d_, d_);
-  }
-
   const Tensor x2d = x_.reshape({n * t, d_});
-  Tensor dx = project_backward(d_q, x2d, wq_, gwq_, gbq_);
-  dx.add_(project_backward(d_k, x2d, wk_, gwk_, gbk_));
-  dx.add_(project_backward(d_v, x2d, wv_, gwv_, gbv_));
+  Tensor dx = dense_backward(d_q, x2d, wq_, gwq_, gbq_);
+  dx.add_(dense_backward(d_k, x2d, wk_, gwk_, gbk_));
+  dx.add_(dense_backward(d_v, x2d, wv_, gwv_, gbv_));
   return dx.reshape({n, t, d_});
 }
 
@@ -160,11 +137,13 @@ std::vector<ParamRef> Attention::params() {
 std::int64_t Attention::macs(const std::vector<int>& in_shape) const {
   FT_CHECK(in_shape.size() == 2 && in_shape[1] == d_);
   const std::int64_t t = in_shape[0];
+  // Four D×D projections per token; the heads' T×T×d_h score and mix
+  // products sum to 2·T²·D for any head count.
   return 4 * t * d_ * d_ + 2 * t * t * d_;
 }
 
 std::unique_ptr<Layer> Attention::clone() const {
-  auto copy = std::make_unique<Attention>(d_);
+  auto copy = std::make_unique<Attention>(d_, h_);
   copy->wq_ = wq_; copy->bq_ = bq_;
   copy->wk_ = wk_; copy->bk_ = bk_;
   copy->wv_ = wv_; copy->bv_ = bv_;
@@ -199,22 +178,22 @@ Tensor TokenMlp::forward(const Tensor& x, bool /*train*/) {
   x_ = x;
   const int n = x.dim(0), t = x.dim(1);
   const Tensor x2d = x.reshape({n * t, d_});
-  hpre_ = project(x2d, w1_, b1_);
+  hpre_ = dense_forward(x2d, w1_, b1_);
   hact_ = hpre_;
   for (std::int64_t i = 0; i < hact_.numel(); ++i)
     if (hact_[i] < 0.0f) hact_[i] = 0.0f;
-  Tensor y = project(hact_, w2_, b2_);
+  Tensor y = dense_forward(hact_, w2_, b2_);
   return y.reshape({n, t, d_});
 }
 
 Tensor TokenMlp::backward(const Tensor& grad_out) {
   const int n = x_.dim(0), t = x_.dim(1);
   const Tensor g2d = grad_out.reshape({n * t, d_});
-  Tensor dh = project_backward(g2d, hact_, w2_, gw2_, gb2_);
+  Tensor dh = dense_backward(g2d, hact_, w2_, gw2_, gb2_);
   for (std::int64_t i = 0; i < dh.numel(); ++i)
     if (hpre_[i] <= 0.0f) dh[i] = 0.0f;
   const Tensor x2d = x_.reshape({n * t, d_});
-  Tensor dx = project_backward(dh, x2d, w1_, gw1_, gb1_);
+  Tensor dx = dense_backward(dh, x2d, w1_, gw1_, gb1_);
   return dx.reshape({n, t, d_});
 }
 

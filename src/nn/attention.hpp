@@ -4,13 +4,17 @@
 
 namespace fedtrans {
 
-/// Single-head self-attention over token input [N, T, D]:
-///   Y = softmax(QK^T / sqrt(D)) V Wo^T + bo,  Q/K/V = X W{q,k,v}^T + b.
-/// Used as the attention half of a transformer block (the model wraps it in
-/// a residual Block). Weights are [D, D] like Linear ([out, in]).
+/// Multi-head self-attention over tokens [N, T, D]:
+///   head h: O_h = softmax(Q_h K_h^T / sqrt(d_h)) V_h,
+///           Q_h = X Wq_h^T + bq_h (Wq_h is [d_h, D], d_h = D / heads),
+///   Y = concat(O_1..O_H) Wo^T + bo.
+/// Weights are [D, D] like Linear ([out, in]). Used as the attention half of
+/// a transformer block (the model wraps it in a residual Block); the
+/// FedTrans ViT transforms single-head Cells, and examples/custom_vit.cpp
+/// builds multi-head ones.
 class Attention : public Layer {
  public:
-  explicit Attention(int dim);
+  explicit Attention(int dim, int heads = 1);
 
   void init(Rng& rng);
   /// Zero the output projection so the (residual) block starts as identity —
@@ -28,14 +32,18 @@ class Attention : public Layer {
   std::unique_ptr<Layer> clone() const override;
 
   int dim() const { return d_; }
+  int heads() const { return h_; }
+  int head_dim() const { return d_ / h_; }
 
  private:
-  int d_;
+  int d_, h_;
+  // Packed projections: wq_/wk_/wv_ rows and wo_ columns are grouped by
+  // head (head h owns [h*d_h, (h+1)*d_h)).
   Tensor wq_, gwq_, bq_, gbq_;
   Tensor wk_, gwk_, bk_, gbk_;
   Tensor wv_, gwv_, bv_, gbv_;
   Tensor wo_, gwo_, bo_, gbo_;
-  // forward caches
+  // Forward caches; attn_ is [N·heads, T, T], one matrix per (batch, head).
   Tensor x_, q_, k_, v_, attn_, o_;
 };
 

@@ -3,174 +3,88 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "nn/activations.hpp"
+#include "nn/sequential.hpp"
 #include "obs/trace.hpp"
 
 namespace fedtrans {
 
-Conv2d::Conv2d(int in_channels, int out_channels, int kernel, int stride,
-               int padding, bool bias)
-    : in_c_(in_channels),
-      out_c_(out_channels),
-      k_(kernel),
-      stride_(stride),
-      pad_(padding < 0 ? kernel / 2 : padding),
-      has_bias_(bias),
-      w_({out_channels, in_channels, kernel, kernel}),
-      gw_({out_channels, in_channels, kernel, kernel}),
-      b_(bias ? Tensor({out_channels}) : Tensor()),
-      gb_(bias ? Tensor({out_channels}) : Tensor()) {
-  FT_CHECK(in_c_ > 0 && out_c_ > 0 && k_ > 0 && stride_ > 0 && pad_ >= 0);
+namespace {
+
+// Validated geometry; runs before any member that divides by `groups` is
+// initialized (a constructor-body check would come too late — the
+// weight-tensor initializer already divides).
+ConvDims checked_dims(int in_channels, int out_channels, int kernel,
+                      int stride, int padding, int groups) {
+  const int pad = padding < 0 ? kernel / 2 : padding;
+  FT_CHECK(kernel > 0 && stride > 0 && pad >= 0);
+  FT_CHECK_MSG(groups > 0 && in_channels > 0 && out_channels > 0 &&
+                   in_channels % groups == 0 && out_channels % groups == 0,
+               "groups must divide both channel counts (" << in_channels
+                                                          << ", "
+                                                          << out_channels
+                                                          << ")");
+  return {in_channels, out_channels, kernel, stride, pad, groups};
 }
 
+}  // namespace
+
+Conv2d::Conv2d(int in_channels, int out_channels, int kernel, int stride,
+               int padding, bool bias, int groups)
+    : d_(checked_dims(in_channels, out_channels, kernel, stride, padding,
+                      groups)),
+      has_bias_(bias),
+      w_({out_channels, in_channels / groups, kernel, kernel}),
+      gw_({out_channels, in_channels / groups, kernel, kernel}),
+      b_(bias ? Tensor({out_channels}) : Tensor()),
+      gb_(bias ? Tensor({out_channels}) : Tensor()) {}
+
 void Conv2d::init(Rng& rng) {
-  const float fan_in = static_cast<float>(in_c_ * k_ * k_);
+  const float fan_in =
+      static_cast<float>((d_.in_c / d_.groups) * d_.kernel * d_.kernel);
   const float bound = std::sqrt(6.0f / fan_in);
   w_.rand_uniform(rng, -bound, bound);
   if (has_bias_) b_.zero();
 }
 
 void Conv2d::init_identity() {
-  FT_CHECK_MSG(in_c_ == out_c_ && k_ % 2 == 1 && stride_ == 1,
-               "identity conv requires in==out, odd kernel, stride 1");
+  FT_CHECK_MSG(d_.in_c == d_.out_c && d_.kernel % 2 == 1 && d_.stride == 1 &&
+                   d_.groups == 1,
+               "identity conv requires in==out, odd kernel, stride 1, "
+               "groups 1");
   w_.zero();
-  const int c = k_ / 2;
-  for (int o = 0; o < out_c_; ++o) w_.at(o, o, c, c) = 1.0f;
+  const int c = d_.kernel / 2;
+  for (int o = 0; o < d_.out_c; ++o) w_.at(o, o, c, c) = 1.0f;
   if (has_bias_) b_.zero();
 }
 
 Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   FT_SPAN("kernel", "conv2d_fwd");
-  FT_CHECK_MSG(x.ndim() == 4 && x.dim(1) == in_c_,
-               "Conv2d expects [N," << in_c_ << ",H,W]");
+  FT_CHECK_MSG(x.ndim() == 4 && x.dim(1) == d_.in_c,
+               "Conv2d expects [N," << d_.in_c << ",H,W]");
   cached_x_ = x;
-  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const int oh = out_hw(h), ow = out_hw(w);
+  const int oh = d_.out_hw(x.dim(2)), ow = d_.out_hw(x.dim(3));
   FT_CHECK_MSG(oh > 0 && ow > 0, "conv output collapsed to zero size");
-  Tensor y({n, out_c_, oh, ow});
-  if (conv_backend() == ConvBackend::Im2col) {
-    const ConvDims d{in_c_, out_c_, k_, stride_, pad_, /*groups=*/1};
-    conv_forward_im2col(x, w_, has_bias_ ? &b_ : nullptr, d, y);
-  } else {
-    forward_direct(x, y);
-  }
+  Tensor y({x.dim(0), d_.out_c, oh, ow});
+  const auto kernel = conv_backend() == ConvBackend::Im2col
+                          ? conv_forward_im2col
+                          : conv_forward_direct;
+  kernel(x, w_, has_bias_ ? &b_ : nullptr, d_, y);
   return y;
-}
-
-void Conv2d::forward_direct(const Tensor& x, Tensor& y) {
-  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const int oh = y.dim(2), ow = y.dim(3);
-  const float* xp = x.data();
-  float* yp = y.data();
-  const float* wp = w_.data();
-  const auto in_plane = static_cast<std::int64_t>(h) * w;
-  const auto out_plane = static_cast<std::int64_t>(oh) * ow;
-  for (int b = 0; b < n; ++b) {
-    const float* xb = xp + b * in_c_ * in_plane;
-    float* yb = yp + b * out_c_ * out_plane;
-    for (int oc = 0; oc < out_c_; ++oc) {
-      const float bias = has_bias_ ? b_[oc] : 0.0f;
-      float* yo = yb + oc * out_plane;
-      for (int oy = 0; oy < oh; ++oy)
-        for (int ox = 0; ox < ow; ++ox) yo[oy * ow + ox] = bias;
-      for (int ic = 0; ic < in_c_; ++ic) {
-        const float* xi = xb + ic * in_plane;
-        const float* wk = wp + (static_cast<std::int64_t>(oc) * in_c_ + ic) *
-                                   k_ * k_;
-        for (int ky = 0; ky < k_; ++ky) {
-          for (int kx = 0; kx < k_; ++kx) {
-            const float wv = wk[ky * k_ + kx];
-            if (wv == 0.0f) continue;
-            for (int oy = 0; oy < oh; ++oy) {
-              const int iy = oy * stride_ - pad_ + ky;
-              if (iy < 0 || iy >= h) continue;
-              float* yrow = yo + oy * ow;
-              const float* xrow = xi + iy * w;
-              for (int ox = 0; ox < ow; ++ox) {
-                const int ix = ox * stride_ - pad_ + kx;
-                if (ix < 0 || ix >= w) continue;
-                yrow[ox] += wv * xrow[ix];
-              }
-            }
-          }
-        }
-      }
-    }
-  }
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
   FT_SPAN("kernel", "conv2d_bwd");
   const Tensor& x = cached_x_;
   FT_CHECK(x.ndim() == 4);
-  {
-    const int n = x.dim(0);
-    const int oh = out_hw(x.dim(2)), ow = out_hw(x.dim(3));
-    FT_CHECK(grad_out.ndim() == 4 && grad_out.dim(0) == n &&
-             grad_out.dim(1) == out_c_ && grad_out.dim(2) == oh &&
-             grad_out.dim(3) == ow);
-  }
-  if (conv_backend() == ConvBackend::Im2col) {
-    const ConvDims d{in_c_, out_c_, k_, stride_, pad_, /*groups=*/1};
-    return conv_backward_im2col(x, grad_out, w_, gw_,
-                                has_bias_ ? &gb_ : nullptr, d);
-  }
-  return backward_direct(grad_out);
-}
-
-Tensor Conv2d::backward_direct(const Tensor& grad_out) {
-  const Tensor& x = cached_x_;
-  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const int oh = out_hw(h), ow = out_hw(w);
-  Tensor dx({n, in_c_, h, w});
-  const auto in_plane = static_cast<std::int64_t>(h) * w;
-  const auto out_plane = static_cast<std::int64_t>(oh) * ow;
-  const float* gp = grad_out.data();
-  const float* xp = x.data();
-  const float* wp = w_.data();
-  float* gwp = gw_.data();
-  float* dxp = dx.data();
-
-  for (int b = 0; b < n; ++b) {
-    const float* xb = xp + b * in_c_ * in_plane;
-    const float* gb = gp + b * out_c_ * out_plane;
-    float* dxb = dxp + b * in_c_ * in_plane;
-    for (int oc = 0; oc < out_c_; ++oc) {
-      const float* go = gb + oc * out_plane;
-      if (has_bias_) {
-        double s = 0.0;
-        for (std::int64_t i = 0; i < out_plane; ++i) s += go[i];
-        gb_[oc] += static_cast<float>(s);
-      }
-      for (int ic = 0; ic < in_c_; ++ic) {
-        const float* xi = xb + ic * in_plane;
-        float* dxi = dxb + ic * in_plane;
-        const std::int64_t wbase =
-            (static_cast<std::int64_t>(oc) * in_c_ + ic) * k_ * k_;
-        for (int ky = 0; ky < k_; ++ky) {
-          for (int kx = 0; kx < k_; ++kx) {
-            const float wv = wp[wbase + ky * k_ + kx];
-            double gw_acc = 0.0;
-            for (int oy = 0; oy < oh; ++oy) {
-              const int iy = oy * stride_ - pad_ + ky;
-              if (iy < 0 || iy >= h) continue;
-              const float* grow = go + oy * ow;
-              const float* xrow = xi + iy * w;
-              float* dxrow = dxi + iy * w;
-              for (int ox = 0; ox < ow; ++ox) {
-                const int ix = ox * stride_ - pad_ + kx;
-                if (ix < 0 || ix >= w) continue;
-                const float g = grow[ox];
-                gw_acc += static_cast<double>(g) * xrow[ix];
-                dxrow[ix] += wv * g;
-              }
-            }
-            gwp[wbase + ky * k_ + kx] += static_cast<float>(gw_acc);
-          }
-        }
-      }
-    }
-  }
-  return dx;
+  FT_CHECK(grad_out.ndim() == 4 && grad_out.dim(0) == x.dim(0) &&
+           grad_out.dim(1) == d_.out_c &&
+           grad_out.dim(2) == d_.out_hw(x.dim(2)) &&
+           grad_out.dim(3) == d_.out_hw(x.dim(3)));
+  const auto kernel = conv_backend() == ConvBackend::Im2col
+                          ? conv_backward_im2col
+                          : conv_backward_direct;
+  return kernel(x, grad_out, w_, gw_, has_bias_ ? &gb_ : nullptr, d_);
 }
 
 std::vector<ParamRef> Conv2d::params() {
@@ -180,22 +94,57 @@ std::vector<ParamRef> Conv2d::params() {
 }
 
 std::int64_t Conv2d::macs(const std::vector<int>& in_shape) const {
-  FT_CHECK(in_shape.size() == 3 && in_shape[0] == in_c_);
-  const int oh = out_hw(in_shape[1]), ow = out_hw(in_shape[2]);
-  return static_cast<std::int64_t>(out_c_) * in_c_ * k_ * k_ * oh * ow;
+  FT_CHECK(in_shape.size() == 3 && in_shape[0] == d_.in_c);
+  const int oh = d_.out_hw(in_shape[1]), ow = d_.out_hw(in_shape[2]);
+  return static_cast<std::int64_t>(d_.out_c) * (d_.in_c / d_.groups) *
+         d_.kernel * d_.kernel * oh * ow;
 }
 
 std::vector<int> Conv2d::out_shape(const std::vector<int>& in_shape) const {
-  FT_CHECK(in_shape.size() == 3 && in_shape[0] == in_c_);
-  return {out_c_, out_hw(in_shape[1]), out_hw(in_shape[2])};
+  FT_CHECK(in_shape.size() == 3 && in_shape[0] == d_.in_c);
+  return {d_.out_c, d_.out_hw(in_shape[1]), d_.out_hw(in_shape[2])};
 }
 
 std::unique_ptr<Layer> Conv2d::clone() const {
-  auto copy = std::make_unique<Conv2d>(in_c_, out_c_, k_, stride_, pad_,
-                                       has_bias_);
+  auto copy = std::make_unique<Conv2d>(d_.in_c, d_.out_c, d_.kernel,
+                                       d_.stride, d_.pad, has_bias_,
+                                       d_.groups);
   copy->w_ = w_;
   copy->b_ = b_;
   return copy;
+}
+
+std::unique_ptr<Conv2d> Conv2d::to_dense() const {
+  auto dense = std::make_unique<Conv2d>(d_.in_c, d_.out_c, d_.kernel,
+                                        d_.stride, d_.pad, has_bias_);
+  const int icg = d_.in_c / d_.groups;
+  const int ocg = d_.out_c / d_.groups;
+  for (int oc = 0; oc < d_.out_c; ++oc) {
+    const int g = oc / ocg;
+    for (int icl = 0; icl < icg; ++icl)
+      for (int ky = 0; ky < d_.kernel; ++ky)
+        for (int kx = 0; kx < d_.kernel; ++kx)
+          dense->w_.at(oc, g * icg + icl, ky, kx) = w_.at(oc, icl, ky, kx);
+  }
+  if (has_bias_) dense->b_ = b_;
+  return dense;
+}
+
+std::unique_ptr<Layer> make_depthwise_separable(int in_channels,
+                                                int out_channels, int kernel,
+                                                int stride, Rng& rng) {
+  auto dw = std::make_unique<Conv2d>(in_channels, in_channels, kernel, stride,
+                                     /*padding=*/-1, /*bias=*/true,
+                                     /*groups=*/in_channels);
+  dw->init(rng);
+  auto pw = std::make_unique<Conv2d>(in_channels, out_channels, /*kernel=*/1,
+                                     /*stride=*/1, /*padding=*/0);
+  pw->init(rng);
+  auto seq = std::make_unique<Sequential>();
+  seq->add(std::move(dw));
+  seq->add(std::make_unique<ReLU>());
+  seq->add(std::move(pw));
+  return seq;
 }
 
 }  // namespace fedtrans

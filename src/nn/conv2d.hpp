@@ -5,20 +5,25 @@
 
 namespace fedtrans {
 
-/// 2-D convolution over NCHW input. Weight layout [out_c, in_c, k, k];
-/// square kernel, symmetric padding. Forward/backward lower onto the blocked
-/// GEMM via im2col/col2im by default; the original direct loop nest is kept
-/// as a reference implementation selectable through set_conv_backend() for
-/// parity testing.
+/// 2-D convolution over NCHW input; square kernel, symmetric padding.
+/// Input channels split into `groups` equal slices, each convolved with its
+/// own filter bank: weight layout [out_c, in_c/groups, k, k]. groups == 1 is
+/// the dense convolution; groups == in_channels == out_channels is a
+/// depthwise convolution (the MobileNet building block). Forward/backward
+/// lower onto the blocked GEMM via im2col/col2im by default; the direct loop
+/// nest is kept as a reference implementation selectable through
+/// set_conv_backend() for parity testing.
 class Conv2d : public Layer {
  public:
   Conv2d(int in_channels, int out_channels, int kernel, int stride = 1,
-         int padding = -1 /* -1 = same (k/2) */, bool bias = true);
+         int padding = -1 /* -1 = same (k/2) */, bool bias = true,
+         int groups = 1);
 
-  /// He-uniform initialization.
+  /// He-uniform initialization over the per-group fan-in.
   void init(Rng& rng);
   /// Dirac-delta identity initialization (used by function-preserving
-  /// deepen on non-residual cells). Requires in==out and odd kernel.
+  /// deepen on non-residual cells). Requires in==out, odd kernel, stride 1
+  /// and groups 1.
   void init_identity();
 
   Tensor forward(const Tensor& x, bool train) override;
@@ -29,11 +34,12 @@ class Conv2d : public Layer {
   std::string name() const override { return "Conv2d"; }
   std::unique_ptr<Layer> clone() const override;
 
-  int in_channels() const { return in_c_; }
-  int out_channels() const { return out_c_; }
-  int kernel() const { return k_; }
-  int stride() const { return stride_; }
-  int padding() const { return pad_; }
+  int in_channels() const { return d_.in_c; }
+  int out_channels() const { return d_.out_c; }
+  int kernel() const { return d_.kernel; }
+  int stride() const { return d_.stride; }
+  int padding() const { return d_.pad; }
+  int groups() const { return d_.groups; }
   bool has_bias() const { return has_bias_; }
 
   Tensor& weight() { return w_; }
@@ -41,16 +47,25 @@ class Conv2d : public Layer {
   const Tensor& weight() const { return w_; }
   const Tensor& bias() const { return b_; }
 
- private:
-  int out_hw(int in_hw) const { return (in_hw + 2 * pad_ - k_) / stride_ + 1; }
-  void forward_direct(const Tensor& x, Tensor& y);
-  Tensor backward_direct(const Tensor& grad_out);
+  /// Equivalent dense (groups = 1) convolution: weights are block-diagonal
+  /// across groups, zero elsewhere. Output is bit-identical on the same
+  /// input; MACs grow by the group count. The paper's appendix converts
+  /// grouped layers this way before running HeteroFL and SplitMix, which do
+  /// not support grouped convolutions.
+  std::unique_ptr<Conv2d> to_dense() const;
 
-  int in_c_, out_c_, k_, stride_, pad_;
+ private:
+  ConvDims d_;
   bool has_bias_;
   Tensor w_, gw_;
   Tensor b_, gb_;
   Tensor cached_x_;
 };
+
+/// Depthwise-separable convolution block (depthwise k×k + pointwise 1×1),
+/// the MobileNet-family primitive, assembled from the substrate layers.
+std::unique_ptr<Layer> make_depthwise_separable(int in_channels,
+                                                int out_channels, int kernel,
+                                                int stride, Rng& rng);
 
 }  // namespace fedtrans

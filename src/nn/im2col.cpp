@@ -105,6 +105,104 @@ void col2im(const float* col, int channels, int h, int w, int kernel,
   }
 }
 
+void conv_forward_direct(const Tensor& x, const Tensor& w, const Tensor* bias,
+                         const ConvDims& d, Tensor& y) {
+  const int n = x.dim(0), h = x.dim(2), wdt = x.dim(3);
+  const int oh = y.dim(2), ow = y.dim(3);
+  const int icg = d.in_c / d.groups;  // in channels per group
+  const int ocg = d.out_c / d.groups;
+  const int k = d.kernel;
+  const auto in_plane = static_cast<std::int64_t>(h) * wdt;
+  const auto out_plane = static_cast<std::int64_t>(oh) * ow;
+  for (int b = 0; b < n; ++b) {
+    const float* xb = x.data() + b * d.in_c * in_plane;
+    float* yb = y.data() + b * d.out_c * out_plane;
+    for (int oc = 0; oc < d.out_c; ++oc) {
+      const int g = oc / ocg;
+      const float bv = bias ? (*bias)[oc] : 0.0f;
+      float* yo = yb + oc * out_plane;
+      for (std::int64_t i = 0; i < out_plane; ++i) yo[i] = bv;
+      for (int icl = 0; icl < icg; ++icl) {  // channel index within group
+        const float* xi = xb + (g * icg + icl) * in_plane;
+        const float* wk =
+            w.data() + (static_cast<std::int64_t>(oc) * icg + icl) * k * k;
+        for (int ky = 0; ky < k; ++ky)
+          for (int kx = 0; kx < k; ++kx) {
+            const float wv = wk[ky * k + kx];
+            if (wv == 0.0f) continue;
+            for (int oy = 0; oy < oh; ++oy) {
+              const int iy = oy * d.stride - d.pad + ky;
+              if (iy < 0 || iy >= h) continue;
+              float* yrow = yo + oy * ow;
+              const float* xrow = xi + iy * wdt;
+              for (int ox = 0; ox < ow; ++ox) {
+                const int ix = ox * d.stride - d.pad + kx;
+                if (ix < 0 || ix >= wdt) continue;
+                yrow[ox] += wv * xrow[ix];
+              }
+            }
+          }
+      }
+    }
+  }
+}
+
+Tensor conv_backward_direct(const Tensor& x, const Tensor& grad_out,
+                            const Tensor& w, Tensor& gw, Tensor* gb,
+                            const ConvDims& d) {
+  const int n = x.dim(0), h = x.dim(2), wdt = x.dim(3);
+  const int oh = grad_out.dim(2), ow = grad_out.dim(3);
+  const int icg = d.in_c / d.groups;
+  const int ocg = d.out_c / d.groups;
+  const int k = d.kernel;
+  Tensor dx({n, d.in_c, h, wdt});
+  const auto in_plane = static_cast<std::int64_t>(h) * wdt;
+  const auto out_plane = static_cast<std::int64_t>(oh) * ow;
+
+  for (int b = 0; b < n; ++b) {
+    const float* xb = x.data() + b * d.in_c * in_plane;
+    const float* gbatch = grad_out.data() + b * d.out_c * out_plane;
+    float* dxb = dx.data() + b * d.in_c * in_plane;
+    for (int oc = 0; oc < d.out_c; ++oc) {
+      const int g = oc / ocg;
+      const float* go = gbatch + oc * out_plane;
+      if (gb) {
+        double s = 0.0;
+        for (std::int64_t i = 0; i < out_plane; ++i) s += go[i];
+        (*gb)[oc] += static_cast<float>(s);
+      }
+      for (int icl = 0; icl < icg; ++icl) {
+        const int ic = g * icg + icl;
+        const float* xi = xb + ic * in_plane;
+        float* dxi = dxb + ic * in_plane;
+        const std::int64_t wbase =
+            (static_cast<std::int64_t>(oc) * icg + icl) * k * k;
+        for (int ky = 0; ky < k; ++ky)
+          for (int kx = 0; kx < k; ++kx) {
+            const float wv = w[wbase + ky * k + kx];
+            double gw_acc = 0.0;
+            for (int oy = 0; oy < oh; ++oy) {
+              const int iy = oy * d.stride - d.pad + ky;
+              if (iy < 0 || iy >= h) continue;
+              const float* grow = go + oy * ow;
+              const float* xrow = xi + iy * wdt;
+              float* dxrow = dxi + iy * wdt;
+              for (int ox = 0; ox < ow; ++ox) {
+                const int ix = ox * d.stride - d.pad + kx;
+                if (ix < 0 || ix >= wdt) continue;
+                const float gval = grow[ox];
+                gw_acc += static_cast<double>(gval) * xrow[ix];
+                dxrow[ix] += wv * gval;
+              }
+            }
+            gw[wbase + ky * k + kx] += static_cast<float>(gw_acc);
+          }
+      }
+    }
+  }
+  return dx;
+}
+
 // Both lowerings batch the whole image tile into ONE [ckk, bt·oh·ow] column
 // panel per group before calling gemm. Per-(image, group) GEMMs — the
 // historical shape — have N = oh·ow, which for FedTrans's narrow grouped

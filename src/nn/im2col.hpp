@@ -4,7 +4,7 @@
 
 namespace fedtrans {
 
-/// Which convolution implementation Conv2d / GroupedConv2d dispatch to.
+/// Which convolution implementation Conv2d dispatches to.
 /// `Im2col` (default) lowers the convolution onto the blocked GEMM; `Direct`
 /// keeps the original loop nest as an auditable reference for parity tests.
 /// Initial value can be forced with FEDTRANS_CONV_BACKEND=direct|im2col.
@@ -27,8 +27,7 @@ void im2col(const float* im, int channels, int h, int w, int kernel,
 void col2im(const float* col, int channels, int h, int w, int kernel,
             int stride, int pad, float* im, std::int64_t ld = -1);
 
-/// Grouped-convolution geometry shared by Conv2d (groups == 1) and
-/// GroupedConv2d. Weight layout [out_c, in_c/groups, k, k].
+/// Conv2d's geometry. Weight layout [out_c, in_c/groups, k, k].
 struct ConvDims {
   int in_c = 0;
   int out_c = 0;
@@ -36,7 +35,23 @@ struct ConvDims {
   int stride = 1;
   int pad = 0;
   int groups = 1;
+
+  int out_hw(int in_hw) const {
+    return (in_hw + 2 * pad - kernel) / stride + 1;
+  }
 };
+
+/// The reference loop nest: y[N, out_c, oh, ow] = conv(x) + bias, one
+/// multiply-add per (output, tap). `bias` may be null. The im2col lowering
+/// below is parity-tested against it.
+void conv_forward_direct(const Tensor& x, const Tensor& w, const Tensor* bias,
+                         const ConvDims& d, Tensor& y);
+
+/// Backward pass of the reference loop nest: accumulates into `gw` (and
+/// `gb` if non-null) and returns dL/dx. `grad_out` is [N, out_c, oh, ow].
+Tensor conv_backward_direct(const Tensor& x, const Tensor& grad_out,
+                            const Tensor& w, Tensor& gw, Tensor* gb,
+                            const ConvDims& d);
 
 /// y[N, out_c, oh, ow] = conv(x) + bias, lowered per group onto
 /// gemm(W_g [ocg, icg·k·k] × col_g [icg·k·k, bt·oh·ow]) where the column

@@ -6,6 +6,31 @@
 
 namespace fedtrans {
 
+Tensor dense_forward(const Tensor& x2d, const Tensor& w, const Tensor& b) {
+  const int rows = x2d.dim(0), in = x2d.dim(1), out = w.dim(0);
+  Tensor y({rows, out});
+  gemm(false, true, rows, out, in, 1.0f, x2d.data(), in, w.data(), in, 0.0f,
+       y.data(), out);
+  if (!b.empty())
+    for (int i = 0; i < rows; ++i)
+      for (int j = 0; j < out; ++j) y.at(i, j) += b[j];
+  return y;
+}
+
+Tensor dense_backward(const Tensor& g2d, const Tensor& x2d, const Tensor& w,
+                      Tensor& gw, Tensor& gb) {
+  const int rows = g2d.dim(0), out = g2d.dim(1), in = x2d.dim(1);
+  gemm(true, false, out, in, rows, 1.0f, g2d.data(), out, x2d.data(), in, 1.0f,
+       gw.data(), in);
+  if (!gb.empty())
+    for (int i = 0; i < rows; ++i)
+      for (int j = 0; j < out; ++j) gb[j] += g2d.at(i, j);
+  Tensor dx({rows, in});
+  gemm(false, false, rows, in, out, 1.0f, g2d.data(), out, w.data(), in, 0.0f,
+       dx.data(), in);
+  return dx;
+}
+
 Linear::Linear(int in_features, int out_features, bool bias)
     : in_(in_features),
       out_(out_features),
@@ -28,34 +53,13 @@ Tensor Linear::forward(const Tensor& x, bool /*train*/) {
                "Linear expects [N," << in_ << "], got [" << x.dim(0) << ","
                                     << (x.ndim() > 1 ? x.dim(1) : -1) << "]");
   cached_x_ = x;
-  const int n = x.dim(0);
-  Tensor y({n, out_});
-  // y = x * W^T
-  gemm(false, true, n, out_, in_, 1.0f, x.data(), in_, w_.data(), in_, 0.0f,
-       y.data(), out_);
-  if (has_bias_) {
-    for (int i = 0; i < n; ++i)
-      for (int j = 0; j < out_; ++j) y.at(i, j) += b_[j];
-  }
-  return y;
+  return dense_forward(x, w_, b_);
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
   FT_CHECK(grad_out.ndim() == 2 && grad_out.dim(1) == out_);
-  const int n = grad_out.dim(0);
-  FT_CHECK(cached_x_.ndim() == 2 && cached_x_.dim(0) == n);
-  // gW += grad_out^T * x
-  gemm(true, false, out_, in_, n, 1.0f, grad_out.data(), out_,
-       cached_x_.data(), in_, 1.0f, gw_.data(), in_);
-  if (has_bias_) {
-    for (int i = 0; i < n; ++i)
-      for (int j = 0; j < out_; ++j) gb_[j] += grad_out.at(i, j);
-  }
-  // dx = grad_out * W
-  Tensor dx({n, in_});
-  gemm(false, false, n, in_, out_, 1.0f, grad_out.data(), out_, w_.data(), in_,
-       0.0f, dx.data(), in_);
-  return dx;
+  FT_CHECK(cached_x_.ndim() == 2 && cached_x_.dim(0) == grad_out.dim(0));
+  return dense_backward(grad_out, cached_x_, w_, gw_, gb_);
 }
 
 std::vector<ParamRef> Linear::params() {

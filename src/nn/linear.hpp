@@ -4,6 +4,16 @@
 
 namespace fedtrans {
 
+/// The dense projection y[rows, out] = x[rows, in] · Wᵀ + b, W [out, in].
+/// An empty `b` means no bias. Linear, Attention and TokenMlp run every
+/// projection through this pair.
+Tensor dense_forward(const Tensor& x2d, const Tensor& w, const Tensor& b);
+
+/// Backward of dense_forward: gW += gᵀ·x, then gb += column sums of g
+/// (skipped when `gb` is empty); returns dx = g·W.
+Tensor dense_backward(const Tensor& g2d, const Tensor& x2d, const Tensor& w,
+                      Tensor& gw, Tensor& gb);
+
 /// Fully connected layer: y = x W^T + b, with x:[N,in], W:[out,in], b:[out].
 class Linear : public Layer {
  public:

@@ -158,6 +158,11 @@ void pack_b(ElemB eb, int pc, int kc, int jc, int nc, int nr_t, float* bp) {
 // C(0:mr, 0:nr) += alpha * Ap · Bp for one packed strip pair. Each kernel
 // accumulates its full MR×NR tile in registers, then writes back the valid
 // region (ragged edges spill through a stack tile).
+//
+// Every micro_kernel_* starts on a 64-byte boundary. Otherwise its offset
+// within a cache line follows the size of whatever links ahead of this
+// file, and unrelated code changes move whole-run timings by ~10%
+// (scripts/ci.sh checks the alignment with nm).
 
 using MicroFn = void (*)(int kc, float alpha, const float* ap,
                          const float* bp, float* c, int ldc, int mr, int nr);
@@ -168,6 +173,7 @@ using MicroFn = void (*)(int kc, float alpha, const float* ap,
 #if defined(__GNUC__) && !defined(__clang__)
 __attribute__((optimize("no-tree-vectorize", "no-tree-slp-vectorize")))
 #endif
+__attribute__((aligned(64)))
 void micro_kernel_scalar(int kc, float alpha, const float* ap,
                          const float* bp, float* c, int ldc, int mr, int nr) {
   constexpr int MR = 6, NR = 16;
@@ -193,6 +199,7 @@ void micro_kernel_scalar(int kc, float alpha, const float* ap,
 // that unroll without 24 copy-pasted lines.
 
 #ifdef FEDTRANS_HAVE_AVX2
+__attribute__((aligned(64)))
 void micro_kernel_avx2(int kc, float alpha, const float* ap, const float* bp,
                        float* c, int ldc, int mr, int nr) {
   constexpr int MR = 6, NR = 16;
@@ -239,6 +246,7 @@ void micro_kernel_avx2(int kc, float alpha, const float* ap, const float* bp,
 #endif  // FEDTRANS_HAVE_AVX2
 
 #ifdef FEDTRANS_HAVE_AVX512
+__attribute__((aligned(64)))
 void micro_kernel_avx512(int kc, float alpha, const float* ap,
                          const float* bp, float* c, int ldc, int mr, int nr) {
   constexpr int MR = 12, NR = 32;
@@ -307,6 +315,7 @@ using MicroDirectFn = void (*)(int kc, float alpha, const float* ap,
 constexpr int kDirectBMaxM = 24;
 
 #ifdef FEDTRANS_HAVE_AVX2
+__attribute__((aligned(64)))
 void micro_kernel_avx2_direct(int kc, float alpha, const float* ap,
                               const float* b, int ldb, float* c, int ldc,
                               int mr, int nr) {
@@ -362,6 +371,7 @@ void micro_kernel_avx2_direct(int kc, float alpha, const float* ap,
 #endif  // FEDTRANS_HAVE_AVX2
 
 #ifdef FEDTRANS_HAVE_AVX512
+__attribute__((aligned(64)))
 void micro_kernel_avx512_direct(int kc, float alpha, const float* ap,
                                 const float* b, int ldb, float* c, int ldc,
                                 int mr, int nr) {
@@ -436,6 +446,7 @@ MicroDirectFn direct_kernel(GemmBackend b) {
 }
 
 #ifdef FEDTRANS_HAVE_NEON
+__attribute__((aligned(64)))
 void micro_kernel_neon(int kc, float alpha, const float* ap, const float* bp,
                        float* c, int ldc, int mr, int nr) {
   constexpr int MR = 6, NR = 16;

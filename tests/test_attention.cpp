@@ -1,3 +1,8 @@
+// Tests for the token layers: Attention (numerical gradients at every head
+// count, the residual-identity initialization used for function-preserving
+// insertion), TokenMlp, PatchToTokens and MeanTokens. The cases that need
+// more than one head are the AttentionHeadsTest suite, a binary of its own.
+
 #include <gtest/gtest.h>
 
 #include "nn/attention.hpp"
@@ -5,6 +10,8 @@
 
 namespace fedtrans {
 namespace {
+
+using testing::check_gradients;
 
 TEST(Attention, OutputShapeMatchesInput) {
   Rng rng(1);
@@ -14,13 +21,6 @@ TEST(Attention, OutputShapeMatchesInput) {
   x.randn(rng);
   Tensor y = attn.forward(x, true);
   EXPECT_EQ(y.shape(), x.shape());
-}
-
-TEST(Attention, GradientCheck) {
-  Rng rng(2);
-  Attention attn(4);
-  attn.init(rng);
-  testing::check_gradients(attn, {1, 3, 4}, rng, /*tol=*/4e-2);
 }
 
 TEST(Attention, ZeroOutputProjectionGivesZero) {
@@ -60,6 +60,22 @@ TEST(Attention, MacsFormula) {
   Attention attn(8);
   EXPECT_EQ(attn.macs({6, 8}), 4LL * 6 * 8 * 8 + 2LL * 6 * 6 * 8);
 }
+
+class AttentionGradients : public ::testing::TestWithParam<int> {};
+
+TEST_P(AttentionGradients, MatchFiniteDifferences) {
+  const int heads = GetParam();
+  Rng rng(100 + heads);
+  Attention attn(8, heads);
+  attn.init(rng);
+  check_gradients(attn, {2, 5, 8}, rng);
+}
+
+INSTANTIATE_TEST_SUITE_P(Heads, AttentionGradients,
+                         ::testing::Values(1, 2, 4, 8),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "h" + std::to_string(info.param);
+                         });
 
 TEST(TokenMlp, GradientCheck) {
   Rng rng(5);

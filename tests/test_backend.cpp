@@ -12,7 +12,6 @@
 #include "core/trainer.hpp"
 #include "fl/runner.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/grouped_conv2d.hpp"
 #include "tensor/tensor.hpp"
 #include "test_util.hpp"
 
@@ -184,15 +183,10 @@ TEST(ConvBackend, Im2colMatchesDirectReference) {
     Tensor x({2, cc.in_c, 9, 11});
     x.randn(rng);
 
-    auto make = [&](Rng& r) -> std::unique_ptr<Layer> {
-      if (cc.groups == 1) {
-        auto conv = std::make_unique<Conv2d>(cc.in_c, cc.out_c, cc.kernel,
-                                             cc.stride, cc.pad);
-        conv->init(r);
-        return conv;
-      }
-      auto conv = std::make_unique<GroupedConv2d>(
-          cc.in_c, cc.out_c, cc.kernel, cc.groups, cc.stride, cc.pad);
+    auto make = [&](Rng& r) {
+      auto conv = std::make_unique<Conv2d>(cc.in_c, cc.out_c, cc.kernel,
+                                           cc.stride, cc.pad, /*bias=*/true,
+                                           cc.groups);
       conv->init(r);
       return conv;
     };
@@ -236,7 +230,8 @@ TEST(ConvBackend, Im2colGradientsCheckNumerically) {
     testing::check_gradients(conv, {2, 3, 7, 7}, rng);
   }
   {
-    GroupedConv2d conv(4, 6, 3, 2, 1);
+    Conv2d conv(4, 6, 3, /*stride=*/1, /*padding=*/-1, /*bias=*/true,
+                /*groups=*/2);
     conv.init(rng);
     testing::check_gradients(conv, {2, 4, 6, 6}, rng);
   }

@@ -11,7 +11,7 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "nn/grouped_conv2d.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/im2col.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/tensor.hpp"
@@ -171,9 +171,10 @@ TEST(GemmSimd, HalfGemmMatchesWidenedFloatGemm) {
 TEST(GemmSimd, GroupedConvParityWithDirectReference) {
   Rng rng(13);
   for (int groups : {1, 2, 4, 8}) {
-    GroupedConv2d ref_conv(16, 24, 3, groups, 1);
+    Conv2d ref_conv(16, 24, 3, /*stride=*/1, /*padding=*/-1, /*bias=*/true,
+                    groups);
     ref_conv.init(rng);
-    GroupedConv2d im_conv = ref_conv;  // identical weights
+    Conv2d im_conv = ref_conv;  // identical weights
 
     Tensor x({3, 16, 9, 9});
     x.randn(rng);

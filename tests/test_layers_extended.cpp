@@ -1,5 +1,5 @@
 // Unit + property tests for the extended NN substrate: BatchNorm, LayerNorm,
-// MaxPool2d / AvgPool2d, Dropout, Sequential, GroupedConv2d (+ the paper's
+// MaxPool2d / AvgPool2d, Dropout, Sequential, grouped Conv2d (+ the paper's
 // grouped→dense conversion, Appendix A.1).
 
 #include <gtest/gtest.h>
@@ -9,7 +9,7 @@
 #include "common/check.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/dropout.hpp"
-#include "nn/grouped_conv2d.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/layer_norm.hpp"
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
@@ -428,9 +428,15 @@ TEST(SequentialTest, RejectsNullLayer) {
 
 // ------------------------------------------------------------- grouped conv
 
-TEST(GroupedConv2dTest, GroupsOneMatchesDenseConv) {
+// Conv2d(in, out, k, stride, padding, bias, groups).
+Conv2d grouped_conv(int in_c, int out_c, int k, int groups, int stride = 1) {
+  return Conv2d(in_c, out_c, k, stride, /*padding=*/-1, /*bias=*/true,
+                groups);
+}
+
+TEST(Conv2dGroupsTest, GroupsOneMatchesDenseConv) {
   Rng rng(61);
-  GroupedConv2d grouped(4, 6, 3, /*groups=*/1);
+  Conv2d grouped = grouped_conv(4, 6, 3, /*groups=*/1);
   grouped.init(rng);
   auto dense = grouped.to_dense();
 
@@ -441,31 +447,39 @@ TEST(GroupedConv2dTest, GroupsOneMatchesDenseConv) {
   EXPECT_LT(max_abs_diff(yg, yd), 1e-6);
 }
 
-TEST(GroupedConv2dTest, GradientsMatchFiniteDifferencesGroups2) {
+TEST(Conv2dGroupsTest, GradientsMatchFiniteDifferencesGroups2) {
   Rng rng(62);
-  GroupedConv2d conv(4, 6, 3, /*groups=*/2);
+  Conv2d conv = grouped_conv(4, 6, 3, /*groups=*/2);
   conv.init(rng);
   check_gradients(conv, {2, 4, 5, 5}, rng);
 }
 
-TEST(GroupedConv2dTest, GradientsMatchFiniteDifferencesDepthwise) {
+TEST(Conv2dGroupsTest, GradientsMatchFiniteDifferencesDepthwise) {
   Rng rng(63);
-  GroupedConv2d conv(5, 5, 3, /*groups=*/5);
+  Conv2d conv = grouped_conv(5, 5, 3, /*groups=*/5);
   conv.init(rng);
   check_gradients(conv, {2, 5, 4, 4}, rng);
 }
 
-TEST(GroupedConv2dTest, MacsScaleInverselyWithGroups) {
-  GroupedConv2d g1(8, 8, 3, 1), g2(8, 8, 3, 2), g8(8, 8, 3, 8);
+TEST(Conv2dGroupsTest, MacsScaleInverselyWithGroups) {
+  Conv2d g1 = grouped_conv(8, 8, 3, 1), g2 = grouped_conv(8, 8, 3, 2),
+         g8 = grouped_conv(8, 8, 3, 8);
   const std::vector<int> in{8, 6, 6};
   EXPECT_EQ(g1.macs(in), 2 * g2.macs(in));
   EXPECT_EQ(g1.macs(in), 8 * g8.macs(in));
 }
 
-TEST(GroupedConv2dTest, RejectsNonDividingGroups) {
-  EXPECT_THROW(GroupedConv2d(4, 6, 3, 3), Error);  // 4 % 3 != 0
-  EXPECT_THROW(GroupedConv2d(6, 4, 3, 3), Error);  // 4 % 3 != 0
-  EXPECT_THROW(GroupedConv2d(6, 6, 3, 0), Error);
+TEST(Conv2dGroupsTest, RejectsNonDividingGroups) {
+  EXPECT_THROW(grouped_conv(4, 6, 3, 3), Error);  // 4 % 3 != 0
+  EXPECT_THROW(grouped_conv(6, 4, 3, 3), Error);  // 4 % 3 != 0
+  EXPECT_THROW(grouped_conv(6, 6, 3, 0), Error);
+}
+
+TEST(Conv2dGroupsTest, IdentityInitRequiresGroupsOne) {
+  Conv2d conv = grouped_conv(4, 4, 3, /*groups=*/2);
+  EXPECT_THROW(conv.init_identity(), Error);
+  Conv2d dense = grouped_conv(4, 4, 3, /*groups=*/1);
+  EXPECT_NO_THROW(dense.init_identity());
 }
 
 // Paper Appendix A.1: grouped layers are converted to dense before running
@@ -480,7 +494,7 @@ class GroupedToDenseTest : public ::testing::TestWithParam<GroupedToDenseCase> {
 TEST_P(GroupedToDenseTest, DenseConversionPreservesFunction) {
   const auto c = GetParam();
   Rng rng(64 + c.groups);
-  GroupedConv2d grouped(c.in_c, c.out_c, c.k, c.groups, c.stride);
+  Conv2d grouped = grouped_conv(c.in_c, c.out_c, c.k, c.groups, c.stride);
   grouped.init(rng);
   auto dense = grouped.to_dense();
 

@@ -1,61 +1,25 @@
-// Tests for MultiHeadAttention: numerical gradients across head counts,
-// exact reduction to the single-head Attention layer at heads == 1, and the
-// residual-identity initialization used for function-preserving insertion.
+// Tests for Attention at more than one head: head slicing changes the
+// function, the residual-identity initialization holds per head, the
+// per-head attention mixes values row-stochastically, and head counts that do
+// not divide the width are rejected. The gradient check over heads 1/2/4/8 is
+// in test_attention.cpp.
 
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
 #include "nn/attention.hpp"
-#include "nn/multihead_attention.hpp"
 #include "test_util.hpp"
 
 namespace fedtrans {
 namespace {
 
-using testing::check_gradients;
 using testing::max_abs_diff;
 
-class MhaGradients : public ::testing::TestWithParam<int> {};
-
-TEST_P(MhaGradients, MatchFiniteDifferences) {
-  const int heads = GetParam();
-  Rng rng(100 + heads);
-  MultiHeadAttention mha(8, heads);
-  mha.init(rng);
-  check_gradients(mha, {2, 5, 8}, rng);
-}
-
-INSTANTIATE_TEST_SUITE_P(Heads, MhaGradients, ::testing::Values(1, 2, 4, 8),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "h" + std::to_string(info.param);
-                         });
-
-TEST(MultiHeadAttentionTest, SingleHeadMatchesAttentionExactly) {
-  Rng rng(7);
-  Attention single(6);
-  single.init(rng);
-  MultiHeadAttention multi(6, 1);
-  // Copy weights across via the identically-ordered params() lists.
-  auto sp = single.params();
-  auto mp = multi.params();
-  ASSERT_EQ(sp.size(), mp.size());
-  for (std::size_t i = 0; i < sp.size(); ++i) {
-    ASSERT_EQ(sp[i].name, mp[i].name);
-    *mp[i].value = *sp[i].value;
-  }
-
-  Tensor x({2, 4, 6});
-  x.randn(rng, 1.0f);
-  Tensor ys = single.forward(x, true);
-  Tensor ym = multi.forward(x, true);
-  EXPECT_LT(max_abs_diff(ys, ym), 1e-5);
-}
-
-TEST(MultiHeadAttentionTest, HeadsChangeTheFunction) {
+TEST(AttentionHeadsTest, HeadsChangeTheFunction) {
   // Same packed weights, different head count → different attention
   // patterns (heads restrict the score computation to their slice).
   Rng rng(8);
-  MultiHeadAttention one(8, 1), four(8, 4);
+  Attention one(8, 1), four(8, 4);
   one.init(rng);
   auto p1 = one.params();
   auto p4 = four.params();
@@ -68,23 +32,23 @@ TEST(MultiHeadAttentionTest, HeadsChangeTheFunction) {
   EXPECT_GT(max_abs_diff(y1, y4), 1e-4);
 }
 
-TEST(MultiHeadAttentionTest, ZeroOutputProjectionGivesZeroOutput) {
+TEST(AttentionHeadsTest, ZeroOutputProjectionGivesZeroOutput) {
   Rng rng(9);
-  MultiHeadAttention mha(8, 2);
-  mha.init(rng);
-  mha.zero_output_projection();
+  Attention attn(8, 2);
+  attn.init(rng);
+  attn.zero_output_projection();
   Tensor x({2, 3, 8});
   x.randn(rng, 1.0f);
-  Tensor y = mha.forward(x, true);
+  Tensor y = attn.forward(x, true);
   for (std::int64_t i = 0; i < y.numel(); ++i) EXPECT_EQ(y[i], 0.0f);
 }
 
-TEST(MultiHeadAttentionTest, OutputIsRowStochasticMixOfValues) {
+TEST(AttentionHeadsTest, OutputIsRowStochasticMixOfValues) {
   // With identity-like V projection and zero Q/K, attention is uniform:
   // every token's output (pre-Wo) averages the values. Verify through the
   // public API with Wo = I.
-  MultiHeadAttention mha(4, 2);
-  auto ps = mha.params();
+  Attention attn(4, 2);
+  auto ps = attn.params();
   // wq = wk = 0 → uniform attention; wv = I; wo = I; biases 0.
   for (auto& p : ps) p.value->zero();
   Tensor* wv = ps[4].value;
@@ -95,7 +59,7 @@ TEST(MultiHeadAttentionTest, OutputIsRowStochasticMixOfValues) {
   }
   Tensor x = Tensor::from({1, 2, 4}, {1.0f, 2.0f, 3.0f, 4.0f,  //
                                       5.0f, 6.0f, 7.0f, 8.0f});
-  Tensor y = mha.forward(x, true);
+  Tensor y = attn.forward(x, true);
   // Uniform attention over 2 tokens → every token gets the mean value row.
   for (int t = 0; t < 2; ++t)
     for (int dd = 0; dd < 4; ++dd)
@@ -103,35 +67,35 @@ TEST(MultiHeadAttentionTest, OutputIsRowStochasticMixOfValues) {
                   1e-5f);
 }
 
-TEST(MultiHeadAttentionTest, MacsGrowWithSequenceLength) {
-  MultiHeadAttention mha(8, 2);
-  EXPECT_GT(mha.macs({16, 8}), mha.macs({4, 8}));
+TEST(AttentionHeadsTest, MacsGrowWithSequenceLength) {
+  Attention attn(8, 2);
+  EXPECT_GT(attn.macs({16, 8}), attn.macs({4, 8}));
   // Projections dominate: 4·T·D² term present.
-  EXPECT_GE(mha.macs({4, 8}), 4 * 4 * 8 * 8);
+  EXPECT_GE(attn.macs({4, 8}), 4 * 4 * 8 * 8);
 }
 
-TEST(MultiHeadAttentionTest, CloneIsDeep) {
+TEST(AttentionHeadsTest, CloneIsDeep) {
   Rng rng(10);
-  MultiHeadAttention mha(6, 3);
-  mha.init(rng);
-  auto copy = mha.clone();
+  Attention attn(6, 3);
+  attn.init(rng);
+  auto copy = attn.clone();
   Tensor x({1, 4, 6});
   x.randn(rng, 1.0f);
   Tensor before = copy->forward(x, true);
-  for (auto& p : mha.params()) p.value->fill(0.0f);
+  for (auto& p : attn.params()) p.value->fill(0.0f);
   Tensor after = copy->forward(x, true);
   EXPECT_EQ(max_abs_diff(before, after), 0.0);
 }
 
-TEST(MultiHeadAttentionTest, RejectsNonDividingHeads) {
-  EXPECT_THROW(MultiHeadAttention(8, 3), Error);
-  EXPECT_THROW(MultiHeadAttention(8, 0), Error);
+TEST(AttentionHeadsTest, RejectsNonDividingHeads) {
+  EXPECT_THROW(Attention(8, 3), Error);
+  EXPECT_THROW(Attention(8, 0), Error);
 }
 
-TEST(MultiHeadAttentionTest, RejectsWrongInputDim) {
-  MultiHeadAttention mha(8, 2);
+TEST(AttentionHeadsTest, RejectsWrongInputDim) {
+  Attention attn(8, 2);
   Tensor x({2, 3, 6});
-  EXPECT_THROW(mha.forward(x, true), Error);
+  EXPECT_THROW(attn.forward(x, true), Error);
 }
 
 }  // namespace

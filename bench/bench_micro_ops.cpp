@@ -44,9 +44,12 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 
-// Thread-count scaling of the acceptance-criterion shape (256³).
+// Thread-count scaling of the acceptance-criterion shape (256³). The
+// pool_threads counter lets scripts/bench_micro.sh flag a record whose
+// thread count exceeds the host's CPUs ("oversubscribed").
 void BM_GemmThreads(benchmark::State& state) {
   ThreadPool::set_global_threads(static_cast<int>(state.range(0)));
+  state.counters["pool_threads"] = static_cast<double>(state.range(0));
   const int n = 256;
   Rng rng(1);
   Tensor a({n, n}), b({n, n}), c({n, n});
@@ -62,6 +65,27 @@ void BM_GemmThreads(benchmark::State& state) {
   ThreadPool::set_global_threads(ThreadPool::global_threads());
 }
 BENCHMARK(BM_GemmThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+// The narrow conv layer's weight gradient gW += dY·colᵀ (the `narrow` conv
+// row below: 4 output channels, 4·3·3 column rows, 10 images of 12×12
+// pixels), a transposed-B product whose cost is mostly the B pack.
+void BM_GemmWeightGrad(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(1));
+  const int k = static_cast<int>(state.range(2));
+  Rng rng(3);
+  Tensor dy({m, k}), col({n, k}), gw({m, n});
+  dy.randn(rng);
+  col.randn(rng);
+  for (auto _ : state) {
+    gemm(false, true, m, n, k, 1.0f, dy.data(), k, col.data(), k, 1.0f,
+         gw.data(), n);
+    benchmark::DoNotOptimize(gw.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m) *
+                          n * k);
+}
+BENCHMARK(BM_GemmWeightGrad)->Args({4, 36, 1440})->UseRealTime();
 
 // Backend sweep on the acceptance shape (256³, single thread): BM_GemmSimd
 // forces the best available SIMD micro-kernel, BM_GemmScalar the plain-C
@@ -110,7 +134,9 @@ BENCHMARK(BM_GemmSimd)->UseRealTime();
 // packs a whole batch tile into one [ckk, bt·oh·ow] panel per group, which
 // keeps grouped GFLOP/s in dense's ballpark instead of paying a sliver-GEMM
 // penalty per image. `resnet` is the ResNet body layer (3×3, 64→64 on a
-// 14×14 map), the dense comparator for its grouped rows.
+// 14×14 map), the dense comparator for its grouped rows. `narrow` is the
+// shape the e2e FedTrans workloads train (3×3, 4→4, batch 10 of 12×12),
+// where data movement, not arithmetic, sets the cost.
 struct ConvBenchSpec {
   const char* label;
   int in_c, out_c, k, groups, batch, hw;
@@ -122,6 +148,7 @@ const ConvBenchSpec kConvBenchSpecs[] = {
     {"resnet", 64, 64, 3, 1, 4, 14, {ConvBackend::Im2col, ConvBackend::Direct}},
     {"resnet_g4", 64, 64, 3, 4, 4, 14, {ConvBackend::Im2col}},
     {"resnet_g8", 64, 64, 3, 8, 4, 14, {ConvBackend::Im2col}},
+    {"narrow", 4, 4, 3, 1, 10, 12, {ConvBackend::Im2col, ConvBackend::Direct}},
 };
 
 void conv_bench(benchmark::State& state, const ConvBenchSpec& spec,

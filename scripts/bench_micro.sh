@@ -4,6 +4,10 @@
 # benchmark: {op, shape, ms, gflops?, counters...} — so successive PRs have
 # a perf trajectory to compare against.
 #
+# Records of thread-scaling benchmarks (those with a `pool_threads`
+# counter) get `"oversubscribed": true` when that thread count exceeds the
+# context's num_cpus.
+#
 # Every registration must use UseRealTime(), which makes google-benchmark
 # divide items and kIsRate counters by wall time and append "/real_time"
 # to the run name. The distiller refuses to write the file (and names the
@@ -133,6 +137,13 @@ for raw_path in raw_paths:
             if key not in known and isinstance(val, (int, float)):
                 rec[key] = round(val, 3)
         records.append(rec)
+
+# A thread-scaling record (one with a pool_threads counter) whose thread
+# count exceeds the host's CPUs measures time slicing, not scaling.
+num_cpus = context.get("num_cpus")
+for rec in records:
+    if "pool_threads" in rec and num_cpus is not None:
+        rec["oversubscribed"] = rec["pool_threads"] > num_cpus
 
 if cpu_clocked:
     sys.exit(

@@ -48,6 +48,13 @@ Tensor Block::backward(const Tensor& grad_out) {
   return g;
 }
 
+void Block::backward_params(const Tensor& grad_out) {
+  Tensor g = grad_out;
+  for (std::size_t i = layers_.size() - 1; i > 0; --i)
+    g = layers_[i]->backward(g);
+  layers_.front()->backward_params(g);
+}
+
 std::vector<ParamRef> Block::params() {
   std::vector<ParamRef> ps;
   for (auto& l : layers_)
@@ -270,7 +277,8 @@ void Model::backward(const Tensor& grad_logits) {
   for (auto cit = cells_.rbegin(); cit != cells_.rend(); ++cit)
     for (auto bit = cit->rbegin(); bit != cit->rend(); ++bit)
       g = (*bit)->backward(g);
-  stem_->backward(g);
+  // Nothing consumes the gradient of the input images.
+  stem_->backward_params(g);
 }
 
 void Model::zero_grad() {

@@ -16,6 +16,9 @@ class Block {
 
   Tensor forward(const Tensor& x, bool train);
   Tensor backward(const Tensor& grad_out);
+  /// backward() without dLoss/dInput: the first layer runs
+  /// Layer::backward_params, and the residual add is skipped.
+  void backward_params(const Tensor& grad_out);
 
   std::vector<ParamRef> params();
   std::size_t num_layers() const { return layers_.size(); }

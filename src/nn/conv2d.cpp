@@ -58,33 +58,57 @@ void Conv2d::init_identity() {
   if (has_bias_) b_.zero();
 }
 
-Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
+Tensor Conv2d::forward(const Tensor& x, bool train) {
   FT_SPAN("kernel", "conv2d_fwd");
   FT_CHECK_MSG(x.ndim() == 4 && x.dim(1) == d_.in_c,
                "Conv2d expects [N," << d_.in_c << ",H,W]");
-  cached_x_ = x;
   const int oh = d_.out_hw(x.dim(2)), ow = d_.out_hw(x.dim(3));
   FT_CHECK_MSG(oh > 0 && ow > 0, "conv output collapsed to zero size");
   Tensor y({x.dim(0), d_.out_c, oh, ow});
-  const auto kernel = conv_backend() == ConvBackend::Im2col
-                          ? conv_forward_im2col
-                          : conv_forward_direct;
-  kernel(x, w_, has_bias_ ? &b_ : nullptr, d_, y);
+  const Tensor* bias = has_bias_ ? &b_ : nullptr;
+  in_shape_ = x.shape();
+  const bool lowered = conv_backend() == ConvBackend::Im2col;
+  panel_kept_ =
+      train && lowered && conv_panel_fits(d_, x.dim(0), x.dim(2), x.dim(3));
+  if (panel_kept_) {
+    cached_x_ = Tensor();
+    conv_forward_im2col(x, w_, bias, d_, y, &panel_);
+    return y;
+  }
+  cached_x_ = x;
+  if (lowered)
+    conv_forward_im2col(x, w_, bias, d_, y);
+  else
+    conv_forward_direct(x, w_, bias, d_, y);
   return y;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
+  return backward_impl(grad_out, /*input_grad=*/true);
+}
+
+void Conv2d::backward_params(const Tensor& grad_out) {
+  backward_impl(grad_out, /*input_grad=*/false);
+}
+
+Tensor Conv2d::backward_impl(const Tensor& grad_out, bool input_grad) {
   FT_SPAN("kernel", "conv2d_bwd");
-  const Tensor& x = cached_x_;
-  FT_CHECK(x.ndim() == 4);
-  FT_CHECK(grad_out.ndim() == 4 && grad_out.dim(0) == x.dim(0) &&
+  FT_CHECK_MSG(in_shape_.size() == 4, "Conv2d backward before any forward");
+  FT_CHECK(grad_out.ndim() == 4 && grad_out.dim(0) == in_shape_[0] &&
            grad_out.dim(1) == d_.out_c &&
-           grad_out.dim(2) == d_.out_hw(x.dim(2)) &&
-           grad_out.dim(3) == d_.out_hw(x.dim(3)));
-  const auto kernel = conv_backend() == ConvBackend::Im2col
-                          ? conv_backward_im2col
-                          : conv_backward_direct;
-  return kernel(x, grad_out, w_, gw_, has_bias_ ? &gb_ : nullptr, d_);
+           grad_out.dim(2) == d_.out_hw(in_shape_[2]) &&
+           grad_out.dim(3) == d_.out_hw(in_shape_[3]));
+  Tensor* gb = has_bias_ ? &gb_ : nullptr;
+  if (conv_backend() == ConvBackend::Direct) {
+    FT_CHECK_MSG(!panel_kept_,
+                 "conv backend switched to direct between a forward and its "
+                 "backward: that forward kept only its im2col column panel");
+    return conv_backward_direct(cached_x_, grad_out, w_, gw_, gb, d_);
+  }
+  return conv_backward_im2col(in_shape_,
+                              panel_kept_ ? nullptr : cached_x_.data(),
+                              panel_kept_ ? panel_.data() : nullptr, grad_out,
+                              w_, gw_, gb, d_, input_grad);
 }
 
 std::vector<ParamRef> Conv2d::params() {

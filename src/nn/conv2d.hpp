@@ -13,6 +13,14 @@ namespace fedtrans {
 /// lower onto the blocked GEMM via im2col/col2im by default; the direct loop
 /// nest is kept as a reference implementation selectable through
 /// set_conv_backend() for parity testing.
+///
+/// What a forward leaves for backward: a training forward under im2col
+/// whose batch fits the column budget (conv_panel_fits) keeps its column
+/// panel, and backward reads it instead of unfolding the input again. Every
+/// other forward (eval, the direct backend, a batch of several column
+/// tiles) keeps a copy of the input, from which backward recomputes. A
+/// backward under the direct backend after a panel-keeping forward throws,
+/// since the input was never kept.
 class Conv2d : public Layer {
  public:
   Conv2d(int in_channels, int out_channels, int kernel, int stride = 1,
@@ -28,6 +36,8 @@ class Conv2d : public Layer {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  /// Under im2col, skips the column-gradient GEMM, col2im and dx.
+  void backward_params(const Tensor& grad_out) override;
   std::vector<ParamRef> params() override;
   std::int64_t macs(const std::vector<int>& in_shape) const override;
   std::vector<int> out_shape(const std::vector<int>& in_shape) const override;
@@ -55,11 +65,16 @@ class Conv2d : public Layer {
   std::unique_ptr<Conv2d> to_dense() const;
 
  private:
+  Tensor backward_impl(const Tensor& grad_out, bool input_grad);
+
   ConvDims d_;
   bool has_bias_;
   Tensor w_, gw_;
   Tensor b_, gb_;
-  Tensor cached_x_;
+  std::vector<int> in_shape_;  // of the last forward's input
+  Tensor cached_x_;            // that input, unless the panel was kept
+  std::vector<float> panel_;   // its column panel; capacity kept across steps
+  bool panel_kept_ = false;
 };
 
 /// Depthwise-separable convolution block (depthwise k×k + pointwise 1×1),

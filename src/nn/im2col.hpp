@@ -1,5 +1,7 @@
 #pragma once
 
+#include <vector>
+
 #include "tensor/tensor.hpp"
 
 namespace fedtrans {
@@ -53,18 +55,33 @@ Tensor conv_backward_direct(const Tensor& x, const Tensor& grad_out,
                             const Tensor& w, Tensor& gw, Tensor* gb,
                             const ConvDims& d);
 
+/// True when the column panels of every group for a whole [n, in_c, h, w]
+/// batch fit the column budget (8 MB) at once: in_c·k·k rows of n·oh·ow
+/// floats. Then conv_forward_im2col can keep them for the backward pass.
+bool conv_panel_fits(const ConvDims& d, int n, int h, int w);
+
 /// y[N, out_c, oh, ow] = conv(x) + bias, lowered per group onto
 /// gemm(W_g [ocg, icg·k·k] × col_g [icg·k·k, bt·oh·ow]) where the column
 /// panel concatenates a tile of `bt` batch images along N — so grouped
 /// models get dense-sized GEMMs instead of one sliver per (image, group).
-/// `bias` may be null.
+/// `bias` may be null. With `panel` non-null the batch must fit
+/// (conv_panel_fits): every group's columns are unfolded into *panel, group
+/// g's [icg·k·k, N·oh·ow] block at offset g·icg·k·k·N·oh·ow, and left there
+/// for conv_backward_im2col.
 void conv_forward_im2col(const Tensor& x, const Tensor& w, const Tensor* bias,
-                         const ConvDims& d, Tensor& y);
+                         const ConvDims& d, Tensor& y,
+                         std::vector<float>* panel = nullptr);
 
-/// Backward pass of the same lowering: accumulates into `gw` (and `gb` if
-/// non-null) and returns dL/dx. `grad_out` is [N, out_c, oh, ow].
-Tensor conv_backward_im2col(const Tensor& x, const Tensor& grad_out,
+/// Backward pass of the same lowering over an input of shape `in_shape`
+/// ([N, in_c, H, W]). It reads the forward's columns from `panel` when
+/// non-null (as conv_forward_im2col left them) and otherwise unfolds the
+/// input `x` again, tile by tile. Accumulates into `gw` (and `gb` if
+/// non-null) and returns dL/dx. With `input_grad` false it skips the
+/// column-gradient GEMM, col2im and the dx allocation, and returns an empty
+/// tensor. `grad_out` is [N, out_c, oh, ow].
+Tensor conv_backward_im2col(const std::vector<int>& in_shape, const float* x,
+                            const float* panel, const Tensor& grad_out,
                             const Tensor& w, Tensor& gw, Tensor* gb,
-                            const ConvDims& d);
+                            const ConvDims& d, bool input_grad = true);
 
 }  // namespace fedtrans

@@ -29,6 +29,10 @@ class Layer {
   /// Given dLoss/dOutput, accumulate parameter gradients and return
   /// dLoss/dInput.
   virtual Tensor backward(const Tensor& grad_out) = 0;
+  /// backward() for a caller that discards dLoss/dInput, such as the
+  /// model's stem: accumulates the same parameter gradients. Layers that
+  /// can skip the input-gradient work override it.
+  virtual void backward_params(const Tensor& grad_out) { backward(grad_out); }
 
   virtual std::vector<ParamRef> params() { return {}; }
   /// Multiply-accumulate operations per *single sample* given the input

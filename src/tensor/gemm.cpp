@@ -15,6 +15,9 @@
 // m = oc/groups) skip B packing entirely on the x86 tiers: a B-direct
 // kernel variant streams op(B) rows from the source with masked tail
 // loads, since one or two row strips cannot amortize a packed B panel.
+// Transposed fp32 B (conv's weight gradient gW += dY·colᵀ) is packed
+// through 8×8 in-register transposes on the same tiers; the bytes match the
+// generic pack, which the scalar reference keeps.
 //
 // Half-precision (f16/bf16) operands are widened to fp32 inside the packing
 // routines — the micro-kernels only ever see fp32 panels, so accumulation
@@ -28,6 +31,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.hpp"
@@ -153,6 +157,92 @@ void pack_b(ElemB eb, int pc, int kc, int jc, int nc, int nr_t, float* bp) {
     }
   }
 }
+
+#ifdef FEDTRANS_HAVE_AVX2
+// pack_b for a transposed fp32 B (op(B) = Bᵀ; the weight gradient
+// gW += dY·colᵀ of every conv layer). A packed strip row holds nr_t
+// consecutive op(B) columns, which are rows of the stored B, so the generic
+// pack reads each element from a different source row. Here 8×8 blocks
+// move through an in-register transpose instead: eight 8-float row loads
+// become eight 8-float strip rows. The packed bytes equal pack_b's; the
+// ragged tails (kc % 8 rows, nr % 8 columns) and the zero padding are
+// written element by element.
+void pack_b_trans_avx2(const float* b, int ldb, int pc, int kc, int jc,
+                       int nc, int nr_t, float* bp) {
+  for (int jr = 0; jr < nc; jr += nr_t) {
+    const int nr = std::min(nr_t, nc - jr);
+    const int nr8 = nr & ~7;
+    // Column j of this strip is row jc + jr + j of the stored B.
+    const float* src = b + static_cast<std::size_t>(jc + jr) * ldb + pc;
+    auto tail_row = [&](int p) {
+      float* dst = bp + static_cast<std::size_t>(p) * nr_t;
+      for (int j = nr8; j < nr; ++j)
+        dst[j] = src[static_cast<std::size_t>(j) * ldb + p];
+      for (int j = nr; j < nr_t; ++j) dst[j] = 0.0f;
+    };
+    int p = 0;
+    for (; p + 8 <= kc; p += 8) {
+      for (int j = 0; j < nr8; j += 8) {
+        const float* s0 = src + static_cast<std::size_t>(j) * ldb + p;
+        __m256 r0 = _mm256_loadu_ps(s0);
+        __m256 r1 = _mm256_loadu_ps(s0 + ldb);
+        __m256 r2 = _mm256_loadu_ps(s0 + 2 * static_cast<std::size_t>(ldb));
+        __m256 r3 = _mm256_loadu_ps(s0 + 3 * static_cast<std::size_t>(ldb));
+        __m256 r4 = _mm256_loadu_ps(s0 + 4 * static_cast<std::size_t>(ldb));
+        __m256 r5 = _mm256_loadu_ps(s0 + 5 * static_cast<std::size_t>(ldb));
+        __m256 r6 = _mm256_loadu_ps(s0 + 6 * static_cast<std::size_t>(ldb));
+        __m256 r7 = _mm256_loadu_ps(s0 + 7 * static_cast<std::size_t>(ldb));
+        const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
+        const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
+        const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
+        const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
+        const __m256 t4 = _mm256_unpacklo_ps(r4, r5);
+        const __m256 t5 = _mm256_unpackhi_ps(r4, r5);
+        const __m256 t6 = _mm256_unpacklo_ps(r6, r7);
+        const __m256 t7 = _mm256_unpackhi_ps(r6, r7);
+        const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+        const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+        const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+        const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+        const __m256 u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+        const __m256 u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+        const __m256 u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+        const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+        r0 = _mm256_permute2f128_ps(u0, u4, 0x20);
+        r1 = _mm256_permute2f128_ps(u1, u5, 0x20);
+        r2 = _mm256_permute2f128_ps(u2, u6, 0x20);
+        r3 = _mm256_permute2f128_ps(u3, u7, 0x20);
+        r4 = _mm256_permute2f128_ps(u0, u4, 0x31);
+        r5 = _mm256_permute2f128_ps(u1, u5, 0x31);
+        r6 = _mm256_permute2f128_ps(u2, u6, 0x31);
+        r7 = _mm256_permute2f128_ps(u3, u7, 0x31);
+        float* d0 = bp + static_cast<std::size_t>(p) * nr_t + j;
+        _mm256_storeu_ps(d0, r0);
+        _mm256_storeu_ps(d0 + nr_t, r1);
+        _mm256_storeu_ps(d0 + 2 * nr_t, r2);
+        _mm256_storeu_ps(d0 + 3 * nr_t, r3);
+        _mm256_storeu_ps(d0 + 4 * nr_t, r4);
+        _mm256_storeu_ps(d0 + 5 * nr_t, r5);
+        _mm256_storeu_ps(d0 + 6 * nr_t, r6);
+        _mm256_storeu_ps(d0 + 7 * nr_t, r7);
+      }
+      for (int q = 0; q < 8; ++q) tail_row(p + q);
+    }
+    for (; p < kc; ++p) {
+      float* dst = bp + static_cast<std::size_t>(p) * nr_t;
+      for (int j = 0; j < nr8; ++j)
+        dst[j] = src[static_cast<std::size_t>(j) * ldb + p];
+      tail_row(p);
+    }
+    bp += static_cast<std::size_t>(nr_t) * kc;
+  }
+}
+
+// Whether pack_b_trans_avx2 is compiled in, for the tiers that use it.
+constexpr bool kHaveAvx2Pack = true;
+#else
+constexpr bool kHaveAvx2Pack = false;
+#endif  // FEDTRANS_HAVE_AVX2
 
 // ---- micro-kernels ----------------------------------------------------------
 // C(0:mr, 0:nr) += alpha * Ap · Bp for one packed strip pair. Each kernel
@@ -503,25 +593,42 @@ struct KernelInfo {
   int mr;
   int nr;
   MicroFn fn;
+  bool simd_trans_pack;  // fp32 Bᵀ panels go through pack_b_trans_avx2
 };
 
 KernelInfo kernel_info(GemmBackend b) {
   switch (b) {
 #ifdef FEDTRANS_HAVE_AVX2
     case GemmBackend::Avx2:
-      return {6, 16, micro_kernel_avx2};
+      return {6, 16, micro_kernel_avx2, kHaveAvx2Pack};
 #endif
 #ifdef FEDTRANS_HAVE_AVX512
     case GemmBackend::Avx512:
-      return {12, 32, micro_kernel_avx512};
+      return {12, 32, micro_kernel_avx512, kHaveAvx2Pack};
 #endif
 #ifdef FEDTRANS_HAVE_NEON
     case GemmBackend::Neon:
-      return {6, 16, micro_kernel_neon};
+      return {6, 16, micro_kernel_neon, false};
 #endif
     default:
-      return {6, 16, micro_kernel_scalar};
+      return {6, 16, micro_kernel_scalar, false};
   }
+}
+
+// The B panel of one (jc, pc) block. Only the SIMD x86 tiers take the
+// transposed fast pack; the scalar reference keeps the generic one.
+template <class ElemB>
+void pack_b_panel(const ElemB& eb, int pc, int kc, int jc, int nc,
+                  const KernelInfo& ki, float* bp) {
+#ifdef FEDTRANS_HAVE_AVX2
+  if constexpr (std::is_same_v<ElemB, F32ReaderB>) {
+    if (eb.trans && ki.simd_trans_pack) {
+      pack_b_trans_avx2(eb.b, eb.ldb, pc, kc, jc, nc, ki.nr, bp);
+      return;
+    }
+  }
+#endif
+  pack_b(eb, pc, kc, jc, nc, ki.nr, bp);
 }
 
 // ---- backend selection ------------------------------------------------------
@@ -647,7 +754,7 @@ void gemm_blocked(int m, int n, int k, float alpha, ElemA ea, ElemB eb,
     const int nc = std::min(kNc, n - jc);
     for (int pc = 0; pc < k; pc += kKc) {
       const int kc = std::min(kKc, k - pc);
-      pack_b(eb, pc, kc, jc, nc, nr_t, bp.data());
+      pack_b_panel(eb, pc, kc, jc, nc, ki, bp.data());
       ThreadPool::global().parallel_for(
           row_blocks, 1, [&](std::int64_t blk_lo, std::int64_t blk_hi) {
             thread_local std::vector<float> ap;

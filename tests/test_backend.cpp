@@ -5,13 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
 #include "core/trainer.hpp"
 #include "fl/runner.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/im2col.hpp"
 #include "tensor/tensor.hpp"
 #include "test_util.hpp"
 
@@ -163,62 +168,266 @@ TEST(Gemm, ThreadedBitwiseMatchesSingleThreaded) {
     ASSERT_EQ(c1[i], c4[i]) << "thread count changed the result at " << i;
 }
 
-struct ConvCase {
-  int in_c, out_c, kernel, stride, pad, groups;
+// ---- conv contract ----------------------------------------------------------
+// One table of conv shapes and one set of bodies run on every row (the
+// module_tests pattern): im2col/col2im against their definition, the kept
+// column panel against recomputing from the input, backward_params against
+// backward, 1 vs 4 threads, switching the backend between a forward and
+// its backward, and the im2col lowering against the direct loop nest. All
+// but the last are bitwise.
+
+struct ConvContractCase {
+  const char* label;
+  int in_c, out_c, kernel, stride, pad, groups, batch, h, w;
 };
 
-// Forward + backward parity between the im2col lowering and the direct
-// reference loops, across strided / padded / 1x1 / grouped / depthwise cases.
-TEST(ConvBackend, Im2colMatchesDirectReference) {
-  const ConvCase cases[] = {
-      {3, 8, 3, 1, -1, 1},   // same-padded 3x3
-      {4, 6, 3, 2, 0, 1},    // strided, unpadded
-      {5, 7, 1, 1, 0, 1},    // pointwise
-      {4, 8, 5, 2, 2, 1},    // large kernel, stride 2
-      {6, 8, 3, 1, -1, 2},   // grouped
-      {8, 8, 3, 2, -1, 8},   // depthwise, strided
-  };
-  for (const auto& cc : cases) {
-    Rng rng(17);
-    Tensor x({2, cc.in_c, 9, 11});
+const ConvContractCase kConvContract[] = {
+    {"same_k3", 3, 8, 3, 1, 1, 1, 1, 9, 11},
+    {"narrow_e2e", 4, 4, 3, 1, 1, 1, 10, 12, 12},  // fedtrans-cifar's layer
+    {"valid_k3", 4, 6, 3, 1, 0, 1, 1, 8, 7},
+    {"wide_pad2_k3", 3, 5, 3, 1, 2, 1, 2, 6, 5},  // stride 1, ow > w
+    {"same_k5", 3, 4, 5, 1, 2, 1, 10, 7, 6},
+    {"pointwise", 5, 7, 1, 1, 0, 1, 10, 9, 11},
+    {"stride2_pad0", 4, 6, 3, 2, 0, 1, 2, 9, 11},
+    {"stride2_pad2_k5", 4, 8, 5, 2, 2, 1, 2, 9, 11},
+    {"grouped2", 6, 8, 3, 1, 1, 2, 10, 9, 11},
+    {"depthwise", 8, 8, 3, 1, 1, 8, 10, 7, 7},
+    {"depthwise_stride2", 8, 8, 3, 2, 1, 8, 2, 9, 11},
+    {"map2x2_pad1", 3, 4, 3, 1, 1, 1, 10, 2, 2},
+    // 16 images × 144 rows × 1024 pixels × 4 B > 8 MB: two column tiles.
+    {"past_budget", 16, 8, 3, 1, 1, 1, 16, 32, 32},
+    // Each group's panel fits one tile, but both groups' together do not.
+    {"past_budget_grouped", 16, 8, 3, 1, 1, 2, 16, 32, 32},
+};
+
+// Restores the im2col backend when a body leaves early.
+struct Im2colAfter {
+  ~Im2colAfter() { set_conv_backend(ConvBackend::Im2col); }
+};
+
+// Index of the first element whose bits differ (or 0 on a size mismatch),
+// -1 when every bit matches.
+std::int64_t first_bit_mismatch(std::span<const float> a,
+                                 std::span<const float> b) {
+  if (a.size() != b.size()) return 0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint32_t>(a[i]) !=
+        std::bit_cast<std::uint32_t>(b[i]))
+      return static_cast<std::int64_t>(i);
+  return -1;
+}
+
+// im2col by definition: row (c·k + ky)·k + kx, column oy·ow + ox holds
+// x[c][oy·stride − pad + ky][ox·stride − pad + kx], zero outside the image.
+std::vector<float> naive_im2col(const float* im, int channels, int h, int w,
+                                int k, int stride, int pad) {
+  const int oh = (h + 2 * pad - k) / stride + 1;
+  const int ow = (w + 2 * pad - k) / stride + 1;
+  std::vector<float> col(static_cast<std::size_t>(channels) * k * k * oh * ow);
+  std::size_t i = 0;
+  for (int c = 0; c < channels; ++c)
+    for (int ky = 0; ky < k; ++ky)
+      for (int kx = 0; kx < k; ++kx)
+        for (int oy = 0; oy < oh; ++oy)
+          for (int ox = 0; ox < ow; ++ox, ++i) {
+            const int iy = oy * stride - pad + ky, ix = ox * stride - pad + kx;
+            const bool in = iy >= 0 && iy < h && ix >= 0 && ix < w;
+            col[i] = in ? im[(static_cast<std::size_t>(c) * h + iy) * w + ix]
+                        : 0.0f;
+          }
+  return col;
+}
+
+// col2im by definition: the adjoint scatter-add, in the same element order.
+void naive_col2im(const float* col, int channels, int h, int w, int k,
+                  int stride, int pad, float* im) {
+  const int oh = (h + 2 * pad - k) / stride + 1;
+  const int ow = (w + 2 * pad - k) / stride + 1;
+  std::size_t i = 0;
+  for (int c = 0; c < channels; ++c)
+    for (int ky = 0; ky < k; ++ky)
+      for (int kx = 0; kx < k; ++kx)
+        for (int oy = 0; oy < oh; ++oy)
+          for (int ox = 0; ox < ow; ++ox, ++i) {
+            const int iy = oy * stride - pad + ky, ix = ox * stride - pad + kx;
+            if (iy >= 0 && iy < h && ix >= 0 && ix < w)
+              im[(static_cast<std::size_t>(c) * h + iy) * w + ix] += col[i];
+          }
+}
+
+class ConvContract : public ::testing::TestWithParam<ConvContractCase> {
+ protected:
+  // Every body starts from the same weights, input and output gradient.
+  Conv2d make_conv() const {
+    const auto& c = GetParam();
+    Conv2d conv(c.in_c, c.out_c, c.kernel, c.stride, c.pad, /*bias=*/true,
+                c.groups);
+    Rng rng(31);
+    conv.init(rng);
+    conv.bias().randn(rng);
+    return conv;
+  }
+  Tensor input() const {
+    const auto& c = GetParam();
+    Tensor x({c.batch, c.in_c, c.h, c.w});
+    Rng rng(37);
     x.randn(rng);
-
-    auto make = [&](Rng& r) {
-      auto conv = std::make_unique<Conv2d>(cc.in_c, cc.out_c, cc.kernel,
-                                           cc.stride, cc.pad, /*bias=*/true,
-                                           cc.groups);
-      conv->init(r);
-      return conv;
-    };
-    Rng r1(23), r2(23);
-    auto conv_fast = make(r1);
-    auto conv_ref = make(r2);
-
-    set_conv_backend(ConvBackend::Im2col);
-    Tensor y_fast = conv_fast->forward(x, true);
-    set_conv_backend(ConvBackend::Direct);
-    Tensor y_ref = conv_ref->forward(x, true);
-    EXPECT_LT(max_abs_diff(y_fast, y_ref), 1e-4)
-        << "forward mismatch (groups=" << cc.groups << " k=" << cc.kernel
-        << " stride=" << cc.stride << ")";
-
-    Tensor g(y_ref.shape());
+    return x;
+  }
+  Tensor grad_out(const Tensor& y) const {
+    Tensor g(y.shape());
+    Rng rng(41);
     g.randn(rng);
-    set_conv_backend(ConvBackend::Im2col);
-    Tensor dx_fast = conv_fast->backward(g);
-    set_conv_backend(ConvBackend::Direct);
-    Tensor dx_ref = conv_ref->backward(g);
-    EXPECT_LT(max_abs_diff(dx_fast, dx_ref), 1e-4) << "dx mismatch";
+    return g;
+  }
 
-    auto ps_fast = conv_fast->params();
-    auto ps_ref = conv_ref->params();
-    ASSERT_EQ(ps_fast.size(), ps_ref.size());
-    for (std::size_t i = 0; i < ps_fast.size(); ++i)
-      EXPECT_LT(max_abs_diff(*ps_fast[i].grad, *ps_ref[i].grad), 2e-3)
-          << ps_fast[i].name << " grad mismatch";
-    set_conv_backend(ConvBackend::Im2col);
+  // y, dx, gW and gb of one forward (train or eval) and one backward. With
+  // `stale`, a training forward on another input runs first, so a backward
+  // that read a panel the last forward did not leave would show.
+  struct Pass {
+    Tensor y, dx, gw, gb;
+  };
+  Pass run(bool train, bool params_only = false, bool stale = false) const {
+    Conv2d conv = make_conv();
+    if (stale) {
+      Tensor other = input();
+      other.mul_(-0.5f);
+      conv.forward(other, true);
+    }
+    Pass p;
+    p.y = conv.forward(input(), train);
+    if (params_only)
+      conv.backward_params(grad_out(p.y));
+    else
+      p.dx = conv.backward(grad_out(p.y));
+    p.gw = *conv.params()[0].grad;
+    p.gb = *conv.params()[1].grad;
+    return p;
+  }
+
+  static void expect_bitwise(const Tensor& a, const Tensor& b,
+                             const char* what) {
+    EXPECT_TRUE(a.same_shape(b)) << what;
+    const std::int64_t at = first_bit_mismatch(a.values(), b.values());
+    EXPECT_EQ(at, -1) << what << " differs at element " << at;
+  }
+};
+
+TEST_P(ConvContract, Im2colAndCol2imMatchTheirDefinition) {
+  const auto& c = GetParam();
+  const Tensor x = input();
+  const auto plane = static_cast<std::int64_t>(c.in_c) * c.h * c.w;
+  const int oh = (c.h + 2 * c.pad - c.kernel) / c.stride + 1;
+  const int ow = (c.w + 2 * c.pad - c.kernel) / c.stride + 1;
+  const auto cols = static_cast<std::int64_t>(c.in_c) * c.kernel * c.kernel *
+                    oh * ow;
+  for (int b : {0, c.batch - 1}) {
+    const float* im = x.data() + b * plane;
+    const auto want =
+        naive_im2col(im, c.in_c, c.h, c.w, c.kernel, c.stride, c.pad);
+    std::vector<float> got(static_cast<std::size_t>(cols), -1.0f);
+    im2col(im, c.in_c, c.h, c.w, c.kernel, c.stride, c.pad, got.data());
+    EXPECT_EQ(first_bit_mismatch(want, got), -1) << "im2col, image " << b;
+
+    // col2im accumulates: start both sides from the same nonzero image.
+    std::vector<float> back_want(im, im + plane), back_got(im, im + plane);
+    naive_col2im(want.data(), c.in_c, c.h, c.w, c.kernel, c.stride, c.pad,
+                 back_want.data());
+    col2im(want.data(), c.in_c, c.h, c.w, c.kernel, c.stride, c.pad,
+           back_got.data());
+    EXPECT_EQ(first_bit_mismatch(back_want, back_got), -1)
+        << "col2im, image " << b;
   }
 }
+
+// A training forward keeps its column panel (when the batch fits); an eval
+// forward keeps the input and backward unfolds it again, even right after
+// a panel-keeping forward. All must give the same bits.
+TEST_P(ConvContract, KeptPanelMatchesRecompute) {
+  const Pass kept = run(/*train=*/true);
+  for (bool stale : {false, true}) {
+    const Pass recomputed = run(/*train=*/false, /*params_only=*/false, stale);
+    expect_bitwise(kept.y, recomputed.y, "y");
+    expect_bitwise(kept.dx, recomputed.dx, "dx");
+    expect_bitwise(kept.gw, recomputed.gw, "gW");
+    expect_bitwise(kept.gb, recomputed.gb, "gb");
+  }
+}
+
+TEST_P(ConvContract, BackwardParamsMatchesBackward) {
+  for (bool train : {true, false}) {
+    const Pass full = run(train);
+    const Pass params = run(train, /*params_only=*/true);
+    EXPECT_TRUE(params.dx.empty());
+    expect_bitwise(full.gw, params.gw, "gW");
+    expect_bitwise(full.gb, params.gb, "gb");
+  }
+}
+
+TEST_P(ConvContract, BitwiseAcrossThreadCounts) {
+  ThreadPool::set_global_threads(1);
+  const Pass one = run(/*train=*/true);
+  ThreadPool::set_global_threads(4);
+  const Pass four = run(/*train=*/true);
+  ThreadPool::set_global_threads(ThreadPool::global_threads());
+  expect_bitwise(one.y, four.y, "y");
+  expect_bitwise(one.dx, four.dx, "dx");
+  expect_bitwise(one.gw, four.gw, "gW");
+  expect_bitwise(one.gb, four.gb, "gb");
+}
+
+// Switching the backend between a forward and its backward either
+// recomputes from a kept input or throws; it never reads a cache the
+// forward did not leave.
+TEST_P(ConvContract, BackendSwitchRecomputesOrThrows) {
+  const auto& c = GetParam();
+  Im2colAfter restore;
+  const Tensor x = input();
+  const Pass recomputed = run(/*train=*/false);
+
+  // Direct forward, im2col backward: unfolds the kept input.
+  Conv2d a = make_conv();
+  set_conv_backend(ConvBackend::Direct);
+  const Tensor y = a.forward(x, true);
+  set_conv_backend(ConvBackend::Im2col);
+  expect_bitwise(a.backward(grad_out(y)), recomputed.dx, "dx");
+  expect_bitwise(*a.params()[0].grad, recomputed.gw, "gW");
+  expect_bitwise(*a.params()[1].grad, recomputed.gb, "gb");
+
+  // Im2col training forward, direct backward: throws if the forward kept
+  // only its panel, else runs the direct backward on the kept input.
+  Conv2d b = make_conv();
+  b.forward(x, true);
+  set_conv_backend(ConvBackend::Direct);
+  if (conv_panel_fits(ConvDims{c.in_c, c.out_c, c.kernel, c.stride, c.pad,
+                               c.groups},
+                      c.batch, c.h, c.w)) {
+    EXPECT_THROW(b.backward(grad_out(y)), Error);
+  } else {
+    Conv2d ref = make_conv();
+    ref.forward(x, true);
+    expect_bitwise(b.backward(grad_out(y)), ref.backward(grad_out(y)), "dx");
+  }
+}
+
+// The lowering against the reference loop nest: forward results agree to
+// rounding, and backward reassociates the batch sums.
+TEST_P(ConvContract, Im2colMatchesDirectReference) {
+  Im2colAfter restore;
+  const Pass lowered = run(/*train=*/true);
+  set_conv_backend(ConvBackend::Direct);
+  const Pass direct = run(/*train=*/true);
+  EXPECT_LT(max_abs_diff(lowered.y, direct.y), 1e-4) << "y";
+  EXPECT_LT(max_abs_diff(lowered.dx, direct.dx), 1e-4) << "dx";
+  EXPECT_LT(max_abs_diff(lowered.gw, direct.gw), 2e-3) << "gW";
+  EXPECT_LT(max_abs_diff(lowered.gb, direct.gb), 2e-3) << "gb";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ConvContract, ::testing::ValuesIn(kConvContract),
+    [](const ::testing::TestParamInfo<ConvContractCase>& info) {
+      return std::string(info.param.label);
+    });
 
 // Analytic gradients of the im2col path against finite differences.
 TEST(ConvBackend, Im2colGradientsCheckNumerically) {

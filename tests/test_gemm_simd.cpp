@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -132,6 +133,45 @@ TEST(GemmSimd, BitwiseDeterministicAcrossThreadCounts) {
     }
   }
   ThreadPool::set_global_threads(ThreadPool::global_threads());
+}
+
+// gemm(ta, true, …) must equal gemm(ta, false, …) on a materialized Bᵀ bit
+// for bit, on every backend: the transposed-B pack (8×8 register
+// transposes on the x86 SIMD tiers) writes the same panel bytes as the
+// generic one. The shapes are conv's weight gradient gW += dY·colᵀ
+// (m output channels, n = in·k·k, k output pixels of a batch), on both
+// sides of the B-direct kernels' m ≤ 24 cutoff, with conv's alpha and beta.
+TEST(GemmSimd, TransposedBMatchesMaterializedTransposeBitwise) {
+  Rng rng(23);
+  for (int m : {1, 3, 6, 12, 25, 40})
+    for (int n : {9, 27, 36, 54, 70})
+      for (int k : {7, 261, 1440})
+        for (bool ta : {false, true}) {
+          std::vector<float> a(static_cast<std::size_t>(m) * k);
+          std::vector<float> bt(static_cast<std::size_t>(n) * k);  // [n, k]
+          std::vector<float> c0(static_cast<std::size_t>(m) * n);
+          for (auto& v : a) v = static_cast<float>(rng.normal(0.0, 1.0));
+          for (auto& v : bt) v = static_cast<float>(rng.normal(0.0, 1.0));
+          for (auto& v : c0) v = static_cast<float>(rng.normal(0.0, 1.0));
+          std::vector<float> b(bt.size());  // [k, n]
+          for (int j = 0; j < n; ++j)
+            for (int p = 0; p < k; ++p)
+              b[static_cast<std::size_t>(p) * n + j] =
+                  bt[static_cast<std::size_t>(j) * k + p];
+          const int lda = ta ? m : k;
+          for (GemmBackend backend : available_backends())
+            for (float beta : {0.0f, 1.0f}) {
+              const auto got = run_gemm(backend, ta, true, m, n, k, 1.0f, a,
+                                        lda, bt, k, beta, c0, n);
+              const auto want = run_gemm(backend, ta, false, m, n, k, 1.0f, a,
+                                         lda, b, n, beta, c0, n);
+              ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                    got.size() * sizeof(float)),
+                        0)
+                  << gemm_backend_name(backend) << " at " << m << "x" << n
+                  << "x" << k << " ta=" << ta << " beta=" << beta;
+            }
+        }
 }
 
 // The fused half-widening GEMM must agree with widening up front and

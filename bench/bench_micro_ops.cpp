@@ -18,7 +18,9 @@
 #include "fl/runner.hpp"
 #include "fl/server_opt.hpp"
 #include "model/transform.hpp"
+#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/scale_shift.hpp"
 #include "obs/trace.hpp"
 #include "tensor/gemm.hpp"
 #include "trace/device.hpp"
@@ -66,10 +68,15 @@ void BM_GemmThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
-// The narrow conv layer's weight gradient gW += dY·colᵀ (the `narrow` conv
-// row below: 4 output channels, 4·3·3 column rows, 10 images of 12×12
-// pixels), a transposed-B product whose cost is mostly the B pack.
-void BM_GemmWeightGrad(benchmark::State& state) {
+// Conv's weight gradient gW += dY·colᵀ, a short-M transposed-B product
+// (m output channels per group, n = in·k·k, k = batch pixels). 4/36/1440 is
+// the `narrow` conv row below (4 → 4 channels, 10 images of 12×12); the
+// others are the e2e FedTrans workloads' hottest shapes: the stem (3 and 8
+// output channels on 3 input channels) and layers with 6×6 output maps.
+// BM_GemmWeightGradMaterializedB is the same product with B stored
+// transposed ahead of time (op(B) = B), the bar the transposed-B kernel is
+// measured against.
+void weight_grad_bench(benchmark::State& state, bool materialized) {
   const int m = static_cast<int>(state.range(0));
   const int n = static_cast<int>(state.range(1));
   const int k = static_cast<int>(state.range(2));
@@ -77,15 +84,100 @@ void BM_GemmWeightGrad(benchmark::State& state) {
   Tensor dy({m, k}), col({n, k}), gw({m, n});
   dy.randn(rng);
   col.randn(rng);
+  Tensor col_t({k, n});
+  for (int j = 0; j < n; ++j)
+    for (int p = 0; p < k; ++p) col_t.at(p, j) = col.at(j, p);
   for (auto _ : state) {
-    gemm(false, true, m, n, k, 1.0f, dy.data(), k, col.data(), k, 1.0f,
-         gw.data(), n);
+    if (materialized)
+      gemm(false, false, m, n, k, 1.0f, dy.data(), k, col_t.data(), n, 1.0f,
+           gw.data(), n);
+    else
+      gemm(false, true, m, n, k, 1.0f, dy.data(), k, col.data(), k, 1.0f,
+           gw.data(), n);
     benchmark::DoNotOptimize(gw.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m) *
                           n * k);
 }
-BENCHMARK(BM_GemmWeightGrad)->Args({4, 36, 1440})->UseRealTime();
+
+void BM_GemmWeightGrad(benchmark::State& state) {
+  weight_grad_bench(state, /*materialized=*/false);
+}
+void BM_GemmWeightGradMaterializedB(benchmark::State& state) {
+  weight_grad_bench(state, /*materialized=*/true);
+}
+void weight_grad_shapes(benchmark::internal::Benchmark* b) {
+  b->Args({4, 36, 1440})
+      ->Args({3, 27, 1440})
+      ->Args({8, 27, 1440})
+      ->Args({12, 72, 360})
+      ->Args({24, 216, 360})
+      ->UseRealTime();
+}
+BENCHMARK(BM_GemmWeightGrad)->Apply(weight_grad_shapes);
+BENCHMARK(BM_GemmWeightGradMaterializedB)->Apply(weight_grad_shapes);
+
+// Conv's column gradient dcol = Wᵀ·dY (m = in·k·k, n = batch pixels,
+// k = output channels), a short-M transposed-A product: a 3×3 layer from 3
+// to 4 channels over 10 images of 12×12 has 27 rows and 1440 pixels.
+void BM_GemmColGrad(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(1));
+  const int k = static_cast<int>(state.range(2));
+  Rng rng(4);
+  Tensor w({k, m}), dy({k, n}), dcol({m, n});
+  w.randn(rng);
+  dy.randn(rng);
+  for (auto _ : state) {
+    gemm(true, false, m, n, k, 1.0f, w.data(), m, dy.data(), n, 0.0f,
+         dcol.data(), n);
+    benchmark::DoNotOptimize(dcol.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m) *
+                          n * k);
+}
+BENCHMARK(BM_GemmColGrad)->Args({27, 1440, 4})->UseRealTime();
+
+// The conv block's elementwise layers at the `narrow` row's activation
+// shape [N, C, H, W]. No items are counted: these move memory, not MACs,
+// so only the time is recorded.
+template <class L>
+void elementwise_bench(benchmark::State& state, L& layer, bool backward) {
+  const std::vector<int> shape{static_cast<int>(state.range(0)),
+                               static_cast<int>(state.range(1)),
+                               static_cast<int>(state.range(2)),
+                               static_cast<int>(state.range(3))};
+  Rng rng(6);
+  Tensor x(shape), g(shape);
+  x.randn(rng);
+  g.randn(rng);
+  layer.forward(x, true);
+  for (auto _ : state) {
+    Tensor out = backward ? layer.backward(g) : layer.forward(x, true);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+
+void BM_ReLUForward(benchmark::State& state) {
+  ReLU relu;
+  elementwise_bench(state, relu, /*backward=*/false);
+}
+void BM_ReLUBackward(benchmark::State& state) {
+  ReLU relu;
+  elementwise_bench(state, relu, /*backward=*/true);
+}
+void BM_ScaleShiftForward(benchmark::State& state) {
+  ScaleShift ss(static_cast<int>(state.range(1)));
+  elementwise_bench(state, ss, /*backward=*/false);
+}
+void BM_ScaleShiftBackward(benchmark::State& state) {
+  ScaleShift ss(static_cast<int>(state.range(1)));
+  elementwise_bench(state, ss, /*backward=*/true);
+}
+BENCHMARK(BM_ReLUForward)->Args({10, 4, 12, 12})->UseRealTime();
+BENCHMARK(BM_ReLUBackward)->Args({10, 4, 12, 12})->UseRealTime();
+BENCHMARK(BM_ScaleShiftForward)->Args({10, 4, 12, 12})->UseRealTime();
+BENCHMARK(BM_ScaleShiftBackward)->Args({10, 4, 12, 12})->UseRealTime();
 
 // Backend sweep on the acceptance shape (256³, single thread): BM_GemmSimd
 // forces the best available SIMD micro-kernel, BM_GemmScalar the plain-C

@@ -28,7 +28,8 @@
 #     maps write through computed flat indices;
 #   * a SIMD-disabled build (FEDTRANS_SIMD=OFF, still -Werror) proving the
 #     scalar parity reference compiles warnings-clean on its own and runs
-#     the GEMM and conv contracts on the generic packs;
+#     the GEMM and conv contracts on the generic packs and the
+#     elementwise-layer contract over the scalar GEMM;
 #   * a ThreadSanitizer build running the deployment-probe tests: every
 #     strategy's deployed models are evaluated concurrently on pool
 #     workers, where a forward through a shared model would be a data race
@@ -119,15 +120,17 @@ if [ -z "${FEDTRANS_CI_FAST:-}" ]; then
     -R 'test_(tensor|gemm_simd|mixed_precision|backend|layers|layers_extended|attention|pop|checkpoint|fabric|socket_transport|engine_parity|fl_extensions|trainer_baselines)$'
 
   # Scalar-only build: the always-on parity reference must stay
-  # warnings-clean without any SIMD code paths compiled in, and the conv
-  # contract (test_backend) must hold on the generic transposed-B pack,
-  # not only on the SIMD one.
+  # warnings-clean without any SIMD code paths compiled in, the conv
+  # contract (test_backend) must hold on the generic transposed-B pack, not
+  # only on the SIMD one, and the elementwise contract (test_layers) must
+  # hold with no SIMD kernel compiled in (its conv bias rows then run over
+  # the scalar GEMM).
   NOSIMD_DIR="$BUILD_DIR-nosimd"
   cmake -B "$NOSIMD_DIR" -S . -DFEDTRANS_SIMD=OFF -DFEDTRANS_WERROR=ON
   cmake --build "$NOSIMD_DIR" -j "$JOBS" --target \
-    test_gemm_simd test_mixed_precision test_backend
+    test_gemm_simd test_mixed_precision test_backend test_layers
   ctest --test-dir "$NOSIMD_DIR" --output-on-failure -j "$JOBS" \
-    -R 'test_(gemm_simd|mixed_precision|backend)$'
+    -R 'test_(gemm_simd|mixed_precision|backend|layers)$'
 
   # ThreadSanitizer over the deployment path (Strategy::deployed_accuracy):
   # the probe tests of the width-scaled baselines, FedAvg, RobustStrategy,

@@ -1,22 +1,22 @@
 #include "nn/activations.hpp"
 
 #include "common/check.hpp"
+#include "nn/elementwise.hpp"
 
 namespace fedtrans {
 
 Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
   cached_x_ = x;
-  Tensor y = x;
-  for (std::int64_t i = 0; i < y.numel(); ++i)
-    if (y[i] < 0.0f) y[i] = 0.0f;
+  Tensor y(x.shape());
+  relu_forward(x.data(), y.data(), x.numel());
   return y;
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
   FT_CHECK(grad_out.same_shape(cached_x_));
-  Tensor dx = grad_out;
-  for (std::int64_t i = 0; i < dx.numel(); ++i)
-    if (cached_x_[i] <= 0.0f) dx[i] = 0.0f;
+  Tensor dx(grad_out.shape());
+  relu_backward(cached_x_.data(), grad_out.data(), dx.data(),
+                grad_out.numel());
   return dx;
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "nn/elementwise.hpp"
 
 namespace fedtrans {
 
@@ -376,14 +377,11 @@ void conv_forward_im2col(const Tensor& x, const Tensor& w, const Tensor* bias,
   }
 
   if (bias) {
-    for (int b = 0; b < n; ++b) {
-      float* yb = y.data() + static_cast<std::int64_t>(b) * d.out_c * out_plane;
-      for (int oc = 0; oc < d.out_c; ++oc) {
-        const float bv = (*bias)[oc];
-        float* row = yb + static_cast<std::int64_t>(oc) * out_plane;
-        for (std::int64_t i = 0; i < out_plane; ++i) row[i] += bv;
-      }
-    }
+    // Plane q = b·out_c + oc of y takes bias[oc].
+    const std::int64_t planes = static_cast<std::int64_t>(n) * d.out_c;
+    for (std::int64_t q = 0; q < planes; ++q)
+      add_scalar(y.data() + q * out_plane,
+                 (*bias)[static_cast<int>(q % d.out_c)], out_plane);
   }
 }
 
@@ -403,16 +401,14 @@ Tensor conv_backward_im2col(const std::vector<int>& in_shape, const float* x,
   Tensor dx = input_grad ? Tensor({n, d.in_c, h, wdt}) : Tensor();
 
   if (gb) {
-    for (int b = 0; b < n; ++b) {
-      const float* gob =
-          grad_out.data() + static_cast<std::int64_t>(b) * d.out_c * out_plane;
-      for (int oc = 0; oc < d.out_c; ++oc) {
-        const float* go = gob + static_cast<std::int64_t>(oc) * out_plane;
-        double s = 0.0;
-        for (std::int64_t i = 0; i < out_plane; ++i) s += go[i];
-        (*gb)[oc] += static_cast<float>(s);
-      }
-    }
+    // One double sum per plane q = b·out_c + oc of dY, committed in
+    // ascending q so each channel takes its images in order.
+    const std::int64_t planes = static_cast<std::int64_t>(n) * d.out_c;
+    std::vector<double> sums(static_cast<std::size_t>(planes));
+    plane_sums(grad_out.data(), out_plane, planes, sums.data());
+    for (std::int64_t q = 0; q < planes; ++q)
+      (*gb)[static_cast<int>(q % d.out_c)] +=
+          static_cast<float>(sums[static_cast<std::size_t>(q)]);
   }
 
   // A kept panel holds the whole batch, which is then a single tile.

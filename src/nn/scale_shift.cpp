@@ -1,6 +1,9 @@
 #include "nn/scale_shift.hpp"
 
+#include <vector>
+
 #include "common/check.hpp"
+#include "nn/elementwise.hpp"
 
 namespace fedtrans {
 
@@ -10,48 +13,48 @@ ScaleShift::ScaleShift(int channels)
   FT_CHECK(channels > 0);
 }
 
+namespace {
+
+// Floats per (image, channel) plane: H·W of an NCHW tensor, 1 of an [N, F]
+// one. Plane q = b·c + ch belongs to channel ch.
+std::int64_t plane_size(const Tensor& t) {
+  return t.ndim() == 4 ? static_cast<std::int64_t>(t.dim(2)) * t.dim(3) : 1;
+}
+
+}  // namespace
+
 Tensor ScaleShift::forward(const Tensor& x, bool /*train*/) {
   FT_CHECK_MSG((x.ndim() == 4 || x.ndim() == 2) && x.dim(1) == c_,
                "ScaleShift expects channel dim " << c_);
   cached_x_ = x;
-  Tensor y = x;
-  const int n = x.dim(0);
-  const auto plane = x.ndim() == 4
-                         ? static_cast<std::int64_t>(x.dim(2)) * x.dim(3)
-                         : 1;
-  for (int b = 0; b < n; ++b) {
-    for (int ch = 0; ch < c_; ++ch) {
-      float* p = y.data() + (static_cast<std::int64_t>(b) * c_ + ch) * plane;
-      const float sc = s_[ch], sh = b_[ch];
-      for (std::int64_t i = 0; i < plane; ++i) p[i] = p[i] * sc + sh;
-    }
+  Tensor y(x.shape());
+  const std::int64_t planes = static_cast<std::int64_t>(x.dim(0)) * c_;
+  const std::int64_t plane = plane_size(x);
+  for (std::int64_t q = 0; q < planes; ++q) {
+    const int ch = static_cast<int>(q % c_);
+    scale_shift_forward(x.data() + q * plane, s_[ch], b_[ch],
+                        y.data() + q * plane, plane);
   }
   return y;
 }
 
 Tensor ScaleShift::backward(const Tensor& grad_out) {
   FT_CHECK(grad_out.same_shape(cached_x_));
-  const int n = grad_out.dim(0);
-  const auto plane =
-      grad_out.ndim() == 4
-          ? static_cast<std::int64_t>(grad_out.dim(2)) * grad_out.dim(3)
-          : 1;
-  Tensor dx = grad_out;
-  for (int b = 0; b < n; ++b) {
-    for (int ch = 0; ch < c_; ++ch) {
-      const std::int64_t base = (static_cast<std::int64_t>(b) * c_ + ch) *
-                                plane;
-      double ds = 0.0, db = 0.0;
-      const float sc = s_[ch];
-      for (std::int64_t i = 0; i < plane; ++i) {
-        const float g = grad_out[base + i];
-        ds += static_cast<double>(g) * cached_x_[base + i];
-        db += g;
-        dx[base + i] = g * sc;
-      }
-      gs_[ch] += static_cast<float>(ds);
-      gb_[ch] += static_cast<float>(db);
-    }
+  const std::int64_t planes = static_cast<std::int64_t>(grad_out.dim(0)) * c_;
+  const std::int64_t plane = plane_size(grad_out);
+  Tensor dx(grad_out.shape());
+  for (std::int64_t q = 0; q < planes; ++q)
+    mul_scalar(grad_out.data() + q * plane, s_[static_cast<int>(q % c_)],
+               dx.data() + q * plane, plane);
+  std::vector<double> ds(static_cast<std::size_t>(planes));
+  std::vector<double> db(static_cast<std::size_t>(planes));
+  plane_dot_sums(grad_out.data(), cached_x_.data(), plane, planes, ds.data(),
+                 db.data());
+  // Ascending q: each channel takes its images' sums in order.
+  for (std::int64_t q = 0; q < planes; ++q) {
+    const int ch = static_cast<int>(q % c_);
+    gs_[ch] += static_cast<float>(ds[static_cast<std::size_t>(q)]);
+    gb_[ch] += static_cast<float>(db[static_cast<std::size_t>(q)]);
   }
   return dx;
 }

@@ -11,13 +11,24 @@
 //   avx512 12×32  24 zmm accumulators + broadcast FMA
 //   neon    6×16  24 float32x4 accumulators + lane-broadcast FMA
 //
-// Short-M problems (m ≤ 24, untransposed B — the grouped-conv GEMMs where
-// m = oc/groups) skip B packing entirely on the x86 tiers: a B-direct
-// kernel variant streams op(B) rows from the source with masked tail
-// loads, since one or two row strips cannot amortize a packed B panel.
-// Transposed fp32 B (conv's weight gradient gW += dY·colᵀ) is packed
-// through 8×8 in-register transposes on the same tiers; the bytes match the
-// generic pack, which the scalar reference keeps.
+// Short-M fp32 problems (m ≤ kShortMaxM = 36: conv's GEMMs, where m is
+// out channels per group or in·k·k) skip the blocked path on the x86 tiers,
+// since a few row strips cannot amortize packing B:
+//
+//   B-direct      untransposed B (conv forward, column gradient Wᵀ·dY): A
+//                 packed, op(B) rows streamed from the source with masked
+//                 tail loads
+//   transposed-B  op(B) = Bᵀ with untransposed A (weight gradient
+//                 gW += dY·colᵀ): 16×16 (AVX-512) or 8×8 (AVX2) register
+//                 transposes turn rows of B into an L1 strip of op(B) rows,
+//                 and A rows are broadcast in place, so only the m real rows
+//                 accumulate
+//
+// Both give every element the bits of the blocked path: one FMA chain from
+// zero per KC chunk in ascending k, then c = fma(alpha, acc, c). Scalar and
+// NEON keep the blocked path, where a transposed fp32 B is packed through
+// 8×8 in-register transposes on the x86 tiers (the bytes match the generic
+// pack, which the scalar reference keeps).
 //
 // Half-precision (f16/bf16) operands are widened to fp32 inside the packing
 // routines — the micro-kernels only ever see fp32 panels, so accumulation
@@ -69,6 +80,12 @@ constexpr int kNc = 512;
 // (shared by all backends — the backend switch selects the packed
 // micro-kernel only).
 constexpr std::int64_t kSmallGemm = 32 * 32 * 32;
+// fp32 products of at most this many rows take a short-M kernel on the x86
+// SIMD tiers (a few row strips cannot amortize packing B): the B-direct one
+// for an untransposed B, the transposed-B one otherwise. It covers conv's
+// weight gradient (m = output channels per group) and its column gradient
+// Wᵀ·dY (m = in·k·k per group, 27 and 36 on the narrow models).
+constexpr int kShortMaxM = 36;
 
 // ---- element readers --------------------------------------------------------
 // The packing routines are templated over these, which is what fuses the
@@ -159,14 +176,46 @@ void pack_b(ElemB eb, int pc, int kc, int jc, int nc, int nr_t, float* bp) {
 }
 
 #ifdef FEDTRANS_HAVE_AVX2
-// pack_b for a transposed fp32 B (op(B) = Bᵀ; the weight gradient
-// gW += dY·colᵀ of every conv layer). A packed strip row holds nr_t
-// consecutive op(B) columns, which are rows of the stored B, so the generic
-// pack reads each element from a different source row. Here 8×8 blocks
-// move through an in-register transpose instead: eight 8-float row loads
-// become eight 8-float strip rows. The packed bytes equal pack_b's; the
-// ragged tails (kc % 8 rows, nr % 8 columns) and the zero padding are
-// written element by element.
+// Transposes the 8×8 block src(0:8, 0:8) (row stride ld) into dst (row
+// stride ldd): dst row q holds source column q. Source rows at or past
+// `rows` read as zero and are never loaded.
+inline void transpose8x8_avx2(const float* src, std::size_t ld, int rows,
+                              float* dst, std::size_t ldd) {
+  __m256 r[8];
+  for (int i = 0; i < 8; ++i)
+    r[i] = i < rows ? _mm256_loadu_ps(src + i * ld) : _mm256_setzero_ps();
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  _mm256_storeu_ps(dst, _mm256_permute2f128_ps(u0, u4, 0x20));
+  _mm256_storeu_ps(dst + ldd, _mm256_permute2f128_ps(u1, u5, 0x20));
+  _mm256_storeu_ps(dst + 2 * ldd, _mm256_permute2f128_ps(u2, u6, 0x20));
+  _mm256_storeu_ps(dst + 3 * ldd, _mm256_permute2f128_ps(u3, u7, 0x20));
+  _mm256_storeu_ps(dst + 4 * ldd, _mm256_permute2f128_ps(u0, u4, 0x31));
+  _mm256_storeu_ps(dst + 5 * ldd, _mm256_permute2f128_ps(u1, u5, 0x31));
+  _mm256_storeu_ps(dst + 6 * ldd, _mm256_permute2f128_ps(u2, u6, 0x31));
+  _mm256_storeu_ps(dst + 7 * ldd, _mm256_permute2f128_ps(u3, u7, 0x31));
+}
+
+// pack_b for a transposed fp32 B (op(B) = Bᵀ) on the blocked path. A packed
+// strip row holds nr_t consecutive op(B) columns, which are rows of the
+// stored B, so the generic pack reads each element from a different source
+// row. Here 8×8 blocks move through an in-register transpose instead. The
+// packed bytes equal pack_b's; the ragged tails (kc % 8 rows, nr % 8
+// columns) and the zero padding are written element by element.
 void pack_b_trans_avx2(const float* b, int ldb, int pc, int kc, int jc,
                        int nc, int nr_t, float* bp) {
   for (int jr = 0; jr < nc; jr += nr_t) {
@@ -182,50 +231,11 @@ void pack_b_trans_avx2(const float* b, int ldb, int pc, int kc, int jc,
     };
     int p = 0;
     for (; p + 8 <= kc; p += 8) {
-      for (int j = 0; j < nr8; j += 8) {
-        const float* s0 = src + static_cast<std::size_t>(j) * ldb + p;
-        __m256 r0 = _mm256_loadu_ps(s0);
-        __m256 r1 = _mm256_loadu_ps(s0 + ldb);
-        __m256 r2 = _mm256_loadu_ps(s0 + 2 * static_cast<std::size_t>(ldb));
-        __m256 r3 = _mm256_loadu_ps(s0 + 3 * static_cast<std::size_t>(ldb));
-        __m256 r4 = _mm256_loadu_ps(s0 + 4 * static_cast<std::size_t>(ldb));
-        __m256 r5 = _mm256_loadu_ps(s0 + 5 * static_cast<std::size_t>(ldb));
-        __m256 r6 = _mm256_loadu_ps(s0 + 6 * static_cast<std::size_t>(ldb));
-        __m256 r7 = _mm256_loadu_ps(s0 + 7 * static_cast<std::size_t>(ldb));
-        const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
-        const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
-        const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
-        const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
-        const __m256 t4 = _mm256_unpacklo_ps(r4, r5);
-        const __m256 t5 = _mm256_unpackhi_ps(r4, r5);
-        const __m256 t6 = _mm256_unpacklo_ps(r6, r7);
-        const __m256 t7 = _mm256_unpackhi_ps(r6, r7);
-        const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
-        const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
-        const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
-        const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
-        const __m256 u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
-        const __m256 u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
-        const __m256 u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
-        const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
-        r0 = _mm256_permute2f128_ps(u0, u4, 0x20);
-        r1 = _mm256_permute2f128_ps(u1, u5, 0x20);
-        r2 = _mm256_permute2f128_ps(u2, u6, 0x20);
-        r3 = _mm256_permute2f128_ps(u3, u7, 0x20);
-        r4 = _mm256_permute2f128_ps(u0, u4, 0x31);
-        r5 = _mm256_permute2f128_ps(u1, u5, 0x31);
-        r6 = _mm256_permute2f128_ps(u2, u6, 0x31);
-        r7 = _mm256_permute2f128_ps(u3, u7, 0x31);
-        float* d0 = bp + static_cast<std::size_t>(p) * nr_t + j;
-        _mm256_storeu_ps(d0, r0);
-        _mm256_storeu_ps(d0 + nr_t, r1);
-        _mm256_storeu_ps(d0 + 2 * nr_t, r2);
-        _mm256_storeu_ps(d0 + 3 * nr_t, r3);
-        _mm256_storeu_ps(d0 + 4 * nr_t, r4);
-        _mm256_storeu_ps(d0 + 5 * nr_t, r5);
-        _mm256_storeu_ps(d0 + 6 * nr_t, r6);
-        _mm256_storeu_ps(d0 + 7 * nr_t, r7);
-      }
+      for (int j = 0; j < nr8; j += 8)
+        transpose8x8_avx2(src + static_cast<std::size_t>(j) * ldb + p,
+                          static_cast<std::size_t>(ldb), 8,
+                          bp + static_cast<std::size_t>(p) * nr_t + j,
+                          static_cast<std::size_t>(nr_t));
       for (int q = 0; q < 8; ++q) tail_row(p + q);
     }
     for (; p < kc; ++p) {
@@ -395,14 +405,14 @@ void micro_kernel_avx512(int kc, float alpha, const float* ap,
 // (it is tiny), the per-tile accumulation order matches the packed kernels,
 // and ragged right edges are handled with masked loads instead of the packed
 // panel's zero padding. Only non-transposed B qualifies (a transposed B
-// cannot be streamed row-wise) and only the x86 tiers implement it — the
-// scalar reference must stay one single parity-tested code path.
+// cannot be streamed row-wise; it has the transposed-B kernels below) and
+// only the x86 tiers implement it — the scalar reference must stay one
+// single parity-tested code path.
 
 using MicroDirectFn = void (*)(int kc, float alpha, const float* ap,
                                const float* b, int ldb, float* c, int ldc,
                                int mr, int nr);
 
-constexpr int kDirectBMaxM = 24;
 
 #ifdef FEDTRANS_HAVE_AVX2
 __attribute__((aligned(64)))
@@ -520,20 +530,235 @@ void micro_kernel_avx512_direct(int kc, float alpha, const float* ap,
 }
 #endif  // FEDTRANS_HAVE_AVX512
 
-MicroDirectFn direct_kernel(GemmBackend b) {
-  switch (b) {
+// ---- transposed-B short-M kernels ------------------------------------------
+// C(0:m, 0:nr) += alpha · A(0:m, 0:kc) · B(0:nr, 0:kc)ᵀ for one KC chunk of
+// one column strip, with A (row stride lda) and B (row stride ldb) read in
+// place: conv's weight gradient gW += dY·colᵀ, where m (output channels per
+// group) is a handful of rows. The blocked path pads m to a full MR tile and
+// packs both operands on every call. Here 16 (AVX-512) or 8 (AVX2) stored
+// rows of B at a time go through an in-register transpose into a strip
+// buffer of op(B) rows that stays in L1, and the row loop broadcasts A from
+// the source, so only the m real rows accumulate. Every element is still one
+// FMA chain from zero over the chunk in ascending p, then
+// c = fma(alpha, acc, c): the bits of the product with B materialized.
+
+using MicroTransBFn = void (*)(int kc, float alpha, const float* a, int lda,
+                               const float* b, int ldb, float* c, int ldc,
+                               int m, int nr);
+
+// The row-group bodies below index small accumulator arrays. Fully
+// unrolled, every index is a constant, and GCC keeps the tile in registers.
+#define FT_UNROLL _Pragma("GCC unroll 16")
+
 #ifdef FEDTRANS_HAVE_AVX2
-    case GemmBackend::Avx2:
-      return micro_kernel_avx2_direct;
-#endif
-#ifdef FEDTRANS_HAVE_AVX512
-    case GemmBackend::Avx512:
-      return micro_kernel_avx512_direct;
-#endif
-    default:
-      return nullptr;
+// R rows of A against H 8-column vectors of the strip buffer bt.
+template <int R, int H>
+__attribute__((always_inline)) inline void trans_b_rows_avx2(
+    int kc, float alpha, const float* a, int lda, const float* bt, float* c,
+    int ldc, const __m256i mk[2]) {
+  constexpr int NR = 16;
+  __m256 acc[R][H];
+  FT_UNROLL for (int i = 0; i < R; ++i)
+    FT_UNROLL for (int h = 0; h < H; ++h) acc[i][h] = _mm256_setzero_ps();
+  for (int p = 0; p < kc; ++p) {
+    __m256 bv[H];
+    FT_UNROLL for (int h = 0; h < H; ++h)
+      bv[h] = _mm256_load_ps(bt + static_cast<std::size_t>(p) * NR + 8 * h);
+    FT_UNROLL for (int i = 0; i < R; ++i) {
+      const __m256 av =
+          _mm256_set1_ps(a[static_cast<std::size_t>(i) * lda + p]);
+      FT_UNROLL for (int h = 0; h < H; ++h)
+        acc[i][h] = _mm256_fmadd_ps(av, bv[h], acc[i][h]);
+    }
+  }
+  const __m256 va = _mm256_set1_ps(alpha);
+  FT_UNROLL for (int i = 0; i < R; ++i) {
+    float* crow = c + static_cast<std::size_t>(i) * ldc;
+    FT_UNROLL for (int h = 0; h < H; ++h)
+      _mm256_maskstore_ps(crow + 8 * h, mk[h],
+                          _mm256_fmadd_ps(va, acc[i][h],
+                                          _mm256_maskload_ps(crow + 8 * h,
+                                                             mk[h])));
   }
 }
+
+template <int H>
+__attribute__((always_inline)) inline void trans_b_row_groups_avx2(
+    int kc, float alpha, const float* a, int lda, const float* bt, float* c,
+    int ldc, int m, const __m256i mk[2]) {
+  constexpr int MR = 6;
+  for (int i0 = 0; i0 < m; i0 += MR) {
+    const float* ai = a + static_cast<std::size_t>(i0) * lda;
+    float* ci = c + static_cast<std::size_t>(i0) * ldc;
+#define FT_TRANS_B_ROWS(r)                                          \
+  case r:                                                           \
+    trans_b_rows_avx2<r, H>(kc, alpha, ai, lda, bt, ci, ldc, mk); \
+    break;
+    switch (std::min(MR, m - i0)) {
+      FT_TRANS_B_ROWS(1) FT_TRANS_B_ROWS(2) FT_TRANS_B_ROWS(3)
+      FT_TRANS_B_ROWS(4) FT_TRANS_B_ROWS(5) FT_TRANS_B_ROWS(6)
+    }
+#undef FT_TRANS_B_ROWS
+  }
+}
+
+__attribute__((aligned(64)))
+void micro_kernel_avx2_trans_b(int kc, float alpha, const float* a, int lda,
+                               const float* b, int ldb, float* c, int ldc,
+                               int m, int nr) {
+  constexpr int NR = 16;
+  // bt[p·NR + j] = B(j, p); columns nr ≤ j < 8·⌈nr/8⌉ read as zero.
+  alignas(32) float bt[kKc * NR];
+  const int width = nr > 8 ? NR : 8;
+  int p = 0;
+  for (; p + 8 <= kc; p += 8)
+    for (int j = 0; j < nr; j += 8)
+      transpose8x8_avx2(b + static_cast<std::size_t>(j) * ldb + p,
+                        static_cast<std::size_t>(ldb), std::min(8, nr - j),
+                        bt + static_cast<std::size_t>(p) * NR + j, NR);
+  for (; p < kc; ++p)
+    for (int j = 0; j < width; ++j)
+      bt[static_cast<std::size_t>(p) * NR + j] =
+          j < nr ? b[static_cast<std::size_t>(j) * ldb + p] : 0.0f;
+  alignas(32) int mkbits[NR];
+  for (int j = 0; j < NR; ++j) mkbits[j] = j < nr ? -1 : 0;
+  const __m256i mk[2] = {
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(mkbits)),
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(mkbits + 8))};
+  if (nr > 8)
+    trans_b_row_groups_avx2<2>(kc, alpha, a, lda, bt, c, ldc, m, mk);
+  else
+    trans_b_row_groups_avx2<1>(kc, alpha, a, lda, bt, c, ldc, m, mk);
+}
+#endif  // FEDTRANS_HAVE_AVX2
+
+#ifdef FEDTRANS_HAVE_AVX512
+// GCC 12's AVX-512 shuffle intrinsics pass _mm512_undefined_ps() as their
+// unused merge source, which -Wmaybe-uninitialized reports once they are
+// inlined into a loop.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+// transpose8x8_avx2's 16×16 counterpart: dst row q holds column q of the
+// block, and source rows at or past `rows` read as zero.
+inline void transpose16x16_avx512(const float* src, std::size_t ld, int rows,
+                                  float* dst, std::size_t ldd) {
+  __m512 r[16];
+  FT_UNROLL for (int i = 0; i < 16; ++i)
+    r[i] = i < rows ? _mm512_loadu_ps(src + i * ld) : _mm512_setzero_ps();
+  __m512 t[16];
+  FT_UNROLL for (int i = 0; i < 16; i += 2) {
+    t[i] = _mm512_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm512_unpackhi_ps(r[i], r[i + 1]);
+  }
+  // u[4g + q], per 128-bit lane l: column 4l + q of rows 4g..4g+3.
+  __m512 u[16];
+  FT_UNROLL for (int g = 0; g < 16; g += 4) {
+    u[g] = _mm512_shuffle_ps(t[g], t[g + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    u[g + 1] = _mm512_shuffle_ps(t[g], t[g + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    u[g + 2] = _mm512_shuffle_ps(t[g + 1], t[g + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    u[g + 3] = _mm512_shuffle_ps(t[g + 1], t[g + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  FT_UNROLL for (int q = 0; q < 4; ++q) {
+    // Lanes of v0: columns q, 8 + q of rows 0-3, then of rows 4-7; v1 the
+    // same for columns 4 + q, 12 + q; v2, v3 for rows 8-15.
+    const __m512 v0 = _mm512_shuffle_f32x4(u[q], u[4 + q], 0x88);
+    const __m512 v1 = _mm512_shuffle_f32x4(u[q], u[4 + q], 0xdd);
+    const __m512 v2 = _mm512_shuffle_f32x4(u[8 + q], u[12 + q], 0x88);
+    const __m512 v3 = _mm512_shuffle_f32x4(u[8 + q], u[12 + q], 0xdd);
+    _mm512_storeu_ps(dst + q * ldd, _mm512_shuffle_f32x4(v0, v2, 0x88));
+    _mm512_storeu_ps(dst + (8 + q) * ldd, _mm512_shuffle_f32x4(v0, v2, 0xdd));
+    _mm512_storeu_ps(dst + (4 + q) * ldd, _mm512_shuffle_f32x4(v1, v3, 0x88));
+    _mm512_storeu_ps(dst + (12 + q) * ldd, _mm512_shuffle_f32x4(v1, v3, 0xdd));
+  }
+}
+
+// R rows of A against H 16-column vectors of the strip buffer bt.
+template <int R, int H>
+__attribute__((always_inline)) inline void trans_b_rows_avx512(
+    int kc, float alpha, const float* a, int lda, const float* bt, float* c,
+    int ldc, const __mmask16 mk[2]) {
+  constexpr int NR = 32;
+  __m512 acc[R][H];
+  FT_UNROLL for (int i = 0; i < R; ++i)
+    FT_UNROLL for (int h = 0; h < H; ++h) acc[i][h] = _mm512_setzero_ps();
+  for (int p = 0; p < kc; ++p) {
+    __m512 bv[H];
+    FT_UNROLL for (int h = 0; h < H; ++h)
+      bv[h] = _mm512_load_ps(bt + static_cast<std::size_t>(p) * NR + 16 * h);
+    FT_UNROLL for (int i = 0; i < R; ++i) {
+      const __m512 av =
+          _mm512_set1_ps(a[static_cast<std::size_t>(i) * lda + p]);
+      FT_UNROLL for (int h = 0; h < H; ++h)
+        acc[i][h] = _mm512_fmadd_ps(av, bv[h], acc[i][h]);
+    }
+  }
+  const __m512 va = _mm512_set1_ps(alpha);
+  FT_UNROLL for (int i = 0; i < R; ++i) {
+    float* crow = c + static_cast<std::size_t>(i) * ldc;
+    FT_UNROLL for (int h = 0; h < H; ++h)
+      _mm512_mask_storeu_ps(
+          crow + 16 * h, mk[h],
+          _mm512_fmadd_ps(va, acc[i][h],
+                          _mm512_maskz_loadu_ps(mk[h], crow + 16 * h)));
+  }
+}
+
+template <int H>
+__attribute__((always_inline)) inline void trans_b_row_groups_avx512(
+    int kc, float alpha, const float* a, int lda, const float* bt, float* c,
+    int ldc, int m, const __mmask16 mk[2]) {
+  constexpr int MR = 12;
+  for (int i0 = 0; i0 < m; i0 += MR) {
+    const float* ai = a + static_cast<std::size_t>(i0) * lda;
+    float* ci = c + static_cast<std::size_t>(i0) * ldc;
+#define FT_TRANS_B_ROWS(r)                                            \
+  case r:                                                             \
+    trans_b_rows_avx512<r, H>(kc, alpha, ai, lda, bt, ci, ldc, mk); \
+    break;
+    switch (std::min(MR, m - i0)) {
+      FT_TRANS_B_ROWS(1) FT_TRANS_B_ROWS(2) FT_TRANS_B_ROWS(3)
+      FT_TRANS_B_ROWS(4) FT_TRANS_B_ROWS(5) FT_TRANS_B_ROWS(6)
+      FT_TRANS_B_ROWS(7) FT_TRANS_B_ROWS(8) FT_TRANS_B_ROWS(9)
+      FT_TRANS_B_ROWS(10) FT_TRANS_B_ROWS(11) FT_TRANS_B_ROWS(12)
+    }
+#undef FT_TRANS_B_ROWS
+  }
+}
+
+__attribute__((aligned(64)))
+void micro_kernel_avx512_trans_b(int kc, float alpha, const float* a,
+                                 int lda, const float* b, int ldb, float* c,
+                                 int ldc, int m, int nr) {
+  constexpr int NR = 32;
+  // bt[p·NR + j] = B(j, p); columns nr ≤ j < 16·⌈nr/16⌉ read as zero.
+  alignas(64) float bt[kKc * NR];
+  const int width = nr > 16 ? NR : 16;
+  int p = 0;
+  for (; p + 16 <= kc; p += 16)
+    for (int j = 0; j < nr; j += 16)
+      transpose16x16_avx512(b + static_cast<std::size_t>(j) * ldb + p,
+                            static_cast<std::size_t>(ldb),
+                            std::min(16, nr - j),
+                            bt + static_cast<std::size_t>(p) * NR + j, NR);
+  for (; p < kc; ++p)
+    for (int j = 0; j < width; ++j)
+      bt[static_cast<std::size_t>(p) * NR + j] =
+          j < nr ? b[static_cast<std::size_t>(j) * ldb + p] : 0.0f;
+  const __mmask16 mk[2] = {
+      nr >= 16 ? static_cast<__mmask16>(0xffff)
+               : static_cast<__mmask16>((1u << nr) - 1u),
+      nr >= NR  ? static_cast<__mmask16>(0xffff)
+      : nr > 16 ? static_cast<__mmask16>((1u << (nr - 16)) - 1u)
+                : static_cast<__mmask16>(0)};
+  if (nr > 16)
+    trans_b_row_groups_avx512<2>(kc, alpha, a, lda, bt, c, ldc, m, mk);
+  else
+    trans_b_row_groups_avx512<1>(kc, alpha, a, lda, bt, c, ldc, m, mk);
+}
+#pragma GCC diagnostic pop
+#endif  // FEDTRANS_HAVE_AVX512
+
+#undef FT_UNROLL
 
 #ifdef FEDTRANS_HAVE_NEON
 __attribute__((aligned(64)))
@@ -589,22 +814,29 @@ void micro_kernel_neon(int kc, float alpha, const float* ap, const float* bp,
 }
 #endif  // FEDTRANS_HAVE_NEON
 
+// One tier's kernels. The short-M ones (null on scalar and NEON) serve
+// fp32 products of at most kShortMaxM rows: `direct` an untransposed B,
+// `trans_b` a transposed B with an untransposed A.
 struct KernelInfo {
   int mr;
   int nr;
   MicroFn fn;
   bool simd_trans_pack;  // fp32 Bᵀ panels go through pack_b_trans_avx2
+  MicroDirectFn direct = nullptr;
+  MicroTransBFn trans_b = nullptr;
 };
 
 KernelInfo kernel_info(GemmBackend b) {
   switch (b) {
 #ifdef FEDTRANS_HAVE_AVX2
     case GemmBackend::Avx2:
-      return {6, 16, micro_kernel_avx2, kHaveAvx2Pack};
+      return {6, 16, micro_kernel_avx2, kHaveAvx2Pack,
+              micro_kernel_avx2_direct, micro_kernel_avx2_trans_b};
 #endif
 #ifdef FEDTRANS_HAVE_AVX512
     case GemmBackend::Avx512:
-      return {12, 32, micro_kernel_avx512, kHaveAvx2Pack};
+      return {12, 32, micro_kernel_avx512, kHaveAvx2Pack,
+              micro_kernel_avx512_direct, micro_kernel_avx512_trans_b};
 #endif
 #ifdef FEDTRANS_HAVE_NEON
     case GemmBackend::Neon:
@@ -786,14 +1018,27 @@ void gemm_blocked(int m, int n, int k, float alpha, ElemA ea, ElemB eb,
   }
 }
 
+// Column strips per pool task on the two short-M paths: at least
+// kStripTaskMacs of work. A task on another core pays that worker's wake-up
+// and pulls its operands across caches, which costs more than most
+// short-M products (conv's narrow layers) take in all: fanned out over 45
+// one-strip tasks, the narrow column gradient (27×1440×4) ran ~3× slower
+// than inline on a 4-vCPU host. A product under the bar runs inline. The
+// strips and their arithmetic do not change, only which thread runs them.
+constexpr std::int64_t kStripTaskMacs = std::int64_t{1} << 20;
+
+std::int64_t strip_grain(int m, int nr_t, int kc) {
+  const std::int64_t strip_macs = static_cast<std::int64_t>(m) * nr_t * kc;
+  return (kStripTaskMacs + strip_macs - 1) / strip_macs;
+}
+
 // Short-M driver for the B-direct kernels: pack A once per KC chunk (a few
 // strips at most), stream B from the source. Parallel over NR column strips
 // of C (disjoint columns); the pc loop stays serial, so accumulation order —
 // and therefore the result — is independent of the thread count.
 template <class ElemA>
 void gemm_direct_b(int m, int n, int k, float alpha, ElemA ea, const float* b,
-                   int ldb, float* c, int ldc, const KernelInfo& ki,
-                   MicroDirectFn fn) {
+                   int ldb, float* c, int ldc, const KernelInfo& ki) {
   const int mr_t = ki.mr, nr_t = ki.nr;
   std::vector<float> ap(
       static_cast<std::size_t>(((m + mr_t - 1) / mr_t) * mr_t) *
@@ -803,20 +1048,45 @@ void gemm_direct_b(int m, int n, int k, float alpha, ElemA ea, const float* b,
     const int kc = std::min(kKc, k - pc);
     pack_a(ea, 0, m, pc, kc, mr_t, ap.data());
     ThreadPool::global().parallel_for(
-        col_strips, 1, [&](std::int64_t lo, std::int64_t hi) {
+        col_strips, strip_grain(m, nr_t, kc),
+        [&](std::int64_t lo, std::int64_t hi) {
           for (std::int64_t s = lo; s < hi; ++s) {
             const int jr = static_cast<int>(s) * nr_t;
             const int nr = std::min(nr_t, n - jr);
             for (int ir = 0; ir < m; ir += mr_t) {
               const int mr = std::min(mr_t, m - ir);
-              fn(kc, alpha,
-                 ap.data() + static_cast<std::size_t>(ir / mr_t) * mr_t * kc,
-                 b + static_cast<std::size_t>(pc) * ldb + jr, ldb,
-                 c + static_cast<std::size_t>(ir) * ldc + jr, ldc, mr, nr);
+              ki.direct(
+                  kc, alpha,
+                  ap.data() + static_cast<std::size_t>(ir / mr_t) * mr_t * kc,
+                  b + static_cast<std::size_t>(pc) * ldb + jr, ldb,
+                  c + static_cast<std::size_t>(ir) * ldc + jr, ldc, mr, nr);
             }
           }
         });
   }
+}
+
+// The short-M path for the transposed-B kernels. Parallel over NR column
+// strips of C (disjoint columns); each strip runs its KC chunks in order,
+// so every element's accumulation order — and therefore the result — is
+// independent of the thread count.
+void gemm_trans_b(int m, int n, int k, float alpha, const float* a, int lda,
+                  const float* b, int ldb, float* c, int ldc,
+                  const KernelInfo& ki) {
+  const int nr_t = ki.nr;
+  const int col_strips = (n + nr_t - 1) / nr_t;
+  ThreadPool::global().parallel_for(
+      col_strips, strip_grain(m, nr_t, k),
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t s = lo; s < hi; ++s) {
+          const int jr = static_cast<int>(s) * nr_t;
+          const int nr = std::min(nr_t, n - jr);
+          for (int pc = 0; pc < k; pc += kKc)
+            ki.trans_b(std::min(kKc, k - pc), alpha, a + pc, lda,
+                       b + static_cast<std::size_t>(jr) * ldb + pc, ldb,
+                       c + jr, ldc, m, nr);
+        }
+      });
 }
 
 }  // namespace
@@ -870,15 +1140,16 @@ void gemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
   // rows) are too frequent and too short to time without skewing them.
   FT_SPAN_ARG("kernel", "gemm", "macs",
               static_cast<double>(m) * n * k);
-  const GemmBackend backend = gemm_backend();
-  if (!trans_b && m <= kDirectBMaxM) {
-    if (MicroDirectFn fn = direct_kernel(backend)) {
-      gemm_direct_b(m, n, k, alpha, ea, b, ldb, c, ldc, kernel_info(backend),
-                    fn);
-      return;
-    }
+  const KernelInfo ki = kernel_info(gemm_backend());
+  if (m <= kShortMaxM && !trans_b && ki.direct) {
+    gemm_direct_b(m, n, k, alpha, ea, b, ldb, c, ldc, ki);
+    return;
   }
-  gemm_blocked(m, n, k, alpha, ea, eb, c, ldc, kernel_info(backend));
+  if (m <= kShortMaxM && trans_b && !trans_a && ki.trans_b) {
+    gemm_trans_b(m, n, k, alpha, a, lda, b, ldb, c, ldc, ki);
+    return;
+  }
+  gemm_blocked(m, n, k, alpha, ea, eb, c, ldc, ki);
 }
 
 void gemm_half(bool trans_a, bool trans_b, int m, int n, int k, float alpha,

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -102,13 +103,16 @@ TEST(GemmSimd, ParityFuzzAcrossShapesAndTransposes) {
 
 // Every backend must produce bitwise-identical output regardless of how
 // many threads the blocked loop fans row panels out to. m = 123 drives the
-// row-panel-parallel blocked path, m = 16 the short-M B-direct path
-// (parallel over column strips) on tiers that have one.
+// row-panel-parallel blocked path; m = 16 the short-M B-direct path and
+// m = 8 with a transposed B the short-M transposed-B path (both parallel
+// over column strips) on tiers that have them.
 TEST(GemmSimd, BitwiseDeterministicAcrossThreadCounts) {
   struct Shape {
     int m, n, k;
+    bool tb;
   };
-  for (const Shape s : {Shape{123, 77, 131}, Shape{16, 784, 144}}) {
+  for (const Shape s : {Shape{123, 77, 131, false}, Shape{16, 784, 144, false},
+                        Shape{8, 216, 1440, true}}) {
     const int m = s.m, n = s.n, k = s.k;
     Rng rng(7);
     std::vector<float> a(static_cast<std::size_t>(m) * k);
@@ -121,15 +125,15 @@ TEST(GemmSimd, BitwiseDeterministicAcrossThreadCounts) {
       std::vector<std::vector<float>> outs;
       for (int threads : {1, 2, 4}) {
         ThreadPool::set_global_threads(threads);
-        outs.push_back(run_gemm(backend, false, false, m, n, k, 1.0f, a, k, b,
-                                n, 0.0f, zero, n));
+        outs.push_back(run_gemm(backend, false, s.tb, m, n, k, 1.0f, a, k, b,
+                                s.tb ? k : n, 0.0f, zero, n));
       }
       for (std::size_t t = 1; t < outs.size(); ++t)
         for (std::size_t i = 0; i < outs[0].size(); ++i)
           ASSERT_EQ(outs[0][i], outs[t][i])
               << gemm_backend_name(backend) << " at shape " << m << "x" << n
-              << "x" << k << " not thread-count deterministic at element "
-              << i;
+              << "x" << k << " tb=" << s.tb
+              << " not thread-count deterministic at element " << i;
     }
   }
   ThreadPool::set_global_threads(ThreadPool::global_threads());
@@ -138,40 +142,55 @@ TEST(GemmSimd, BitwiseDeterministicAcrossThreadCounts) {
 // gemm(ta, true, …) must equal gemm(ta, false, …) on a materialized Bᵀ bit
 // for bit, on every backend: the transposed-B pack (8×8 register
 // transposes on the x86 SIMD tiers) writes the same panel bytes as the
-// generic one. The shapes are conv's weight gradient gW += dY·colᵀ
-// (m output channels, n = in·k·k, k output pixels of a batch), on both
-// sides of the B-direct kernels' m ≤ 24 cutoff, with conv's alpha and beta.
+// generic one, and the short-M transposed-B kernels run each element's
+// chunked FMA chain in the same order. The shapes are conv's weight
+// gradient gW += dY·colᵀ (m output channels, n = in·k·k, k output pixels of
+// a batch): m on both sides of the short-M cutoff (36) and of the AVX2 and
+// AVX-512 row groups (6, 12), n on both sides of their column strips (16,
+// 32), k across KC chunks (256), with conv's alpha and beta plus alpha 0.5,
+// and the e2e workloads' hottest weight-gradient shapes.
 TEST(GemmSimd, TransposedBMatchesMaterializedTransposeBitwise) {
-  Rng rng(23);
-  for (int m : {1, 3, 6, 12, 25, 40})
+  struct Shape {
+    int m, n, k;
+  };
+  std::vector<Shape> shapes;
+  for (int m : {1, 2, 3, 4, 6, 8, 12, 13, 24, 25, 27, 36, 37, 40})
     for (int n : {9, 27, 36, 54, 70})
-      for (int k : {7, 261, 1440})
-        for (bool ta : {false, true}) {
-          std::vector<float> a(static_cast<std::size_t>(m) * k);
-          std::vector<float> bt(static_cast<std::size_t>(n) * k);  // [n, k]
-          std::vector<float> c0(static_cast<std::size_t>(m) * n);
-          for (auto& v : a) v = static_cast<float>(rng.normal(0.0, 1.0));
-          for (auto& v : bt) v = static_cast<float>(rng.normal(0.0, 1.0));
-          for (auto& v : c0) v = static_cast<float>(rng.normal(0.0, 1.0));
-          std::vector<float> b(bt.size());  // [k, n]
-          for (int j = 0; j < n; ++j)
-            for (int p = 0; p < k; ++p)
-              b[static_cast<std::size_t>(p) * n + j] =
-                  bt[static_cast<std::size_t>(j) * k + p];
-          const int lda = ta ? m : k;
-          for (GemmBackend backend : available_backends())
-            for (float beta : {0.0f, 1.0f}) {
-              const auto got = run_gemm(backend, ta, true, m, n, k, 1.0f, a,
-                                        lda, bt, k, beta, c0, n);
-              const auto want = run_gemm(backend, ta, false, m, n, k, 1.0f, a,
-                                         lda, b, n, beta, c0, n);
-              ASSERT_EQ(std::memcmp(got.data(), want.data(),
-                                    got.size() * sizeof(float)),
-                        0)
-                  << gemm_backend_name(backend) << " at " << m << "x" << n
-                  << "x" << k << " ta=" << ta << " beta=" << beta;
-            }
+      for (int k : {7, 261, 1440}) shapes.push_back({m, n, k});
+  for (const Shape hot : {Shape{3, 27, 1440}, Shape{8, 27, 1440},
+                          Shape{12, 72, 360}, Shape{24, 216, 360}})
+    shapes.push_back(hot);
+  Rng rng(23);
+  for (const Shape s : shapes)
+    for (bool ta : {false, true}) {
+      const int m = s.m, n = s.n, k = s.k;
+      std::vector<float> a(static_cast<std::size_t>(m) * k);
+      std::vector<float> bt(static_cast<std::size_t>(n) * k);  // [n, k]
+      std::vector<float> c0(static_cast<std::size_t>(m) * n);
+      for (auto& v : a) v = static_cast<float>(rng.normal(0.0, 1.0));
+      for (auto& v : bt) v = static_cast<float>(rng.normal(0.0, 1.0));
+      for (auto& v : c0) v = static_cast<float>(rng.normal(0.0, 1.0));
+      std::vector<float> b(bt.size());  // [k, n]
+      for (int j = 0; j < n; ++j)
+        for (int p = 0; p < k; ++p)
+          b[static_cast<std::size_t>(p) * n + j] =
+              bt[static_cast<std::size_t>(j) * k + p];
+      const int lda = ta ? m : k;
+      for (GemmBackend backend : available_backends())
+        for (const auto& [alpha, beta] :
+             {std::pair{1.0f, 0.0f}, {1.0f, 1.0f}, {0.5f, 1.0f}}) {
+          const auto got = run_gemm(backend, ta, true, m, n, k, alpha, a,
+                                    lda, bt, k, beta, c0, n);
+          const auto want = run_gemm(backend, ta, false, m, n, k, alpha, a,
+                                     lda, b, n, beta, c0, n);
+          ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(float)),
+                    0)
+              << gemm_backend_name(backend) << " at " << m << "x" << n
+              << "x" << k << " ta=" << ta << " alpha=" << alpha
+              << " beta=" << beta;
         }
+    }
 }
 
 // The fused half-widening GEMM must agree with widening up front and

@@ -1,5 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "common/check.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -137,6 +147,249 @@ TEST(ScaleShift, IdentityByDefault) {
   Tensor y = ss.forward(x, true);
   EXPECT_LT(testing::max_abs_diff(x, y), 1e-9);
 }
+
+// ---- elementwise contract ---------------------------------------------------
+// ReLU, ScaleShift and Conv2d's bias passes run vectorized, branch-free
+// loops; each must match, bit for bit, the plain loop it replaced (copied
+// below). The inputs take the IEEE edge cases (NaN, ±0, ±inf, subnormals)
+// in one run and finite values over a wide exponent range in the other, so
+// a reordered sum shows. Shapes hit plane lengths 1, 15, 16, 17 and 4320
+// (the vector chunk and its edges), channel counts 1–5, and 2-D and 4-D
+// tensors; every body also runs through clone(), and the parameter
+// gradients accumulate over two steps.
+
+struct ElementwiseCase {
+  const char* label;
+  std::vector<int> shape;  // [N, C] or [N, C, H, W]
+};
+
+// Failure messages name the case instead of dumping its bytes.
+void PrintTo(const ElementwiseCase& c, std::ostream* os) { *os << c.label; }
+
+const ElementwiseCase kElementwiseContract[] = {
+    {"one", {1, 1}},
+    {"rows_2d", {3, 5}},
+    {"len15", {1, 1, 3, 5}},
+    {"len16", {1, 1, 4, 4}},
+    {"len17", {1, 1, 1, 17}},
+    {"c2_len16", {2, 2, 4, 4}},
+    {"c3_len17", {3, 3, 1, 17}},
+    {"c4_pixels", {9, 4, 1, 1}},
+    {"c5_len15", {2, 5, 3, 5}},
+    {"narrow_e2e", {10, 3, 12, 12}},  // 4320 floats
+    {"len4320", {1, 1, 60, 72}},
+};
+
+// Finite draws over 2^±30, or (with `specials`) every third element one of
+// the IEEE edge cases.
+Tensor contract_input(const std::vector<int>& shape, std::uint64_t seed,
+                      bool specials) {
+  constexpr float kSpecials[] = {
+      std::numeric_limits<float>::quiet_NaN(),
+      -0.0f,
+      0.0f,
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(),
+      1.5e-39f,
+      -7.0e-40f};
+  Rng rng(seed);
+  Tensor t(shape);
+  for (std::int64_t i = 0; i < t.numel(); ++i)
+    t[i] = specials && i % 3 == 1
+               ? kSpecials[(i / 3) % std::size(kSpecials)]
+               : static_cast<float>(std::ldexp(rng.normal(0.0, 1.0),
+                                               rng.uniform_int(-30, 30)));
+  return t;
+}
+
+std::int64_t plane_of(const Tensor& t) {
+  return t.ndim() == 4 ? static_cast<std::int64_t>(t.dim(2)) * t.dim(3) : 1;
+}
+
+void expect_bits(const Tensor& want, const Tensor& got,
+                 const std::string& what) {
+  ASSERT_TRUE(want.same_shape(got)) << what;
+  for (std::int64_t i = 0; i < want.numel(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(want[i]),
+              std::bit_cast<std::uint32_t>(got[i]))
+        << what << " at element " << i << ": want " << want[i] << ", got "
+        << got[i];
+}
+
+// The plain loops, as ReLU, ScaleShift and conv_forward_im2col /
+// conv_backward_im2col wrote them before they were vectorized.
+Tensor naive_relu_forward(const Tensor& x) {
+  Tensor y = x;
+  for (std::int64_t i = 0; i < y.numel(); ++i)
+    if (y[i] < 0.0f) y[i] = 0.0f;
+  return y;
+}
+
+Tensor naive_relu_backward(const Tensor& x, const Tensor& g) {
+  Tensor dx = g;
+  for (std::int64_t i = 0; i < dx.numel(); ++i)
+    if (x[i] <= 0.0f) dx[i] = 0.0f;
+  return dx;
+}
+
+Tensor naive_scale_shift_forward(const Tensor& x, const Tensor& s,
+                                 const Tensor& b) {
+  Tensor y = x;
+  const int n = x.dim(0), c = x.dim(1);
+  const std::int64_t plane = plane_of(x);
+  for (int bi = 0; bi < n; ++bi)
+    for (int ch = 0; ch < c; ++ch) {
+      float* p = y.data() + (static_cast<std::int64_t>(bi) * c + ch) * plane;
+      const float sc = s[ch], sh = b[ch];
+      for (std::int64_t i = 0; i < plane; ++i) p[i] = p[i] * sc + sh;
+    }
+  return y;
+}
+
+Tensor naive_scale_shift_backward(const Tensor& x, const Tensor& g,
+                                  const Tensor& s, Tensor& gs, Tensor& gb) {
+  const int n = g.dim(0), c = g.dim(1);
+  const std::int64_t plane = plane_of(g);
+  Tensor dx = g;
+  for (int bi = 0; bi < n; ++bi)
+    for (int ch = 0; ch < c; ++ch) {
+      const std::int64_t base =
+          (static_cast<std::int64_t>(bi) * c + ch) * plane;
+      double ds = 0.0, db = 0.0;
+      const float sc = s[ch];
+      for (std::int64_t i = 0; i < plane; ++i) {
+        const float gv = g[base + i];
+        ds += static_cast<double>(gv) * x[base + i];
+        db += gv;
+        dx[base + i] = gv * sc;
+      }
+      gs[ch] += static_cast<float>(ds);
+      gb[ch] += static_cast<float>(db);
+    }
+  return dx;
+}
+
+void naive_bias_add(Tensor& y, const Tensor& bias) {
+  const int n = y.dim(0), c = y.dim(1);
+  const std::int64_t plane = plane_of(y);
+  for (int bi = 0; bi < n; ++bi)
+    for (int oc = 0; oc < c; ++oc) {
+      float* row = y.data() + (static_cast<std::int64_t>(bi) * c + oc) * plane;
+      for (std::int64_t i = 0; i < plane; ++i) row[i] += bias[oc];
+    }
+}
+
+void naive_bias_grad(const Tensor& g, Tensor& gb) {
+  const int n = g.dim(0), c = g.dim(1);
+  const std::int64_t plane = plane_of(g);
+  for (int bi = 0; bi < n; ++bi)
+    for (int oc = 0; oc < c; ++oc) {
+      const float* go =
+          g.data() + (static_cast<std::int64_t>(bi) * c + oc) * plane;
+      double s = 0.0;
+      for (std::int64_t i = 0; i < plane; ++i) s += go[i];
+      gb[oc] += static_cast<float>(s);
+    }
+}
+
+class ElementwiseContract
+    : public ::testing::TestWithParam<ElementwiseCase> {
+ protected:
+  // Runs `body` on a fresh layer and on its clone, for both input kinds.
+  template <class Make, class Body>
+  static void each_layer(Make make, Body body) {
+    for (bool specials : {false, true}) {
+      auto layer = make();
+      body(*layer, specials, std::string(specials ? "specials" : "finite"));
+      auto copy = layer->clone();
+      body(*copy, specials,
+           std::string(specials ? "specials" : "finite") + ", clone");
+    }
+  }
+  std::vector<int> shape() const { return GetParam().shape; }
+  int channels() const { return GetParam().shape[1]; }
+};
+
+TEST_P(ElementwiseContract, ReLUMatchesPlainLoop) {
+  auto make = [] { return std::make_unique<ReLU>(); };
+  each_layer(make, [&](Layer& relu, bool specials, const std::string& run) {
+    for (std::uint64_t step : {1u, 2u}) {
+      const Tensor x = contract_input(shape(), 10 * step, specials);
+      const Tensor g = contract_input(shape(), 10 * step + 1, specials);
+      expect_bits(naive_relu_forward(x), relu.forward(x, true),
+                  run + ", forward");
+      expect_bits(naive_relu_backward(x, g), relu.backward(g),
+                  run + ", backward");
+    }
+  });
+}
+
+TEST_P(ElementwiseContract, ScaleShiftMatchesPlainLoop) {
+  const int c = channels();
+  auto make = [c] {
+    auto ss = std::make_unique<ScaleShift>(c);
+    Rng rng(5);
+    ss->scale().randn(rng);
+    ss->shift().randn(rng);
+    return ss;
+  };
+  each_layer(make, [&](Layer& layer, bool specials, const std::string& run) {
+    auto& ss = dynamic_cast<ScaleShift&>(layer);
+    Tensor gs({c}), gb({c});
+    for (std::uint64_t step : {1u, 2u}) {
+      const Tensor x = contract_input(shape(), 20 * step, specials);
+      const Tensor g = contract_input(shape(), 20 * step + 1, specials);
+      expect_bits(naive_scale_shift_forward(x, ss.scale(), ss.shift()),
+                  ss.forward(x, true), run + ", forward");
+      expect_bits(naive_scale_shift_backward(x, g, ss.scale(), gs, gb),
+                  ss.backward(g), run + ", dx");
+      expect_bits(gs, *ss.params()[0].grad, run + ", scale grad");
+      expect_bits(gb, *ss.params()[1].grad, run + ", shift grad");
+    }
+  });
+}
+
+// A pointwise conv with bias against the same conv without it plus the
+// plain bias loop: the GEMM is shared, so only the bias passes differ.
+TEST_P(ElementwiseContract, ConvBiasMatchesPlainLoop) {
+  const auto out_shape = shape();
+  const int n = out_shape[0], c = channels();
+  const int h = out_shape.size() == 4 ? out_shape[2] : 1;
+  const int w = out_shape.size() == 4 ? out_shape[3] : 1;
+  const std::vector<int> y_shape{n, c, h, w};
+  auto make = [c] {
+    auto conv = std::make_unique<Conv2d>(2, c, /*kernel=*/1, /*stride=*/1,
+                                         /*padding=*/0);
+    Rng rng(7);
+    conv->init(rng);
+    return conv;
+  };
+  each_layer(make, [&](Layer& layer, bool specials, const std::string& run) {
+    auto& conv = dynamic_cast<Conv2d&>(layer);
+    conv.bias() = contract_input({c}, 30, specials);
+    Conv2d plain(2, c, 1, 1, 0, /*bias=*/false);
+    plain.weight() = conv.weight();
+    Tensor gb({c});
+    for (std::uint64_t step : {1u, 2u}) {
+      const Tensor x = contract_input({n, 2, h, w}, 30 * step + 1, false);
+      const Tensor g = contract_input(y_shape, 30 * step + 2, specials);
+      Tensor want = plain.forward(x, true);
+      naive_bias_add(want, conv.bias());
+      expect_bits(want, conv.forward(x, true), run + ", forward");
+      conv.backward(g);
+      naive_bias_grad(g, gb);
+      expect_bits(gb, *conv.params()[1].grad, run + ", bias grad");
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layers, ElementwiseContract, ::testing::ValuesIn(kElementwiseContract),
+    [](const ::testing::TestParamInfo<ElementwiseCase>& info) {
+      return std::string(info.param.label);
+    });
 
 TEST(GlobalAvgPool, ForwardAveragesAndBackwardSpreads) {
   GlobalAvgPool gap;

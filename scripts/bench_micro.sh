@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
 # Runs the google-benchmark binaries (bench_micro_ops + bench_fabric_throughput)
 # and distills the result into BENCH_micro_ops.json — one record per
-# benchmark: {op, shape, ms, gflops?, counters...} — so successive PRs have
-# a perf trajectory to compare against.
+# benchmark: {op, shape, ms, ms_min, ms_max, gflops?, counters...} — so
+# successive PRs have a perf trajectory to compare against.
+#
+# Each benchmark runs REPS times. `ms` is the median repetition's time,
+# `ms_min`/`ms_max` the fastest and slowest, and every rate and counter
+# comes from that same median repetition, so a reader can tell a change
+# from host drift.
 #
 # Records of thread-scaling benchmarks (those with a `pool_threads`
 # counter) get `"oversubscribed": true` when that thread count exceeds the
@@ -25,6 +30,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 OUT=${OUT:-BENCH_micro_ops.json}
 FILTER=${1:-.}
+REPS=5
 
 # Recorded numbers must come from a release build of the repo. Configure
 # and build here (Release is the CMakeLists default); the distiller below
@@ -60,7 +66,8 @@ for bin in "${BINS[@]}"; do
   # the binaries expose the repo-build context keys via a probe flag; the
   # distiller merges them into the recorded context and gates on them.
   "$bin" --fedtrans_context >"$RAW"
-  "$bin" --benchmark_filter="$FILTER" --benchmark_format=json \
+  "$bin" --benchmark_filter="$FILTER" --benchmark_repetitions="$REPS" \
+         --benchmark_format=json \
          --benchmark_out="$RAW.bench" --benchmark_out_format=json >&2
   RAWS+=("$RAW.bench")
 done
@@ -73,7 +80,7 @@ import sys
 out_path, raw_paths = sys.argv[1], sys.argv[2:]
 
 context = {}
-records = []
+runs = {}  # run name -> its repetitions, in first-appearance order
 cpu_clocked = []
 # google-benchmark's own per-run keys; anything else numeric is a user
 # counter (msgs_per_s, bytes_per_round, ...) and passes through verbatim.
@@ -106,6 +113,8 @@ for raw_path in raw_paths:
     ctx.update(context)
     context = ctx
     for b in raw.get("benchmarks", []):
+        if b.get("run_type") == "aggregate":
+            continue  # mean/median/stddev rows; the repetitions are kept
         if not b["name"].endswith("/real_time"):
             cpu_clocked.append(b["name"])
             continue
@@ -114,29 +123,37 @@ for raw_path in raw_paths:
             print(f"warning: {b.get('name', '?')} errored: "
                   f"{b.get('error_message', 'unknown')}", file=sys.stderr)
             continue
-        # UseRealTime() appends "/real_time" to the name: a timing mode,
-        # not part of the shape.
-        op, _, shape = b["name"].removesuffix("/real_time").partition("/")
-        unit = b.get("time_unit", "ns")
-        scale = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}[unit]
-        rec = {
-            "op": op,
-            "shape": shape or "-",
-            "ms": round(b["real_time"] * scale, 6),
-        }
-        # For the compute kernels items_processed counts MACs:
-        # GFLOP/s = 2 * MACs/s / 1e9. Fabric benches count messages, the
-        # robust-aggregation bench counts reduced coordinates — neither is
-        # a MAC, so no gflops key for them; ms is their trajectory metric.
-        ips = b.get("items_per_second")
-        if ips is not None and not op.startswith("BM_Fabric") and \
-                not op.startswith("BM_Wire") and \
-                not op.startswith("BM_Robust"):
-            rec["gflops"] = round(2.0 * ips / 1e9, 3)
-        for key, val in b.items():
-            if key not in known and isinstance(val, (int, float)):
-                rec[key] = round(val, 3)
-        records.append(rec)
+        runs.setdefault(b["name"], []).append(b)
+
+records = []
+for name, reps in runs.items():
+    reps.sort(key=lambda r: r["real_time"])
+    b = reps[len(reps) // 2]  # the median repetition
+    # UseRealTime() appends "/real_time" to the name: a timing mode, not
+    # part of the shape.
+    op, _, shape = name.removesuffix("/real_time").partition("/")
+    unit = b.get("time_unit", "ns")
+    scale = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}[unit]
+    rec = {
+        "op": op,
+        "shape": shape or "-",
+        "ms": round(b["real_time"] * scale, 6),
+        "ms_min": round(reps[0]["real_time"] * scale, 6),
+        "ms_max": round(reps[-1]["real_time"] * scale, 6),
+    }
+    # For the compute kernels items_processed counts MACs:
+    # GFLOP/s = 2 * MACs/s / 1e9. Fabric benches count messages, the
+    # robust-aggregation bench counts reduced coordinates — neither is
+    # a MAC, so no gflops key for them; ms is their trajectory metric.
+    ips = b.get("items_per_second")
+    if ips is not None and not op.startswith("BM_Fabric") and \
+            not op.startswith("BM_Wire") and \
+            not op.startswith("BM_Robust"):
+        rec["gflops"] = round(2.0 * ips / 1e9, 3)
+    for key, val in b.items():
+        if key not in known and isinstance(val, (int, float)):
+            rec[key] = round(val, 3)
+    records.append(rec)
 
 # A thread-scaling record (one with a pool_threads counter) whose thread
 # count exceeds the host's CPUs measures time slicing, not scaling.

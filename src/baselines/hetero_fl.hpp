@@ -17,10 +17,6 @@ class HeteroFLStrategy : public SubmodelStrategy {
       : SubmodelStrategy(std::move(full_spec), std::move(width_ratios)) {}
 
   std::string name() const override { return "heterofl"; }
-  /// Coverage-weighted element averaging is a linear sum per capacity
-  /// level: same level ⇒ same submodel structure ⇒ one crop walk folds the
-  /// level's pre-summed delta and weight total into the global crop.
-  bool supports_partial_aggregation() const override { return true; }
 
  protected:
   void for_each_element(int level, Model& sub, const ElementFn& fn) override;

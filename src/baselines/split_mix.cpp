@@ -29,29 +29,24 @@ int SplitMixStrategy::budget_for(int client) const {
   return std::clamp(m, 1, num_bases());
 }
 
-int SplitMixStrategy::base_of(const ClientTask& task) const {
-  // Rotate base assignment so every base sees diverse clients.
-  return (task.client + cur_round_ + task.tag) % num_bases();
-}
-
 std::vector<ClientTask> SplitMixStrategy::plan_round(RoundContext& ctx,
                                                      Rng& rng) {
   auto selected = ctx.selector.select(ctx.data.num_clients(),
                                       ctx.session.clients_per_round, rng);
-  cur_round_ = ctx.round;
 
-  // One task per (client, base-slot) pair, client-major — the same order
-  // the legacy nested loop trained (and forked Rngs) in.
+  // One task per (client, base) pair, client-major — the same order the
+  // legacy nested loop trained (and forked Rngs) in. The client's t-th
+  // base rotates with the round so every base sees diverse clients.
   std::vector<ClientTask> tasks;
   for (int c : selected) {
     const int m = budget_for(c);
-    for (int t = 0; t < m; ++t) tasks.push_back(ClientTask{c, t});
+    for (int t = 0; t < m; ++t)
+      tasks.push_back(ClientTask{c, (c + ctx.round + t) % num_bases()});
   }
 
   acc_.assign(static_cast<std::size_t>(num_bases()), WeightSet{});
   wsum_.assign(static_cast<std::size_t>(num_bases()), 0.0);
   loss_sum_ = 0.0;
-  loss_cnt_ = 0;
   slowest_ = 0.0;
   pending_client_ = -1;
   pending_time_ = 0.0;
@@ -59,7 +54,7 @@ std::vector<ClientTask> SplitMixStrategy::plan_round(RoundContext& ctx,
 }
 
 Model SplitMixStrategy::client_payload(const ClientTask& task) {
-  return *bases_[static_cast<std::size_t>(base_of(task))];
+  return *bases_[static_cast<std::size_t>(task.tag)];
 }
 
 void SplitMixStrategy::flush_client_time(RoundContext& ctx) {
@@ -70,18 +65,14 @@ void SplitMixStrategy::flush_client_time(RoundContext& ctx) {
   pending_time_ = 0.0;
 }
 
-void SplitMixStrategy::absorb_update(const ClientTask& task, Model*,
-                                     LocalTrainResult& res,
-                                     RoundContext& ctx) {
-  const auto b = static_cast<std::size_t>(base_of(task));
-  if (acc_[b].empty()) acc_[b] = ws_zeros_like(res.delta);
-  ws_axpy(acc_[b], static_cast<float>(res.num_samples), res.delta);
-  wsum_[b] += res.num_samples;
+void SplitMixStrategy::absorb_metrics(const ClientTask& task,
+                                      const LocalTrainResult& res,
+                                      RoundContext& ctx) {
   loss_sum_ += res.avg_loss;
-  ++loss_cnt_;
 
   const double base_bytes =
-      static_cast<double>(bases_.front()->param_bytes());
+      static_cast<double>(bases_.front()->param_bytes()) *
+      wire_dtype_scale(ctx.session);
   ctx.costs.add_training_macs(res.macs_used);
   ctx.costs.add_transfer(base_bytes, base_bytes);
   if (pending_client_ != task.client) flush_client_time(ctx);
@@ -89,6 +80,15 @@ void SplitMixStrategy::absorb_update(const ClientTask& task, Model*,
   pending_time_ += client_round_time_s(
       ctx.fleet[static_cast<std::size_t>(task.client)], base_macs_,
       ctx.session.local.steps, ctx.session.local.batch, base_bytes);
+}
+
+void SplitMixStrategy::fold(const ClientTask& task, Model*,
+                            const WeightSet& delta, double delta_scale,
+                            double weight, RoundContext&) {
+  const auto b = static_cast<std::size_t>(task.tag);
+  if (acc_[b].empty()) acc_[b] = ws_zeros_like(delta);
+  ws_axpy(acc_[b], static_cast<float>(delta_scale), delta);
+  wsum_[b] += weight;
 }
 
 void SplitMixStrategy::lost_update(const ClientTask&, ClientOutcome outcome,
@@ -109,7 +109,7 @@ void SplitMixStrategy::finish_round(RoundContext& ctx, RoundRecord& rec) {
     ws_sub(w, acc_[bi]);
     base.set_weights(w);
   }
-  rec.avg_loss = loss_cnt_ > 0 ? loss_sum_ / loss_cnt_ : 0.0;
+  rec.avg_loss = ctx.trained > 0 ? loss_sum_ / ctx.trained : 0.0;
   rec.round_time_s = slowest_;
 }
 

@@ -10,9 +10,9 @@ namespace fedtrans {
 /// SplitMix (Hong et al., ICLR 2022) as an engine Strategy: splits the
 /// width of a large model into `num_bases` independent narrow base models.
 /// Each client trains (and at inference ensembles) as many bases as its
-/// capacity affords — one engine task per (client, base) pair — and bases
-/// are FedAvg-aggregated independently. The per-round ensemble shipping is
-/// what drives SplitMix's large network volumes in the paper's Table 2.
+/// capacity affords — one engine task per (client, base), tagged with the
+/// base — and bases are FedAvg-aggregated independently. Shipping ensembles
+/// drives SplitMix's large network volumes in the paper's Table 2.
 class SplitMixStrategy : public Strategy {
  public:
   explicit SplitMixStrategy(ModelSpec full_spec, int num_bases = 8);
@@ -22,19 +22,19 @@ class SplitMixStrategy : public Strategy {
   std::vector<ClientTask> plan_round(RoundContext& ctx, Rng& rng) override;
   Model client_payload(const ClientTask& task) override;
   // Every task of a base trains that base's exact weights.
-  int payload_key(const ClientTask& task) const override {
-    return base_of(task);
-  }
+  int payload_key(const ClientTask& task) const override { return task.tag; }
   const Model& reference_model() const override { return *bases_.front(); }
   double initial_storage_bytes() const override {
     return static_cast<double>(num_bases()) *
            static_cast<double>(bases_.front()->param_bytes());
   }
-  void absorb_update(const ClientTask& task, Model* trained,
-                     LocalTrainResult& res, RoundContext& ctx) override;
+  void absorb_metrics(const ClientTask& task, const LocalTrainResult& res,
+                      RoundContext& ctx) override;
   void lost_update(const ClientTask& task, ClientOutcome outcome,
                    RoundContext& ctx) override;
   void finish_round(RoundContext& ctx, RoundRecord& rec) override;
+  /// Each base sums its own tasks: the reduce key is the base.
+  bool supports_partial_aggregation() const override { return true; }
   /// The client's ensemble: its budget_for(client) bases, rotated per
   /// client, with their logits summed.
   double deployed_accuracy(int client, const ClientData& data) override;
@@ -44,9 +44,11 @@ class SplitMixStrategy : public Strategy {
   int budget_for(int client) const;
   Model& base(int i) { return *bases_[static_cast<std::size_t>(i)]; }
 
+ protected:
+  void fold(const ClientTask& task, Model* payload, const WeightSet& delta,
+            double delta_scale, double weight, RoundContext& ctx) override;
+
  private:
-  /// Base trained by `task` under this round's rotation.
-  int base_of(const ClientTask& task) const;
   void flush_client_time(RoundContext& ctx);
 
   ModelSpec full_spec_;
@@ -56,11 +58,9 @@ class SplitMixStrategy : public Strategy {
   double base_macs_ = 0.0;
 
   // Per-round accumulators.
-  int cur_round_ = 0;
   std::vector<WeightSet> acc_;
   std::vector<double> wsum_;
   double loss_sum_ = 0.0;
-  int loss_cnt_ = 0;
   double slowest_ = 0.0;
   // Per-client device time accumulates across that client's base tasks
   // (tasks are client-major, so a flush on client change reproduces the

@@ -126,26 +126,18 @@ std::vector<ClientTask> SubmodelStrategy::plan_round(RoundContext& ctx,
   return tasks;
 }
 
-void SubmodelStrategy::fold(int level, Model* model, const WeightSet& delta,
-                            float delta_scale, float weight) {
-  FT_CHECK_MSG(model != nullptr,
+void SubmodelStrategy::fold(const ClientTask& task, Model* payload,
+                            const WeightSet& delta, double delta_scale,
+                            double weight, RoundContext&) {
+  FT_CHECK_MSG(payload != nullptr,
                name() << " needs the task's payload model to fold an update");
-  for_each_element(level, *model,
+  const auto scale = static_cast<float>(delta_scale);
+  const auto w = static_cast<float>(weight);
+  for_each_element(task.tag, *payload,
                    [&](std::size_t p, std::int64_t gi, std::int64_t si) {
-                     acc_[p][gi] += delta_scale * delta[p][si];
-                     wsum_[p][gi] += weight;
+                     acc_[p][gi] += scale * delta[p][si];
+                     wsum_[p][gi] += w;
                    });
-}
-
-void SubmodelStrategy::absorb_update(const ClientTask& task, Model* trained,
-                                     LocalTrainResult& res,
-                                     RoundContext& ctx) {
-  const float n = static_cast<float>(res.num_samples);
-  fold(task.tag, trained, res.delta, n, n);
-  loss_sum_ += res.avg_loss;
-  bill_trained_update(ctx, task.client,
-                      static_cast<double>(trained->param_bytes()),
-                      static_cast<double>(trained->macs()), res, slowest_);
 }
 
 void SubmodelStrategy::absorb_metrics(const ClientTask& task,
@@ -155,14 +147,6 @@ void SubmodelStrategy::absorb_metrics(const ClientTask& task,
   loss_sum_ += res.avg_loss;
   bill_trained_update(ctx, task.client, level_bytes_[lvl], level_macs_[lvl],
                       res, slowest_);
-}
-
-void SubmodelStrategy::absorb_reduced(const ClientTask& task, Model* payload,
-                                      WeightSet& sum, double weight, int,
-                                      RoundContext&) {
-  // The group's submodels share one level, so the pre-summed delta and
-  // weight total fold in exactly where each member's update would have.
-  fold(task.tag, payload, sum, 1.0f, static_cast<float>(weight));
 }
 
 void SubmodelStrategy::lost_update(const ClientTask& task,

@@ -27,15 +27,14 @@ class SubmodelStrategy : public Strategy {
   // round: same level, same bytes.
   int payload_key(const ClientTask& task) const override { return task.tag; }
   const Model& reference_model() const override { return *global_; }
-  void absorb_update(const ClientTask& task, Model* trained,
-                     LocalTrainResult& res, RoundContext& ctx) override;
-  void lost_update(const ClientTask& task, ClientOutcome outcome,
-                   RoundContext& ctx) override;
   void absorb_metrics(const ClientTask& task, const LocalTrainResult& res,
                       RoundContext& ctx) override;
-  void absorb_reduced(const ClientTask& task, Model* payload, WeightSet& sum,
-                      double weight, int count, RoundContext& ctx) override;
+  void lost_update(const ClientTask& task, ClientOutcome outcome,
+                   RoundContext& ctx) override;
   void finish_round(RoundContext& ctx, RoundRecord& rec) override;
+  /// A level's tasks share one element map, so its pre-summed group folds
+  /// through the map exactly as its members' updates would.
+  bool supports_partial_aggregation() const override { return true; }
   /// The client's level submodel.
   double deployed_accuracy(int client, const ClientData& data) override;
 
@@ -85,11 +84,12 @@ class SubmodelStrategy : public Strategy {
   /// model (0 where no client covered the element).
   const WeightSet& applied_update() const { return acc_; }
 
- private:
-  /// acc += delta_scale · delta and wsum += weight over the level's map.
-  void fold(int level, Model* model, const WeightSet& delta,
-            float delta_scale, float weight);
+  /// acc += delta_scale · delta and wsum += weight over the element map of
+  /// the task's level, walked on `payload`.
+  void fold(const ClientTask& task, Model* payload, const WeightSet& delta,
+            double delta_scale, double weight, RoundContext& ctx) override;
 
+ private:
   ModelSpec full_spec_;
   std::vector<double> width_ratios_;
   std::vector<ModelSpec> level_specs_;

@@ -75,31 +75,11 @@ Model FedTransStrategy::client_payload(const ClientTask& task) {
   return *models_[static_cast<std::size_t>(task.tag)].model;
 }
 
-void FedTransStrategy::absorb_update(const ClientTask& task, Model*,
-                                     LocalTrainResult& res,
-                                     RoundContext& ctx) {
-  const int c = task.client;
-  const auto k = static_cast<std::size_t>(task.tag);
-  Model& server_model = *models_[k].model;
-
-  if (acc_[k].empty()) acc_[k] = ws_zeros_like(res.delta);
-  ws_axpy(acc_[k], static_cast<float>(res.num_samples), res.delta);
-  wsum_[k] += res.num_samples;
-  loss_sum_[k] += res.avg_loss;
-  ++loss_cnt_[k];
-  parts_.push_back({c, task.tag, res.avg_loss});
-  ctx.selector.report(c, res.avg_loss, res.num_samples);
-
-  bill_trained_update(ctx, c, static_cast<double>(server_model.param_bytes()),
-                      static_cast<double>(server_model.macs()), res, slowest_);
-}
-
 void FedTransStrategy::absorb_metrics(const ClientTask& task,
                                       const LocalTrainResult& res,
                                       RoundContext& ctx) {
-  // Numeric tree round: per-client bookkeeping — utility learning inputs,
-  // selector feedback, billing — exactly as absorb_update, minus the
-  // weight accumulation (pre-summed by the tree per assigned model).
+  // Utility learning reads only per-client losses, which a numeric tree
+  // delivers verbatim: it runs the same in every exchange mode.
   const int c = task.client;
   const auto k = static_cast<std::size_t>(task.tag);
   Model& server_model = *models_[k].model;
@@ -111,12 +91,12 @@ void FedTransStrategy::absorb_metrics(const ClientTask& task,
                       static_cast<double>(server_model.macs()), res, slowest_);
 }
 
-void FedTransStrategy::absorb_reduced(const ClientTask& task, Model*,
-                                      WeightSet& sum, double weight, int,
-                                      RoundContext&) {
+void FedTransStrategy::fold(const ClientTask& task, Model*,
+                            const WeightSet& delta, double delta_scale,
+                            double weight, RoundContext&) {
   const auto k = static_cast<std::size_t>(task.tag);
-  if (acc_[k].empty()) acc_[k] = ws_zeros_like(sum);
-  ws_axpy(acc_[k], 1.0f, sum);
+  if (acc_[k].empty()) acc_[k] = ws_zeros_like(delta);
+  ws_axpy(acc_[k], static_cast<float>(delta_scale), delta);
   wsum_[k] += weight;
 }
 

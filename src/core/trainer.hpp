@@ -101,8 +101,8 @@ class FedTransStrategy : public Strategy {
   const Model& reference_model() const override {
     return *models_.front().model;
   }
-  void absorb_update(const ClientTask& task, Model* trained,
-                     LocalTrainResult& res, RoundContext& ctx) override;
+  void absorb_metrics(const ClientTask& task, const LocalTrainResult& res,
+                      RoundContext& ctx) override;
   void lost_update(const ClientTask& task, ClientOutcome outcome,
                    RoundContext& ctx) override;
   void finish_round(RoundContext& ctx, RoundRecord& rec) override;
@@ -112,10 +112,6 @@ class FedTransStrategy : public Strategy {
   /// reduce key is the assigned model index); utility learning only needs
   /// the per-client losses, which ride the tree verbatim as metrics.
   bool supports_partial_aggregation() const override { return true; }
-  void absorb_metrics(const ClientTask& task, const LocalTrainResult& res,
-                      RoundContext& ctx) override;
-  void absorb_reduced(const ClientTask& task, Model* payload, WeightSet& sum,
-                      double weight, int count, RoundContext& ctx) override;
   /// The model family (specs + weights + per-model optimizer state), client
   /// utilities, DoC/activeness histories and transform counters.
   void save_state(std::ostream& os) const override;
@@ -134,6 +130,10 @@ class FedTransStrategy : public Strategy {
   const ClientManager& client_manager() const { return *cm_; }
   int transforms_done() const { return transforms_; }
   const FedTransConfig& config() const { return cfg_; }
+
+ protected:
+  void fold(const ClientTask& task, Model* payload, const WeightSet& delta,
+            double delta_scale, double weight, RoundContext& ctx) override;
 
  private:
   /// The transform hook: grow the family when the newest model's DoC

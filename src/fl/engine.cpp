@@ -76,20 +76,31 @@ std::vector<ClientTask> Strategy::plan_round(RoundContext& ctx, Rng& rng) {
   return tasks;
 }
 
-void Strategy::absorb_metrics(const ClientTask&, const LocalTrainResult&,
-                              RoundContext&) {
-  FT_CHECK_MSG(false, "strategy '"
-                          << name()
-                          << "' does not support numeric partial "
-                             "aggregation (absorb_metrics not implemented)");
+void Strategy::absorb_update(const ClientTask& task, Model* trained,
+                             LocalTrainResult& res, RoundContext& ctx) {
+  absorb_metrics(task, res, ctx);
+  const double n = static_cast<double>(res.num_samples);
+  fold(task, trained, res.delta, n, n, ctx);
 }
 
-void Strategy::absorb_reduced(const ClientTask&, Model*, WeightSet&, double,
-                              int, RoundContext&) {
-  FT_CHECK_MSG(false, "strategy '"
-                          << name()
-                          << "' does not support numeric partial "
-                             "aggregation (absorb_reduced not implemented)");
+void Strategy::absorb_metrics(const ClientTask&, const LocalTrainResult&,
+                              RoundContext&) {
+  FT_CHECK_MSG(false, "strategy '" << name()
+                                   << "' implements neither absorb_metrics "
+                                      "nor absorb_update");
+}
+
+void Strategy::absorb_reduced(const ClientTask& task, Model* payload,
+                              WeightSet& sum, double weight, int,
+                              RoundContext& ctx) {
+  fold(task, payload, sum, 1.0, weight, ctx);
+}
+
+void Strategy::fold(const ClientTask&, Model*, const WeightSet&, double,
+                    double, RoundContext&) {
+  FT_CHECK_MSG(false, "strategy '" << name()
+                                   << "' implements neither fold nor "
+                                      "absorb_update");
 }
 
 double Strategy::deployed_accuracy(int, const ClientData& data) {
@@ -154,8 +165,7 @@ FederationEngine::FederationEngine(std::unique_ptr<Strategy> strategy,
   // reduce non-linearly (robust aggregators, compressed uplinks) still
   // compose with trees of any depth — in the default verbatim-bundle mode,
   // where interior aggregators forward updates untouched.
-  if (cfg_.use_fabric && cfg_.topology.partial_aggregation &&
-      cfg_.topology.levels >= 2 && cfg_.mode == SessionMode::Sync)
+  if (numeric_rounds())
     FT_CHECK_MSG(
         strategy_->supports_partial_aggregation(),
         "SessionConfig: topology.partial_aggregation=true needs a strategy "
@@ -165,7 +175,7 @@ FederationEngine::FederationEngine(std::unique_ptr<Strategy> strategy,
                "false). Drop with_partial_aggregation() — verbatim bundles "
                "compose with aggregation trees of any depth — or pick a "
                "linear strategy (FedAvg without compression, FedTrans, "
-               "HeteroFL).");
+               "HeteroFL, FedRolex, FLuID, SplitMix).");
   if (cfg_.mode == SessionMode::Async)
     FT_CHECK_MSG(cfg_.async.concurrency > 0 && cfg_.async.buffer_size > 0 &&
                      cfg_.async.aggregations > 0 &&
@@ -221,14 +231,8 @@ LocalTrainResult FederationEngine::train_locally(Model& model, int client,
 }
 
 bool FederationEngine::numeric_rounds() const {
-  if (!cfg_.use_fabric || !cfg_.topology.partial_aggregation ||
-      cfg_.topology.levels < 2 || cfg_.mode != SessionMode::Sync)
-    return false;
-  FT_CHECK_MSG(strategy_->supports_partial_aggregation(),
-               "partial_aggregation topology configured, but strategy '"
-                   << strategy_->name()
-                   << "' is not a weighted-linear-sum reduction");
-  return true;
+  return cfg_.use_fabric && cfg_.topology.partial_aggregation &&
+         cfg_.topology.levels >= 2 && cfg_.mode == SessionMode::Sync;
 }
 
 ExchangeResult FederationEngine::exchange(
@@ -387,39 +391,30 @@ double FederationEngine::run_round() {
   }
 
   FT_SPAN("engine", "aggregate");
-  if (ex.reduced) {
-    // Numeric tree round: per-task metrics arrived verbatim (billing,
-    // selector feedback, loss bookkeeping stay per-client, in task order);
-    // the deltas arrive pre-summed per reduce group, folded in ascending
-    // min-slot order — the same canonical order the tree reduced them in.
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      if (ex.outcomes[i] != ClientOutcome::Trained) {
-        strategy_->lost_update(tasks[i], ex.outcomes[i], ctx);
-        ++ctx.lost;
-        continue;
-      }
+  // Fixed task-order reduction: absorb arrived updates, bill casualties. In
+  // a numeric tree round the metrics arrived verbatim (billing, selector
+  // feedback and loss bookkeeping stay per client) and the deltas
+  // pre-summed per reduce group, folded afterwards in ascending min-slot
+  // order — the canonical order the tree reduced them in.
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (ex.outcomes[i] != ClientOutcome::Trained) {
+      strategy_->lost_update(tasks[i], ex.outcomes[i], ctx);
+      ++ctx.lost;
+      continue;
+    }
+    if (ex.reduced)
       strategy_->absorb_metrics(tasks[i], ex.results[i], ctx);
-      ++ctx.trained;
-    }
-    for (ReducedGroup& g : ex.groups) {
-      const auto slot = static_cast<std::size_t>(g.min_slot);
-      FT_CHECK_MSG(slot < tasks.size(), "reduce group references slot "
-                                            << g.min_slot << " of "
-                                            << tasks.size());
-      strategy_->absorb_reduced(tasks[slot], task_models[slot], g.sum,
-                                g.weight, g.count, ctx);
-    }
-  } else {
-    // Fixed task-order reduction: absorb arrived updates, bill casualties.
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      if (ex.outcomes[i] != ClientOutcome::Trained) {
-        strategy_->lost_update(tasks[i], ex.outcomes[i], ctx);
-        ++ctx.lost;
-        continue;
-      }
+    else
       strategy_->absorb_update(tasks[i], task_models[i], ex.results[i], ctx);
-      ++ctx.trained;
-    }
+    ++ctx.trained;
+  }
+  for (ReducedGroup& g : ex.groups) {
+    const auto slot = static_cast<std::size_t>(g.min_slot);
+    FT_CHECK_MSG(slot < tasks.size(), "reduce group references slot "
+                                          << g.min_slot << " of "
+                                          << tasks.size());
+    strategy_->absorb_reduced(tasks[slot], task_models[slot], g.sum, g.weight,
+                              g.count, ctx);
   }
 
   RoundRecord rec;

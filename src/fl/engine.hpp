@@ -82,7 +82,8 @@ class RoundObserver {
 ///                      preserving legacy fork sequences bit-exactly
 ///   client_payload ×n  materialize the model each task trains
 ///   (engine trains concurrently, in-process or over the fabric)
-///   absorb_update ×n   fixed task-order reduction (+ cost billing)
+///   absorb_update ×n   fixed task-order reduction: absorb_metrics (cost
+///                      billing) + fold; numeric trees fold per reduce group
 ///   lost_update  ×k    billing for fabric casualties / dropped stragglers
 ///   finish_round       aggregate, optionally transform, fill the record
 ///   probe_accuracy     periodic eval probe (engine picks the client ids),
@@ -134,52 +135,48 @@ class Strategy {
     return static_cast<double>(reference_model().param_bytes());
   }
 
-  /// Fold one finished task into the strategy's accumulators, in task
-  /// order. For shared-model strategies `trained` is always null — clients
-  /// train transient copies; read the update from `res`. For heterogeneous
-  /// strategies it is the task's payload model: its *structure* always
-  /// matches what the client trained; its weights are post-training on the
-  /// in-process path and pre-training on the fabric path (training happened
-  /// remotely). Tasks in one payload_key group share the instance over the
-  /// fabric, so treat it as read-only.
+  /// Absorb one finished task, in task order. Default: absorb_metrics, then
+  /// fold of res.delta at scale and weight res.num_samples. Override only to
+  /// rewrite the update first (FedAvg's uplink compression) or to reduce
+  /// non-linearly. `trained` is null for shared-model strategies (clients
+  /// train transient copies; read the update from `res`); otherwise it is
+  /// the task's payload model: its *structure* matches what the client
+  /// trained, its weights are post-training in-process and pre-training over
+  /// the fabric, and the tasks of one payload_key group share it there, so
+  /// treat it as read-only.
   virtual void absorb_update(const ClientTask& task, Model* trained,
-                             LocalTrainResult& res, RoundContext& ctx) = 0;
+                             LocalTrainResult& res, RoundContext& ctx);
 
   /// A task whose update never reached aggregation (fabric message loss,
   /// mid-round dropout). Default: no billing. The engine counts the loss.
   virtual void lost_update(const ClientTask& /*task*/,
                            ClientOutcome /*outcome*/, RoundContext& /*ctx*/) {}
 
-  // --- numeric partial aggregation (associativity-tolerant tree mode) ----
-
-  /// True when the per-task reduction this strategy applies in
-  /// absorb_update is a weighted linear sum — `acc += num_samples · Δ`
-  /// plus a weight total, per reduce group — which is the property that
-  /// lets tree aggregators pre-sum updates numerically
-  /// (FabricTopology::partial_aggregation). Opt-in: the default refuses,
-  /// and the engine fails loudly when a numeric session is configured on a
-  /// strategy that cannot honor it.
-  virtual bool supports_partial_aggregation() const { return false; }
-
-  /// Reduce-group key for the numeric reduction: tasks with equal keys
-  /// must have shape-identical deltas and accumulate into the same
-  /// strategy slot. Default: the task tag (FedTrans's model index,
-  /// HeteroFL's capacity level; 0 for single-model strategies).
-  virtual int reduce_key(const ClientTask& task) const { return task.tag; }
-
-  /// Per-task bookkeeping of a numeric round, in task order: the metrics
-  /// (loss, samples, MACs) arrived verbatim but the delta was consumed by
-  /// the tree reduction — do everything absorb_update would except the
-  /// weight accumulation (selector feedback, loss bookkeeping, billing).
+  /// Everything absorbing a trained task does but the weight accumulation
+  /// (selector feedback, loss bookkeeping, billing), in task order. Numeric
+  /// tree rounds call only this per task. Default: throws.
   virtual void absorb_metrics(const ClientTask& task,
                               const LocalTrainResult& res, RoundContext& ctx);
 
-  /// Fold one pre-summed reduce group into the strategy's accumulators:
-  /// `sum` = Σ num_samples·Δ and `weight` = Σ num_samples over the group's
-  /// `count` trained tasks. Called after the round's absorb_metrics
-  /// passes, in ascending min-slot order; `task` is the group's smallest
-  /// trained slot (its tag identifies the model family / capacity level)
-  /// and `payload` its materialized payload model, as in absorb_update.
+  // --- numeric partial aggregation (associativity-tolerant tree mode) ----
+
+  /// True when the strategy's reduction is its fold — `acc += n·Δ` plus a
+  /// weight total per reduce group — which lets tree aggregators pre-sum
+  /// updates numerically (FabricTopology::partial_aggregation). Opt-in: the
+  /// engine refuses a numeric session on a strategy that returns false.
+  virtual bool supports_partial_aggregation() const { return false; }
+
+  /// Reduce-group key for the numeric reduction: tasks with equal keys
+  /// must have shape-identical deltas and fold into the same strategy
+  /// slot. Default: the task tag (FedTrans's model index, a submodel
+  /// level, SplitMix's base; 0 for single-model strategies).
+  virtual int reduce_key(const ClientTask& task) const { return task.tag; }
+
+  /// Fold one pre-summed reduce group (`sum` = Σ n·Δ, `weight` = Σ n) after
+  /// the round's absorb_metrics passes, in ascending min-slot order; `task`
+  /// is the group's smallest trained slot and `payload` its payload model.
+  /// Default: fold at scale 1. `count` is unused; the hook stays virtual for
+  /// decorators that forward it.
   virtual void absorb_reduced(const ClientTask& task, Model* payload,
                               WeightSet& sum, double weight, int count,
                               RoundContext& ctx);
@@ -225,6 +222,15 @@ class Strategy {
   /// the strategy.
   virtual void save_state(std::ostream& os) const;
   virtual void load_state(std::istream& is);
+
+ protected:
+  /// A linear strategy's one reduction: acc += delta_scale·delta and
+  /// wsum += weight in the slot of `task`'s reduce group. Callers pass the
+  /// scale, not a scaled delta: the Release build contracts `acc += n·Δ`
+  /// into one FMA, and pre-scaling would round twice. Default: throws.
+  virtual void fold(const ClientTask& task, Model* payload,
+                    const WeightSet& delta, double delta_scale, double weight,
+                    RoundContext& ctx);
 };
 
 /// The deployment evaluator: `s.deployed_accuracy` of each client in `ids`,
@@ -325,7 +331,7 @@ class FederationEngine {
                           std::vector<std::optional<Model>>& payloads,
                           std::vector<Model*>& task_models);
   /// True when this session's rounds run the numeric tree reduction
-  /// (fabric + partial_aggregation topology; validated against the
+  /// (fabric + partial_aggregation topology; the constructor checks the
   /// strategy's supports_partial_aggregation).
   bool numeric_rounds() const;
   void check_resumable() const;

@@ -68,7 +68,6 @@ std::vector<ClientTask> FedAvgStrategy::plan_round(RoundContext& ctx,
   weight_sum_ = 0.0;
   loss_sum_ = 0.0;
   slowest_ = 0.0;
-  trained_ = 0;
 
   std::vector<ClientTask> tasks;
   tasks.reserve(selected.size());
@@ -80,54 +79,38 @@ Model FedAvgStrategy::client_payload(const ClientTask&) {
   return model_;  // download the global weights
 }
 
-void FedAvgStrategy::absorb_update(const ClientTask& task, Model*,
+void FedAvgStrategy::absorb_update(const ClientTask& task, Model* trained,
                                    LocalTrainResult& res, RoundContext& ctx) {
-  const int c = task.client;
-  const double model_bytes = static_cast<double>(model_.param_bytes());
-
   // Uplink compression (EF-SGD: fold in this client's residual, compress,
-  // remember what was dropped for its next participation). Uncompressed
-  // uplinks pass -1 so billing quotes the model bytes itself — scaled to
-  // the session's wire dtype in mixed-precision runs.
-  double up_bytes = -1.0;
+  // remember what was dropped for its next participation).
   if (opts_.compression != CompressionKind::None) {
-    if (opts_.error_feedback) ef_.add_residual(c, res.delta);
+    if (opts_.error_feedback) ef_.add_residual(task.client, res.delta);
     const WeightSet pre = res.delta;
     compressor_->compress(res.delta);
-    if (opts_.error_feedback) ef_.store_residual(c, pre, res.delta);
-    up_bytes = compressor_->compressed_bytes(res.delta);
+    if (opts_.error_feedback) ef_.store_residual(task.client, pre, res.delta);
   }
-
-  const double w = static_cast<double>(res.num_samples);
-  ws_axpy(acc_, static_cast<float>(w), res.delta);
-  weight_sum_ += w;
-  loss_sum_ += res.avg_loss;
-  ++trained_;
-  ctx.selector.report(c, res.avg_loss, res.num_samples);
-
-  bill_trained_update(ctx, c, model_bytes, static_cast<double>(model_.macs()),
-                      res, slowest_, up_bytes);
+  Strategy::absorb_update(task, trained, res, ctx);
 }
 
 void FedAvgStrategy::absorb_metrics(const ClientTask& task,
                                     const LocalTrainResult& res,
                                     RoundContext& ctx) {
-  // Numeric tree round: everything absorb_update does except the weight
-  // accumulation (the delta was pre-summed by the aggregation tree).
-  // Uplink compression is per-client and incompatible with pre-summing —
-  // supports_partial_aggregation() refuses it up front.
   loss_sum_ += res.avg_loss;
-  ++trained_;
   ctx.selector.report(task.client, res.avg_loss, res.num_samples);
-  const double model_bytes = static_cast<double>(model_.param_bytes());
-  bill_trained_update(ctx, task.client, model_bytes,
-                      static_cast<double>(model_.macs()), res, slowest_);
+  // Bill the delta absorb_update compressed (numeric rounds refuse
+  // compression), or with -1 a dense uplink of the model bytes.
+  const double up_bytes = opts_.compression != CompressionKind::None
+                              ? compressor_->compressed_bytes(res.delta)
+                              : -1.0;
+  bill_trained_update(ctx, task.client,
+                      static_cast<double>(model_.param_bytes()),
+                      static_cast<double>(model_.macs()), res, slowest_,
+                      up_bytes);
 }
 
-void FedAvgStrategy::absorb_reduced(const ClientTask&, Model*,
-                                    WeightSet& sum, double weight, int,
-                                    RoundContext&) {
-  ws_axpy(acc_, 1.0f, sum);
+void FedAvgStrategy::fold(const ClientTask&, Model*, const WeightSet& delta,
+                          double delta_scale, double weight, RoundContext&) {
+  ws_axpy(acc_, static_cast<float>(delta_scale), delta);
   weight_sum_ += weight;
 }
 
@@ -154,7 +137,7 @@ void FedAvgStrategy::finish_round(RoundContext& ctx, RoundRecord& rec) {
     model_.set_weights(global_);
   }
 
-  rec.avg_loss = trained_ > 0 ? loss_sum_ / trained_ : 0.0;
+  rec.avg_loss = ctx.trained > 0 ? loss_sum_ / ctx.trained : 0.0;
   rec.round_time_s = slowest_;
   rec.lost_updates = static_cast<int>(dropped_.size());  // engine adds wire losses
 }

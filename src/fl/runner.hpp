@@ -48,8 +48,11 @@ class FedAvgStrategy : public Strategy {
   Model client_payload(const ClientTask& task) override;
   Model* shared_model() override { return &model_; }
   const Model& reference_model() const override { return model_; }
+  /// Compresses the uplink delta, then absorbs it as the default does.
   void absorb_update(const ClientTask& task, Model* trained,
                      LocalTrainResult& res, RoundContext& ctx) override;
+  void absorb_metrics(const ClientTask& task, const LocalTrainResult& res,
+                      RoundContext& ctx) override;
   void lost_update(const ClientTask& task, ClientOutcome outcome,
                    RoundContext& ctx) override;
   void finish_round(RoundContext& ctx, RoundRecord& rec) override;
@@ -58,12 +61,12 @@ class FedAvgStrategy : public Strategy {
   bool supports_partial_aggregation() const override {
     return opts_.compression == CompressionKind::None;
   }
-  void absorb_metrics(const ClientTask& task, const LocalTrainResult& res,
-                      RoundContext& ctx) override;
-  void absorb_reduced(const ClientTask& task, Model* payload, WeightSet& sum,
-                      double weight, int count, RoundContext& ctx) override;
 
   Model& model() { return model_; }
+
+ protected:
+  void fold(const ClientTask& task, Model* payload, const WeightSet& delta,
+            double delta_scale, double weight, RoundContext& ctx) override;
 
  private:
   Model model_;
@@ -78,7 +81,6 @@ class FedAvgStrategy : public Strategy {
   double weight_sum_ = 0.0;
   double loss_sum_ = 0.0;
   double slowest_ = 0.0;
-  int trained_ = 0;
   std::vector<int> dropped_;
   double deadline_ = 0.0;
 };

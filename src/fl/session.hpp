@@ -64,8 +64,9 @@ enum class PartialQuant : std::uint8_t { None = 0, Int8 = 1, Fp16 = 2 };
 /// the float summation order of the weight reduction moves into the tree.
 /// Requires a strategy whose reduction is a weighted linear sum
 /// (`Strategy::supports_partial_aggregation`): FedAvg (uncompressed),
-/// FedTrans and HeteroFL qualify. Results match flat rounds to numeric
-/// tolerance and stay bitwise deterministic per tree shape.
+/// FedTrans, HeteroFL, FedRolex, FLuID and SplitMix qualify. Results match
+/// flat rounds to numeric tolerance and stay bitwise deterministic per tree
+/// shape.
 ///
 /// `ack_timeout_s`/`max_retries` are the retry policy: a sender whose frame
 /// was lost resends it `ack_timeout_s` simulated seconds later, up to

@@ -4,6 +4,8 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/serial.hpp"
+#include "tensor/dtype.hpp"
 
 namespace fedtrans {
 
@@ -34,6 +36,13 @@ Model load_model(std::istream& is) {
   std::string spec_text(spec_len, '\0');
   is.read(spec_text.data(), static_cast<std::streamsize>(spec_len));
   const ModelSpec spec = ModelSpec::deserialize(spec_text);
+  // The spec sizes every tensor the Model allocates, so it must fit in the
+  // bytes left (at least two per half-width parameter) before the Model is
+  // built: a corrupt width then fails here, not in the allocator.
+  FT_CHECK_MSG(model_param_count(spec) <=
+                   static_cast<double>(stream_remaining(is)) /
+                       dtype_bytes(Dtype::F16),
+               "model spec exceeds remaining stream");
 
   Rng rng(0);  // weights are overwritten below
   Model model(spec, rng);

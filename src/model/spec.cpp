@@ -22,6 +22,30 @@ CellKind parse_kind(const std::string& s) {
   if (s == "attention") return CellKind::Attention;
   throw Error("unknown cell kind: " + s);
 }
+
+/// Parameters of one block of `kind` mapping `in_w` features to `w`.
+double block_params(const ModelSpec& spec, CellKind kind, double in_w,
+                    double w) {
+  switch (kind) {
+    case CellKind::Conv:
+      return w * in_w * 9 + 3 * w;  // conv weight + bias + scale/shift
+    case CellKind::Mlp:
+      return w * in_w + w;
+    case CellKind::Attention: {
+      // Wq/Wk/Wv/Wo + biases, then MLP D->w->D with biases.
+      const double d = spec.embed_dim;
+      return 4 * d * d + 4 * d + 2 * d * w + w + d;
+    }
+  }
+  return 0.0;
+}
+
+/// Parameters of Cell `c` whose first block reads `in_w` features.
+double cell_params(const ModelSpec& spec, const CellSpec& c, double in_w) {
+  if (c.blocks < 1) return 0.0;
+  return block_params(spec, c.kind, in_w, c.width) +
+         (c.blocks - 1) * block_params(spec, c.kind, c.width, c.width);
+}
 }  // namespace
 
 ModelSpec ModelSpec::conv(int in_channels, int in_hw, int num_classes,
@@ -163,39 +187,43 @@ ModelSpec ModelSpec::deserialize(const std::string& text) {
     }
   }
   FT_CHECK_MSG(s.cells.size() == n_cells, "cell count mismatch in spec");
+  // Every size shapes a tensor or a layer of the Model built from it.
+  bool positive = s.in_channels > 0 && s.in_hw > 0 && s.num_classes > 0 &&
+                  s.stem_width > 0 && s.patch > 0 && s.embed_dim > 0;
+  for (const CellSpec& c : s.cells)
+    positive = positive && c.width > 0 && c.blocks > 0 && c.stride > 0;
+  FT_CHECK_MSG(positive, "non-positive size in spec");
   return s;
 }
 
 std::vector<std::int64_t> cell_param_counts(const ModelSpec& spec) {
   std::vector<std::int64_t> counts;
   counts.reserve(spec.cells.size());
-  int prev_w = spec.kind == CellKind::Attention ? spec.embed_dim
-                                                : spec.stem_width;
+  double prev_w = spec.kind == CellKind::Attention ? spec.embed_dim
+                                                   : spec.stem_width;
   for (const auto& c : spec.cells) {
-    std::int64_t n = 0;
-    for (int b = 0; b < c.blocks; ++b) {
-      const int in_w = b == 0 ? prev_w : c.width;
-      switch (c.kind) {
-        case CellKind::Conv:
-          // conv weight + bias + scale/shift
-          n += static_cast<std::int64_t>(c.width) * in_w * 9 + c.width +
-               2 * c.width;
-          break;
-        case CellKind::Mlp:
-          n += static_cast<std::int64_t>(c.width) * in_w + c.width;
-          break;
-        case CellKind::Attention: {
-          const std::int64_t d = spec.embed_dim, h = c.width;
-          // Wq/Wk/Wv/Wo + biases, then MLP D->h->D with biases.
-          n += 4 * d * d + 4 * d + d * h + h + h * d + d;
-          break;
-        }
-      }
-    }
-    counts.push_back(n);
+    counts.push_back(static_cast<std::int64_t>(cell_params(spec, c, prev_w)));
     if (c.kind != CellKind::Attention) prev_w = c.width;
   }
   return counts;
+}
+
+double model_param_count(const ModelSpec& spec) {
+  const bool attention = spec.kind == CellKind::Attention;
+  const double in_f = spec.kind == CellKind::Mlp
+                          ? static_cast<double>(spec.in_channels) *
+                                spec.in_hw * spec.in_hw
+                          : spec.in_channels;
+  // The stem: a block into stem_width, or the patch-embedding conv.
+  double n = attention
+                 ? spec.embed_dim * (in_f * spec.patch * spec.patch + 1)
+                 : block_params(spec, spec.kind, in_f, spec.stem_width);
+  double prev_w = attention ? spec.embed_dim : spec.stem_width;
+  for (const auto& c : spec.cells) {
+    n += cell_params(spec, c, prev_w);
+    if (c.kind != CellKind::Attention) prev_w = c.width;
+  }
+  return n + (prev_w + 1) * spec.num_classes;  // the classifier
 }
 
 }  // namespace fedtrans

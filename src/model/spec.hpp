@@ -88,4 +88,9 @@ struct ModelSpec {
 /// similarity scoring without having to instantiate weights.
 std::vector<std::int64_t> cell_param_counts(const ModelSpec& spec);
 
+/// Parameter count of the whole Model built from `spec` — the stem, every
+/// Cell and the classifier — without building it. Counted in double, so a
+/// corrupt spec's sizes cannot overflow it (exact below 2^53).
+double model_param_count(const ModelSpec& spec);
+
 }  // namespace fedtrans

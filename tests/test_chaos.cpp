@@ -5,6 +5,9 @@
 //   fault     ∈ {frame drop (+retries), duplication, reordering, leaf death}
 //   seed      ∈ {11, 42}
 //
+// plus every linear strategy (FedAvg, FedTrans, HeteroFL, FedRolex, FLuID,
+// SplitMix) through all of those faults at once on a numeric 3-level tree,
+//
 // plus a Byzantine adversarial sweep — the same invariant harness driven by
 // hostile *clients* instead of a hostile wire:
 //
@@ -22,7 +25,8 @@
 //      participant or a lost update (participants + lost_updates == tasks);
 //   3. byte reconciliation — CostMeter's network bytes equal the strategy's
 //      per-update billing plus exactly the transport's retry/failover
-//      counters (FedAvg sessions, where the per-update cost is closed-form);
+//      counters (FedAvg and SplitMix sessions, where the per-update cost is
+//      closed-form);
 //   4. bitwise determinism — the same scenario replays identically at 1 and
 //      4 threads (fault draws are counter-hashed, reductions fixed-order);
 //   5. clean decode — the transport never corrupts bytes, so a single
@@ -34,10 +38,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "baselines/fedrolex.hpp"
+#include "baselines/fluid.hpp"
+#include "baselines/hetero_fl.hpp"
 #include "baselines/robust.hpp"
+#include "baselines/split_mix.hpp"
 #include "common/thread_pool.hpp"
 #include "core/trainer.hpp"
 #include "fl/async.hpp"
@@ -368,23 +377,111 @@ TEST(ChaosSweepTest, FedBuffSurvivesEveryScenarioDeterministically) {
   ThreadPool::set_global_threads(prev_threads);
 }
 
+/// Records how many tasks each round planned, so conservation holds for a
+/// strategy that schedules several tasks per client (SplitMix) too.
+struct PlanLog {
+  std::vector<int> planned;
+};
+
+template <typename S>
+class Planned : public S, public PlanLog {
+ public:
+  using S::S;
+  std::vector<ClientTask> plan_round(RoundContext& ctx, Rng& rng) override {
+    auto tasks = S::plan_round(ctx, rng);
+    planned.push_back(static_cast<int>(tasks.size()));
+    return tasks;
+  }
+};
+
+/// A linear strategy of the combined-fault leg: how to build it, its server
+/// models, and, where every task bills one fixed model size, that size.
+struct LinearCase {
+  const char* name;
+  std::function<std::unique_ptr<Strategy>()> make;
+  std::function<WeightSet(FederationEngine&)> weights;
+  std::function<double(FederationEngine&)> unit_bytes;  // null: per-task sizes
+};
+
+std::vector<LinearCase> linear_cases(const Model& init,
+                                     const FedTransConfig& ft) {
+  auto global = [](FederationEngine& e) {
+    return static_cast<SubmodelStrategy&>(e.strategy()).global().weights();
+  };
+  return {
+      {"fedavg",
+       [&init] {
+         return std::make_unique<Planned<FedAvgStrategy>>(init,
+                                                          FedAvgOptions{});
+       },
+       [](FederationEngine& e) {
+         return e.strategy_as<FedAvgStrategy>().model().weights();
+       },
+       [](FederationEngine& e) {
+         return static_cast<double>(
+             e.strategy_as<FedAvgStrategy>().model().param_bytes());
+       }},
+      {"fedtrans",
+       [&ft] {
+         return std::make_unique<Planned<FedTransStrategy>>(chaos_model(), ft);
+       },
+       [](FederationEngine& e) {
+         return e.strategy_as<FedTransStrategy>().model(0).weights();
+       },
+       nullptr},
+      {"heterofl",
+       [] { return std::make_unique<Planned<HeteroFLStrategy>>(chaos_model()); },
+       global, nullptr},
+      {"fedrolex",
+       [] { return std::make_unique<Planned<FedRolexStrategy>>(chaos_model()); },
+       global, nullptr},
+      {"fluid",
+       [] { return std::make_unique<Planned<FluidStrategy>>(chaos_model()); },
+       global, nullptr},
+      {"splitmix",
+       [] {
+         return std::make_unique<Planned<SplitMixStrategy>>(chaos_model(), 4);
+       },
+       [](FederationEngine& e) {
+         return e.strategy_as<SplitMixStrategy>().base(0).weights();
+       },
+       [](FederationEngine& e) {
+         return static_cast<double>(
+             e.strategy_as<SplitMixStrategy>().base(0).param_bytes());
+       }},
+  };
+}
+
 TEST(ChaosSweepTest, CombinedFaultsOnDeepTreeStillConserveAndTerminate) {
   // Everything at once — drops with retries, duplicates, reordering, leaf
-  // death, client dropout — over the 3-level tree, numeric mode on: the
-  // harshest corner of the sweep still terminates, conserves tasks and
-  // reconciles its bytes.
+  // death, client dropout — over the 3-level tree, numeric mode on, for
+  // every linear strategy: the harshest corner of the sweep still
+  // terminates, conserves tasks, decodes every frame and replays bitwise;
+  // strategies billing one model size per task reconcile their bytes.
   auto data = FederatedDataset::generate(chaos_data());
-  auto fleet = chaos_fleet(data.num_clients());
+  // Capacities around the width ladders' middle: clients train several
+  // levels and one to four of SplitMix's bases.
+  FleetConfig mixed;
+  mixed.num_devices = data.num_clients();
+  mixed.seed = 9;
+  mixed.with_median_capacity(2e4);
+  const auto fleet = sample_fleet(mixed);
   Rng rng(3);
   Model init(chaos_model(), rng);
 
-  SessionConfig cfg;
-  cfg.rounds = 4;
-  cfg.clients_per_round = 6;
-  cfg.local.steps = 2;
-  cfg.local.batch = 4;
-  cfg.eval_every = 0;
-  cfg.seed = 5;
+  FedTransConfig ft;
+  ft.rounds = 4;
+  ft.clients_per_round = 6;
+  ft.local.steps = 2;
+  ft.local.batch = 4;
+  ft.eval_every = 0;
+  ft.seed = 5;
+  ft.gamma = 2;
+  ft.doc_delta = 2;
+  ft.beta = 10.0;
+  ft.act_window = 2;
+  ft.max_models = 2;
+  SessionConfig cfg = SessionConfig::from(ft);
   cfg.use_fabric = true;
   cfg.topology.levels = 3;
   cfg.topology.shards = 4;
@@ -398,35 +495,48 @@ TEST(ChaosSweepTest, CombinedFaultsOnDeepTreeStillConserveAndTerminate) {
   cfg.fabric_faults.dropout_prob = 0.1;
   cfg.fabric_faults.leaf_death_prob = 0.2;
   cfg.fabric_faults.seed = 4242;
+  const int prev_threads = ThreadPool::global().size();
 
-  FederationEngine runner(testing::fedavg(init), data, fleet, cfg);
-  runner.run();
+  for (const LinearCase& c : linear_cases(init, ft)) {
+    SCOPED_TRACE(c.name);
+    ThreadPool::set_global_threads(1);
+    FederationEngine runner(c.make(), data, fleet, cfg);
+    runner.run();
 
-  ASSERT_EQ(runner.history().size(), 4u);
-  int participants = 0, lost = 0;
-  for (const auto& rec : runner.history()) {
-    EXPECT_EQ(rec.participants + rec.lost_updates, cfg.clients_per_round);
-    participants += rec.participants;
-    lost += rec.lost_updates;
+    ASSERT_EQ(runner.history().size(), 4u);
+    const auto& planned =
+        dynamic_cast<const PlanLog&>(runner.strategy()).planned;
+    ASSERT_EQ(planned.size(), 4u);
+    int participants = 0, lost = 0;
+    for (const auto& rec : runner.history()) {
+      EXPECT_EQ(rec.participants + rec.lost_updates,
+                planned[static_cast<std::size_t>(rec.round)])
+          << "round " << rec.round;
+      participants += rec.participants;
+      lost += rec.lost_updates;
+    }
+    EXPECT_GT(participants, 0) << "some updates must still get through";
+    const FabricStats& stats = runner.fabric()->stats();
+    if (c.unit_bytes) {
+      const double extra =
+          static_cast<double>(stats.retry_bytes_down.load()) +
+          static_cast<double>(stats.retry_bytes_up.load()) +
+          static_cast<double>(stats.failover_bytes_down.load());
+      EXPECT_NEAR(runner.costs().network_bytes(),
+                  c.unit_bytes(runner) * (2.0 * participants + lost) + extra,
+                  1.0);
+    }
+    EXPECT_EQ(stats.frames_rejected.load(), 0u);
+
+    ThreadPool::set_global_threads(4);
+    FederationEngine again(c.make(), data, fleet, cfg);
+    again.run();
+    expect_same_weights(c.weights(runner), c.weights(again),
+                        "combined chaos replay");
+    expect_same_history(runner.history(), again.history(), "combined chaos");
+    EXPECT_EQ(runner.costs().network_bytes(), again.costs().network_bytes());
   }
-  EXPECT_GT(participants, 0) << "some updates must still get through";
-  const FabricStats& stats = runner.fabric()->stats();
-  const double model_bytes = static_cast<double>(
-      runner.strategy_as<FedAvgStrategy>().model().param_bytes());
-  const double extra =
-      static_cast<double>(stats.retry_bytes_down.load()) +
-      static_cast<double>(stats.retry_bytes_up.load()) +
-      static_cast<double>(stats.failover_bytes_down.load());
-  EXPECT_NEAR(runner.costs().network_bytes(),
-              model_bytes * (2.0 * participants + lost) + extra, 1.0);
-  EXPECT_EQ(stats.frames_rejected.load(), 0u);
-
-  FederationEngine again(testing::fedavg(init), data, fleet, cfg);
-  again.run();
-  expect_same_weights(runner.strategy_as<FedAvgStrategy>().model().weights(),
-                      again.strategy_as<FedAvgStrategy>().model().weights(),
-                      "combined chaos replay");
-  expect_same_history(runner.history(), again.history(), "combined chaos");
+  ThreadPool::set_global_threads(prev_threads);
 }
 
 // ---------------------------------------------------------------------------

@@ -270,8 +270,9 @@ TEST(CheckpointTest, RejectedLoadLeavesSessionUntouched) {
 TEST(CheckpointTest, HostileCountsThrowInsteadOfAllocating) {
   // FedYogi keeps two weight-sized moment sets per model, so the blob holds
   // optimizer weight sets. Each count the loader sizes an allocation from
-  // — the history length, an optimizer weight-set length, a tensor dim —
-  // patched to a huge value must fail as an Error, not as bad_alloc.
+  // — the history length, an optimizer weight-set length, a tensor dim, a
+  // model spec's width — patched to a huge value must fail as an Error,
+  // not as bad_alloc.
   auto data = FederatedDataset::generate(tiny_data());
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   auto cfg = fast_cfg();
@@ -325,6 +326,24 @@ TEST(CheckpointTest, HostileCountsThrowInsteadOfAllocating) {
   bytes = full;
   patch<std::int32_t>(bytes, tensor_dim_at, 0x7fffffff);
   expect_rejected(bytes, "tensor dim");
+
+  // Model 0 opens with [u32 magic][u32 spec length][spec text]. A spec
+  // whose first Cell is 2·10^9 wide would size a 288 GB conv weight if
+  // the loader built the model before checking the spec.
+  const std::size_t spec_at = blob_at + 3 * sizeof(std::int32_t) +
+                              2 * sizeof(std::uint32_t);
+  const std::string spec_text = ft.model(0).spec().serialize();
+  ASSERT_EQ(full.compare(spec_at, spec_text.size(), spec_text), 0)
+      << "layout drifted";
+  ModelSpec wide = ft.model(0).spec();
+  wide.cells.front().width = 2000000000;
+  const std::string wide_text = wide.serialize();
+  bytes = full.substr(0, spec_at - sizeof(std::uint32_t));
+  const auto wide_len = static_cast<std::uint32_t>(wide_text.size());
+  bytes.append(reinterpret_cast<const char*>(&wide_len), sizeof(wide_len));
+  bytes += wide_text;
+  bytes += full.substr(spec_at + spec_text.size());
+  expect_rejected(bytes, "model width");
 
   // The untouched checkpoint still loads.
   std::stringstream ok(full);

@@ -19,7 +19,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "baselines/fedrolex.hpp"
+#include "baselines/fluid.hpp"
 #include "baselines/hetero_fl.hpp"
+#include "baselines/split_mix.hpp"
 #include "common/thread_pool.hpp"
 #include "core/trainer.hpp"
 #include "fl/async.hpp"
@@ -1011,123 +1016,135 @@ double max_rel_diff(const WeightSet& a, const WeightSet& b) {
   return num / std::max(den, 1e-12);
 }
 
-TEST(PartialAggregationTest, FedAvgNumericMatchesFlatWithinTolerance) {
-  auto data = FederatedDataset::generate(tiny_data());
-  auto fleet = tiny_fleet(data.num_clients());
+/// One row of the numeric-tree parity table: a linear strategy, the
+/// session it runs flat (in-process) and the tree it then runs numerically.
+struct NumericCase {
+  const char* name;
+  std::function<std::unique_ptr<Strategy>()> make;
+  /// Every server-side model, in a fixed order.
+  std::function<std::vector<WeightSet>(FederationEngine&)> weights;
+  SessionConfig session;
+  std::vector<DeviceProfile> fleet;
+  int levels;
+  int shards;
+  int branching;
+};
+
+std::vector<WeightSet> submodel_weights(FederationEngine& e) {
+  return {static_cast<SubmodelStrategy&>(e.strategy()).global().weights()};
+}
+
+std::vector<NumericCase> numeric_cases(const FederatedDataset& data) {
+  const int n = data.num_clients();
   Rng rng(3);
-  Model init(tiny_model(), rng);
+  const Model init(tiny_model(), rng);
 
-  SessionConfig flat = base_cfg(21);
-  flat.rounds = 4;
-  flat.clients_per_round = 6;
-  flat.eval_every = 0;
-  FederationEngine a(testing::fedavg(init), data, fleet, flat);
-  a.run();
+  SessionConfig fedavg_cfg = base_cfg(21);
+  fedavg_cfg.rounds = 4;
+  fedavg_cfg.clients_per_round = 6;
+  fedavg_cfg.eval_every = 0;
 
-  SessionConfig numeric = flat;
-  numeric.use_fabric = true;
-  numeric.topology.levels = 2;
-  numeric.topology.shards = 3;
-  numeric.topology.partial_aggregation = true;
-  FederationEngine b(testing::fedavg(init), data, fleet, numeric);
-  b.run();
+  FedTransConfig ft;
+  ft.rounds = 5;
+  ft.clients_per_round = 6;
+  ft.local.steps = 3;
+  ft.local.batch = 6;
+  ft.gamma = 2;
+  ft.doc_delta = 2;
+  ft.beta = 10.0;
+  ft.act_window = 2;
+  ft.max_models = 3;
+  ft.seed = 13;
 
-  EXPECT_LT(max_rel_diff(a.strategy_as<FedAvgStrategy>().model().weights(),
-                         b.strategy_as<FedAvgStrategy>().model().weights()),
-            1e-5);
-  // Metrics ride the tree verbatim, so participant counts and billing are
-  // bitwise identical; losses track the (numerically perturbed) weights,
-  // so round 0 is bitwise and later rounds tolerance-close.
-  ASSERT_EQ(a.history().size(), b.history().size());
-  EXPECT_EQ(a.history()[0].avg_loss, b.history()[0].avg_loss);
-  for (std::size_t r = 0; r < a.history().size(); ++r) {
-    EXPECT_NEAR(a.history()[r].avg_loss, b.history()[r].avg_loss,
-                1e-5 * std::max(1.0, std::fabs(a.history()[r].avg_loss)));
-    EXPECT_EQ(a.history()[r].participants, b.history()[r].participants);
+  SessionConfig ladder_cfg;
+  ladder_cfg.rounds = 4;
+  ladder_cfg.clients_per_round = 6;
+  ladder_cfg.local.steps = 3;
+  ladder_cfg.local.batch = 6;
+  ladder_cfg.seed = 19;
+
+  // Capacities around the ladder's middle: clients train levels 0 to 3 of
+  // the width ladders and one to four of SplitMix's quarter-width bases.
+  FleetConfig mixed;
+  mixed.num_devices = n;
+  mixed.seed = 9;
+  mixed.with_median_capacity(2e4);
+  const auto ladder_fleet = sample_fleet(mixed);
+
+  return {
+      {"fedavg", [init] { return testing::fedavg(init); },
+       [](FederationEngine& e) {
+         return std::vector<WeightSet>{
+             e.strategy_as<FedAvgStrategy>().model().weights()};
+       },
+       fedavg_cfg, tiny_fleet(n), 2, 3, 0},
+      {"fedtrans",
+       [ft] { return std::make_unique<FedTransStrategy>(tiny_model(), ft); },
+       [](FederationEngine& e) {
+         auto& f = e.strategy_as<FedTransStrategy>();
+         std::vector<WeightSet> ws;
+         for (int k = 0; k < f.num_models(); ++k)
+           ws.push_back(f.model(k).weights());
+         return ws;
+       },
+       SessionConfig::from(ft), tiny_fleet(n), 3, 4, 2},
+      {"heterofl", [] { return std::make_unique<HeteroFLStrategy>(tiny_model()); },
+       submodel_weights, ladder_cfg, ladder_fleet, 2, 3, 0},
+      {"fedrolex", [] { return std::make_unique<FedRolexStrategy>(tiny_model()); },
+       submodel_weights, ladder_cfg, ladder_fleet, 3, 4, 2},
+      {"fluid", [] { return std::make_unique<FluidStrategy>(tiny_model()); },
+       submodel_weights, ladder_cfg, ladder_fleet, 2, 3, 0},
+      {"splitmix",
+       [] { return std::make_unique<SplitMixStrategy>(tiny_model(), 4); },
+       [](FederationEngine& e) {
+         auto& f = e.strategy_as<SplitMixStrategy>();
+         std::vector<WeightSet> ws;
+         for (int b = 0; b < f.num_bases(); ++b)
+           ws.push_back(f.base(b).weights());
+         return ws;
+       },
+       ladder_cfg, ladder_fleet, 3, 4, 2},
+  };
+}
+
+TEST(PartialAggregationTest, NumericTreeMatchesFlatWithinTolerance) {
+  auto data = FederatedDataset::generate(tiny_data());
+  for (const NumericCase& c : numeric_cases(data)) {
+    SCOPED_TRACE(c.name);
+    FederationEngine a(c.make(), data, c.fleet, c.session);
+    a.run();
+
+    SessionConfig numeric = c.session;
+    numeric.use_fabric = true;
+    numeric.topology.levels = c.levels;
+    numeric.topology.shards = c.shards;
+    numeric.topology.branching = c.branching;
+    numeric.topology.partial_aggregation = true;
+    FederationEngine b(c.make(), data, c.fleet, numeric);
+    b.run();
+
+    // Per-client losses ride the tree verbatim, so FedTrans's utility
+    // learning sees the same inputs and its family grows identically.
+    const auto wa = c.weights(a);
+    const auto wb = c.weights(b);
+    ASSERT_EQ(wa.size(), wb.size());
+    for (std::size_t k = 0; k < wa.size(); ++k)
+      EXPECT_LT(max_rel_diff(wa[k], wb[k]), 1e-5) << "model " << k;
+    // Metrics ride the tree verbatim, so participant counts and billing
+    // are bitwise identical; losses track the (numerically perturbed)
+    // weights, so round 0 is bitwise and later rounds tolerance-close.
+    ASSERT_EQ(a.history().size(), b.history().size());
+    EXPECT_EQ(a.history()[0].avg_loss, b.history()[0].avg_loss);
+    for (std::size_t r = 0; r < a.history().size(); ++r) {
+      EXPECT_NEAR(a.history()[r].avg_loss, b.history()[r].avg_loss,
+                  1e-5 * std::max(1.0, std::fabs(a.history()[r].avg_loss)))
+          << "round " << r;
+      EXPECT_EQ(a.history()[r].participants, b.history()[r].participants)
+          << "round " << r;
+    }
+    EXPECT_EQ(a.costs().network_bytes(), b.costs().network_bytes());
+    EXPECT_EQ(b.fabric()->stats().frames_rejected.load(), 0u);
   }
-  EXPECT_EQ(a.costs().network_bytes(), b.costs().network_bytes());
-  EXPECT_EQ(b.fabric()->stats().frames_rejected.load(), 0u);
-}
-
-TEST(PartialAggregationTest, FedTransNumericMatchesFlatWithinTolerance) {
-  auto data = FederatedDataset::generate(tiny_data());
-  auto fleet = tiny_fleet(data.num_clients());
-
-  FedTransConfig cfg;
-  cfg.rounds = 5;
-  cfg.clients_per_round = 6;
-  cfg.local.steps = 3;
-  cfg.local.batch = 6;
-  cfg.gamma = 2;
-  cfg.doc_delta = 2;
-  cfg.beta = 10.0;
-  cfg.act_window = 2;
-  cfg.max_models = 3;
-  cfg.seed = 13;
-
-  SessionConfig session = SessionConfig::from(cfg);
-  FederationEngine a(std::make_unique<FedTransStrategy>(tiny_model(), cfg),
-                     data, fleet, session);
-  a.run();
-
-  session.use_fabric = true;
-  session.topology.levels = 3;
-  session.topology.shards = 4;
-  session.topology.branching = 2;
-  session.topology.partial_aggregation = true;
-  FederationEngine b(std::make_unique<FedTransStrategy>(tiny_model(), cfg),
-                     data, fleet, session);
-  b.run();
-  auto& fa = a.strategy_as<FedTransStrategy>();
-  auto& fb = b.strategy_as<FedTransStrategy>();
-
-  // Per-client losses ride the tree verbatim, so utility learning sees
-  // (numerically) the same inputs and the model family grows identically;
-  // weights agree to numeric tolerance.
-  ASSERT_EQ(fa.num_models(), fb.num_models());
-  for (int k = 0; k < fa.num_models(); ++k)
-    EXPECT_LT(max_rel_diff(fa.model(k).weights(), fb.model(k).weights()), 1e-5)
-        << "model " << k;
-  ASSERT_EQ(a.history().size(), b.history().size());
-  for (std::size_t r = 0; r < a.history().size(); ++r)
-    EXPECT_NEAR(a.history()[r].avg_loss, b.history()[r].avg_loss,
-                1e-5 * std::max(1.0, std::fabs(a.history()[r].avg_loss)));
-}
-
-TEST(PartialAggregationTest, HeteroFLNumericMatchesFlatWithinTolerance) {
-  auto data = FederatedDataset::generate(tiny_data());
-  auto fleet = tiny_fleet(data.num_clients(), /*seed=*/4);
-
-  SessionConfig cfg;
-  cfg.rounds = 4;
-  cfg.clients_per_round = 6;
-  cfg.local.steps = 3;
-  cfg.local.batch = 6;
-  cfg.seed = 19;
-
-  FederationEngine a(std::make_unique<HeteroFLStrategy>(tiny_model()),
-                     data, fleet, cfg);
-  a.run();
-
-  cfg.use_fabric = true;
-  cfg.topology.levels = 2;
-  cfg.topology.shards = 3;
-  cfg.topology.partial_aggregation = true;
-  FederationEngine b(std::make_unique<HeteroFLStrategy>(tiny_model()),
-                     data, fleet, cfg);
-  b.run();
-
-  EXPECT_LT(max_rel_diff(a.strategy_as<HeteroFLStrategy>().global().weights(),
-                         b.strategy_as<HeteroFLStrategy>().global().weights()),
-            1e-5);
-  ASSERT_EQ(a.history().size(), b.history().size());
-  for (std::size_t r = 0; r < a.history().size(); ++r)
-    EXPECT_NEAR(a.history()[r].avg_loss,
-                b.history()[r].avg_loss,
-                1e-5 * std::max(1.0, std::fabs(
-                                         a.history()[r].avg_loss)));
-  EXPECT_EQ(a.costs().network_bytes(),
-            b.costs().network_bytes());
 }
 
 TEST(PartialAggregationTest, BitwiseAcrossShardCountsWithSingletonLeaves) {

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <vector>
 
+#include "baselines/split_mix.hpp"
 #include "fl/async.hpp"
 #include "fl/runner.hpp"
 #include "tensor/dtype.hpp"
@@ -273,6 +274,32 @@ TEST(MixedPrecisionE2E, AsyncFedBuffBillsHalfBytesInHalfMode) {
     FederationEngine runner(std::make_unique<FedBuffStrategy>(init), data,
                             mp_fleet(data.num_clients()), cfg);
     runner.run();
+    return runner.costs().network_bytes();
+  };
+  for (bool fabric : {false, true}) {
+    const double bytes32 = billed(fabric, Dtype::F32);
+    EXPECT_GT(bytes32, 0.0);
+    EXPECT_DOUBLE_EQ(billed(fabric, Dtype::F16), 0.5 * bytes32)
+        << (fabric ? "fabric" : "in-process");
+  }
+}
+
+TEST(MixedPrecisionE2E, SplitMixBillsHalfBytesInHalfMode) {
+  // SplitMix bills each trained base's down + up transfer at the session's
+  // wire width, in-process and over a flat fabric alike. The fleet affords
+  // every base, so each client trains several tasks a round.
+  auto data = mp_dataset();
+  auto billed = [&](bool fabric, Dtype dtype) {
+    SessionConfig cfg = mp_config();
+    cfg.use_fabric = fabric;
+    cfg.local.precision.dtype = dtype;
+    FederationEngine runner(
+        std::make_unique<SplitMixStrategy>(
+            ModelSpec::conv(1, 8, 4, 4, {4, 8}, {1, 1}, {1, 2}), 4),
+        data, mp_fleet(data.num_clients()), cfg);
+    runner.run();
+    EXPECT_EQ(runner.history().front().participants,
+              4 * cfg.clients_per_round);
     return runner.costs().network_bytes();
   };
   for (bool fabric : {false, true}) {

@@ -34,6 +34,10 @@ TEST(Spec, SerializeRoundTripAttention) {
 
 TEST(Spec, DeserializeRejectsGarbage) {
   EXPECT_THROW(ModelSpec::deserialize("bogus v9"), Error);
+  // A non-positive size would reach the allocator as a huge element count.
+  auto s = ModelSpec::conv(3, 12, 10, 4, {8, 16});
+  s.cells[1].width = -8;
+  EXPECT_THROW(ModelSpec::deserialize(s.serialize()), Error);
 }
 
 TEST(Spec, SummaryMentionsWidths) {
@@ -56,6 +60,8 @@ TEST(Spec, CellParamCountsMatchInstantiatedModel) {
       EXPECT_EQ(counts[static_cast<std::size_t>(l)], n)
           << "cell " << l << " of " << spec.summary();
     }
+    EXPECT_EQ(model_param_count(spec), static_cast<double>(m.num_params()))
+        << spec.summary();
   }
 }
 

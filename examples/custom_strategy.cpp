@@ -1,8 +1,10 @@
-// How to add a federation algorithm in ~60 lines: implement Strategy, hand
+// How to add a federation algorithm in ~50 lines: implement Strategy, hand
 // it to FederationEngine, and you inherit the whole substrate — concurrent
-// client rounds on the shared ThreadPool, deterministic Rng forking, cost
-// accounting, periodic eval probes, RoundObserver callbacks, and (flip
-// SessionConfig::use_fabric) wire-protocol execution with fault injection.
+// client rounds on the shared ThreadPool, deterministic Rng forking, the
+// round ledger (cost accounting, client times, selector feedback, the
+// round's mean loss), periodic eval probes, RoundObserver callbacks, and
+// (flip SessionConfig::use_fabric) wire-protocol execution with fault
+// injection.
 //
 // The demo strategy is "FedMedianish": coordinate-wise trimmed-mean
 // aggregation — drop the single largest and smallest client delta per
@@ -37,20 +39,16 @@ class TrimmedMeanStrategy : public Strategy {
 
   std::vector<ClientTask> plan_round(RoundContext& ctx, Rng& rng) override {
     deltas_.clear();
-    loss_sum_ = 0.0;
     return Strategy::plan_round(ctx, rng);  // uniform selection
   }
 
+  // The engine has already billed the task; keep only its delta.
   void absorb_update(const ClientTask&, Model*, LocalTrainResult& res,
-                     RoundContext& ctx) override {
+                     RoundContext&) override {
     deltas_.push_back(std::move(res.delta));
-    loss_sum_ += res.avg_loss;
-    const double bytes = static_cast<double>(model_.param_bytes());
-    ctx.costs.add_training_macs(res.macs_used);
-    ctx.costs.add_transfer(bytes, bytes);
   }
 
-  void finish_round(RoundContext&, RoundRecord& rec) override {
+  void finish_round(RoundContext&, RoundRecord&) override {
     if (deltas_.size() >= 3) {
       WeightSet global = model_.weights();
       for (std::size_t p = 0; p < global.size(); ++p) {
@@ -67,15 +65,11 @@ class TrimmedMeanStrategy : public Strategy {
       }
       model_.set_weights(global);
     }
-    rec.avg_loss = deltas_.empty()
-                       ? 0.0
-                       : loss_sum_ / static_cast<double>(deltas_.size());
   }
 
  private:
   Model model_;
   std::vector<WeightSet> deltas_;
-  double loss_sum_ = 0.0;
 };
 
 int main() {

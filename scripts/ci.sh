@@ -14,6 +14,8 @@
 # The main leg also checks with nm that the GEMM micro-kernels sit on
 # 64-byte boundaries, so code layout cannot move benchmark timings.
 #
+# The main leg also runs every example to completion.
+#
 # Beyond the main leg, three auxiliary builds gate kernel hygiene:
 #   * an ASan+UBSan build (FEDTRANS_SANITIZE=ON) running the tensor/nn
 #     suites, test_pop, test_checkpoint, the fabric suites and the
@@ -76,6 +78,17 @@ fi
 # socket (a child that died mid-frame, a listener that never accepts) into
 # a CI failure instead of a stuck job.
 FEDTRANS_THREADS=4 timeout 300 "$BUILD_DIR"/example_multiproc_federation
+
+# Examples leg: every other example runs to completion under a watchdog and
+# exits 0. They are the runnable versions of the recipes in docs/ (e.g.
+# examples/custom_strategy.cpp for docs/strategies.md), so a docs-visible
+# API change that breaks one fails CI. Gated on exit status only.
+for src in examples/*.cpp; do
+  example="example_$(basename "$src" .cpp)"
+  [ "$example" = example_multiproc_federation ] && continue
+  echo "ci: running $example"
+  FEDTRANS_THREADS=4 timeout 120 "$BUILD_DIR/$example" > /dev/null
+done
 
 # Paper-harness leg: bench_paper rows at tiny scale, one per shared runner
 # (the ablation_scaling sweep, the ext_fedrolex §A.1 comparison) plus the

@@ -198,38 +198,24 @@ std::vector<ClientTask> RobustStrategy::plan_round(RoundContext& ctx,
   global_ = model_.weights();
   deltas_.clear();
   loss_sum_ = 0.0;
-  slowest_ = 0.0;
-  trained_ = 0;
   return tasks;
 }
 
 Model RobustStrategy::client_payload(const ClientTask&) { return model_; }
 
-void RobustStrategy::absorb_update(const ClientTask& task, Model*,
-                                   LocalTrainResult& res, RoundContext& ctx) {
-  const double model_bytes = static_cast<double>(model_.param_bytes());
-  // Arrived = billed, poisoned or not: the download and upload happened.
-  bill_trained_update(ctx, task.client, model_bytes,
-                      static_cast<double>(model_.macs()), res, slowest_);
-  ++trained_;
+void RobustStrategy::absorb_update(const ClientTask&, Model*,
+                                   LocalTrainResult& res, RoundContext&) {
   if (!ws_all_finite(res.delta) || !std::isfinite(res.avg_loss)) {
-    // NaN/Inf-poisoned update: keep it out of the aggregate AND out of the
-    // selector's loss feedback — a single NaN would otherwise propagate
-    // through every coordinate of the global model.
+    // NaN/Inf-poisoned update: keep it out of the aggregate and the round
+    // loss — a single NaN would otherwise propagate through every
+    // coordinate of the global model.
     ++total_rejected_;
     static Counter rejected("fedtrans_robust_rejected_total");
     rejected.inc();
     return;
   }
   loss_sum_ += res.avg_loss;
-  ctx.selector.report(task.client, res.avg_loss, res.num_samples);
   deltas_.push_back(std::move(res.delta));
-}
-
-void RobustStrategy::lost_update(const ClientTask&, ClientOutcome outcome,
-                                 RoundContext& ctx) {
-  bill_lost_update(ctx, outcome, static_cast<double>(model_.param_bytes()),
-                   static_cast<double>(model_.macs()));
 }
 
 void RobustStrategy::finish_round(RoundContext&, RoundRecord& rec) {
@@ -255,13 +241,7 @@ void RobustStrategy::finish_round(RoundContext&, RoundRecord& rec) {
   rec.avg_loss = deltas_.empty()
                      ? 0.0
                      : loss_sum_ / static_cast<double>(deltas_.size());
-  rec.round_time_s = slowest_;
   deltas_.clear();
-}
-
-std::unique_ptr<Strategy> make_robust_strategy(Model init,
-                                               const SessionConfig& cfg) {
-  return std::make_unique<RobustStrategy>(std::move(init), cfg.robust);
 }
 
 }  // namespace fedtrans

@@ -57,8 +57,7 @@ class RobustStrategy final : public Strategy {
   void attach(RoundContext& ctx, Rng& rng) override;
   void absorb_update(const ClientTask& task, Model* trained,
                      LocalTrainResult& res, RoundContext& ctx) override;
-  void lost_update(const ClientTask& task, ClientOutcome outcome,
-                   RoundContext& ctx) override;
+  /// Also replaces the record's loss with the mean over admitted updates.
   void finish_round(RoundContext& ctx, RoundRecord& rec) override;
 
   Model& model() { return model_; }
@@ -75,14 +74,7 @@ class RobustStrategy final : public Strategy {
   WeightSet global_;
   std::vector<WeightSet> deltas_;
   double loss_sum_ = 0.0;
-  double slowest_ = 0.0;
-  int trained_ = 0;
   int total_rejected_ = 0;
 };
-
-/// Build the Strategy for `cfg.robust` (defaulting to CoordinateMedian when
-/// the session block was left unconfigured).
-std::unique_ptr<Strategy> make_robust_strategy(Model init,
-                                               const SessionConfig& cfg);
 
 }  // namespace fedtrans

@@ -46,40 +46,11 @@ std::vector<ClientTask> SplitMixStrategy::plan_round(RoundContext& ctx,
 
   acc_.assign(static_cast<std::size_t>(num_bases()), WeightSet{});
   wsum_.assign(static_cast<std::size_t>(num_bases()), 0.0);
-  loss_sum_ = 0.0;
-  slowest_ = 0.0;
-  pending_client_ = -1;
-  pending_time_ = 0.0;
   return tasks;
 }
 
 Model SplitMixStrategy::client_payload(const ClientTask& task) {
   return *bases_[static_cast<std::size_t>(task.tag)];
-}
-
-void SplitMixStrategy::flush_client_time(RoundContext& ctx) {
-  if (pending_client_ < 0) return;
-  ctx.costs.add_client_round_time(pending_time_);
-  slowest_ = std::max(slowest_, pending_time_);
-  pending_client_ = -1;
-  pending_time_ = 0.0;
-}
-
-void SplitMixStrategy::absorb_metrics(const ClientTask& task,
-                                      const LocalTrainResult& res,
-                                      RoundContext& ctx) {
-  loss_sum_ += res.avg_loss;
-
-  const double base_bytes =
-      static_cast<double>(bases_.front()->param_bytes()) *
-      wire_dtype_scale(ctx.session);
-  ctx.costs.add_training_macs(res.macs_used);
-  ctx.costs.add_transfer(base_bytes, base_bytes);
-  if (pending_client_ != task.client) flush_client_time(ctx);
-  pending_client_ = task.client;
-  pending_time_ += client_round_time_s(
-      ctx.fleet[static_cast<std::size_t>(task.client)], base_macs_,
-      ctx.session.local.steps, ctx.session.local.batch, base_bytes);
 }
 
 void SplitMixStrategy::fold(const ClientTask& task, Model*,
@@ -91,15 +62,7 @@ void SplitMixStrategy::fold(const ClientTask& task, Model*,
   wsum_[b] += weight;
 }
 
-void SplitMixStrategy::lost_update(const ClientTask&, ClientOutcome outcome,
-                                   RoundContext& ctx) {
-  bill_lost_update(ctx, outcome,
-                   static_cast<double>(bases_.front()->param_bytes()),
-                   base_macs_);
-}
-
-void SplitMixStrategy::finish_round(RoundContext& ctx, RoundRecord& rec) {
-  flush_client_time(ctx);
+void SplitMixStrategy::finish_round(RoundContext&, RoundRecord&) {
   for (int b = 0; b < num_bases(); ++b) {
     const auto bi = static_cast<std::size_t>(b);
     if (wsum_[bi] <= 0.0) continue;
@@ -109,8 +72,6 @@ void SplitMixStrategy::finish_round(RoundContext& ctx, RoundRecord& rec) {
     ws_sub(w, acc_[bi]);
     base.set_weights(w);
   }
-  rec.avg_loss = ctx.trained > 0 ? loss_sum_ / ctx.trained : 0.0;
-  rec.round_time_s = slowest_;
 }
 
 double SplitMixStrategy::deployed_accuracy(int client,

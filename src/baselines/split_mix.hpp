@@ -28,10 +28,6 @@ class SplitMixStrategy : public Strategy {
     return static_cast<double>(num_bases()) *
            static_cast<double>(bases_.front()->param_bytes());
   }
-  void absorb_metrics(const ClientTask& task, const LocalTrainResult& res,
-                      RoundContext& ctx) override;
-  void lost_update(const ClientTask& task, ClientOutcome outcome,
-                   RoundContext& ctx) override;
   void finish_round(RoundContext& ctx, RoundRecord& rec) override;
   /// Each base sums its own tasks: the reduce key is the base.
   bool supports_partial_aggregation() const override { return true; }
@@ -49,8 +45,6 @@ class SplitMixStrategy : public Strategy {
             double delta_scale, double weight, RoundContext& ctx) override;
 
  private:
-  void flush_client_time(RoundContext& ctx);
-
   ModelSpec full_spec_;
   int requested_bases_;
   const std::vector<DeviceProfile>* fleet_ = nullptr;
@@ -60,13 +54,6 @@ class SplitMixStrategy : public Strategy {
   // Per-round accumulators.
   std::vector<WeightSet> acc_;
   std::vector<double> wsum_;
-  double loss_sum_ = 0.0;
-  double slowest_ = 0.0;
-  // Per-client device time accumulates across that client's base tasks
-  // (tasks are client-major, so a flush on client change reproduces the
-  // legacy per-client billing order).
-  int pending_client_ = -1;
-  double pending_time_ = 0.0;
 };
 
 }  // namespace fedtrans

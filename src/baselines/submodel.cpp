@@ -27,12 +27,10 @@ void SubmodelStrategy::attach(RoundContext& ctx, Rng& rng) {
   fleet_ = &ctx.fleet;
   global_ = std::make_unique<Model>(full_spec_, rng);
   for (const ModelSpec& spec : level_specs_) {
-    // Only MACs and bytes are read; the Rng choice keeps attach's draws
-    // from the engine Rng as they are (see the constructor).
+    // Only the MACs are read; the Rng choice keeps attach's draws from the
+    // engine Rng as they are (see the constructor).
     Rng tmp = scaled_ladder_ ? rng.fork() : Rng(17);
-    Model probe(spec, tmp);
-    level_macs_.push_back(static_cast<double>(probe.macs()));
-    level_bytes_.push_back(static_cast<double>(probe.param_bytes()));
+    level_macs_.push_back(static_cast<double>(Model(spec, tmp).macs()));
   }
 }
 
@@ -121,8 +119,6 @@ std::vector<ClientTask> SubmodelStrategy::plan_round(RoundContext& ctx,
   WeightSet global_w = global_->weights();
   acc_ = ws_zeros_like(global_w);
   wsum_ = ws_zeros_like(global_w);
-  loss_sum_ = 0.0;
-  slowest_ = 0.0;
   return tasks;
 }
 
@@ -140,22 +136,7 @@ void SubmodelStrategy::fold(const ClientTask& task, Model* payload,
                    });
 }
 
-void SubmodelStrategy::absorb_metrics(const ClientTask& task,
-                                      const LocalTrainResult& res,
-                                      RoundContext& ctx) {
-  const auto lvl = static_cast<std::size_t>(task.tag);
-  loss_sum_ += res.avg_loss;
-  bill_trained_update(ctx, task.client, level_bytes_[lvl], level_macs_[lvl],
-                      res, slowest_);
-}
-
-void SubmodelStrategy::lost_update(const ClientTask& task,
-                                   ClientOutcome outcome, RoundContext& ctx) {
-  const auto lvl = static_cast<std::size_t>(task.tag);
-  bill_lost_update(ctx, outcome, level_bytes_[lvl], level_macs_[lvl]);
-}
-
-void SubmodelStrategy::finish_round(RoundContext& ctx, RoundRecord& rec) {
+void SubmodelStrategy::finish_round(RoundContext&, RoundRecord&) {
   WeightSet global_w = global_->weights();
   for (std::size_t p = 0; p < global_w.size(); ++p)
     for (std::int64_t e = 0; e < global_w[p].numel(); ++e) {
@@ -168,10 +149,6 @@ void SubmodelStrategy::finish_round(RoundContext& ctx, RoundRecord& rec) {
       }
     }
   global_->set_weights(global_w);
-
-  // The mean over absorbed updates: lost ones reported no loss.
-  rec.avg_loss = ctx.trained == 0 ? 0.0 : loss_sum_ / ctx.trained;
-  rec.round_time_s = slowest_;
 }
 
 double SubmodelStrategy::deployed_accuracy(int client,

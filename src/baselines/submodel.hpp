@@ -27,10 +27,6 @@ class SubmodelStrategy : public Strategy {
   // round: same level, same bytes.
   int payload_key(const ClientTask& task) const override { return task.tag; }
   const Model& reference_model() const override { return *global_; }
-  void absorb_metrics(const ClientTask& task, const LocalTrainResult& res,
-                      RoundContext& ctx) override;
-  void lost_update(const ClientTask& task, ClientOutcome outcome,
-                   RoundContext& ctx) override;
   void finish_round(RoundContext& ctx, RoundRecord& rec) override;
   /// A level's tasks share one element map, so its pre-summed group folds
   /// through the map exactly as its members' updates would.
@@ -97,13 +93,10 @@ class SubmodelStrategy : public Strategy {
   const std::vector<DeviceProfile>* fleet_ = nullptr;
   std::unique_ptr<Model> global_;
   std::vector<double> level_macs_;
-  std::vector<double> level_bytes_;
 
   // Per-round accumulators: acc_ = Σ n·Δ and wsum_ = Σ n per global element.
   WeightSet acc_;
   WeightSet wsum_;
-  double loss_sum_ = 0.0;
-  double slowest_ = 0.0;
 };
 
 }  // namespace fedtrans

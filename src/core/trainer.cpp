@@ -59,7 +59,6 @@ std::vector<ClientTask> FedTransStrategy::plan_round(RoundContext& ctx,
   loss_cnt_.assign(n_models, 0);
   parts_.clear();
   parts_.reserve(tasks.size());
-  slowest_ = 0.0;
   return tasks;
 }
 
@@ -77,18 +76,13 @@ Model FedTransStrategy::client_payload(const ClientTask& task) {
 
 void FedTransStrategy::absorb_metrics(const ClientTask& task,
                                       const LocalTrainResult& res,
-                                      RoundContext& ctx) {
+                                      RoundContext&) {
   // Utility learning reads only per-client losses, which a numeric tree
   // delivers verbatim: it runs the same in every exchange mode.
-  const int c = task.client;
   const auto k = static_cast<std::size_t>(task.tag);
-  Model& server_model = *models_[k].model;
   loss_sum_[k] += res.avg_loss;
   ++loss_cnt_[k];
-  parts_.push_back({c, task.tag, res.avg_loss});
-  ctx.selector.report(c, res.avg_loss, res.num_samples);
-  bill_trained_update(ctx, c, static_cast<double>(server_model.param_bytes()),
-                      static_cast<double>(server_model.macs()), res, slowest_);
+  parts_.push_back({task.client, task.tag, res.avg_loss});
 }
 
 void FedTransStrategy::fold(const ClientTask& task, Model*,
@@ -98,13 +92,6 @@ void FedTransStrategy::fold(const ClientTask& task, Model*,
   if (acc_[k].empty()) acc_[k] = ws_zeros_like(delta);
   ws_axpy(acc_[k], static_cast<float>(delta_scale), delta);
   wsum_[k] += weight;
-}
-
-void FedTransStrategy::lost_update(const ClientTask& task,
-                                   ClientOutcome outcome, RoundContext& ctx) {
-  Model& m = *models_[static_cast<std::size_t>(task.tag)].model;
-  bill_lost_update(ctx, outcome, static_cast<double>(m.param_bytes()),
-                   static_cast<double>(m.macs()));
 }
 
 void FedTransStrategy::finish_round(RoundContext& ctx, RoundRecord& rec) {
@@ -169,7 +156,6 @@ void FedTransStrategy::finish_round(RoundContext& ctx, RoundRecord& rec) {
   maybe_transform(ctx);
 
   rec.avg_loss = mean_round_loss;
-  rec.round_time_s = slowest_;
 }
 
 void FedTransStrategy::maybe_transform(RoundContext& ctx) {

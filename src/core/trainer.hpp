@@ -101,10 +101,10 @@ class FedTransStrategy : public Strategy {
   const Model& reference_model() const override {
     return *models_.front().model;
   }
+  /// Utility learning and per-model loss bookkeeping.
   void absorb_metrics(const ClientTask& task, const LocalTrainResult& res,
                       RoundContext& ctx) override;
-  void lost_update(const ClientTask& task, ClientOutcome outcome,
-                   RoundContext& ctx) override;
+  /// Also replaces the record's loss with the mean of per-model means.
   void finish_round(RoundContext& ctx, RoundRecord& rec) override;
   /// The family member deployed_model picks.
   double deployed_accuracy(int client, const ClientData& data) override;
@@ -167,7 +167,6 @@ class FedTransStrategy : public Strategy {
   std::vector<double> loss_sum_;
   std::vector<int> loss_cnt_;
   std::vector<Participation> parts_;
-  double slowest_ = 0.0;
 };
 
 }  // namespace fedtrans

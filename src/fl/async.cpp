@@ -24,12 +24,6 @@ std::optional<double> FedBuffStrategy::absorb_async(int, LocalTrainResult& res,
   ++buffered_;
   loss_accum_ += res.avg_loss;
   ++loss_count_;
-
-  const double model_bytes = static_cast<double>(model_.param_bytes()) *
-                             wire_dtype_scale(ctx.session);
-  ctx.costs.add_training_macs(res.macs_used);
-  ctx.costs.add_transfer(model_bytes, model_bytes);
-
   if (buffered_ < ctx.session.async.buffer_size) return std::nullopt;
 
   WeightSet global = model_.weights();

@@ -39,6 +39,11 @@ WeightSet quantized_for_wire(WeightSet ws, const Precision& p) {
   return ws;
 }
 
+/// One transfer of `m` as the session's wire carries it.
+double wire_bytes(const Model& m, const SessionConfig& cfg) {
+  return static_cast<double>(m.param_bytes()) * wire_dtype_scale(cfg);
+}
+
 }  // namespace
 
 double wire_dtype_scale(const SessionConfig& cfg) {
@@ -46,25 +51,20 @@ double wire_dtype_scale(const SessionConfig& cfg) {
   return p.enabled() ? static_cast<double>(dtype_bytes(p.dtype)) / 4.0 : 1.0;
 }
 
-void bill_trained_update(RoundContext& ctx, int client, double model_bytes,
-                         double model_macs, const LocalTrainResult& res,
-                         double& slowest, double up_bytes) {
-  model_bytes *= wire_dtype_scale(ctx.session);
-  ctx.costs.add_training_macs(res.macs_used);
-  ctx.costs.add_transfer(model_bytes, up_bytes < 0.0 ? model_bytes : up_bytes);
-  const double t = client_round_time_s(
-      ctx.fleet[static_cast<std::size_t>(client)], model_macs,
-      ctx.session.local.steps, ctx.session.local.batch, model_bytes);
-  ctx.costs.add_client_round_time(t);
-  slowest = std::max(slowest, t);
+double task_round_time_s(const SessionConfig& cfg, const DeviceProfile& dev,
+                         const Model& trained) {
+  return client_round_time_s(dev, static_cast<double>(trained.macs()),
+                             cfg.local.steps, cfg.local.batch,
+                             wire_bytes(trained, cfg));
 }
 
 void bill_lost_update(RoundContext& ctx, ClientOutcome outcome,
-                      double model_bytes, double model_macs) {
+                      const Model& trained) {
   if (outcome != ClientOutcome::LostDown)
-    ctx.costs.add_training_macs(3.0 * model_macs * ctx.session.local.steps *
+    ctx.costs.add_training_macs(3.0 * static_cast<double>(trained.macs()) *
+                                ctx.session.local.steps *
                                 ctx.session.local.batch);
-  ctx.costs.add_transfer(model_bytes * wire_dtype_scale(ctx.session), 0.0);
+  ctx.costs.add_transfer(wire_bytes(trained, ctx.session), 0.0);
 }
 
 std::vector<ClientTask> Strategy::plan_round(RoundContext& ctx, Rng& rng) {
@@ -81,13 +81,6 @@ void Strategy::absorb_update(const ClientTask& task, Model* trained,
   absorb_metrics(task, res, ctx);
   const double n = static_cast<double>(res.num_samples);
   fold(task, trained, res.delta, n, n, ctx);
-}
-
-void Strategy::absorb_metrics(const ClientTask&, const LocalTrainResult&,
-                              RoundContext&) {
-  FT_CHECK_MSG(false, "strategy '" << name()
-                                   << "' implements neither absorb_metrics "
-                                      "nor absorb_update");
 }
 
 void Strategy::absorb_reduced(const ClientTask& task, Model* payload,
@@ -237,7 +230,7 @@ bool FederationEngine::numeric_rounds() const {
 
 ExchangeResult FederationEngine::exchange(
     const std::vector<ClientTask>& tasks, std::vector<Rng>& client_rngs,
-    std::vector<std::optional<Model>>& payloads,
+    Model* shared, std::vector<std::optional<Model>>& payloads,
     std::vector<Model*>& task_models) {
   ExchangeResult ex;
   if (cfg_.use_fabric) {
@@ -260,7 +253,7 @@ ExchangeResult FederationEngine::exchange(
         reduce_keys.push_back(strategy_->reduce_key(t));
     }
 
-    if (Model* shared = strategy_->shared_model()) {
+    if (shared != nullptr) {
       // Single-global-model strategies broadcast one encoded weight blob
       // (snapped to the session's storage grid for half-width ModelDown).
       ex = fabric.run_round(
@@ -297,15 +290,15 @@ ExchangeResult FederationEngine::exchange(
                             clients, client_rngs, reduce_keys);
     }
     // Retry-policy resends and leaf-failover redirects are real network
-    // traffic the strategies never see (they bill one down + one up per
-    // update); the engine bills them directly. Zero without faults, so
-    // parity with in-process runs holds.
+    // traffic beyond the ledger's one down + one up per task; the engine
+    // bills them here. Zero without faults, so parity with in-process runs
+    // holds.
     if (ex.retry_down_bytes > 0.0 || ex.retry_up_bytes > 0.0 ||
         ex.failover_down_bytes > 0.0)
       costs_.add_transfer(ex.retry_down_bytes + ex.failover_down_bytes,
                           ex.retry_up_bytes);
     // Delta downlinks shipped fewer bytes than the full ModelDown the
-    // strategies billed — credit the difference back so the meter matches
+    // ledger bills — credit the difference back so the meter matches
     // what actually crossed the wire.
     if (ex.delta_saved_bytes > 0.0)
       costs_.add_transfer(-ex.delta_saved_bytes, 0.0);
@@ -319,7 +312,6 @@ ExchangeResult FederationEngine::exchange(
   // strategies train on transient copies (absorb hooks never read them);
   // heterogeneous strategies keep each payload alive for absorb's
   // structural walks.
-  Model* shared = strategy_->shared_model();
   ex.results.resize(tasks.size());
   ex.outcomes.assign(tasks.size(), ClientOutcome::Trained);
   ThreadPool::global().parallel_for(
@@ -361,12 +353,14 @@ double FederationEngine::run_round() {
     }
   }
 
+  // Fetched once: the exchange ships it and the ledger bills from it.
+  Model* shared = strategy_->shared_model();
   std::vector<std::optional<Model>> payloads(tasks.size());
   std::vector<Model*> task_models(tasks.size(), nullptr);
   ExchangeResult ex;
   {
     FT_SPAN_ARG("engine", "exchange", "tasks", tasks.size());
-    ex = exchange(tasks, client_rngs, payloads, task_models);
+    ex = exchange(tasks, client_rngs, shared, payloads, task_models);
   }
 
   // Byzantine accounting before aggregation (strategies may consume the
@@ -391,23 +385,60 @@ double FederationEngine::run_round() {
   }
 
   FT_SPAN("engine", "aggregate");
-  // Fixed task-order reduction: absorb arrived updates, bill casualties. In
-  // a numeric tree round the metrics arrived verbatim (billing, selector
-  // feedback and loss bookkeeping stay per client) and the deltas
+  // The round ledger and the reduction, in one pass in fixed task order.
+  // A task bills from the model it trained: compute, one downlink and one
+  // uplink (res.uplink_bytes if compressed) when trained; the downlink and,
+  // unless that was lost, the compute when lost. A client's consecutive
+  // trained tasks (SplitMix's bases) make one client run: one device time,
+  // their sum, and one selector report, their mean loss and summed
+  // samples. A numeric tree round's metrics arrive verbatim and its deltas
   // pre-summed per reduce group, folded afterwards in ascending min-slot
   // order — the canonical order the tree reduced them in.
+  double loss_sum = 0.0;
+  double slowest = 0.0;
+  struct ClientRun {
+    int client = -1;
+    int tasks = 0;
+    int samples = 0;
+    double loss_sum = 0.0;
+    double time_s = 0.0;
+  } run;
+  auto end_run = [&] {
+    if (run.tasks == 0) return;
+    costs_.add_client_round_time(run.time_s);
+    slowest = std::max(slowest, run.time_s);
+    selector_->report(run.client, run.loss_sum / run.tasks, run.samples);
+    run = ClientRun{};
+  };
   for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const Model& trained =
+        task_models[i] != nullptr ? *task_models[i] : *shared;
     if (ex.outcomes[i] != ClientOutcome::Trained) {
       strategy_->lost_update(tasks[i], ex.outcomes[i], ctx);
+      bill_lost_update(ctx, ex.outcomes[i], trained);
       ++ctx.lost;
       continue;
     }
+    LocalTrainResult& res = ex.results[i];
     if (ex.reduced)
-      strategy_->absorb_metrics(tasks[i], ex.results[i], ctx);
+      strategy_->absorb_metrics(tasks[i], res, ctx);
     else
-      strategy_->absorb_update(tasks[i], task_models[i], ex.results[i], ctx);
+      strategy_->absorb_update(tasks[i], task_models[i], res, ctx);
     ++ctx.trained;
+    const double bytes = wire_bytes(trained, cfg_);
+    costs_.add_training_macs(res.macs_used);
+    costs_.add_transfer(bytes,
+                        res.uplink_bytes > 0.0 ? res.uplink_bytes : bytes);
+    if (run.client != tasks[i].client) end_run();
+    run.client = tasks[i].client;
+    ++run.tasks;
+    run.samples += res.num_samples;
+    run.loss_sum += res.avg_loss;
+    run.time_s += task_round_time_s(
+        cfg_, fleet_[static_cast<std::size_t>(run.client)], trained);
+    loss_sum += res.avg_loss;
   }
+  end_run();
   for (ReducedGroup& g : ex.groups) {
     const auto slot = static_cast<std::size_t>(g.min_slot);
     FT_CHECK_MSG(slot < tasks.size(), "reduce group references slot "
@@ -418,6 +449,8 @@ double FederationEngine::run_round() {
   }
 
   RoundRecord rec;
+  rec.avg_loss = ctx.trained > 0 ? loss_sum / ctx.trained : 0.0;
+  rec.round_time_s = slowest;
   strategy_->finish_round(ctx, rec);
   rec.round = round_;
   rec.cum_macs = costs_.total_macs();
@@ -489,13 +522,14 @@ void FederationEngine::run_async() {
   // arrives at the server-side delivery instant of its UpdateUp (uplink
   // latency, retries and reordering all shift it); one the server has not
   // received within the ack-timeout deadline is lost and the client
-  // replaced.
+  // replaced. The engine bills each dispatch once, when its event is
+  // processed, or after the loop for a job still in flight when the last
+  // version ships.
   Model* shared = strategy_->shared_model();
   FT_CHECK_MSG(shared != nullptr,
                "async scheduling requires a shared-model strategy");
   RoundContext ctx = make_context();
-  const double model_bytes = static_cast<double>(shared->param_bytes()) *
-                             wire_dtype_scale(cfg_);
+  const double model_bytes = wire_bytes(*shared, cfg_);
   // The server waits one ack-timeout per allowed uplink attempt: resend k
   // leaves the device ~k·ack_timeout_s after training ends, so a deadline
   // of a single timeout could never admit a retried update — the budget
@@ -513,7 +547,7 @@ void FederationEngine::run_async() {
     int client = 0;
     int version = 0;
     bool arrival = false;
-    double macs_wasted = 0.0;
+    double macs = 0.0;     // device compute burned: none on a lost downlink
     LocalTrainResult res;  // valid iff arrival
   };
   auto later = [](const Pending& a, const Pending& b) {
@@ -525,6 +559,12 @@ void FederationEngine::run_async() {
   std::uint32_t next_job = 0;
   int lost_since_ship = 0;
   int failovers_since_ship = 0;
+  // A dispatch's ledger entry: its compute, its downlink, and the uplink
+  // of an update that reached the server.
+  auto bill = [&](const Pending& p, bool uplinked) {
+    costs_.add_training_macs(p.macs);
+    costs_.add_transfer(model_bytes, uplinked ? model_bytes : 0.0);
+  };
 
   auto dispatch = [&] {
     const int c = rng_.uniform_int(0, data_.num_clients() - 1);
@@ -541,10 +581,8 @@ void FederationEngine::run_async() {
       Model local = *shared;
       turn.res = train_locally(local, c, crng, job);
       turn.outcome = ClientOutcome::Trained;
-      turn.busy_s = client_round_time_s(
-          fleet_[static_cast<std::size_t>(c)],
-          static_cast<double>(shared->macs()), cfg_.local.steps,
-          cfg_.local.batch, model_bytes);
+      turn.busy_s = task_round_time_s(
+          cfg_, fleet_[static_cast<std::size_t>(c)], *shared);
       turn.update_at_s = now_s_ + turn.busy_s;
     }
     if (turn.retry_up_bytes > 0.0)
@@ -557,6 +595,8 @@ void FederationEngine::run_async() {
     p.job = job;
     p.client = c;
     p.version = version_;
+    p.macs = turn.outcome == ClientOutcome::LostDown ? 0.0
+                                                     : turn.res.macs_used;
     // The ack-timeout deadline is a fabric policy: in-process updates
     // always arrive.
     if (turn.outcome == ClientOutcome::Trained &&
@@ -567,9 +607,6 @@ void FederationEngine::run_async() {
     } else {
       p.arrival = false;
       p.t = now_s_ + deadline_s;
-      p.macs_wasted = turn.outcome == ClientOutcome::LostDown
-                          ? 0.0
-                          : turn.res.macs_used;
     }
     pending.push(std::move(p));
   };
@@ -601,6 +638,7 @@ void FederationEngine::run_async() {
       const double discount =
           std::pow(1.0 + staleness, -cfg_.async.staleness_exponent);
       ctx.round = version_;
+      bill(ev, /*uplinked=*/true);
       const auto shipped =
           strategy_->absorb_async(ev.client, ev.res, discount, ctx);
       if (shipped.has_value()) {
@@ -621,20 +659,23 @@ void FederationEngine::run_async() {
         for (RoundObserver* obs : observers_) obs->on_round_end(rec);
       }
     } else {
-      // Ack-timeout: bill the spent downlink and any wasted device compute
-      // (the strategies only bill updates they absorb), count the loss
-      // against the next shipped version, and replace the client.
+      // Ack-timeout: bill the spent downlink and any wasted device
+      // compute, count the loss against the next shipped version, and
+      // replace the client.
       ++lost_since_ship;
-      costs_.add_transfer(model_bytes, 0.0);
-      if (ev.macs_wasted > 0.0) costs_.add_training_macs(ev.macs_wasted);
+      bill(ev, /*uplinked=*/false);
       FT_CHECK_MSG(++consecutive_timeouts < max_consecutive_timeouts,
                    "fabric-backed async session makes no progress: no "
                    "update arrived within (max_retries + 1) * ack_timeout_s"
                    " — raise topology.ack_timeout_s above the fleet's round"
                    "-trip time");
     }
-    dispatch();
+    if (version_ < cfg_.async.aggregations) dispatch();
   }
+  // Jobs still in flight downloaded (and trained, unless the downlink was
+  // lost) but never count: bill them as lost updates.
+  for (; !pending.empty(); pending.pop())
+    bill(pending.top(), /*uplinked=*/false);
 }
 
 double FederationEngine::mean_staleness() const {

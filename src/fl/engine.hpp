@@ -41,22 +41,21 @@ struct RoundContext {
   int lost = 0;
 };
 
-/// Shared cost-billing vocabulary of the strategies. One absorbed update
-/// bills its training compute, a dense down+up transfer of the model it
-/// trained, and the device's simulated round time (tracking the slowest
-/// participant); a lost update bills the wasted compute (unless the
-/// downlink itself was lost) and the spent downlink.
-/// `up_bytes` overrides the uplink transfer (compressed updates); negative
-/// means a dense uplink of `model_bytes`.
-void bill_trained_update(RoundContext& ctx, int client, double model_bytes,
-                         double model_macs, const LocalTrainResult& res,
-                         double& slowest, double up_bytes = -1.0);
+/// The time function of the round ledger: simulated seconds for `dev` to
+/// download `trained`, train it for the session's local steps and upload
+/// it, at the session's wire width. FedAvg's deadline predicts with it.
+double task_round_time_s(const SessionConfig& cfg, const DeviceProfile& dev,
+                         const Model& trained);
+/// Bill a task whose update never reached aggregation: the spent downlink
+/// of `trained` and, unless the downlink itself was lost, the wasted
+/// compute. The engine bills every casualty it sees this way; FedAvg bills
+/// the stragglers its deadline drops.
 void bill_lost_update(RoundContext& ctx, ClientOutcome outcome,
-                      double model_bytes, double model_macs);
+                      const Model& trained);
 /// Wire width of a weight payload relative to fp32: 0.5 in mixed-precision
-/// sessions (tensors ship 2 bytes/element), 1 otherwise. Strategies quote
-/// model bytes as fp32 param_bytes; billing rescales by this so CostMeter
-/// matches what actually crosses the (real or simulated) wire.
+/// sessions (tensors ship 2 bytes/element), 1 otherwise. The ledger
+/// rescales a model's fp32 param_bytes by this, so CostMeter matches what
+/// actually crosses the (real or simulated) wire.
 double wire_dtype_scale(const SessionConfig& cfg);
 
 /// Observer of engine progress. Observers are non-owning and invoked in
@@ -82,12 +81,18 @@ class RoundObserver {
 ///                      preserving legacy fork sequences bit-exactly
 ///   client_payload ×n  materialize the model each task trains
 ///   (engine trains concurrently, in-process or over the fabric)
-///   absorb_update ×n   fixed task-order reduction: absorb_metrics (cost
-///                      billing) + fold; numeric trees fold per reduce group
-///   lost_update  ×k    billing for fabric casualties / dropped stragglers
-///   finish_round       aggregate, optionally transform, fill the record
+///   absorb_update ×n   fixed task-order reduction: absorb_metrics + fold;
+///                      numeric trees fold per reduce group
+///   lost_update  ×k    notice of a fabric casualty
+///   finish_round       aggregate, optionally transform, adjust the record
 ///   probe_accuracy     periodic eval probe (engine picks the client ids),
 ///                      scoring deployed_accuracy per probed client
+///
+/// The engine keeps the round's ledger itself, from the model each task
+/// trained: it bills every task's compute and transfers to CostMeter, times
+/// each client, reports each client's loss to the selector, and fills the
+/// record's avg_loss and round_time_s before finish_round. Strategies keep
+/// only their aggregation.
 class Strategy {
  public:
   virtual ~Strategy() = default;
@@ -137,7 +142,8 @@ class Strategy {
 
   /// Absorb one finished task, in task order. Default: absorb_metrics, then
   /// fold of res.delta at scale and weight res.num_samples. Override only to
-  /// rewrite the update first (FedAvg's uplink compression) or to reduce
+  /// rewrite the update first (FedAvg's uplink compression, which records
+  /// the compressed size in res.uplink_bytes for the ledger) or to reduce
   /// non-linearly. `trained` is null for shared-model strategies (clients
   /// train transient copies; read the update from `res`); otherwise it is
   /// the task's payload model: its *structure* matches what the client
@@ -148,15 +154,18 @@ class Strategy {
                              LocalTrainResult& res, RoundContext& ctx);
 
   /// A task whose update never reached aggregation (fabric message loss,
-  /// mid-round dropout). Default: no billing. The engine counts the loss.
+  /// mid-round dropout). The engine bills and counts the loss; the default
+  /// does nothing, and the hook stays virtual for decorators that forward
+  /// it.
   virtual void lost_update(const ClientTask& /*task*/,
                            ClientOutcome /*outcome*/, RoundContext& /*ctx*/) {}
 
-  /// Everything absorbing a trained task does but the weight accumulation
-  /// (selector feedback, loss bookkeeping, billing), in task order. Numeric
-  /// tree rounds call only this per task. Default: throws.
-  virtual void absorb_metrics(const ClientTask& task,
-                              const LocalTrainResult& res, RoundContext& ctx);
+  /// Per-task bookkeeping beyond the weight accumulation (FedTrans's
+  /// utility learning), in task order. Numeric tree rounds call only this
+  /// per task. Default: nothing.
+  virtual void absorb_metrics(const ClientTask& /*task*/,
+                              const LocalTrainResult& /*res*/,
+                              RoundContext& /*ctx*/) {}
 
   // --- numeric partial aggregation (associativity-tolerant tree mode) ----
 
@@ -181,10 +190,12 @@ class Strategy {
                               WeightSet& sum, double weight, int count,
                               RoundContext& ctx);
 
-  /// Apply the round's aggregate to the server model(s), run any model
-  /// transformation, and fill the record's strategy-owned fields
-  /// (avg_loss, round_time_s, lost_updates adjustments). The engine fills
-  /// round / cum_macs / participants / accuracy.
+  /// Apply the round's aggregate to the server model(s) and run any model
+  /// transformation. The engine has filled rec.avg_loss (the mean over
+  /// absorbed updates) and rec.round_time_s (the slowest client); a
+  /// strategy may adjust them (FedTrans's per-model means, FedAvg's
+  /// deadline) and pre-add deadline drops to rec.lost_updates. The engine
+  /// fills round / cum_macs / participants / accuracy afterwards.
   virtual void finish_round(RoundContext& ctx, RoundRecord& rec) = 0;
 
   /// Top-1 accuracy, on `data` (the client's shards), of what `client`
@@ -202,10 +213,11 @@ class Strategy {
 
   // --- async scheduling mode (FedBuff) -----------------------------------
 
-  /// Fold one completed async update, pre-weighted by the engine's
-  /// staleness `discount`. Return the shipped server version's mean buffer
-  /// loss when this update filled the buffer and a new version was applied;
-  /// nullopt otherwise. Only strategies run in SessionMode::Async need this.
+  /// Fold one completed (and already billed) async update, pre-weighted by
+  /// the engine's staleness `discount`. Return the shipped server version's
+  /// mean buffer loss when this update filled the buffer and a new version
+  /// was applied; nullopt otherwise. Only strategies run in
+  /// SessionMode::Async need this.
   virtual std::optional<double> absorb_async(int /*client*/,
                                              LocalTrainResult& /*res*/,
                                              double /*discount*/,
@@ -327,7 +339,7 @@ class FederationEngine {
   /// version in async mode).
   void maybe_probe(int tick, RoundContext& ctx, RoundRecord& rec);
   ExchangeResult exchange(const std::vector<ClientTask>& tasks,
-                          std::vector<Rng>& client_rngs,
+                          std::vector<Rng>& client_rngs, Model* shared,
                           std::vector<std::optional<Model>>& payloads,
                           std::vector<Model*>& task_models);
   /// True when this session's rounds run the numeric tree reduction

@@ -30,6 +30,9 @@ struct LocalTrainResult {
   int num_samples = 0;
   /// Training compute spent: 3 × model MACs × steps × batch.
   double macs_used = 0.0;
+  /// Bytes the update's uplink carried when it was compressed; 0 means a
+  /// dense uplink of the trained model. The engine bills this.
+  double uplink_bytes = 0.0;
 };
 
 /// Run local SGD on `model` (entered with the server weights, leaves with

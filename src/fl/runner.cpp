@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
@@ -30,8 +31,11 @@ std::vector<ClientTask> FedAvgStrategy::plan_round(RoundContext& ctx,
     });
   }
 
-  // Over-selection deadline: predict completion times, close the round at
-  // the configured quantile, and drop (but still bill) the late tail.
+  // Over-selection deadline: predict completion times with the ledger's
+  // time function, close the round at the configured quantile, keep the k
+  // fastest on-time clients in selection order (ties go to the earlier
+  // pick; the fastest is kept even if every prediction missed), and drop
+  // (but still bill) the rest.
   dropped_.clear();
   deadline_ = 0.0;
   if (!selected.empty() &&
@@ -39,35 +43,28 @@ std::vector<ClientTask> FedAvgStrategy::plan_round(RoundContext& ctx,
     std::vector<double> times;
     times.reserve(selected.size());
     for (int c : selected)
-      times.push_back(client_round_time_s(
-          ctx.fleet[static_cast<std::size_t>(c)],
-          static_cast<double>(model_.macs()), s.local.steps, s.local.batch,
-          static_cast<double>(model_.param_bytes())));
+      times.push_back(
+          task_round_time_s(s, ctx.fleet[static_cast<std::size_t>(c)], model_));
     deadline_ = percentile(times, 100.0 * opts_.deadline_quantile);
+    std::vector<std::size_t> order(selected.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return times[a] < times[b];
+                     });
+    std::vector<bool> keep(selected.size(), false);
+    for (std::size_t r = 0; r < order.size(); ++r)
+      keep[order[r]] = r == 0 || (static_cast<int>(r) < s.clients_per_round &&
+                                  times[order[r]] <= deadline_);
     std::vector<int> on_time;
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-      if (times[i] <= deadline_ &&
-          static_cast<int>(on_time.size()) < s.clients_per_round) {
-        on_time.push_back(selected[i]);
-      } else {
-        dropped_.push_back(selected[i]);
-      }
-    }
-    if (on_time.empty()) {
-      // Degenerate round: every prediction missed the deadline. Keep the
-      // first pick as a real participant — and take it back out of the
-      // dropped list so it isn't also billed as a lost straggler.
-      on_time.push_back(selected.front());
-      dropped_.erase(dropped_.begin());
-    }
+    for (std::size_t i = 0; i < selected.size(); ++i)
+      (keep[i] ? on_time : dropped_).push_back(selected[i]);
     selected = std::move(on_time);
   }
 
   global_ = model_.weights();
   acc_ = ws_zeros_like(global_);
   weight_sum_ = 0.0;
-  loss_sum_ = 0.0;
-  slowest_ = 0.0;
 
   std::vector<ClientTask> tasks;
   tasks.reserve(selected.size());
@@ -82,30 +79,16 @@ Model FedAvgStrategy::client_payload(const ClientTask&) {
 void FedAvgStrategy::absorb_update(const ClientTask& task, Model* trained,
                                    LocalTrainResult& res, RoundContext& ctx) {
   // Uplink compression (EF-SGD: fold in this client's residual, compress,
-  // remember what was dropped for its next participation).
+  // remember what was dropped for its next participation). The ledger
+  // bills the compressed size.
   if (opts_.compression != CompressionKind::None) {
     if (opts_.error_feedback) ef_.add_residual(task.client, res.delta);
     const WeightSet pre = res.delta;
     compressor_->compress(res.delta);
     if (opts_.error_feedback) ef_.store_residual(task.client, pre, res.delta);
+    res.uplink_bytes = compressor_->compressed_bytes(res.delta);
   }
   Strategy::absorb_update(task, trained, res, ctx);
-}
-
-void FedAvgStrategy::absorb_metrics(const ClientTask& task,
-                                    const LocalTrainResult& res,
-                                    RoundContext& ctx) {
-  loss_sum_ += res.avg_loss;
-  ctx.selector.report(task.client, res.avg_loss, res.num_samples);
-  // Bill the delta absorb_update compressed (numeric rounds refuse
-  // compression), or with -1 a dense uplink of the model bytes.
-  const double up_bytes = opts_.compression != CompressionKind::None
-                              ? compressor_->compressed_bytes(res.delta)
-                              : -1.0;
-  bill_trained_update(ctx, task.client,
-                      static_cast<double>(model_.param_bytes()),
-                      static_cast<double>(model_.macs()), res, slowest_,
-                      up_bytes);
 }
 
 void FedAvgStrategy::fold(const ClientTask&, Model*, const WeightSet& delta,
@@ -114,21 +97,14 @@ void FedAvgStrategy::fold(const ClientTask&, Model*, const WeightSet& delta,
   weight_sum_ += weight;
 }
 
-void FedAvgStrategy::lost_update(const ClientTask&, ClientOutcome outcome,
-                                 RoundContext& ctx) {
-  bill_lost_update(ctx, outcome, static_cast<double>(model_.param_bytes()),
-                   static_cast<double>(model_.macs()));
-}
-
 void FedAvgStrategy::finish_round(RoundContext& ctx, RoundRecord& rec) {
   // Late clients trained and downloaded but never uploaded: their device
   // compute and downlink are real costs; their updates are wasted — the
   // same bill as a mid-round dropout on the fabric.
   for (std::size_t i = 0; i < dropped_.size(); ++i)
-    bill_lost_update(ctx, ClientOutcome::Dropout,
-                     static_cast<double>(model_.param_bytes()),
-                     static_cast<double>(model_.macs()));
-  if (deadline_ > 0.0) slowest_ = std::min(slowest_, deadline_);
+    bill_lost_update(ctx, ClientOutcome::Dropout, model_);
+  if (deadline_ > 0.0)
+    rec.round_time_s = std::min(rec.round_time_s, deadline_);
 
   if (weight_sum_ > 0.0) {
     ws_scale(acc_, static_cast<float>(1.0 / weight_sum_));
@@ -137,8 +113,6 @@ void FedAvgStrategy::finish_round(RoundContext& ctx, RoundRecord& rec) {
     model_.set_weights(global_);
   }
 
-  rec.avg_loss = ctx.trained > 0 ? loss_sum_ / ctx.trained : 0.0;
-  rec.round_time_s = slowest_;
   rec.lost_updates = static_cast<int>(dropped_.size());  // engine adds wire losses
 }
 

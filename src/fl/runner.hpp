@@ -24,10 +24,11 @@ struct FedAvgOptions {
   /// Per-client error feedback for biased compressors (EF-SGD).
   bool error_feedback = false;
   /// Straggler mitigation by over-selection (FedScale-style over-commit):
-  /// select ceil((1 + overcommit) × k) participants and close the round at
-  /// the `deadline_quantile` of their completion times. Late clients still
-  /// burn device compute (and receive the model) but their updates are
-  /// dropped. overcommit = 0 / quantile = 1 reproduces the paper protocol.
+  /// select ceil((1 + overcommit) × k) participants, close the round at the
+  /// `deadline_quantile` of their predicted completion times, and keep the
+  /// k fastest on-time clients. Late and surplus clients still burn device
+  /// compute (and receive the model) but their updates are dropped.
+  /// overcommit = 0 / quantile = 1 reproduces the paper protocol.
   double overcommit = 0.0;
   double deadline_quantile = 1.0;
   /// When true, clients whose capacity is below the model's MACs skip the
@@ -48,13 +49,10 @@ class FedAvgStrategy : public Strategy {
   Model client_payload(const ClientTask& task) override;
   Model* shared_model() override { return &model_; }
   const Model& reference_model() const override { return model_; }
-  /// Compresses the uplink delta, then absorbs it as the default does.
+  /// Compresses the uplink delta and records its size in res.uplink_bytes,
+  /// then absorbs it as the default does.
   void absorb_update(const ClientTask& task, Model* trained,
                      LocalTrainResult& res, RoundContext& ctx) override;
-  void absorb_metrics(const ClientTask& task, const LocalTrainResult& res,
-                      RoundContext& ctx) override;
-  void lost_update(const ClientTask& task, ClientOutcome outcome,
-                   RoundContext& ctx) override;
   void finish_round(RoundContext& ctx, RoundRecord& rec) override;
   /// The weighted mean is a linear sum — numeric tree reduction applies as
   /// long as no per-client uplink compression rewrites the deltas.
@@ -79,8 +77,6 @@ class FedAvgStrategy : public Strategy {
   WeightSet global_;  // weight snapshot the round's deltas apply to
   WeightSet acc_;
   double weight_sum_ = 0.0;
-  double loss_sum_ = 0.0;
-  double slowest_ = 0.0;
   std::vector<int> dropped_;
   double deadline_ = 0.0;
 };

@@ -448,10 +448,18 @@ ClientAgent::TaskRun ClientAgent::train_and_upload(
   // Train exactly as the in-process path would: the payload architecture
   // (prototype or on-the-wire spec), the weights, and the coordinator-
   // forked Rng all arrived on the wire.
+  // The spec sizes every tensor the Model allocates, so it must count
+  // exactly the weights the frame carried before the Model is built: a
+  // corrupt width then fails here, not in the allocator.
+  std::optional<ModelSpec> spec;
+  if (!down.spec_text.empty()) {
+    spec = ModelSpec::deserialize(down.spec_text);
+    FT_CHECK_MSG(model_param_count(*spec) ==
+                     static_cast<double>(ws_numel(down.weights)),
+                 "ModelDown spec does not match the weights it carries");
+  }
   Rng spawn(0);  // init weights are overwritten below
-  Model local = down.spec_text.empty()
-                    ? prototype
-                    : Model(ModelSpec::deserialize(down.spec_text), spawn);
+  Model local = spec ? Model(*spec, spawn) : prototype;
   local.set_weights(down.weights);
   Rng rng;
   rng.set_state(down.rng_state);

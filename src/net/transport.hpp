@@ -45,11 +45,12 @@ struct FaultConfig {
   double dup_prob = 0.0;
   /// Probability a frame is delayed behind its link successor (reordering).
   /// This perturbs the simulated delivery timestamps (and hence the
-  /// (deliver_at, seq) order receivers consume in); the synchronous runner
-  /// drains complete mailboxes and reduces in selection order, so outcomes
-  /// there are reorder-invariant by design — the knob becomes
-  /// behavior-relevant for consumers that apply a delivery window (e.g. a
-  /// future async fabric).
+  /// (deliver_at, seq) order receivers consume in). Synchronous rounds
+  /// drain complete mailboxes and reduce in task order, so their outcomes
+  /// are reorder-invariant by design. In async sessions a reordered
+  /// frame's later delivery moves its job's update arrival, and with it
+  /// the order the engine folds updates in (and whether the update beats
+  /// the ack-timeout deadline).
   double reorder_prob = 0.0;
   /// Probability a client goes offline mid-round: it trains, then vanishes
   /// before its update leaves the device (an Abort may be attempted).

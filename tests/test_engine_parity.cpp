@@ -9,16 +9,22 @@
 //  (3) the layered SessionConfig shared block is the single definition of
 //      the runtime fields;
 //  (4) the RoundObserver callback API reports exactly the records the
-//      history collects.
+//      history collects;
+//  (5) the round ledger: every strategy, in-process and over faulty flat
+//      and tree fabrics, in fp32 and fp16, bills, times and reports each
+//      task by one rule.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 #include <type_traits>
 
 #include "baselines/fedrolex.hpp"
 #include "baselines/fluid.hpp"
 #include "baselines/hetero_fl.hpp"
+#include "baselines/robust.hpp"
 #include "baselines/split_mix.hpp"
 #include "common/thread_pool.hpp"
 #include "core/trainer.hpp"
@@ -366,6 +372,401 @@ TEST(RoundObserverTest, ObserverSeesEveryRoundRecord) {
     EXPECT_EQ(obs.records[r].avg_loss, engine.history()[r].avg_loss);
     EXPECT_EQ(obs.records[r].accuracy, engine.history()[r].accuracy);
   }
+}
+
+// ---------------------------------------------------------------------------
+// (5) The round ledger. A decorator records each task from the strategy's
+// own hooks (outcome, loss, samples, compute) with the bytes and MACs of
+// the model it trained, from client_payload or shared_model; the selector
+// records its reports. The CostMeter and the reports must then follow from
+// the tasks alone, by one rule, for every strategy and exchange mode.
+
+struct TaskEntry {
+  int round = 0;
+  int client = 0;
+  ClientOutcome outcome = ClientOutcome::Trained;
+  double bytes = 0.0;  // fp32 param_bytes of the model the task trained
+  double macs = 0.0;   // its forward MACs
+  double uplink = -1.0;  // compressed uplink bytes; negative means dense
+  LocalTrainResult res;  // metrics of a trained task (delta not kept)
+};
+
+class LedgerRecorder : public Strategy {
+ public:
+  LedgerRecorder(std::unique_ptr<Strategy> inner,
+                 std::unique_ptr<DeltaCompressor> compressor = nullptr)
+      : inner_(std::move(inner)), compressor_(std::move(compressor)) {}
+
+  std::string name() const override { return inner_->name(); }
+  void attach(RoundContext& ctx, Rng& rng) override {
+    inner_->attach(ctx, rng);
+  }
+  std::vector<ClientTask> plan_round(RoundContext& ctx, Rng& rng) override {
+    return inner_->plan_round(ctx, rng);
+  }
+  void prepare_task(ClientTask& task, Rng& rng, RoundContext& ctx) override {
+    inner_->prepare_task(task, rng, ctx);
+  }
+  Model client_payload(const ClientTask& task) override {
+    return inner_->client_payload(task);
+  }
+  Model* shared_model() override { return inner_->shared_model(); }
+  int payload_key(const ClientTask& task) const override {
+    return inner_->payload_key(task);
+  }
+  const Model& reference_model() const override {
+    return inner_->reference_model();
+  }
+  double initial_storage_bytes() const override {
+    return inner_->initial_storage_bytes();
+  }
+  void absorb_update(const ClientTask& task, Model* trained,
+                     LocalTrainResult& res, RoundContext& ctx) override {
+    // compressed_bytes depends only on the delta's shape.
+    record(task, ClientOutcome::Trained, &res,
+           compressor_ ? compressor_->compressed_bytes(res.delta) : -1.0, ctx);
+    inner_->absorb_update(task, trained, res, ctx);
+  }
+  void lost_update(const ClientTask& task, ClientOutcome outcome,
+                   RoundContext& ctx) override {
+    record(task, outcome, nullptr, -1.0, ctx);
+    inner_->lost_update(task, outcome, ctx);
+  }
+  bool supports_partial_aggregation() const override {
+    return inner_->supports_partial_aggregation();
+  }
+  int reduce_key(const ClientTask& task) const override {
+    return inner_->reduce_key(task);
+  }
+  void absorb_metrics(const ClientTask& task, const LocalTrainResult& res,
+                      RoundContext& ctx) override {
+    record(task, ClientOutcome::Trained, &res, -1.0, ctx);
+    inner_->absorb_metrics(task, res, ctx);
+  }
+  void absorb_reduced(const ClientTask& task, Model* payload, WeightSet& sum,
+                      double weight, int count, RoundContext& ctx) override {
+    inner_->absorb_reduced(task, payload, sum, weight, count, ctx);
+  }
+  void finish_round(RoundContext& ctx, RoundRecord& rec) override {
+    inner_->finish_round(ctx, rec);
+  }
+  double deployed_accuracy(int client, const ClientData& data) override {
+    return inner_->deployed_accuracy(client, data);
+  }
+  std::optional<double> absorb_async(int client, LocalTrainResult& res,
+                                     double discount,
+                                     RoundContext& ctx) override {
+    record(ClientTask{client, 0}, ClientOutcome::Trained, &res, -1.0, ctx);
+    return inner_->absorb_async(client, res, discount, ctx);
+  }
+
+  const std::vector<TaskEntry>& entries() const { return entries_; }
+
+ private:
+  void record(const ClientTask& task, ClientOutcome outcome,
+              const LocalTrainResult* res, double uplink,
+              const RoundContext& ctx) {
+    TaskEntry e;
+    e.round = ctx.round;
+    e.client = task.client;
+    e.outcome = outcome;
+    e.uplink = uplink;
+    if (Model* shared = inner_->shared_model()) {
+      e.bytes = static_cast<double>(shared->param_bytes());
+      e.macs = static_cast<double>(shared->macs());
+    } else {
+      const Model payload = inner_->client_payload(task);
+      e.bytes = static_cast<double>(payload.param_bytes());
+      e.macs = static_cast<double>(payload.macs());
+    }
+    if (res != nullptr) {
+      e.res.avg_loss = res->avg_loss;
+      e.res.num_samples = res->num_samples;
+      e.res.macs_used = res->macs_used;
+    }
+    entries_.push_back(e);
+  }
+
+  std::unique_ptr<Strategy> inner_;
+  std::unique_ptr<DeltaCompressor> compressor_;
+  std::vector<TaskEntry> entries_;
+};
+
+/// The uniform selector, recording every report it receives.
+class RecordingSelector : public ClientSelector {
+ public:
+  struct Report {
+    int client;
+    double loss;
+    int samples;
+    bool operator==(const Report&) const = default;
+  };
+  std::vector<int> select(int population, int k, Rng& rng) override {
+    return uniform_.select(population, k, rng);
+  }
+  void report(int client, double loss, int samples) override {
+    reports.push_back({client, loss, samples});
+    uniform_.report(client, loss, samples);
+  }
+  std::string name() const override { return uniform_.name(); }
+  std::vector<Report> reports;
+
+ private:
+  UniformSelector uniform_;
+};
+
+/// What the fabric moved beyond one down- and one uplink per task.
+struct FabricExtra {
+  double down = 0.0;
+  double up = 0.0;
+};
+
+FabricExtra fabric_extra(const FederationEngine& e) {
+  FabricExtra x;
+  if (const FederationServer* f = e.fabric()) {
+    const FabricStats& s = f->stats();
+    x.down = static_cast<double>(s.retry_bytes_down.load() +
+                                 s.failover_bytes_down.load());
+    x.up = static_cast<double>(s.retry_bytes_up.load());
+  }
+  return x;
+}
+
+struct LedgerCoverage {
+  int lost = 0;
+  int lost_down = 0;
+  int multi_task_runs = 0;
+  double fabric_extra = 0.0;
+};
+
+/// A synchronous session's ledger, rebuilt from its recorded tasks.
+void expect_sync_ledger(FederationEngine& e, const std::string& what,
+                        LedgerCoverage& cov) {
+  SCOPED_TRACE(what);
+  const auto& entries = e.strategy_as<LedgerRecorder>().entries();
+  const auto& reports =
+      dynamic_cast<RecordingSelector&>(e.selector()).reports;
+  const SessionConfig& cfg = e.config();
+  const double scale = wire_dtype_scale(cfg);
+  const FabricExtra extra = fabric_extra(e);
+  double down = extra.down;
+  double up = extra.up;
+  double macs = 0.0;
+  std::vector<RecordingSelector::Report> runs;
+  int run_tasks = 0;
+  double run_loss = 0.0;
+  int run_round = -1;
+  auto end_run = [&] {
+    if (run_tasks == 0) return;
+    runs.back().loss = run_loss / run_tasks;
+    if (run_tasks > 1) ++cov.multi_task_runs;
+    run_tasks = 0;
+    run_loss = 0.0;
+  };
+  for (const TaskEntry& t : entries) {
+    down += t.bytes * scale;
+    if (t.outcome != ClientOutcome::Trained) {
+      ++cov.lost;
+      if (t.outcome == ClientOutcome::LostDown)
+        ++cov.lost_down;
+      else
+        macs += 3.0 * t.macs * cfg.local.steps * cfg.local.batch;
+      continue;
+    }
+    up += t.uplink >= 0.0 ? t.uplink : t.bytes * scale;
+    macs += t.res.macs_used;
+    if (run_tasks == 0 || t.round != run_round ||
+        t.client != runs.back().client) {
+      end_run();
+      runs.push_back({t.client, 0.0, 0});
+      run_round = t.round;
+    }
+    ++run_tasks;
+    run_loss += t.res.avg_loss;
+    runs.back().samples += t.res.num_samples;
+  }
+  end_run();
+  cov.fabric_extra += extra.down + extra.up;
+
+  EXPECT_EQ(e.costs().bytes_down(), down);
+  EXPECT_EQ(e.costs().bytes_up(), up);
+  EXPECT_EQ(e.costs().total_macs(), macs);
+  EXPECT_EQ(e.costs().client_time_count(), runs.size());
+  EXPECT_EQ(reports, runs) << "one selector report per client run";
+}
+
+struct LedgerRow {
+  const char* name;
+  std::function<std::unique_ptr<Strategy>()> make;
+  std::function<std::unique_ptr<DeltaCompressor>()> compressor;
+};
+
+TEST(RoundLedger, EveryStrategyBillsTimesAndReportsByOneRule) {
+  auto data = FederatedDataset::generate(tiny_data());
+  // Capacities around the width ladders' middle: clients train several
+  // levels and one to four of SplitMix's bases.
+  const auto fleet = tiny_fleet(data.num_clients(), 2e4, 9);
+  Rng rng(3);
+  const Model init(tiny_model(), rng);
+
+  FedTransConfig ft;
+  ft.rounds = 3;
+  ft.clients_per_round = 5;
+  ft.local.steps = 2;
+  ft.local.batch = 4;
+  ft.eval_every = 0;
+  ft.seed = 5;
+  ft.gamma = 2;
+  ft.doc_delta = 2;
+  ft.beta = 10.0;
+  ft.act_window = 2;
+  ft.max_models = 2;
+  FedAvgOptions topk;
+  topk.compression = CompressionKind::TopK;
+  topk.topk_ratio = 0.2;
+  topk.error_feedback = true;
+
+  const std::vector<LedgerRow> rows = {
+      {"fedavg",
+       [&] { return std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}); },
+       nullptr},
+      {"fedavg-topk-ef",
+       [&] { return std::make_unique<FedAvgStrategy>(init, topk); },
+       [&] { return make_compressor(topk.compression, topk.topk_ratio); }},
+      {"fedtrans",
+       [&] { return std::make_unique<FedTransStrategy>(tiny_model(), ft); },
+       nullptr},
+      {"heterofl",
+       [] { return std::make_unique<HeteroFLStrategy>(tiny_model()); },
+       nullptr},
+      {"fedrolex",
+       [] { return std::make_unique<FedRolexStrategy>(tiny_model()); },
+       nullptr},
+      {"fluid", [] { return std::make_unique<FluidStrategy>(tiny_model()); },
+       nullptr},
+      {"splitmix",
+       [] { return std::make_unique<SplitMixStrategy>(tiny_model(), 4); },
+       nullptr},
+      {"robust", [&] { return std::make_unique<RobustStrategy>(init); },
+       nullptr},
+  };
+
+  FaultConfig flat_faults;
+  flat_faults.drop_prob = 0.2;
+  flat_faults.dup_prob = 0.1;
+  flat_faults.dropout_prob = 0.15;
+  flat_faults.seed = 77;
+  FaultConfig tree_faults = flat_faults;
+  tree_faults.drop_prob = 0.15;
+  tree_faults.reorder_prob = 0.15;
+  tree_faults.dropout_prob = 0.1;
+  tree_faults.leaf_death_prob = 0.2;
+  const std::vector<std::pair<const char*,
+                              std::function<void(SessionConfig&)>>>
+      modes = {
+          {"in-process", [](SessionConfig&) {}},
+          {"flat", [&](SessionConfig& c) {
+             c.with_fabric(flat_faults).with_retries(1, 5.0);
+           }},
+          {"tree", [&](SessionConfig& c) {
+             c.with_fabric(tree_faults).with_tree(3, 4, 2).with_retries(1,
+                                                                         5.0);
+           }},
+      };
+
+  LedgerCoverage cov;
+  for (const LedgerRow& row : rows)
+    for (const auto& [mode, apply] : modes)
+      for (bool half : {false, true}) {
+        SessionConfig cfg = SessionConfig::from(ft);
+        apply(cfg);
+        if (half) cfg.with_precision(Dtype::F16);
+        FederationEngine e(
+            std::make_unique<LedgerRecorder>(
+                row.make(), row.compressor ? row.compressor() : nullptr),
+            data, fleet, cfg);
+        e.set_selector(std::make_unique<RecordingSelector>());
+        e.run();
+        expect_sync_ledger(e, std::string(row.name) + " " + mode +
+                                  (half ? " fp16" : " fp32"),
+                           cov);
+      }
+  // The table exercised what it claims to.
+  EXPECT_GT(cov.lost, 0);
+  EXPECT_GT(cov.lost_down, 0);
+  EXPECT_GT(cov.multi_task_runs, 0);
+  EXPECT_GT(cov.fabric_extra, 0.0);
+}
+
+TEST(RoundLedger, AsyncSessionsBillEveryDispatch) {
+  // FedBuff: every dispatch is timed once and bills its downlink, and its
+  // compute unless the downlink was lost; an update that arrived bills its
+  // uplink. The loop stops dispatching when the last version ships, and
+  // the jobs still in flight are billed as lost. Async dispatch draws
+  // clients from the engine Rng, so the selector hears nothing.
+  auto data = FederatedDataset::generate(tiny_data());
+  const auto fleet = tiny_fleet(data.num_clients());
+  Rng rng(3);
+  const Model init(tiny_model(), rng);
+  const AsyncBlock async{6, 4, 5, 0.5};
+  FaultConfig faults;
+  faults.drop_prob = 0.2;
+  faults.dup_prob = 0.1;
+  faults.dropout_prob = 0.15;
+  faults.seed = 77;
+
+  int lost_down = 0;
+  for (bool fabric : {false, true})
+    for (bool half : {false, true}) {
+      SCOPED_TRACE(std::string(fabric ? "faulty flat fabric" : "in-process") +
+                   (half ? " fp16" : " fp32"));
+      SessionConfig cfg;
+      cfg.with_async(async);
+      cfg.local.steps = 2;
+      cfg.local.batch = 4;
+      cfg.seed = 5;
+      if (fabric) cfg.with_fabric(faults).with_retries(1, 60.0);
+      if (half) cfg.with_precision(Dtype::F16);
+      FederationEngine e(std::make_unique<LedgerRecorder>(
+                             std::make_unique<FedBuffStrategy>(init)),
+                         data, fleet, cfg);
+      e.set_selector(std::make_unique<RecordingSelector>());
+      e.run();
+      ASSERT_EQ(e.versions_done(), async.aggregations);
+
+      const auto& arrivals = e.strategy_as<LedgerRecorder>().entries();
+      int timeouts = 0;
+      for (const RoundRecord& rec : e.history()) timeouts += rec.lost_updates;
+      // Every processed event but the last ship dispatched a replacement.
+      const auto dispatches = static_cast<std::uint64_t>(
+          async.concurrency + static_cast<int>(arrivals.size()) + timeouts -
+          1);
+      EXPECT_EQ(e.costs().client_time_count(), dispatches);
+      // A dispatch whose ModelDown was lost spent no device time.
+      const auto& times = e.costs().client_times_s();
+      EXPECT_EQ(times.size(), dispatches);
+      const auto downs_lost = static_cast<std::uint64_t>(
+          std::count(times.begin(), times.end(), 0.0));
+      lost_down += static_cast<int>(downs_lost);
+
+      const double bytes = static_cast<double>(init.param_bytes()) *
+                           wire_dtype_scale(cfg);
+      const double task_macs = 3.0 * static_cast<double>(init.macs()) *
+                               cfg.local.steps * cfg.local.batch;
+      const FabricExtra extra = fabric_extra(e);
+      double macs = 0.0;
+      for (const TaskEntry& t : arrivals) macs += t.res.macs_used;
+      macs += task_macs * static_cast<double>(dispatches - arrivals.size() -
+                                              downs_lost);
+      EXPECT_EQ(e.costs().bytes_down(),
+                static_cast<double>(dispatches) * bytes + extra.down);
+      EXPECT_EQ(e.costs().bytes_up(),
+                static_cast<double>(arrivals.size()) * bytes + extra.up);
+      EXPECT_EQ(e.costs().total_macs(), macs);
+      EXPECT_TRUE(
+          dynamic_cast<RecordingSelector&>(e.selector()).reports.empty());
+    }
+  EXPECT_GT(lost_down, 0);
 }
 
 }  // namespace

@@ -1816,5 +1816,32 @@ TEST(BandwidthTest, RepeatBroadcastsHitTheCacheAndShipDeltas) {
             off.stats().bytes_downlink.load());
 }
 
+// A ModelDown's spec sizes the client's model before set_weights compares
+// shapes, so a spec that claims more parameters than the frame carries must
+// fail as an Error before anything is allocated for it.
+TEST(ClientAgentTest, ModelDownSpecMustCountTheWeightsItCarries) {
+  auto data = FederatedDataset::generate(tiny_data());
+  Rng rng(1);
+  Model small(tiny_model(), rng);
+  auto net = make_transport(TransportKind::Sim, tiny_fleet(data.num_clients()),
+                            FaultConfig{});
+  ClientAgent agent(0, data, LocalTrainConfig{}, FabricTopology{});
+  FabricMessage down;
+  down.type = MsgType::ModelDown;
+  down.receiver = 0;
+  down.weights = small.weights();
+
+  // First Cell 2·10^9 wide: 2.2·10^11 parameters.
+  ModelSpec wide = small.spec();
+  wide.cells.front().width = 2000000000;
+  down.spec_text = wide.serialize();
+  EXPECT_THROW(agent.train_and_upload(down, 0.0, small, *net, "slot", 0),
+               Error);
+
+  down.spec_text = small.spec().serialize();
+  EXPECT_EQ(agent.train_and_upload(down, 0.0, small, *net, "slot", 0).outcome,
+            ClientOutcome::Trained);
+}
+
 }  // namespace
 }  // namespace fedtrans

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fl/runner.hpp"
 #include "harness/experiments.hpp"
 #include "test_util.hpp"
@@ -160,6 +162,42 @@ TEST(OverSelectionTest, QuantileOneWithOvercommitTrimsToTargetCount) {
   EXPECT_NEAR(runner.costs().network_bytes(),
               expected_down + model_bytes * base_cfg().clients_per_round,
               1.0);
+}
+
+TEST(OverSelectionTest, KeepsTheFastestClientsAtTheirBilledTimes) {
+  // Over-commit selects all 8 clients every round and keeps k = 4. The
+  // four it keeps, and so the four times the round bills, must be the
+  // fleet's four fastest as the ledger times them: at the session's wire
+  // width, so half-precision sessions predict half-width transfers.
+  auto data = FederatedDataset::generate(tiny_data(8));
+  auto fleet = long_tail_fleet(data.num_clients());
+  Rng rng(3);
+  Model init(tiny_model(), rng);
+  for (bool half : {false, true}) {
+    SessionConfig cfg = base_cfg();
+    cfg.clients_per_round = 4;
+    if (half) cfg.with_precision(Dtype::F16);
+    FederationEngine runner(testing::fedavg(init, overselect(1.0, 1.0)), data,
+                            fleet, cfg);
+    runner.run();
+
+    const Model& m = runner.strategy_as<FedAvgStrategy>().model();
+    std::vector<double> fastest;
+    for (const DeviceProfile& d : fleet)
+      fastest.push_back(client_round_time_s(
+          d, static_cast<double>(m.macs()), cfg.local.steps, cfg.local.batch,
+          static_cast<double>(m.param_bytes()) * wire_dtype_scale(cfg)));
+    std::sort(fastest.begin(), fastest.end());
+    fastest.resize(4);
+    const std::vector<double>& billed = runner.costs().client_times_s();
+    ASSERT_EQ(billed.size(), 4u * static_cast<std::size_t>(cfg.rounds));
+    for (std::size_t r = 0; r < static_cast<std::size_t>(cfg.rounds); ++r) {
+      std::vector<double> kept(billed.begin() + 4 * r,
+                               billed.begin() + 4 * r + 4);
+      std::sort(kept.begin(), kept.end());
+      EXPECT_EQ(kept, fastest) << (half ? "fp16" : "fp32") << " round " << r;
+    }
+  }
 }
 
 }  // namespace

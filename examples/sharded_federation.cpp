@@ -138,8 +138,9 @@ int main() {
                                              s.retry_bytes_down.load()))
             << " retry traffic)\n\n";
 
-  // FedBuff over the fabric: every dispatch is a real ModelDown/UpdateUp
-  // round trip; completions fold in server-side delivery order.
+  // FedBuff over the fabric: every dispatch is a one-task round (JoinRound
+  // and ModelDown down, UpdateUp back under the retry policy); completions
+  // fold in server-side delivery order.
   SessionConfig async_cfg;
   async_cfg.mode = SessionMode::Async;
   async_cfg.async.concurrency = 8;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Docs cross-checker: fail if a page under docs/ (or README.md) references
 # a repo path, build target or code symbol that no longer exists, so the
-# architecture docs cannot silently rot. Four kinds of references are
+# architecture docs cannot silently rot. Five kinds of references are
 # checked:
 #
 #   1. repo paths          src/net/wire.hpp, scripts/bench_micro.sh,
@@ -13,6 +13,9 @@
 #   4. build targets       build/bench_X needs bench/bench_X.cpp,
 #                          build/example_X examples/X.cpp, build/test_X
 #                          tests/test_X.cpp (the CMake globs' naming)
+#   5. trace spans         the span taxonomy table in docs/observability.md
+#                          and the FT_SPAN*/FT_VSPAN* sites under src/ list
+#                          the same (category, name) pairs
 #
 # Usage: scripts/check_docs.sh   (run from anywhere; exits nonzero on rot)
 set -euo pipefail
@@ -100,8 +103,38 @@ for doc in "${DOCS[@]}"; do
              sed 's|^build/||' | sort -u)
 done
 
+# 5. span taxonomy, both ways: every (category, name) pair in the "Span
+#    taxonomy" table of docs/observability.md (argument notes in
+#    parentheses aside) must appear as string literals on one FT_SPAN* /
+#    FT_VSPAN* line under src/, and every such line's first two literals
+#    must be a row of the table. Names are lower_snake, so check 3 skips
+#    them.
+SPAN_DOC=docs/observability.md
+span_sites=$(grep -rhE '^[[:space:]]*FT_V?SPAN(_ARG)?\(' src/ || true)
+doc_pairs=$(awk '/^### Span taxonomy/ { on = 1; next }
+                 on && /^#/ { exit }
+                 on && /^\| `/ { print }' "$SPAN_DOC" |
+  while IFS='|' read -r _ cat names _; do
+    cat=${cat//[\` ]/}
+    sed -E 's/\([^)]*\)//g' <<<"$names" | grep -oE '`[^`]+`' | tr -d '`' |
+      sed "s/^/$cat /"
+  done | sort -u || true)
+[[ -n $doc_pairs ]] || complain "$SPAN_DOC" "no Span taxonomy table found"
+while read -r cat name; do
+  [[ -n $cat ]] || continue
+  grep -F "\"$cat\"" <<<"$span_sites" | grep -qF "\"$name\"" ||
+    complain "$SPAN_DOC" "span taxonomy lists '$cat/$name', which no FT_SPAN/FT_VSPAN site under src/ records"
+done <<<"$doc_pairs"
+site_pairs=$(while IFS= read -r line; do
+  grep -oE '"[^"]*"' <<<"$line" | head -2 | tr -d '"' | paste -sd' '
+done <<<"$span_sites" | sort -u || true)
+while read -r cat name; do
+  grep -qxF "$cat $name" <<<"$doc_pairs" ||
+    complain "$SPAN_DOC" "span '$cat/$name' recorded under src/ is missing from the span taxonomy"
+done <<<"$site_pairs"
+
 if [[ $fail -ne 0 ]]; then
   echo "docs-check: FAILED — fix the stale references above" >&2
   exit 1
 fi
-echo "docs-check: OK (${DOCS[*]})"
+echo "docs-check: OK (${DOCS[*]}; span taxonomy: $(wc -l <<<"$doc_pairs") documented pairs, $(wc -l <<<"$site_pairs") site pairs)"

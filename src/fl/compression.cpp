@@ -54,7 +54,13 @@ double TopKCompression::compressed_bytes(const WeightSet& delta) const {
   const std::int64_t dense_params = ws_numel(delta);
   const auto k = static_cast<std::int64_t>(std::max<double>(
       1.0, std::floor(ratio_ * static_cast<double>(dense_params))));
-  return 8.0 * static_cast<double>(std::min(k, dense_params));
+  // Which tensors the survivors fall in depends on the values, not the
+  // shape, so a delta mixing storage widths bills its widest.
+  int value_bytes = 0;
+  for (const Tensor& t : delta)
+    value_bytes = std::max(value_bytes, dtype_bytes(t.dtype()));
+  return static_cast<double>(4 + value_bytes) *
+         static_cast<double>(std::min(k, dense_params));
 }
 
 UniformQuantization::UniformQuantization(int bits) : bits_(bits) {

@@ -22,26 +22,30 @@ class DeltaCompressor {
   /// Lossy-compress `delta` in place (what the server would decode).
   virtual void compress(WeightSet& delta) = 0;
   /// Uplink bytes for shipping `delta` in this compressor's wire layout.
-  /// Pure function of the delta's shape — no state from prior compress()
-  /// calls — so one compressor instance bills identically regardless of
-  /// call order or which thread's client asks.
+  /// Pure function of the delta's shapes and storage dtypes — no state
+  /// from prior compress() calls — so one compressor instance bills
+  /// identically regardless of call order or which thread's client asks.
   virtual double compressed_bytes(const WeightSet& delta) const = 0;
   virtual std::string name() const = 0;
 };
 
-/// No-op compressor: dense fp32 upload (4 bytes/param).
+/// No-op compressor: dense upload, each tensor at its storage width.
 class NoCompression : public DeltaCompressor {
  public:
   void compress(WeightSet&) override {}
   double compressed_bytes(const WeightSet& delta) const override {
-    return 4.0 * static_cast<double>(ws_numel(delta));
+    double bytes = 0.0;
+    for (const Tensor& t : delta)
+      bytes += static_cast<double>(t.numel() * dtype_bytes(t.dtype()));
+    return bytes;
   }
   std::string name() const override { return "none"; }
 };
 
 /// Global top-k magnitude sparsification: keep the k = ratio × numel
 /// largest-|v| entries across the whole delta, zero the rest. Wire cost is
-/// (4-byte index + 4-byte value) per survivor.
+/// a 4-byte index plus the value at its tensor's storage width per
+/// survivor (4 bytes, 2 in fp16/bf16 sessions).
 class TopKCompression : public DeltaCompressor {
  public:
   explicit TopKCompression(double ratio);

@@ -44,6 +44,17 @@ double wire_bytes(const Model& m, const SessionConfig& cfg) {
   return static_cast<double>(m.param_bytes()) * wire_dtype_scale(cfg);
 }
 
+/// The ledger's bill for a task whose update reached aggregation: its
+/// training MACs, one downlink of `trained` and one uplink (the compressed
+/// size when the strategy compressed it).
+void bill_update(CostMeter& costs, const SessionConfig& cfg,
+                 const LocalTrainResult& res, const Model& trained) {
+  const double bytes = wire_bytes(trained, cfg);
+  costs.add_training_macs(res.macs_used);
+  costs.add_transfer(bytes,
+                     res.uplink_bytes > 0.0 ? res.uplink_bytes : bytes);
+}
+
 }  // namespace
 
 double wire_dtype_scale(const SessionConfig& cfg) {
@@ -229,8 +240,9 @@ bool FederationEngine::numeric_rounds() const {
 }
 
 ExchangeResult FederationEngine::exchange(
-    const std::vector<ClientTask>& tasks, std::vector<Rng>& client_rngs,
-    Model* shared, std::vector<std::optional<Model>>& payloads,
+    std::uint32_t round, double start_s, const std::vector<ClientTask>& tasks,
+    std::vector<Rng>& client_rngs, Model* shared,
+    std::vector<std::optional<Model>>& payloads,
     std::vector<Model*>& task_models) {
   ExchangeResult ex;
   if (cfg_.use_fabric) {
@@ -257,9 +269,8 @@ ExchangeResult FederationEngine::exchange(
       // Single-global-model strategies broadcast one encoded weight blob
       // (snapped to the session's storage grid for half-width ModelDown).
       ex = fabric.run_round(
-          static_cast<std::uint32_t>(round_),
-          quantized_for_wire(shared->weights(), cfg_.local.precision), clients,
-          client_rngs, reduce_keys);
+          round, quantized_for_wire(shared->weights(), cfg_.local.precision),
+          clients, client_rngs, reduce_keys, start_s);
     } else {
       // Heterogeneous strategies ship per-task architectures on the wire.
       // Tasks sharing a payload_key reuse one materialized model (ladder
@@ -286,8 +297,8 @@ ExchangeResult FederationEngine::exchange(
         task_models[i] = m;
         ptrs.push_back(m);
       }
-      ex = fabric.run_round(static_cast<std::uint32_t>(round_), ptrs,
-                            clients, client_rngs, reduce_keys);
+      ex = fabric.run_round(round, ptrs, clients, client_rngs, reduce_keys,
+                            start_s);
     }
     // Retry-policy resends and leaf-failover redirects are real network
     // traffic beyond the ledger's one down + one up per task; the engine
@@ -311,9 +322,11 @@ ExchangeResult FederationEngine::exchange(
   // metric is bitwise-independent of the thread count. Shared-model
   // strategies train on transient copies (absorb hooks never read them);
   // heterogeneous strategies keep each payload alive for absorb's
-  // structural walks.
+  // structural walks. An update reaches the server one simulated client
+  // round time after the start.
   ex.results.resize(tasks.size());
   ex.outcomes.assign(tasks.size(), ClientOutcome::Trained);
+  ex.arrived_at_s.resize(tasks.size());
   ThreadPool::global().parallel_for(
       static_cast<std::int64_t>(tasks.size()), 1,
       [&](std::int64_t lo, std::int64_t hi) {
@@ -324,13 +337,19 @@ ExchangeResult FederationEngine::exchange(
                              ? transient.emplace(*shared)
                              : payloads[idx].emplace(
                                    strategy_->client_payload(tasks[idx]));
-          ex.results[idx] =
-              train_locally(local, tasks[idx].client, client_rngs[idx],
-                            static_cast<std::uint32_t>(round_));
+          ex.results[idx] = train_locally(local, tasks[idx].client,
+                                          client_rngs[idx], round);
         }
       });
-  for (std::size_t i = 0; i < tasks.size(); ++i)
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
     if (payloads[i].has_value()) task_models[i] = &*payloads[i];
+    const Model& trained =
+        task_models[i] != nullptr ? *task_models[i] : *shared;
+    ex.arrived_at_s[i] =
+        start_s +
+        task_round_time_s(
+            cfg_, fleet_[static_cast<std::size_t>(tasks[i].client)], trained);
+  }
   return ex;
 }
 
@@ -360,7 +379,8 @@ double FederationEngine::run_round() {
   ExchangeResult ex;
   {
     FT_SPAN_ARG("engine", "exchange", "tasks", tasks.size());
-    ex = exchange(tasks, client_rngs, shared, payloads, task_models);
+    ex = exchange(static_cast<std::uint32_t>(round_), 0.0, tasks, client_rngs,
+                  shared, payloads, task_models);
   }
 
   // Byzantine accounting before aggregation (strategies may consume the
@@ -425,10 +445,7 @@ double FederationEngine::run_round() {
     else
       strategy_->absorb_update(tasks[i], task_models[i], res, ctx);
     ++ctx.trained;
-    const double bytes = wire_bytes(trained, cfg_);
-    costs_.add_training_macs(res.macs_used);
-    costs_.add_transfer(bytes,
-                        res.uplink_bytes > 0.0 ? res.uplink_bytes : bytes);
+    bill_update(costs_, cfg_, res, trained);
     if (run.client != tasks[i].client) end_run();
     run.client = tasks[i].client;
     ++run.tasks;
@@ -513,23 +530,20 @@ void FederationEngine::run() {
 }
 
 void FederationEngine::run_async() {
-  // FedBuff's event loop. Every dispatch trains at once, on the weights
-  // the client downloaded, and the loop folds its update in when it
-  // reaches the server — staleness enters through the FedBuff discount.
-  // In-process, the update arrives one simulated client round time after
-  // dispatch. Over the fabric, each dispatch is a wire-level ModelDown /
-  // UpdateUp round trip through the FederationServer and the update
-  // arrives at the server-side delivery instant of its UpdateUp (uplink
-  // latency, retries and reordering all shift it); one the server has not
-  // received within the ack-timeout deadline is lost and the client
-  // replaced. The engine bills each dispatch once, when its event is
-  // processed, or after the loop for a job still in flight when the last
-  // version ships.
+  // FedBuff's event loop. Every dispatch is a one-task exchange — the same
+  // exchange a synchronous round runs, in-process or over the fabric —
+  // keyed by its job id and started at the dispatch instant: the client
+  // trains at once on the weights it downloaded, and the loop folds its
+  // update in when it reaches the server (ExchangeResult::arrived_at_s),
+  // staleness entering through the FedBuff discount. Over the fabric, an
+  // update the server has not received within the ack-timeout deadline is
+  // lost and the client replaced. The round ledger's rules bill each
+  // dispatch once: when its event is processed, or after the loop for a
+  // job still in flight when the last version ships.
   Model* shared = strategy_->shared_model();
   FT_CHECK_MSG(shared != nullptr,
                "async scheduling requires a shared-model strategy");
   RoundContext ctx = make_context();
-  const double model_bytes = wire_bytes(*shared, cfg_);
   // The server waits one ack-timeout per allowed uplink attempt: resend k
   // leaves the device ~k·ack_timeout_s after training ends, so a deadline
   // of a single timeout could never admit a retried update — the budget
@@ -546,8 +560,8 @@ void FederationEngine::run_async() {
     std::uint32_t job = 0;
     int client = 0;
     int version = 0;
+    ClientOutcome outcome = ClientOutcome::LostDown;
     bool arrival = false;
-    double macs = 0.0;     // device compute burned: none on a lost downlink
     LocalTrainResult res;  // valid iff arrival
   };
   auto later = [](const Pending& a, const Pending& b) {
@@ -559,54 +573,43 @@ void FederationEngine::run_async() {
   std::uint32_t next_job = 0;
   int lost_since_ship = 0;
   int failovers_since_ship = 0;
-  // A dispatch's ledger entry: its compute, its downlink, and the uplink
-  // of an update that reached the server.
-  auto bill = [&](const Pending& p, bool uplinked) {
-    costs_.add_training_macs(p.macs);
-    costs_.add_transfer(model_bytes, uplinked ? model_bytes : 0.0);
-  };
 
   auto dispatch = [&] {
     const int c = rng_.uniform_int(0, data_.num_clients() - 1);
     // The dispatch-order job id keys the client's Byzantine draw and, over
-    // the fabric, its frames.
+    // the fabric, its frames and fault draws.
     const std::uint32_t job = next_job++;
-    Rng crng = rng_.fork();
-    AsyncTurnaround turn;
-    if (cfg_.use_fabric) {
-      turn = server().async_exchange(
-          job, c, quantized_for_wire(shared->weights(), cfg_.local.precision),
-          crng, now_s_);
-    } else {
-      Model local = *shared;
-      turn.res = train_locally(local, c, crng, job);
-      turn.outcome = ClientOutcome::Trained;
-      turn.busy_s = task_round_time_s(
-          cfg_, fleet_[static_cast<std::size_t>(c)], *shared);
-      turn.update_at_s = now_s_ + turn.busy_s;
-    }
-    if (turn.retry_up_bytes > 0.0)
-      costs_.add_transfer(0.0, turn.retry_up_bytes);
-    costs_.add_client_round_time(turn.busy_s);
-    // A dead leaf re-routed this job through a sibling; surface it on the
-    // next shipped version's record, mirroring the sync path's accounting.
-    if (turn.failed_over) ++failovers_since_ship;
+    const std::vector<ClientTask> tasks{ClientTask{c, 0}};
+    std::vector<Rng> client_rngs{rng_.fork()};
+    std::vector<std::optional<Model>> payloads(1);
+    std::vector<Model*> task_models(1, nullptr);
+    ExchangeResult ex =
+        exchange(job, now_s_, tasks, client_rngs, shared, payloads,
+                 task_models);
+    // Dead leaves re-routed this dispatch; surface them on the next
+    // shipped version's record.
+    failovers_since_ship += ex.leaf_failovers;
     Pending p;
     p.job = job;
     p.client = c;
     p.version = version_;
-    p.macs = turn.outcome == ClientOutcome::LostDown ? 0.0
-                                                     : turn.res.macs_used;
+    p.outcome = ex.outcomes[0];
+    if (p.outcome != ClientOutcome::LostDown)
+      costs_.add_client_round_time(task_round_time_s(
+          cfg_, fleet_[static_cast<std::size_t>(c)], *shared));
     // The ack-timeout deadline is a fabric policy: in-process updates
-    // always arrive.
-    if (turn.outcome == ClientOutcome::Trained &&
-        (!cfg_.use_fabric || turn.update_at_s <= now_s_ + deadline_s)) {
+    // always arrive. A leaf failover sent the model one ack-timeout late,
+    // and the server, which redirected it, waits that much longer.
+    const double give_up_s =
+        now_s_ + deadline_s +
+        static_cast<double>(ex.leaf_failovers) * cfg_.topology.ack_timeout_s;
+    if (p.outcome == ClientOutcome::Trained &&
+        (!cfg_.use_fabric || ex.arrived_at_s[0] <= give_up_s)) {
       p.arrival = true;
-      p.t = turn.update_at_s;
-      p.res = std::move(turn.res);
+      p.t = ex.arrived_at_s[0];
+      p.res = std::move(ex.results[0]);
     } else {
-      p.arrival = false;
-      p.t = now_s_ + deadline_s;
+      p.t = give_up_s;
     }
     pending.push(std::move(p));
   };
@@ -638,7 +641,7 @@ void FederationEngine::run_async() {
       const double discount =
           std::pow(1.0 + staleness, -cfg_.async.staleness_exponent);
       ctx.round = version_;
-      bill(ev, /*uplinked=*/true);
+      bill_update(costs_, cfg_, ev.res, *shared);
       const auto shipped =
           strategy_->absorb_async(ev.client, ev.res, discount, ctx);
       if (shipped.has_value()) {
@@ -659,11 +662,10 @@ void FederationEngine::run_async() {
         for (RoundObserver* obs : observers_) obs->on_round_end(rec);
       }
     } else {
-      // Ack-timeout: bill the spent downlink and any wasted device
-      // compute, count the loss against the next shipped version, and
-      // replace the client.
+      // Ack-timeout: bill the lost update, count the loss against the next
+      // shipped version, and replace the client.
       ++lost_since_ship;
-      bill(ev, /*uplinked=*/false);
+      bill_lost_update(ctx, ev.outcome, *shared);
       FT_CHECK_MSG(++consecutive_timeouts < max_consecutive_timeouts,
                    "fabric-backed async session makes no progress: no "
                    "update arrived within (max_retries + 1) * ack_timeout_s"
@@ -675,7 +677,7 @@ void FederationEngine::run_async() {
   // Jobs still in flight downloaded (and trained, unless the downlink was
   // lost) but never count: bill them as lost updates.
   for (; !pending.empty(); pending.pop())
-    bill(pending.top(), /*uplinked=*/false);
+    bill_lost_update(ctx, pending.top().outcome, *shared);
 }
 
 double FederationEngine::mean_staleness() const {

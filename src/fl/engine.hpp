@@ -323,9 +323,9 @@ class FederationEngine {
 
  private:
   RoundContext make_context();
-  /// FedBuff's event loop, in-process or over the fabric: each dispatched
-  /// client trains at once on the weights it downloaded, and its update is
-  /// folded in when it reaches the server.
+  /// FedBuff's event loop: each dispatch is a one-task exchange started at
+  /// the dispatch instant, and its update is folded in when it reaches the
+  /// server.
   void run_async();
   /// The fabric server, built on first use (so transport and socket setup
   /// stays out of engine construction).
@@ -338,7 +338,11 @@ class FederationEngine {
   /// eval_every divides `tick` (the round in sync mode, the shipped server
   /// version in async mode).
   void maybe_probe(int tick, RoundContext& ctx, RoundRecord& rec);
-  ExchangeResult exchange(const std::vector<ClientTask>& tasks,
+  /// Train `tasks` in-process or over the fabric, as round `round` (it
+  /// keys the frames and the per-round fault and Byzantine draws) starting
+  /// at simulated instant `start_s`, and bill the fabric's extra traffic.
+  ExchangeResult exchange(std::uint32_t round, double start_s,
+                          const std::vector<ClientTask>& tasks,
                           std::vector<Rng>& client_rngs, Model* shared,
                           std::vector<std::optional<Model>>& payloads,
                           std::vector<Model*>& task_models);

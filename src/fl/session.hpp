@@ -74,10 +74,11 @@ enum class PartialQuant : std::uint8_t { None = 0, Int8 = 1, Fp16 = 2 };
 /// FabricStats, and billed through CostMeter. In async sessions the server
 /// additionally waits one ack-timeout per allowed uplink attempt — a
 /// dispatched client whose update has not arrived
-/// `(max_retries + 1) × ack_timeout_s` after dispatch is counted lost and
-/// replaced. Leaves are per-shard fault domains: a leaf that dies for a
-/// round (FaultConfig::leaf_death_prob) has its client partition reassigned
-/// to an alive sibling under the same parent — the redirected bundle is
+/// `(max_retries + 1) × ack_timeout_s` after dispatch (one ack-timeout
+/// more after a leaf failover) is counted lost and replaced. Leaves are
+/// per-shard fault domains: a leaf that dies for a round
+/// (FaultConfig::leaf_death_prob) has its client partition reassigned to
+/// an alive sibling under the same parent — the redirected bundle is
 /// billed and the failover recorded in FabricStats/RoundRecord.
 struct FabricTopology {
   /// Aggregation tiers above the clients: 1 = flat root, 2 = root +

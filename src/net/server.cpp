@@ -143,9 +143,10 @@ void for_each_decoded(Transport& net, std::int32_t node, Decode&& decode,
 }
 
 /// The PartialUp bundles in `node`'s mailbox for `round`, first arrival per
-/// (sender, partition) — duplicate deliveries dedup at bundle granularity;
-/// Ack/Abort frames are bookkeeping only. `last_s` advances to the latest
-/// kept delivery instant.
+/// (sender, partition), their entries stamped with the bundle's delivery
+/// instant — duplicate deliveries dedup at bundle granularity; Ack/Abort
+/// frames are bookkeeping only. `last_s` advances to the latest kept
+/// delivery instant.
 std::vector<PartialUpdate> drain_bundles(Transport& net, std::int32_t node,
                                          std::uint32_t round,
                                          double& last_s) {
@@ -161,29 +162,10 @@ std::vector<PartialUpdate> drain_bundles(Transport& net, std::int32_t node,
         if (!p || p->round != round) return;
         if (!seen.insert({p->sender, p->shard}).second) return;
         last_s = std::max(last_s, env.deliver_at_s);
+        for (UpdateEntry& e : p->entries) e.arrived_at_s = env.deliver_at_s;
         bundles.push_back(std::move(*p));
       });
   return bundles;
-}
-
-/// A frame one async round trip waits for, and its delivery instant.
-struct Arrival {
-  FabricMessage msg;
-  double at_s = 0.0;
-};
-
-/// Drain `node`'s mailbox for the first `type` frame of async job `job`
-/// (later copies are duplicates); nullopt when none arrived.
-std::optional<Arrival> first_arrival(Transport& net, std::int32_t node,
-                                     std::uint32_t job, MsgType type) {
-  std::optional<Arrival> first;
-  for_each_decoded(
-      net, node, [](const std::string& frame) { return decode_message(frame); },
-      [&](FabricMessage& msg, const Envelope& env) {
-        if (first || msg.round != job || msg.type != type) return;
-        first = Arrival{std::move(msg), env.deliver_at_s};
-      });
-  return first;
 }
 
 /// The [slot][spec][weights] head shared by every ModelDown payload: the
@@ -394,9 +376,7 @@ void ClientAgent::poll(std::uint32_t round, const Model& prototype,
     if (invited.find(task) == invited.end()) continue;
     if (task < 0 || task >= static_cast<std::int32_t>(outcomes.size()))
       continue;
-    const TaskRun run =
-        train_and_upload(msg, down_at_s[task], prototype, net, "task",
-                         static_cast<std::uint32_t>(task));
+    const TaskRun run = train_and_upload(msg, down_at_s[task], prototype, net);
     trained_any = true;
     last_done_s = std::max(last_done_s, run.done_s);
     coordinators.insert(msg.sender);
@@ -441,10 +421,10 @@ void ClientAgent::poll(std::uint32_t round, const Model& prototype,
   }
 }
 
-ClientAgent::TaskRun ClientAgent::train_and_upload(
-    const FabricMessage& down, double down_at_s, const Model& prototype,
-    Transport& net, [[maybe_unused]] const char* span_arg,
-    [[maybe_unused]] std::uint32_t span_val) {
+ClientAgent::TaskRun ClientAgent::train_and_upload(const FabricMessage& down,
+                                                   double down_at_s,
+                                                   const Model& prototype,
+                                                   Transport& net) {
   // Train exactly as the in-process path would: the payload architecture
   // (prototype or on-the-wire spec), the weights, and the coordinator-
   // forked Rng all arrived on the wire.
@@ -474,7 +454,7 @@ ClientAgent::TaskRun ClientAgent::train_and_upload(
   // The device's train window on the simulated timeline: model arrival to
   // upload-ready, on the client's own track.
   FT_VSPAN_ARG("client", "train", down_at_s, compute_s, kTrackClients + id_,
-               span_arg, span_val);
+               "task", down.task);
 
   if (net.client_dropped_out(down.round, id_)) {
     run.outcome = ClientOutcome::Dropout;
@@ -670,7 +650,7 @@ void FederationServer::broadcast(std::uint32_t round,
                                  const std::vector<int>& clients,
                                  const std::vector<Rng>& client_rngs,
                                  const std::vector<std::int32_t>& reduce_keys,
-                                 const BodyEncoder& encode) {
+                                 const BodyEncoder& encode, double start_s) {
   FT_SPAN_ARG("server", "broadcast", "tasks", clients.size());
   // One bundle holds the whole round: each distinct payload body encoded
   // once, and per task only the (tiny) slot id and Rng-state sections of
@@ -689,16 +669,17 @@ void FederationServer::broadcast(std::uint32_t round,
   leaf_served_.assign(sharded() ? static_cast<std::size_t>(topo_.shards) : 1,
                       {});
   if (sharded()) {
-    broadcast_sharded(round, all);
+    broadcast_sharded(round, all, start_s);
   } else {
     // Flat: the root is the degenerate tree's only leaf and fans the
     // bundle out to every client itself, at the round's start.
-    fan_out(round, kServerId, all, /*at_s=*/0.0, leaf_served_[0]);
+    fan_out(round, kServerId, all, start_s, leaf_served_[0]);
   }
 }
 
 void FederationServer::broadcast_sharded(std::uint32_t round,
-                                         const ShardDownlink& all) {
+                                         const ShardDownlink& all,
+                                         double start_s) {
   FT_SPAN_ARG("server", "broadcast_sharded", "tasks", all.tasks.size());
   // Root → tree: one bundle per root child, holding each body its leaf
   // range references once. Interior tiers split their bundle further; a
@@ -707,7 +688,7 @@ void FederationServer::broadcast_sharded(std::uint32_t round,
   for (int j = 0; j < tree_.tier_width(1); ++j) {
     const auto [lo, hi] = tree_.leaf_range(1, j);
     send_bundle(round, kServerId, 1, j,
-                subset_bundle(all, topo_.shards, lo, hi), /*sent_at_s=*/0.0);
+                subset_bundle(all, topo_.shards, lo, hi), start_s);
   }
   route_tiers_down(round);
   fan_out_shards(round);
@@ -921,6 +902,7 @@ std::map<std::int32_t, UpdateEntry> FederationServer::match_updates(
         e.avg_loss = msg.avg_loss;
         e.num_samples = msg.num_samples;
         e.macs_used = msg.macs_used;
+        e.arrived_at_s = env.deliver_at_s;
         matched.emplace(i, std::move(e));
         auto& at = up_at[i % topo_.shards];
         at = std::max(at, env.deliver_at_s);
@@ -961,6 +943,7 @@ void FederationServer::collect(std::uint32_t round,
     res.avg_loss = e.avg_loss;
     res.num_samples = e.num_samples;
     res.macs_used = e.macs_used;
+    out.arrived_at_s[slot] = e.arrived_at_s;
   }
   if (reduced_round_) out.groups = std::move(merged.groups);
   // An agent that believes its update was delivered must be matched at the
@@ -1093,7 +1076,8 @@ PartialUpdate FederationServer::collect_tree(std::uint32_t round,
 ExchangeResult FederationServer::exchange(
     std::uint32_t round, const std::vector<int>& clients,
     const std::vector<Rng>& client_rngs,
-    const std::vector<std::int32_t>& reduce_keys, const BodyEncoder& encode) {
+    const std::vector<std::int32_t>& reduce_keys, const BodyEncoder& encode,
+    double start_s) {
   FT_SPAN_ARG("server", "exchange", "tasks", clients.size());
   FT_CHECK_MSG(clients.size() == client_rngs.size(),
                "one forked Rng per task slot required");
@@ -1104,6 +1088,7 @@ ExchangeResult FederationServer::exchange(
   ExchangeResult out;
   out.results.resize(clients.size());
   out.outcomes.assign(clients.size(), ClientOutcome::LostDown);
+  out.arrived_at_s.assign(clients.size(), 0.0);
   out.reduced = reduced_round_;
   const std::uint64_t retry_down0 = net_->stats().retry_bytes_down.load();
   const std::uint64_t retry_up0 = net_->stats().retry_bytes_up.load();
@@ -1111,11 +1096,8 @@ ExchangeResult FederationServer::exchange(
   const std::uint64_t failover_b0 = net_->stats().failover_bytes_down.load();
   const std::uint64_t delta_saved0 = net_->stats().delta_saved_bytes.load();
 
-  phase_ = Phase::Broadcast;
-  broadcast(round, clients, client_rngs, reduce_keys, encode);
-  phase_ = Phase::Collect;
+  broadcast(round, clients, client_rngs, reduce_keys, encode, start_s);
   collect(round, clients, out);
-  phase_ = Phase::Aggregate;  // aggregation happens in the caller
 
   out.retry_down_bytes = static_cast<double>(
       net_->stats().retry_bytes_down.load() - retry_down0);
@@ -1133,19 +1115,19 @@ ExchangeResult FederationServer::exchange(
 ExchangeResult FederationServer::run_round(
     std::uint32_t round, const WeightSet& global,
     const std::vector<int>& clients, const std::vector<Rng>& client_rngs,
-    const std::vector<std::int32_t>& reduce_keys) {
+    const std::vector<std::int32_t>& reduce_keys, double start_s) {
   // One body, which every task (body index 0) downloads into the
   // prototype architecture.
-  return exchange(round, clients, client_rngs, reduce_keys,
-                  [&](ShardDownlink& all) {
-                    all.bodies.push_back(shared_body(global));
-                  });
+  return exchange(
+      round, clients, client_rngs, reduce_keys,
+      [&](ShardDownlink& all) { all.bodies.push_back(shared_body(global)); },
+      start_s);
 }
 
 ExchangeResult FederationServer::run_round(
     std::uint32_t round, const std::vector<Model*>& payloads,
     const std::vector<int>& clients, const std::vector<Rng>& client_rngs,
-    const std::vector<std::int32_t>& reduce_keys) {
+    const std::vector<std::int32_t>& reduce_keys, double start_s) {
   FT_CHECK_MSG(payloads.size() == clients.size(),
                "one payload model per task slot required");
   // Architecture + weights ride the frame: the agent rebuilds the exact
@@ -1162,106 +1144,8 @@ ExchangeResult FederationServer::run_round(
                       if (fresh) all.bodies.push_back(task_body(*payloads[i]));
                       all.tasks[i].body = it->second;
                     }
-                  });
-}
-
-AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
-                                                 int client,
-                                                 const WeightSet& global,
-                                                 const Rng& rng,
-                                                 double now_s) {
-  FT_SPAN_ARG("server", "async_exchange", "client", client);
-  FT_CHECK_MSG(client >= 0 && client < num_clients(),
-               "async dispatch to unknown client " << client);
-  AsyncTurnaround t;
-  const std::uint64_t retry0 = net_->stats().retry_bytes_up.load();
-
-  // Route: a flat session talks straight to the client; a tree session
-  // hops through the aggregator chain above the client's leaf partition
-  // (leaf = client % shards, failover applied per job) on the
-  // zero-latency backbone — so the server-side delivery order the engine
-  // folds completions in is preserved relative to a flat fabric.
-  std::vector<std::int32_t> chain;  // root-to-leaf aggregator endpoints
-  if (sharded()) {
-    const int part = client % topo_.shards;
-    const int owner = owner_leaf(job, part);
-    if (owner < 0) return t;  // whole fault domain down: LostDown
-    if (owner != part) {
-      t.failed_over = true;
-      net_->stats_mutable().leaf_failovers.fetch_add(
-          1, std::memory_order_relaxed);
-    }
-    for (int tier = 1; tier < topo_.levels - 1; ++tier)
-      chain.push_back(tree_.node_id(tier, tree_.node_covering(tier, owner)));
-    chain.push_back(tree_.leaf_id(owner));
-  }
-
-  // Downlink: one ModelDown (task slot 0, round field = job id) carrying
-  // the dispatch-time weight snapshot and the forked Rng — hop by hop down
-  // the chain, then over the client's radio link, the real wire path, so
-  // the client trains on exactly what it downloaded. Any lost hop is
-  // LostDown: async dispatches are not retried downward — the engine
-  // replaces timed-out clients instead.
-  const std::string payload =
-      model_down_payload(0, shared_body(global), rng.state());
-  std::int32_t down_src = kServerId;
-  double down_sent_s = now_s;
-  chain.push_back(client);  // the last downlink hop is the radio link
-  std::optional<Arrival> down;
-  for (std::int32_t hop : chain) {
-    if (!net_->send(down_src, hop,
-                    encode_frame(MsgType::ModelDown, job, down_src, hop,
-                                 payload),
-                    down_sent_s))
-      return t;
-    down = first_arrival(*net_, hop, job, MsgType::ModelDown);
-    FT_CHECK_MSG(down, "delivered ModelDown missing from mailbox of "
-                           << hop);
-    down_src = hop;
-    down_sent_s = down->at_s;
-  }
-  chain.pop_back();
-
-  // Client side: train on receipt, upload to the coordinator (the leaf in
-  // tree sessions) under the retry policy.
-  ClientAgent::TaskRun run =
-      ClientAgent(client, *data_, local_, topo_)
-          .train_and_upload(down->msg, down->at_s, prototype_, *net_, "job",
-                            job);
-  t.outcome = run.outcome;
-  t.res = std::move(run.res);
-  t.busy_s = run.done_s - now_s;
-
-  // Then hop by hop back to the root, each backbone leg under the same
-  // retry policy.
-  for (std::size_t k = chain.size();
-       t.outcome == ClientOutcome::Trained && k-- > 0;) {
-    const std::int32_t node = chain[k];
-    std::optional<Arrival> fwd =
-        first_arrival(*net_, node, job, MsgType::UpdateUp);
-    FT_CHECK_MSG(fwd, "delivered update missing from aggregator mailbox");
-    const std::int32_t parent = k == 0 ? kServerId : chain[k - 1];
-    fwd->msg.sender = node;
-    fwd->msg.receiver = parent;
-    if (!send_with_retry(*net_, node, parent, fwd->at_s, topo_,
-                         /*downlink=*/false, [&fwd](std::uint8_t flags) {
-                           fwd->msg.flags = flags;
-                           return encode_message(fwd->msg);
-                         }))
-      t.outcome = ClientOutcome::LostUp;
-  }
-  t.retry_up_bytes =
-      static_cast<double>(net_->stats().retry_bytes_up.load() - retry0);
-  if (t.outcome != ClientOutcome::Trained) return t;  // Dropout or LostUp
-
-  // Server side: collect this job's UpdateUp and its delivery instant.
-  std::optional<Arrival> up =
-      first_arrival(*net_, kServerId, job, MsgType::UpdateUp);
-  FT_CHECK_MSG(up, "delivered update missing from server mailbox");
-  t.update_at_s = up->at_s;
-  t.res.delta = std::move(up->msg.weights);
-  t.busy_s = std::max(t.busy_s, t.update_at_s - now_s);
-  return t;
+                  },
+                  start_s);
 }
 
 }  // namespace fedtrans

@@ -28,7 +28,7 @@ enum class ClientOutcome : std::uint8_t {
   Dropout,   ///< trained, then the device went offline before uploading
 };
 
-/// What one fabric exchange produced, per task slot — plus the round's
+/// What one exchange produced, per task slot — plus the round's
 /// retry-policy resend traffic (FabricTopology::max_retries) and leaf
 /// failover traffic, split by direction so the engine can bill them
 /// through CostMeter.
@@ -40,6 +40,11 @@ enum class ClientOutcome : std::uint8_t {
 struct ExchangeResult {
   std::vector<LocalTrainResult> results;  ///< valid iff outcome == Trained
   std::vector<ClientOutcome> outcomes;
+  /// Simulated instant each slot's update reached the root (valid iff
+  /// Trained): the delivery instant of the frame that carried it there, or
+  /// in-process the exchange's start plus the task's task_round_time_s.
+  /// The async event loop folds completions in this order.
+  std::vector<double> arrived_at_s;
   bool reduced = false;
   std::vector<ReducedGroup> groups;  ///< reduced mode only, merged at root
   double retry_down_bytes = 0.0;
@@ -92,22 +97,6 @@ class FabricTree {
   std::vector<int> width_;   ///< width_[t-1] = nodes on tier t
   std::vector<int> offset_;  ///< offset_[t-1] = first aggregator index of t
   int total_ = 0;
-};
-
-/// One asynchronous (FedBuff-mode) fabric round trip: ModelDown to one
-/// client, local training on receipt, UpdateUp back — with the retry
-/// policy applied to the uplink. `update_at_s` is the server-side delivery
-/// instant of the UpdateUp, which is what orders completions in the
-/// engine's fabric-backed async event loop.
-struct AsyncTurnaround {
-  ClientOutcome outcome = ClientOutcome::LostDown;
-  double update_at_s = 0.0;  ///< UpdateUp delivery time; valid iff Trained
-  double busy_s = 0.0;       ///< device time burned (downlink + train + up)
-  double retry_up_bytes = 0.0;  ///< resend traffic of this turnaround
-  /// This job's leaf was dead and the round trip was routed through a
-  /// sibling (tree sessions only; counted into RoundRecord by the engine).
-  bool failed_over = false;
-  LocalTrainResult res;      ///< metrics always; delta valid iff Trained
 };
 
 /// Per-client memory of the last model each client decoded from a
@@ -180,11 +169,9 @@ class ClientAgent {
   /// frame, delivered at `down_at_s`), then upload UpdateUp to the frame's
   /// sender under the retry policy — unless the device drops out of
   /// `down.round` after training. Outcome is Trained iff the upload was
-  /// delivered. `span_arg`/`span_val` tag the virtual train span (the task
-  /// slot in synchronous rounds, the job id in async round trips).
+  /// delivered. The virtual train span carries the task slot.
   TaskRun train_and_upload(const FabricMessage& down, double down_at_s,
-                           const Model& prototype, Transport& net,
-                           const char* span_arg, std::uint32_t span_val);
+                           const Model& prototype, Transport& net);
 
  private:
   int id_;
@@ -203,6 +190,10 @@ class ClientAgent {
 ///    collected deltas with exactly the same fixed-order reduction as its
 ///    in-process path, which is what makes fault-free fabric runs bitwise
 ///    identical.)
+///
+/// Both scheduling modes cross the fabric through this one round: an
+/// asynchronous (FedBuff) dispatch is a one-task round started at the
+/// dispatch instant, keyed by its job id.
 ///
 /// A flat topology is the degenerate tree: the root is its only leaf, and
 /// fans out and matches updates with the same code a leaf aggregator runs.
@@ -232,8 +223,6 @@ class ClientAgent {
 /// list the fabric sees is already deadline-trimmed.
 class FederationServer {
  public:
-  enum class Phase : std::uint8_t { Idle, Broadcast, Collect, Aggregate };
-
   FederationServer(const Model& prototype, const ClientDataProvider& data,
                    std::vector<DeviceProfile> fleet, LocalTrainConfig local,
                    FaultConfig faults, FabricTopology topology = {},
@@ -245,11 +234,14 @@ class FederationServer {
   /// is task slot i's client; `client_rngs[i]` is the coordinator-forked
   /// generator it must train with. Slot order is preserved in the result.
   /// `reduce_keys` (one per slot) turns on the numeric reduction for this
-  /// round when the topology opts in; empty = verbatim bundles.
+  /// round when the topology opts in; empty = verbatim bundles. The root's
+  /// frames leave at simulated instant `start_s` (an async dispatch starts
+  /// its one-task round at the dispatch instant).
   ExchangeResult run_round(std::uint32_t round, const WeightSet& global,
                            const std::vector<int>& clients,
                            const std::vector<Rng>& client_rngs,
-                           const std::vector<std::int32_t>& reduce_keys = {});
+                           const std::vector<std::int32_t>& reduce_keys = {},
+                           double start_s = 0.0);
 
   /// Heterogeneous exchange: task slot i downloads `payloads[i]` —
   /// architecture and weights ride the wire, so clients may train
@@ -258,22 +250,9 @@ class FederationServer {
                            const std::vector<Model*>& payloads,
                            const std::vector<int>& clients,
                            const std::vector<Rng>& client_rngs,
-                           const std::vector<std::int32_t>& reduce_keys = {});
+                           const std::vector<std::int32_t>& reduce_keys = {},
+                           double start_s = 0.0);
 
-  /// One asynchronous round trip for the engine's fabric-backed FedBuff
-  /// loop: send `global` to `client` as a ModelDown at simulated instant
-  /// `now_s` (round field = `job`), let the agent train on receipt and
-  /// upload UpdateUp under the retry policy, and collect it from the
-  /// server mailbox. With a tree topology the frames hop through the
-  /// client's leaf partition (leaf = client % shards, failover applied) on
-  /// the zero-latency backbone, so the server-side delivery order the
-  /// engine folds completions in is preserved relative to a flat fabric.
-  /// Pure message passing — no aggregation state here.
-  AsyncTurnaround async_exchange(std::uint32_t job, int client,
-                                 const WeightSet& global, const Rng& rng,
-                                 double now_s);
-
-  Phase phase() const { return phase_; }
   const Transport& transport() const { return *net_; }
   const FabricStats& stats() const { return net_->stats(); }
   int num_clients() const { return net_->num_clients(); }
@@ -294,11 +273,12 @@ class FederationServer {
   void broadcast(std::uint32_t round, const std::vector<int>& clients,
                  const std::vector<Rng>& client_rngs,
                  const std::vector<std::int32_t>& reduce_keys,
-                 const BodyEncoder& encode);
+                 const BodyEncoder& encode, double start_s);
   /// Tree broadcast: per root child, the ShardDown bundle of its leaf
-  /// range; interior tiers split bundles downward; leaves fan out to
-  /// per-client JoinRound + ModelDown frames.
-  void broadcast_sharded(std::uint32_t round, const ShardDownlink& all);
+  /// range, leaving at `start_s`; interior tiers split bundles downward;
+  /// leaves fan out to per-client JoinRound + ModelDown frames.
+  void broadcast_sharded(std::uint32_t round, const ShardDownlink& all,
+                         double start_s);
   /// Send one pre-filtered bundle down to node (tier, j): leaf bundles
   /// apply the failover policy, interior bundles go straight down with the
   /// retry policy.
@@ -316,8 +296,9 @@ class FederationServer {
   void poll_agents(std::uint32_t round, const std::vector<int>& clients,
                    ExchangeResult& out);
   /// A leaf's update matching: drain `node`'s mailbox and keep the first
-  /// admissible UpdateUp of each slot it fanned out (`served`), noting the
-  /// last delivery instant per partition in `up_at`.
+  /// admissible UpdateUp of each slot it fanned out (`served`), stamped
+  /// with its delivery instant, noting the last delivery instant per
+  /// partition in `up_at`.
   std::map<std::int32_t, UpdateEntry> match_updates(
       std::uint32_t round, std::int32_t node,
       const std::map<std::int32_t, std::int32_t>& served,
@@ -337,7 +318,7 @@ class FederationServer {
                           const std::vector<int>& clients,
                           const std::vector<Rng>& client_rngs,
                           const std::vector<std::int32_t>& reduce_keys,
-                          const BodyEncoder& encode);
+                          const BodyEncoder& encode, double start_s);
   /// The leaf serving partition `s` in `round` under the failover policy
   /// (itself when alive, else the next alive sibling, wrapping; -1 when
   /// the whole sibling group is dead).
@@ -389,7 +370,6 @@ class FederationServer {
   /// Consumed by the leaf's collect pass.
   std::vector<std::map<std::int32_t, std::int32_t>> leaf_served_;
   bool reduced_round_ = false;
-  Phase phase_ = Phase::Idle;
   /// Receiver-side broadcast caches, one per aggregator (broadcast_cache).
   std::vector<BroadcastCache> bcast_cache_;
   /// Sender-side mirror of each aggregator's cache contents: spec digest →

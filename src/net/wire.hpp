@@ -144,6 +144,9 @@ struct UpdateEntry {
   double avg_loss = 0.0;
   std::int32_t num_samples = 0;
   double macs_used = 0.0;
+  /// Decode side only, never on the wire: delivery instant of the frame
+  /// that carried this entry to the node that drained it.
+  double arrived_at_s = 0.0;
 };
 
 /// One reduce group's numeric partial aggregate inside a reduced PartialUp:

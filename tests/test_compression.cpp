@@ -82,6 +82,22 @@ TEST(TopKCompressionTest, BytesScaleWithRatio) {
   EXPECT_LT(tenth.compressed_bytes(ws), none.compressed_bytes(ws));
 }
 
+TEST(TopKCompressionTest, BytesBillValuesAtStorageWidth) {
+  // A 4-byte index plus the survivor's value at its storage width; the
+  // dense upload bills every tensor at its own width.
+  WeightSet d = make_delta(
+      {std::vector<float>(60, 1.0f), std::vector<float>(40, 2.0f)});
+  const TopKCompression topk(0.1);  // 10 survivors
+  EXPECT_EQ(topk.compressed_bytes(d), 10.0 * (4 + 4));
+  EXPECT_EQ(NoCompression().compressed_bytes(d), 100.0 * 4);
+  for (Tensor& t : d) t.quantize_storage(Dtype::F16);
+  EXPECT_EQ(topk.compressed_bytes(d), 10.0 * (4 + 2));
+  EXPECT_EQ(NoCompression().compressed_bytes(d), 100.0 * 2);
+  d[0].quantize_storage(Dtype::F32);
+  EXPECT_EQ(topk.compressed_bytes(d), 10.0 * (4 + 4));
+  EXPECT_EQ(NoCompression().compressed_bytes(d), 60.0 * 4 + 40.0 * 2);
+}
+
 TEST(TopKCompressionTest, RejectsInvalidRatio) {
   EXPECT_THROW(TopKCompression(0.0), Error);
   EXPECT_THROW(TopKCompression(1.5), Error);
@@ -322,6 +338,44 @@ TEST(CompressedRunnerTest, TopKSlashesUplinkBytes) {
   EXPECT_LT(compressed.costs().network_bytes(),
             0.7 * dense.costs().network_bytes())
       << "5% top-k should cut total transfer substantially";
+}
+
+TEST(CompressedRunnerTest, UplinkBillsTheSessionWireWidth) {
+  // Top-k survivors ship their values at the session's storage width, so
+  // an fp16 session bills 6 bytes per survivor instead of 8; 8-bit codes
+  // plus one fp32 scale per tensor cost the same in both.
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = tiny_fleet(data.num_clients());
+  Rng rng(21);
+  Model init(ModelSpec::conv(1, 8, 4, 4, {6, 8}), rng);
+  ASSERT_EQ(init.num_params(), 774);
+  ASSERT_EQ(init.weights().size(), 14u);
+
+  SessionConfig cfg;
+  cfg.rounds = 4;
+  cfg.clients_per_round = 6;
+  cfg.local.steps = 2;
+  cfg.local.batch = 6;
+  FedAvgOptions topk;
+  topk.compression = CompressionKind::TopK;
+  topk.topk_ratio = 0.2;
+  topk.error_feedback = true;
+  FedAvgOptions quant8;
+  quant8.compression = CompressionKind::Quant8;
+  auto bytes_up = [&](const FedAvgOptions& opts, bool half) {
+    SessionConfig c = cfg;
+    if (half) c.with_precision(Dtype::F16);
+    FederationEngine e(testing::fedavg(init, opts), data, fleet, c);
+    e.run();
+    return e.costs().bytes_up();
+  };
+
+  // 24 uploads of floor(0.2 · 774) = 154 survivors each.
+  EXPECT_EQ(bytes_up(topk, false), 29568.0);
+  EXPECT_EQ(bytes_up(topk, true), 22176.0);
+  // 24 uploads of 774 one-byte codes plus 14 fp32 scales.
+  EXPECT_EQ(bytes_up(quant8, false), 19920.0);
+  EXPECT_EQ(bytes_up(quant8, true), 19920.0);
 }
 
 TEST(CompressedRunnerTest, QuantizedTrainingStillLearns) {

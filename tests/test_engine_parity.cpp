@@ -699,11 +699,12 @@ TEST(RoundLedger, EveryStrategyBillsTimesAndReportsByOneRule) {
 }
 
 TEST(RoundLedger, AsyncSessionsBillEveryDispatch) {
-  // FedBuff: every dispatch is timed once and bills its downlink, and its
-  // compute unless the downlink was lost; an update that arrived bills its
-  // uplink. The loop stops dispatching when the last version ships, and
-  // the jobs still in flight are billed as lost. Async dispatch draws
-  // clients from the engine Rng, so the selector hears nothing.
+  // FedBuff: every dispatch bills its downlink, and its compute unless the
+  // downlink was lost; a dispatch whose client trained is timed once; an
+  // update that arrived bills its uplink. The loop stops dispatching when
+  // the last version ships, and the jobs still in flight are billed as
+  // lost. Async dispatch draws clients from the engine Rng, so the
+  // selector hears nothing.
   auto data = FederatedDataset::generate(tiny_data());
   const auto fleet = tiny_fleet(data.num_clients());
   Rng rng(3);
@@ -714,18 +715,30 @@ TEST(RoundLedger, AsyncSessionsBillEveryDispatch) {
   faults.dup_prob = 0.1;
   faults.dropout_prob = 0.15;
   faults.seed = 77;
+  FaultConfig tree_faults = faults;
+  tree_faults.leaf_death_prob = 0.2;
 
   int lost_down = 0;
-  for (bool fabric : {false, true})
+  double tree_failover_bytes = 0.0;
+  struct Mode {
+    const char* name;
+    bool fabric;
+    bool tree;
+  };
+  for (const Mode mode : {Mode{"in-process", false, false},
+                          Mode{"faulty flat fabric", true, false},
+                          Mode{"faulty 3-level tree", true, true}})
     for (bool half : {false, true}) {
-      SCOPED_TRACE(std::string(fabric ? "faulty flat fabric" : "in-process") +
-                   (half ? " fp16" : " fp32"));
+      SCOPED_TRACE(std::string(mode.name) + (half ? " fp16" : " fp32"));
       SessionConfig cfg;
       cfg.with_async(async);
       cfg.local.steps = 2;
       cfg.local.batch = 4;
       cfg.seed = 5;
-      if (fabric) cfg.with_fabric(faults).with_retries(1, 60.0);
+      if (mode.fabric)
+        cfg.with_fabric(mode.tree ? tree_faults : faults)
+            .with_retries(1, 60.0);
+      if (mode.tree) cfg.with_tree(3, 4, 2);
       if (half) cfg.with_precision(Dtype::F16);
       FederationEngine e(std::make_unique<LedgerRecorder>(
                              std::make_unique<FedBuffStrategy>(init)),
@@ -741,12 +754,19 @@ TEST(RoundLedger, AsyncSessionsBillEveryDispatch) {
       const auto dispatches = static_cast<std::uint64_t>(
           async.concurrency + static_cast<int>(arrivals.size()) + timeouts -
           1);
-      EXPECT_EQ(e.costs().client_time_count(), dispatches);
-      // A dispatch whose ModelDown was lost spent no device time.
+      // One sample per dispatch whose client trained, its client's
+      // task_round_time_s; a dispatch whose downlink was lost is not timed.
       const auto& times = e.costs().client_times_s();
-      EXPECT_EQ(times.size(), dispatches);
-      const auto downs_lost = static_cast<std::uint64_t>(
-          std::count(times.begin(), times.end(), 0.0));
+      EXPECT_EQ(times.size(), e.costs().client_time_count());
+      std::set<double> task_times;
+      for (const DeviceProfile& dev : fleet)
+        task_times.insert(task_round_time_s(cfg, dev, init));
+      for (double t : times) EXPECT_EQ(task_times.count(t), 1u) << t;
+      ASSERT_LE(times.size(), dispatches);
+      const std::uint64_t downs_lost = dispatches - times.size();
+      if (!mode.fabric) {
+        EXPECT_EQ(downs_lost, 0u);
+      }
       lost_down += static_cast<int>(downs_lost);
 
       const double bytes = static_cast<double>(init.param_bytes()) *
@@ -765,8 +785,13 @@ TEST(RoundLedger, AsyncSessionsBillEveryDispatch) {
       EXPECT_EQ(e.costs().total_macs(), macs);
       EXPECT_TRUE(
           dynamic_cast<RecordingSelector&>(e.selector()).reports.empty());
+      if (mode.tree)
+        tree_failover_bytes += static_cast<double>(
+            e.fabric()->stats().failover_bytes_down.load());
     }
   EXPECT_GT(lost_down, 0);
+  EXPECT_GT(tree_failover_bytes, 0.0)
+      << "a dead leaf's wasted bundle is billed as failover traffic";
 }
 
 }  // namespace

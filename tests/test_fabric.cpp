@@ -117,8 +117,6 @@ TEST(FabricParityTest, FaultFreeFabricMatchesInProcessBitwise) {
       b.run();
 
       ASSERT_NE(b.fabric(), nullptr);
-      EXPECT_EQ(b.fabric()->phase(), FederationServer::Phase::Aggregate)
-          << "round state machine should rest in its final phase";
       EXPECT_EQ(b.fabric()->stats().frames_dropped.load(), 0u);
       EXPECT_EQ(b.fabric()->stats().frames_rejected.load(), 0u)
           << "undecodable frames on a clean transport mean a codec bug";
@@ -839,6 +837,48 @@ TEST(AsyncFabricTest, InProcessAgreesWithFabric) {
     EXPECT_LT(testing::max_abs_diff(wa[i], wb[i]), 1e-5) << "tensor " << i;
 }
 
+TEST(AsyncFabricTest, FaultFreeFabricBillsWhatInProcessBills) {
+  // A dispatch is a one-task round billed and timed by the round ledger,
+  // whichever way it crosses: fault-free flat and tree sessions bill the
+  // in-process session's MACs and bytes and its client times, bitwise,
+  // even where link latency reorders completions inside a buffer.
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = tiny_fleet(data.num_clients());
+  Rng rng(8);
+  Model init(tiny_model(), rng);
+
+  for (bool half : {false, true}) {
+    SCOPED_TRACE(half ? "fp16" : "fp32");
+    SessionConfig cfg;
+    cfg.with_async(AsyncBlock{3, 2, 6, 0.5});
+    cfg.local.steps = 3;
+    cfg.local.batch = 6;
+    cfg.seed = 42;
+    if (half) cfg.with_precision(Dtype::F16);
+    FederationEngine in_process(std::make_unique<FedBuffStrategy>(init), data,
+                                fleet, cfg);
+    in_process.run();
+    const CostMeter& want = in_process.costs();
+    ASSERT_GT(want.client_time_count(), 0u);
+
+    for (int levels : {1, 3}) {
+      SCOPED_TRACE("levels=" + std::to_string(levels));
+      SessionConfig fcfg = cfg;
+      fcfg.with_fabric();
+      if (levels > 1) fcfg.with_tree(levels, 3, 2);
+      FederationEngine fabric(std::make_unique<FedBuffStrategy>(init), data,
+                              fleet, fcfg);
+      fabric.run();
+      const CostMeter& got = fabric.costs();
+      EXPECT_EQ(got.total_macs(), want.total_macs());
+      EXPECT_EQ(got.bytes_down(), want.bytes_down());
+      EXPECT_EQ(got.bytes_up(), want.bytes_up());
+      EXPECT_EQ(got.client_times_s(), want.client_times_s());
+      EXPECT_EQ(fabric.fabric()->stats().frames_rejected.load(), 0u);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Deep aggregation trees (levels >= 3): verbatim bundles split down the
 // interior tiers and merge back up must leave every round bitwise identical
@@ -1437,6 +1477,53 @@ TEST(AsyncTreeTest, FaultyTreeAsyncTerminatesAndAccountsLosses) {
     EXPECT_EQ(runner.history()[r].avg_loss, again.history()[r].avg_loss);
 }
 
+TEST(AsyncTreeTest, FailedOverDispatchesStillArrive) {
+  // A dead leaf's dispatch leaves one ack-timeout late through its alive
+  // sibling, and the server, which redirected it, waits that much longer:
+  // without retries, the only dispatches lost to leaf deaths are those
+  // whose whole sibling group was dead (a dispatch is slot 0 of its
+  // one-task round, so it rides leaf 0's fault domain).
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = tiny_fleet(data.num_clients());
+  Rng rng(8);
+  Model init(tiny_model(), rng);
+
+  SessionConfig cfg;
+  const AsyncBlock async{4, 2, 20, 0.5};
+  cfg.with_async(async);
+  cfg.local.steps = 2;
+  cfg.local.batch = 4;
+  cfg.seed = 7;
+  FaultConfig faults;
+  faults.leaf_death_prob = 0.2;
+  faults.seed = 55;
+  cfg.with_fabric(faults).with_tree(3, 4, 2).with_retries(0, 30.0);
+  FederationEngine runner(std::make_unique<FedBuffStrategy>(init), data,
+                          fleet, cfg);
+  runner.run();
+
+  int lost = 0, failovers = 0;
+  for (const auto& rec : runner.history()) {
+    lost += rec.lost_updates;
+    failovers += rec.leaf_failovers;
+  }
+  EXPECT_GT(failovers, 0);
+  // Every processed event but the last ship dispatched a replacement.
+  const int dispatches = async.concurrency +
+                         async.aggregations * async.buffer_size + lost - 1;
+  const FederationServer& fabric = *runner.fabric();
+  const auto [lo, hi] = fabric.tree().sibling_range(0);
+  int domain_dead = 0;
+  for (int job = 0; job < dispatches; ++job) {
+    bool all_dead = true;
+    for (int leaf = lo; leaf < hi; ++leaf)
+      all_dead = all_dead && fabric.transport().leaf_dead(
+                                 static_cast<std::uint32_t>(job), leaf);
+    domain_dead += all_dead ? 1 : 0;
+  }
+  EXPECT_LE(lost, domain_dead);
+}
+
 // ---------------------------------------------------------------------------
 // Wire v6 bandwidth reducers: (a) quantized tree partials stay within 1e-3
 // relative of the exact numeric tree and bitwise-deterministic across
@@ -1835,11 +1922,10 @@ TEST(ClientAgentTest, ModelDownSpecMustCountTheWeightsItCarries) {
   ModelSpec wide = small.spec();
   wide.cells.front().width = 2000000000;
   down.spec_text = wide.serialize();
-  EXPECT_THROW(agent.train_and_upload(down, 0.0, small, *net, "slot", 0),
-               Error);
+  EXPECT_THROW(agent.train_and_upload(down, 0.0, small, *net), Error);
 
   down.spec_text = small.spec().serialize();
-  EXPECT_EQ(agent.train_and_upload(down, 0.0, small, *net, "slot", 0).outcome,
+  EXPECT_EQ(agent.train_and_upload(down, 0.0, small, *net).outcome,
             ClientOutcome::Trained);
 }
 

@@ -21,7 +21,6 @@
 #include "common/table.hpp"
 #include "core/client_manager.hpp"
 #include "core/signals.hpp"
-#include "fl/async.hpp"
 #include "fl/runner.hpp"
 #include "harness/experiments.hpp"
 #include "model/transform.hpp"
@@ -488,11 +487,12 @@ void ext_async(Scale scale) {
     acfg.async.aggregations = p.fedtrans.rounds;
     acfg.local = p.fedtrans.local;
     acfg.seed = p.fedtrans.seed;
-    FederationEngine fedbuff(std::make_unique<FedBuffStrategy>(init), data,
-                             fleet, acfg);
+    FederationEngine fedbuff(
+        std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+        acfg);
     fedbuff.run();
     const double async_acc = mean_client_accuracy(
-        fedbuff.strategy_as<FedBuffStrategy>().model(), data);
+        fedbuff.strategy_as<FedAvgStrategy>().model(), data);
     t.add_row({fmt_fixed(sigma, 1), "FedBuff (async)",
                fmt_fixed(fedbuff.now_s(), 1), fmt_fixed(async_acc * 100, 2),
                fmt_fixed(fedbuff.mean_staleness(), 2)});

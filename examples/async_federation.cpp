@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "common/table.hpp"
-#include "fl/async.hpp"
 #include "fl/runner.hpp"
 #include "harness/experiments.hpp"
 
@@ -48,8 +47,9 @@ int main() {
   acfg.async.buffer_size = preset.fedtrans.clients_per_round;
   acfg.async.aggregations = updates;
   acfg.local = preset.fedtrans.local;
-  FederationEngine async_runner(std::make_unique<FedBuffStrategy>(init), data,
-                                fleet, acfg);
+  FederationEngine async_runner(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      acfg);
   async_runner.run();
 
   TablePrinter t({"method", "server updates", "wall-clock (s)",
@@ -63,7 +63,7 @@ int main() {
   t.add_row({"FedBuff (async)", std::to_string(updates),
              fmt_fixed(async_runner.now_s(), 1),
              fmt_fixed(mean_client_accuracy(
-                           async_runner.strategy_as<FedBuffStrategy>().model(),
+                           async_runner.strategy_as<FedAvgStrategy>().model(),
                            data) *
                            100,
                        2)});

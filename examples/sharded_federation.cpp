@@ -13,7 +13,6 @@
 #include <iostream>
 
 #include "common/table.hpp"
-#include "fl/async.hpp"
 #include "fl/runner.hpp"
 #include "harness/presets.hpp"
 #include "net/server.hpp"
@@ -153,7 +152,7 @@ int main() {
   async_cfg.topology.max_retries = 2;
   async_cfg.topology.ack_timeout_s = 120.0;
 
-  FederationEngine buff(std::make_unique<FedBuffStrategy>(init),
+  FederationEngine buff(std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}),
                         data, fleet, async_cfg);
   buff.run();
 

@@ -163,8 +163,11 @@ WeightSet robust_norm_clip(const std::vector<WeightSet>& deltas,
 
 RobustStrategy::RobustStrategy(Model init, RobustConfig cfg)
     : model_(std::move(init)), cfg_(cfg) {
-  if (cfg_.aggregator == RobustAggregator::None)
-    cfg_.aggregator = RobustAggregator::CoordinateMedian;
+  FT_CHECK_MSG(cfg_.trim_fraction >= 0.0 && cfg_.trim_fraction < 0.5,
+               "RobustConfig.trim_fraction must be in [0, 0.5) — trimming "
+               "half or more per side leaves no survivors");
+  FT_CHECK_MSG(cfg_.clip_multiplier > 0.0,
+               "RobustConfig.clip_multiplier must be positive");
 }
 
 std::string RobustStrategy::name() const {
@@ -174,22 +177,9 @@ std::string RobustStrategy::name() const {
     case RobustAggregator::NormClip:
       return "norm-clip";
     case RobustAggregator::CoordinateMedian:
-    case RobustAggregator::None:
       break;
   }
   return "robust-median";
-}
-
-void RobustStrategy::attach(RoundContext& ctx, Rng&) {
-  // The session's RobustConfig block (with_robust_aggregation) wins over
-  // the constructor's, so the fluent builder is the one configuration path.
-  if (ctx.session.robust.aggregator != RobustAggregator::None)
-    cfg_ = ctx.session.robust;
-  FT_CHECK_MSG(cfg_.trim_fraction >= 0.0 && cfg_.trim_fraction < 0.5,
-               "RobustConfig.trim_fraction must be in [0, 0.5) — trimming "
-               "half or more per side leaves no survivors");
-  FT_CHECK_MSG(cfg_.clip_multiplier > 0.0,
-               "RobustConfig.clip_multiplier must be positive");
 }
 
 std::vector<ClientTask> RobustStrategy::plan_round(RoundContext& ctx,
@@ -230,7 +220,6 @@ void RobustStrategy::finish_round(RoundContext&, RoundRecord& rec) {
                                cfg_.clip_multiplier);
         break;
       case RobustAggregator::CoordinateMedian:
-      case RobustAggregator::None:
         agg = robust_coordinate_median(deltas_);
         break;
     }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -8,6 +9,34 @@
 #include "fl/server_opt.hpp"
 
 namespace fedtrans {
+
+/// Which robust reduction a RobustStrategy applies to the round's client
+/// deltas.
+enum class RobustAggregator : std::uint8_t {
+  /// Coordinate-wise median of the client deltas ("robust-median").
+  CoordinateMedian,
+  /// Coordinate-wise trimmed mean: drop the ⌈trim_fraction·n⌉ largest and
+  /// smallest values per coordinate, average the rest ("trimmed-mean").
+  TrimmedMean,
+  /// Krum-style scoring plus norm clipping: drop the ⌈trim_fraction·n⌉
+  /// highest-scoring (most outlying) updates, clip the survivors to
+  /// clip_multiplier × their median L2 norm, average ("norm-clip").
+  NormClip,
+};
+
+/// RobustStrategy's options block (see docs/robustness.md). Robust
+/// reductions are one-client-one-vote: they deliberately ignore
+/// self-reported sample counts, which are themselves an attack surface
+/// under the threat model.
+struct RobustConfig {
+  RobustAggregator aggregator = RobustAggregator::CoordinateMedian;
+  /// Per-side trim fraction (TrimmedMean) / outlier-discard fraction
+  /// (NormClip's score cut), in [0, 0.5).
+  double trim_fraction = 0.2;
+  /// NormClip survivors are clipped to this multiple of their median norm;
+  /// positive.
+  double clip_multiplier = 1.0;
+};
 
 // Byzantine-robust reducers over a round's client deltas (the building
 // blocks of RobustStrategy; docs/robustness.md). All three are
@@ -37,9 +66,8 @@ WeightSet robust_norm_clip(const std::vector<WeightSet>& deltas,
 
 /// Byzantine-robust aggregation as an engine Strategy: one shared global
 /// model, per-round delta stash in fixed task order, a RobustConfig-chosen
-/// reducer in finish_round, and NaN/Inf update rejection on admission.
-/// Configure through SessionConfig::with_robust_aggregation(...) (picked up
-/// in attach) or by passing a RobustConfig here directly.
+/// reducer in finish_round, and NaN/Inf update rejection on admission. The
+/// constructor validates the RobustConfig.
 ///
 /// The reductions are non-linear, so supports_partial_aggregation() stays
 /// false: sessions compose with FabricTopology trees of any depth in the
@@ -54,14 +82,12 @@ class RobustStrategy final : public Strategy {
   Model client_payload(const ClientTask& task) override;
   Model* shared_model() override { return &model_; }
   const Model& reference_model() const override { return model_; }
-  void attach(RoundContext& ctx, Rng& rng) override;
   void absorb_update(const ClientTask& task, Model* trained,
                      LocalTrainResult& res, RoundContext& ctx) override;
   /// Also replaces the record's loss with the mean over admitted updates.
   void finish_round(RoundContext& ctx, RoundRecord& rec) override;
 
   Model& model() { return model_; }
-  const RobustConfig& config() const { return cfg_; }
   /// NaN/Inf-poisoned updates rejected on admission, whole session.
   int rejected_updates() const { return total_rejected_; }
 

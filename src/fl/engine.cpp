@@ -140,6 +140,13 @@ std::vector<double> deployed_accuracies(Strategy& s,
   return accs;
 }
 
+std::optional<double> Strategy::absorb_async(int, LocalTrainResult&, double,
+                                             RoundContext&) {
+  FT_CHECK_MSG(false, "strategy '" << name()
+                                   << "' does not support async scheduling");
+  return std::nullopt;
+}
+
 void Strategy::save_state(std::ostream&) const {
   FT_CHECK_MSG(false, "strategy '" << name()
                                    << "' does not support checkpointing");
@@ -180,13 +187,17 @@ FederationEngine::FederationEngine(std::unique_ptr<Strategy> strategy,
                "compose with aggregation trees of any depth — or pick a "
                "linear strategy (FedAvg without compression, FedTrans, "
                "HeteroFL, FedRolex, FLuID, SplitMix).");
-  if (cfg_.mode == SessionMode::Async)
+  if (cfg_.mode == SessionMode::Async) {
     FT_CHECK_MSG(cfg_.async.concurrency > 0 && cfg_.async.buffer_size > 0 &&
                      cfg_.async.aggregations > 0 &&
                      cfg_.async.staleness_exponent >= 0.0,
                  "SessionConfig: async concurrency, buffer_size and "
                  "aggregations must be positive and staleness_exponent "
                  "non-negative");
+    FT_CHECK_MSG(strategy_->shared_model() != nullptr,
+                 "async scheduling requires a shared-model strategy, but "
+                 "strategy '" << strategy_->name() << "' has none");
+  }
   selector_ = make_selector(cfg_.selector);
   {
     RoundContext ctx = make_context();
@@ -541,8 +552,6 @@ void FederationEngine::run_async() {
   // dispatch once: when its event is processed, or after the loop for a
   // job still in flight when the last version ships.
   Model* shared = strategy_->shared_model();
-  FT_CHECK_MSG(shared != nullptr,
-               "async scheduling requires a shared-model strategy");
   RoundContext ctx = make_context();
   // The server waits one ack-timeout per allowed uplink attempt: resend k
   // leaves the device ~k·ack_timeout_s after training ends, so a deadline
@@ -571,6 +580,7 @@ void FederationEngine::run_async() {
   std::priority_queue<Pending, std::vector<Pending>, decltype(later)>
       pending(later);
   std::uint32_t next_job = 0;
+  int folded_since_ship = 0;
   int lost_since_ship = 0;
   int failovers_since_ship = 0;
 
@@ -644,6 +654,7 @@ void FederationEngine::run_async() {
       bill_update(costs_, cfg_, ev.res, *shared);
       const auto shipped =
           strategy_->absorb_async(ev.client, ev.res, discount, ctx);
+      ++folded_since_ship;
       if (shipped.has_value()) {
         ++version_;
         RoundRecord rec;
@@ -651,8 +662,10 @@ void FederationEngine::run_async() {
         rec.avg_loss = *shipped;
         rec.cum_macs = costs_.total_macs();
         rec.round_time_s = now_s_;
+        rec.participants = folded_since_ship;
         rec.lost_updates = lost_since_ship;
         rec.leaf_failovers = failovers_since_ship;
+        folded_since_ship = 0;
         lost_since_ship = 0;
         failovers_since_ship = 0;
         FT_VSPAN_ARG("engine", "version_shipped", now_s_, 0.0, kTrackEngine,

@@ -121,8 +121,8 @@ class Strategy {
 
   /// Non-null when every task of every round downloads this exact model
   /// (single-global-model strategies). Lets the engine broadcast one
-  /// encoded weight blob over the fabric instead of per-task payloads, and
-  /// is required for async scheduling.
+  /// encoded weight blob over the fabric instead of per-task payloads; the
+  /// engine constructor requires it of async sessions.
   virtual Model* shared_model() { return nullptr; }
 
   /// Tasks reporting the same non-negative key within a round download
@@ -216,14 +216,13 @@ class Strategy {
   /// Fold one completed (and already billed) async update, pre-weighted by
   /// the engine's staleness `discount`. Return the shipped server version's
   /// mean buffer loss when this update filled the buffer and a new version
-  /// was applied; nullopt otherwise. Only strategies run in
-  /// SessionMode::Async need this.
-  virtual std::optional<double> absorb_async(int /*client*/,
-                                             LocalTrainResult& /*res*/,
-                                             double /*discount*/,
-                                             RoundContext& /*ctx*/) {
-    return std::nullopt;
-  }
+  /// was applied; nullopt otherwise. FedAvg implements it (FedBuff is its
+  /// async mode). Default: refuse with an Error naming the strategy, so an
+  /// async session on any other strategy fails instead of never shipping.
+  virtual std::optional<double> absorb_async(int client,
+                                             LocalTrainResult& res,
+                                             double discount,
+                                             RoundContext& ctx);
 
   // --- checkpointing -----------------------------------------------------
 

@@ -15,6 +15,17 @@ FedAvgStrategy::FedAvgStrategy(Model init, FedAvgOptions opts)
   compressor_ = make_compressor(opts_.compression, opts_.topk_ratio);
 }
 
+void FedAvgStrategy::attach(RoundContext& ctx, Rng&) {
+  if (ctx.session.mode != SessionMode::Async) return;
+  FT_CHECK_MSG(opts_.compression == CompressionKind::None &&
+                   opts_.overcommit == 0.0 && opts_.deadline_quantile == 1.0 &&
+                   !opts_.respect_capacity,
+               "FedAvgOptions: compression, overcommit, deadline_quantile and "
+               "respect_capacity apply only to synchronous rounds; an async "
+               "(FedBuff) session cannot honour them");
+  acc_ = ws_zeros_like(model_.weights());
+}
+
 std::vector<ClientTask> FedAvgStrategy::plan_round(RoundContext& ctx,
                                                    Rng& rng) {
   const SessionConfig& s = ctx.session;
@@ -97,6 +108,13 @@ void FedAvgStrategy::fold(const ClientTask&, Model*, const WeightSet& delta,
   weight_sum_ += weight;
 }
 
+void FedAvgStrategy::apply_mean() {
+  ws_scale(acc_, static_cast<float>(1.0 / weight_sum_));
+  if (!server_opt_) server_opt_ = make_server_opt(opts_.server_opt);
+  server_opt_->apply(global_, acc_);
+  model_.set_weights(global_);
+}
+
 void FedAvgStrategy::finish_round(RoundContext& ctx, RoundRecord& rec) {
   // Late clients trained and downloaded but never uploaded: their device
   // compute and downlink are real costs; their updates are wasted — the
@@ -106,14 +124,27 @@ void FedAvgStrategy::finish_round(RoundContext& ctx, RoundRecord& rec) {
   if (deadline_ > 0.0)
     rec.round_time_s = std::min(rec.round_time_s, deadline_);
 
-  if (weight_sum_ > 0.0) {
-    ws_scale(acc_, static_cast<float>(1.0 / weight_sum_));
-    if (!server_opt_) server_opt_ = make_server_opt(opts_.server_opt);
-    server_opt_->apply(global_, acc_);
-    model_.set_weights(global_);
-  }
+  if (weight_sum_ > 0.0) apply_mean();
 
   rec.lost_updates = static_cast<int>(dropped_.size());  // engine adds wire losses
+}
+
+std::optional<double> FedAvgStrategy::absorb_async(int client,
+                                                   LocalTrainResult& res,
+                                                   double discount,
+                                                   RoundContext& ctx) {
+  fold(ClientTask{client, 0}, nullptr, res.delta, discount, discount, ctx);
+  buffer_loss_ += res.avg_loss;
+  if (++buffered_ < ctx.session.async.buffer_size) return std::nullopt;
+
+  global_ = model_.weights();
+  apply_mean();
+  const double avg = buffer_loss_ / buffered_;
+  acc_ = ws_zeros_like(global_);
+  weight_sum_ = 0.0;
+  buffered_ = 0;
+  buffer_loss_ = 0.0;
+  return avg;
 }
 
 }  // namespace fedtrans

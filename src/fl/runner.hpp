@@ -40,11 +40,18 @@ struct FedAvgOptions {
 /// Strategy: one shared global model, weighted-mean aggregation through a
 /// pluggable server optimizer, optional uplink compression with error
 /// feedback, and FedScale-style over-selection with deadline trimming.
+/// In SessionMode::Async it is FedBuff (Nguyen et al., AISTATS'22): the
+/// engine discounts each arrival by its staleness, and every
+/// `async.buffer_size` arrivals ship one server version through the same
+/// weighted mean and server step a synchronous round applies.
 class FedAvgStrategy : public Strategy {
  public:
   FedAvgStrategy(Model init, FedAvgOptions opts);
 
   std::string name() const override { return "fedavg"; }
+  /// Refuses, in an async session, the options only a synchronous round
+  /// reads (compression, over-selection, respect_capacity).
+  void attach(RoundContext& ctx, Rng& rng) override;
   std::vector<ClientTask> plan_round(RoundContext& ctx, Rng& rng) override;
   Model client_payload(const ClientTask& task) override;
   Model* shared_model() override { return &model_; }
@@ -54,6 +61,12 @@ class FedAvgStrategy : public Strategy {
   void absorb_update(const ClientTask& task, Model* trained,
                      LocalTrainResult& res, RoundContext& ctx) override;
   void finish_round(RoundContext& ctx, RoundRecord& rec) override;
+  /// Folds the arrival at scale and weight `discount`; every
+  /// async.buffer_size arrivals applies the buffer's mean and returns its
+  /// mean loss.
+  std::optional<double> absorb_async(int client, LocalTrainResult& res,
+                                     double discount,
+                                     RoundContext& ctx) override;
   /// The weighted mean is a linear sum — numeric tree reduction applies as
   /// long as no per-client uplink compression rewrites the deltas.
   bool supports_partial_aggregation() const override {
@@ -67,16 +80,23 @@ class FedAvgStrategy : public Strategy {
             double delta_scale, double weight, RoundContext& ctx) override;
 
  private:
+  /// The server step: apply acc_ / weight_sum_ to global_ through the
+  /// server optimizer and install the result.
+  void apply_mean();
+
   Model model_;
   FedAvgOptions opts_;
   std::unique_ptr<ServerOptimizer> server_opt_;
   std::unique_ptr<DeltaCompressor> compressor_;
   ErrorFeedback ef_;
 
-  // Per-round accumulators (reset in plan_round, consumed in finish_round).
+  // Per-round accumulators (reset in plan_round, consumed in finish_round;
+  // in async sessions, the buffer between two shipped versions).
   WeightSet global_;  // weight snapshot the round's deltas apply to
   WeightSet acc_;
   double weight_sum_ = 0.0;
+  int buffered_ = 0;
+  double buffer_loss_ = 0.0;
   std::vector<int> dropped_;
   double deadline_ = 0.0;
 };

@@ -116,35 +116,6 @@ struct FabricTopology {
   int max_retries = 0;
 };
 
-/// Which robust reduction a RobustStrategy (src/baselines/robust.hpp)
-/// applies to the round's client deltas. None leaves a constructor-supplied
-/// RobustConfig in force (and means "not configured" on SessionConfig).
-enum class RobustAggregator : std::uint8_t {
-  None = 0,
-  /// Coordinate-wise median of the client deltas ("robust-median").
-  CoordinateMedian,
-  /// Coordinate-wise trimmed mean: drop the ⌈trim_fraction·n⌉ largest and
-  /// smallest values per coordinate, average the rest ("trimmed-mean").
-  TrimmedMean,
-  /// Krum-style scoring plus norm clipping: drop the ⌈trim_fraction·n⌉
-  /// highest-scoring (most outlying) updates, clip the survivors to
-  /// clip_multiplier × their median L2 norm, average ("norm-clip").
-  NormClip,
-};
-
-/// Byzantine-robust aggregation block (consumed by RobustStrategy; see
-/// docs/robustness.md). Robust reductions are one-client-one-vote: they
-/// deliberately ignore self-reported sample counts, which are themselves an
-/// attack surface under the threat model.
-struct RobustConfig {
-  RobustAggregator aggregator = RobustAggregator::None;
-  /// Per-side trim fraction (TrimmedMean) / outlier-discard fraction
-  /// (NormClip's score cut). Clamped so at least one update survives.
-  double trim_fraction = 0.2;
-  /// NormClip survivors are clipped to this multiple of their median norm.
-  double clip_multiplier = 1.0;
-};
-
 /// Asynchronous-scheduling block (FedBuff; Nguyen et al., AISTATS'22).
 struct AsyncBlock {
   /// Number of client trainings kept in flight at all times.
@@ -189,9 +160,6 @@ struct SessionConfig : SessionRuntime {
   TransportKind transport = TransportKind::Sim;
   SocketOptions socket{};
   AsyncBlock async{};
-  /// Byzantine-robust aggregation (RobustStrategy picks this up in attach
-  /// when an aggregator is configured; other strategies ignore it).
-  RobustConfig robust{};
 
   // Fluent builder.
   SessionConfig& with_rounds(int r) { rounds = r; return *this; }
@@ -276,19 +244,6 @@ struct SessionConfig : SessionRuntime {
     local.precision.loss_scale = loss_scale;
     return *this;
   }
-  /// Byzantine-robust aggregation (RobustStrategy): pick the reducer and
-  /// its knobs. Robust reductions are non-linear, so they compose with
-  /// aggregation trees only in verbatim-bundle mode — combining this with
-  /// with_partial_aggregation(true) fails loudly at engine construction.
-  SessionConfig& with_robust_aggregation(RobustAggregator kind,
-                                         double trim_fraction = 0.2,
-                                         double clip_multiplier = 1.0) {
-    robust.aggregator = kind;
-    robust.trim_fraction = trim_fraction;
-    robust.clip_multiplier = clip_multiplier;
-    return *this;
-  }
-
   /// Lift a runtime block (e.g. a FedTransConfig's) into a session config
   /// with default engine-level knobs.
   static SessionConfig from(const SessionRuntime& rt) {

@@ -700,19 +700,21 @@ void FederationServer::send_bundle(std::uint32_t round, std::int32_t src,
   if (d.tasks.empty()) return;
   // One delivery attempt under the retry policy. The elide mask is computed
   // once per destination decision — retries reuse it, so cache savings are
-  // counted once even when the frame is resent.
-  const auto ship = [&](std::int32_t dst, double at_s) {
+  // counted once even when the frame is resent. A delivered send advances
+  // the receiver's known-map only when `advance` holds.
+  const auto ship = [&](std::int32_t dst, double at_s, bool advance) {
     const std::vector<std::uint8_t> elide = elide_mask_for(dst, d);
     if (send_with_retry(*net_, src, dst, at_s, topo_, /*downlink=*/true,
                         [&](std::uint8_t flags) {
                           return encode_shard_down(
                               round, src, dst, d, flags,
                               elide.empty() ? nullptr : &elide);
-                        }))
+                        }) &&
+        advance)
       note_bundle_known(dst, d);
   };
   if (tier < topo_.levels - 1) {  // interior destination: straight down
-    ship(tree_.node_id(tier, j), sent_at_s);
+    ship(tree_.node_id(tier, j), sent_at_s, true);
     return;
   }
   // Leaf destination: the per-shard fault domain. An alive leaf gets its
@@ -722,7 +724,7 @@ void FederationServer::send_bundle(std::uint32_t round, std::int32_t src,
   // whole sibling group down the partition is lost for the round.
   const int owner = owner_leaf(round, j);
   if (owner == j) {
-    ship(tree_.leaf_id(j), sent_at_s);
+    ship(tree_.leaf_id(j), sent_at_s, true);
     return;
   }
   // The wasted frame elides against the dead leaf's known-map (the sender
@@ -742,7 +744,11 @@ void FederationServer::send_bundle(std::uint32_t round, std::int32_t src,
                                                  std::memory_order_relaxed);
   net_->stats_mutable().failover_bytes_down.fetch_add(
       bytes, std::memory_order_relaxed);
-  ship(tree_.leaf_id(owner), sent_at_s + topo_.ack_timeout_s);
+  // The redirected bundle lands one ack-timeout after the sibling's own
+  // bundle, which the parent sends next, so it must not advance the
+  // sibling's known-map: the own bundle would elide bodies the sibling's
+  // cache does not hold yet when it decodes them.
+  ship(tree_.leaf_id(owner), sent_at_s + topo_.ack_timeout_s, false);
 }
 
 void FederationServer::route_tiers_down(std::uint32_t round) {

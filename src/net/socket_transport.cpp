@@ -180,18 +180,6 @@ bool SocketTransport::send(std::int32_t src, std::int32_t dst,
   return true;
 }
 
-std::optional<Envelope> SocketTransport::try_recv(std::int32_t dst) {
-  Channel& ch = channel(dst);
-  std::lock_guard<std::mutex> lk(ch.read_m);
-  pump_locked(ch);
-  if (ch.pending.empty()) return std::nullopt;
-  auto it = std::min_element(ch.pending.begin(), ch.pending.end(),
-                             envelope_earlier);
-  Envelope env = std::move(*it);
-  ch.pending.erase(it);
-  return env;
-}
-
 std::vector<Envelope> SocketTransport::drain(std::int32_t dst) {
   Channel& ch = channel(dst);
   std::vector<Envelope> out;

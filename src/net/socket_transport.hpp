@@ -45,7 +45,6 @@ class SocketTransport final : public Transport {
 
   bool send(std::int32_t src, std::int32_t dst, std::string frame,
             double sent_at_s = 0.0) override;
-  std::optional<Envelope> try_recv(std::int32_t dst) override;
   std::vector<Envelope> drain(std::int32_t dst) override;
   std::string name() const override { return "socket"; }
 

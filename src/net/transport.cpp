@@ -204,16 +204,6 @@ bool SimTransport::send(std::int32_t src, std::int32_t dst, std::string frame,
   return true;
 }
 
-std::optional<Envelope> SimTransport::try_recv(std::int32_t dst) {
-  Mailbox& box = mailbox(dst);
-  std::lock_guard<std::mutex> lk(box.m);
-  if (box.q.empty()) return std::nullopt;
-  auto it = std::min_element(box.q.begin(), box.q.end(), envelope_earlier);
-  Envelope env = std::move(*it);
-  box.q.erase(it);
-  return env;
-}
-
 std::vector<Envelope> SimTransport::drain(std::int32_t dst) {
   Mailbox& box = mailbox(dst);
   std::vector<Envelope> out;

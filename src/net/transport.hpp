@@ -151,7 +151,7 @@ bool envelope_earlier(const Envelope& a, const Envelope& b);
 /// fault draws (drop/dup/reorder/dropout/leaf-death), per-link sequence
 /// numbers, envelope timestamp stamping, and the FabricStats accounting.
 /// Implementations only decide how stamped envelopes travel from send() to
-/// the destination's try_recv()/drain(): `SimTransport` moves them through
+/// the destination's drain(): `SimTransport` moves them through
 /// in-process mailboxes; `SocketTransport` (net/socket_transport.hpp)
 /// serializes them over real non-blocking sockets and reassembles frames
 /// incrementally on the receive side.
@@ -171,10 +171,6 @@ class Transport {
   /// frame was lost to fault injection. Thread-safe.
   virtual bool send(std::int32_t src, std::int32_t dst, std::string frame,
                     double sent_at_s = 0.0) = 0;
-
-  /// Pop the earliest-delivered pending frame for `dst`; nullopt when the
-  /// mailbox is empty. Thread-safe.
-  virtual std::optional<Envelope> try_recv(std::int32_t dst) = 0;
 
   /// Drain every pending frame for `dst` in delivery order. Thread-safe.
   virtual std::vector<Envelope> drain(std::int32_t dst) = 0;
@@ -258,7 +254,6 @@ class SimTransport final : public Transport {
 
   bool send(std::int32_t src, std::int32_t dst, std::string frame,
             double sent_at_s = 0.0) override;
-  std::optional<Envelope> try_recv(std::int32_t dst) override;
   std::vector<Envelope> drain(std::int32_t dst) override;
   std::string name() const override { return "sim"; }
 

@@ -43,6 +43,14 @@ class ViewBuf : public std::streambuf {
   }
 };
 
+/// Reject a count prefix claiming more elements than the bytes left could
+/// encode at `min_bytes` apiece, before anything is allocated for it.
+void check_count(std::istream& is, std::uint64_t count,
+                 std::uint64_t min_bytes, const char* what) {
+  FT_CHECK_MSG(count <= stream_remaining(is) / min_bytes,
+               what << " count " << count << " exceeds remaining stream");
+}
+
 }  // namespace
 
 std::uint64_t fnv1a64(const void* data, std::size_t n) {
@@ -63,8 +71,7 @@ void write_weight_set(std::ostream& os, const WeightSet& ws) {
 WeightSet read_weight_set(std::istream& is) {
   const auto n = read_pod<std::uint32_t>(is);
   // Every tensor carries at least its 4-byte header word.
-  FT_CHECK_MSG(n <= stream_remaining(is) / sizeof(std::int32_t),
-               "weight-set count exceeds remaining stream");
+  check_count(is, n, sizeof(std::int32_t), "weight-set tensor");
   WeightSet ws;
   ws.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) ws.push_back(Tensor::load(is));
@@ -103,15 +110,21 @@ WeightSet read_group_sum_int8(std::istream& is) {
   FT_CHECK_MSG(std::isfinite(scale) && scale >= 0.0f,
                "int8 PartialUp group scale corrupt: " << scale);
   const auto n = read_pod<std::uint32_t>(is);
+  check_count(is, n, sizeof(std::uint32_t), "int8 PartialUp tensor");
   WeightSet sum;
   sum.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     const auto rank = read_pod<std::uint32_t>(is);
     FT_CHECK_MSG(rank <= 8, "int8 PartialUp tensor rank corrupt: " << rank);
     std::vector<int> shape(rank);
+    std::uint64_t numel = 1;
     for (std::uint32_t k = 0; k < rank; ++k) {
       shape[k] = read_pod<std::int32_t>(is);
       FT_CHECK_MSG(shape[k] > 0, "int8 PartialUp tensor dim corrupt");
+      // One code byte per element. Checking every partial product keeps it
+      // within the bytes left, so the next multiply cannot overflow.
+      numel *= static_cast<std::uint64_t>(shape[k]);
+      check_count(is, numel, 1, "int8 PartialUp element");
     }
     Tensor t(shape);
     for (std::int64_t j = 0; j < t.numel(); ++j)
@@ -469,6 +482,8 @@ PartialUpdate decode_partial_up(std::string_view frame) {
                  "PartialUp quant byte corrupt: " << int{p.quant});
   }
   const auto n = read_pod<std::uint32_t>(is);
+  // task, client, delta count, loss, samples, MACs
+  check_count(is, n, 32, "PartialUp entry");
   p.entries.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     UpdateEntry e;
@@ -486,6 +501,8 @@ PartialUpdate decode_partial_up(std::string_view frame) {
   }
   if (p.reduced) {
     const auto ng = read_pod<std::uint32_t>(is);
+    // key, min slot, count, weight, and at least a 4-byte sum
+    check_count(is, ng, 24, "PartialUp group");
     p.groups.reserve(ng);
     for (std::uint32_t i = 0; i < ng; ++i) {
       ReducedGroup g;
@@ -551,6 +568,8 @@ ShardDownlink decode_shard_down(std::string_view frame,
                "ShardDown leaf range corrupt: [" << d.leaf_lo << ", "
                                                  << d.leaf_hi << ")");
   const auto nb = read_pod<std::uint32_t>(is);
+  // shipped flag plus a length prefix or a hash
+  check_count(is, nb, 9, "ShardDown body");
   d.bodies.reserve(nb);
   d.missing.assign(nb, 0);
   for (std::uint32_t i = 0; i < nb; ++i) {
@@ -577,6 +596,8 @@ ShardDownlink decode_shard_down(std::string_view frame,
     }
   }
   const auto nt = read_pod<std::uint32_t>(is);
+  // task, client, body, reduce key, Rng state
+  check_count(is, nt, 48, "ShardDown task");
   d.tasks.reserve(nt);
   for (std::uint32_t i = 0; i < nt; ++i) {
     DownlinkTask t;

@@ -24,10 +24,9 @@ namespace fedtrans {
 ///            the thread schedule. Wall-only RAII spans are skipped in this
 ///            mode (their durations are schedule-dependent).
 ///
-/// Cost model: tracing is compiled out entirely under
-/// -DFEDTRANS_TRACE_DISABLED; compiled in but disabled (the default at
-/// runtime), every span macro is one relaxed atomic load and no
-/// allocation. Enabled, a span is a thread-local bump append (~tens of ns).
+/// Cost model: disabled (the default at runtime), every span macro is one
+/// relaxed atomic load and no allocation. Enabled, a span is a
+/// thread-local bump append (~tens of ns).
 /// Enable at runtime with trace_start(), or from the environment:
 /// FEDTRANS_TRACE=1 (wall) / FEDTRANS_TRACE=virtual; with
 /// FEDTRANS_TRACE_OUT=<path> the merged trace is written there at process
@@ -159,8 +158,6 @@ inline void vspan(const char* cat, const char* name, double start_s,
 }
 }  // namespace detail
 
-#ifndef FEDTRANS_TRACE_DISABLED
-
 #define FT_TRACE_CONCAT2(a, b) a##b
 #define FT_TRACE_CONCAT(a, b) FT_TRACE_CONCAT2(a, b)
 
@@ -190,23 +187,5 @@ inline void vspan(const char* cat, const char* name, double start_s,
                                 arg_name_,                              \
                                 static_cast<double>(arg_val_));         \
   } while (0)
-
-#else  // FEDTRANS_TRACE_DISABLED: spans compile to nothing.
-
-#define FT_SPAN(cat_, name_) \
-  do {                       \
-  } while (0)
-#define FT_SPAN_ARG(cat_, name_, arg_name_, arg_val_) \
-  do {                                                \
-  } while (0)
-#define FT_VSPAN(cat_, name_, start_s_, dur_s_, track_) \
-  do {                                                  \
-  } while (0)
-#define FT_VSPAN_ARG(cat_, name_, start_s_, dur_s_, track_, arg_name_, \
-                     arg_val_)                                         \
-  do {                                                                 \
-  } while (0)
-
-#endif  // FEDTRANS_TRACE_DISABLED
 
 }  // namespace fedtrans

@@ -49,7 +49,6 @@
 #include "baselines/split_mix.hpp"
 #include "common/thread_pool.hpp"
 #include "core/trainer.hpp"
-#include "fl/async.hpp"
 #include "fl/runner.hpp"
 #include "net/server.hpp"
 #include "test_util.hpp"
@@ -266,8 +265,9 @@ AsyncOutcome run_fedbuff(const FederatedDataset& data,
   apply_scenario(cfg.topology, cfg.fabric_faults, t, f, seed);
   cfg.topology.ack_timeout_s = 30.0;  // above the tiny fleet's round trip
 
-  FederationEngine runner(std::make_unique<FedBuffStrategy>(init),
-                          data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   runner.run();  // invariant 1: ack-timeouts replace lost clients
 
   EXPECT_EQ(runner.versions_done(), cfg.async.aggregations) << what;
@@ -281,7 +281,7 @@ AsyncOutcome run_fedbuff(const FederatedDataset& data,
   EXPECT_GT(runner.costs().network_bytes(), 0.0) << what;
 
   AsyncOutcome out;
-  out.weights = runner.strategy_as<FedBuffStrategy>().model().weights();
+  out.weights = runner.strategy_as<FedAvgStrategy>().model().weights();
   out.history = runner.history();
   out.now_s = runner.now_s();
   return out;
@@ -828,12 +828,12 @@ SyncOutcome run_robust_byzantine(const FederatedDataset& data,
                           .with_clients_per_round(5)
                           .with_local(local)
                           .with_seed(seed)
-                          .with_robust_aggregation(agg)
                           .with_tree(t.levels, t.shards, t.branching);
   apply_byzantine(cfg.fabric_faults, b, seed);
 
-  FederationEngine engine(std::make_unique<RobustStrategy>(init), data,
-                          fleet, cfg);
+  FederationEngine engine(
+      std::make_unique<RobustStrategy>(init, RobustConfig{agg}), data, fleet,
+      cfg);
   const std::string what =
       byz_scenario_name(engine.strategy().name().c_str(), t, b, seed);
   engine.run();
@@ -1022,14 +1022,15 @@ std::vector<RoundRecord> degradation_run_robust(
                           .with_clients_per_round(9)
                           .with_local(local)
                           .with_eval(1, 0)
-                          .with_seed(seed)
-                          .with_robust_aggregation(agg, /*trim_fraction=*/0.3,
-                                                   /*clip_multiplier=*/2.0);
+                          .with_seed(seed);
   apply_byzantine(cfg.fabric_faults,
                   {"sign-flip", byz_prob, ByzantineMode::SignFlip}, seed);
 
-  FederationEngine engine(std::make_unique<RobustStrategy>(init), data,
-                          fleet, cfg);
+  FederationEngine engine(
+      std::make_unique<RobustStrategy>(
+          init, RobustConfig{agg, /*trim_fraction=*/0.3,
+                             /*clip_multiplier=*/2.0}),
+      data, fleet, cfg);
   engine.run();
   return engine.history();
 }

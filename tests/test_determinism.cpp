@@ -6,7 +6,7 @@
 
 #include <sstream>
 
-#include "fl/async.hpp"
+#include "fl/runner.hpp"
 #include "fl/selection.hpp"
 #include "test_util.hpp"
 
@@ -62,13 +62,15 @@ TEST(DeterminismTest, FedBuffSameSeedSameTrajectory) {
   cfg.local.batch = 6;
   cfg.seed = 42;
 
-  auto a = testing::make_engine<FedBuffStrategy>(data, fleet, cfg, init);
-  auto b = testing::make_engine<FedBuffStrategy>(data, fleet, cfg, init);
+  auto a = testing::make_engine<FedAvgStrategy>(data, fleet, cfg, init,
+                                               FedAvgOptions{});
+  auto b = testing::make_engine<FedAvgStrategy>(data, fleet, cfg, init,
+                                               FedAvgOptions{});
   a->run();
   b->run();
   EXPECT_EQ(a->now_s(), b->now_s());
-  auto wa = a->strategy_as<FedBuffStrategy>().model().weights();
-  auto wb = b->strategy_as<FedBuffStrategy>().model().weights();
+  auto wa = a->strategy_as<FedAvgStrategy>().model().weights();
+  auto wb = b->strategy_as<FedAvgStrategy>().model().weights();
   for (std::size_t i = 0; i < wa.size(); ++i)
     EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0);
 }
@@ -84,14 +86,16 @@ TEST(DeterminismTest, FedBuffDifferentSeedDiverges) {
   cfg.local.batch = 6;
 
   cfg.seed = 1;
-  auto a = testing::make_engine<FedBuffStrategy>(data, fleet, cfg, init);
+  auto a = testing::make_engine<FedAvgStrategy>(data, fleet, cfg, init,
+                                               FedAvgOptions{});
   cfg.seed = 2;
-  auto b = testing::make_engine<FedBuffStrategy>(data, fleet, cfg, init);
+  auto b = testing::make_engine<FedAvgStrategy>(data, fleet, cfg, init,
+                                               FedAvgOptions{});
   a->run();
   b->run();
   double diff = 0.0;
-  auto wa = a->strategy_as<FedBuffStrategy>().model().weights();
-  auto wb = b->strategy_as<FedBuffStrategy>().model().weights();
+  auto wa = a->strategy_as<FedAvgStrategy>().model().weights();
+  auto wb = b->strategy_as<FedAvgStrategy>().model().weights();
   for (std::size_t i = 0; i < wa.size(); ++i)
     diff += testing::max_abs_diff(wa[i], wb[i]);
   EXPECT_GT(diff, 0.0);

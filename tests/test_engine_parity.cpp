@@ -28,7 +28,6 @@
 #include "baselines/split_mix.hpp"
 #include "common/thread_pool.hpp"
 #include "core/trainer.hpp"
-#include "fl/async.hpp"
 #include "fl/engine.hpp"
 #include "fl/runner.hpp"
 #include "test_util.hpp"
@@ -117,8 +116,9 @@ TEST(EngineParity, AsyncSessionHonorsEvalEvery) {
   Rng rng(cfg.seed + 1);
   Model init(tiny_model(), rng);
 
-  FederationEngine engine(std::make_unique<FedBuffStrategy>(init), data,
-                          fleet, cfg);
+  FederationEngine engine(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   engine.run();
 
   ASSERT_EQ(engine.history().size(), 6u);
@@ -740,16 +740,21 @@ TEST(RoundLedger, AsyncSessionsBillEveryDispatch) {
             .with_retries(1, 60.0);
       if (mode.tree) cfg.with_tree(3, 4, 2);
       if (half) cfg.with_precision(Dtype::F16);
-      FederationEngine e(std::make_unique<LedgerRecorder>(
-                             std::make_unique<FedBuffStrategy>(init)),
-                         data, fleet, cfg);
+      FederationEngine e(
+          std::make_unique<LedgerRecorder>(
+              std::make_unique<FedAvgStrategy>(init, FedAvgOptions{})),
+          data, fleet, cfg);
       e.set_selector(std::make_unique<RecordingSelector>());
       e.run();
       ASSERT_EQ(e.versions_done(), async.aggregations);
 
       const auto& arrivals = e.strategy_as<LedgerRecorder>().entries();
       int timeouts = 0;
-      for (const RoundRecord& rec : e.history()) timeouts += rec.lost_updates;
+      for (const RoundRecord& rec : e.history()) {
+        timeouts += rec.lost_updates;
+        EXPECT_EQ(rec.participants, async.buffer_size)
+            << "version " << rec.round;
+      }
       // Every processed event but the last ship dispatched a replacement.
       const auto dispatches = static_cast<std::uint64_t>(
           async.concurrency + static_cast<int>(arrivals.size()) + timeouts -

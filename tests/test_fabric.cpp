@@ -27,7 +27,6 @@
 #include "baselines/split_mix.hpp"
 #include "common/thread_pool.hpp"
 #include "core/trainer.hpp"
-#include "fl/async.hpp"
 #include "fl/runner.hpp"
 #include "net/server.hpp"
 #include "test_util.hpp"
@@ -265,7 +264,7 @@ TEST(SimTransportTest, DeterministicFaultsAndExactByteAccounting) {
   auto server_box = net.drain(kServerId);
   ASSERT_EQ(server_box.size(), 1u);
   EXPECT_GT(server_box[0].deliver_at_s, 2.0);
-  EXPECT_FALSE(net.try_recv(kServerId).has_value());
+  EXPECT_TRUE(net.drain(kServerId).empty());
 }
 
 TEST(SimTransportTest, ReorderingDelaysDeliveryTimestamps) {
@@ -678,8 +677,9 @@ TEST(AsyncFabricTest, FaultFreeSessionCompletesWithDeliveryOrdering) {
   cfg.seed = 42;
   cfg.use_fabric = true;
 
-  FederationEngine runner(std::make_unique<FedBuffStrategy>(init),
-                          data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   runner.run();
 
   EXPECT_EQ(runner.versions_done(), cfg.async.aggregations);
@@ -728,18 +728,18 @@ TEST(AsyncFabricTest, DeterministicAcrossThreadCounts) {
   cfg.use_fabric = true;
 
   ThreadPool::set_global_threads(1);
-  FederationEngine a(std::make_unique<FedBuffStrategy>(init),
+  FederationEngine a(std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}),
                      data, fleet, cfg);
   a.run();
   ThreadPool::set_global_threads(4);
-  FederationEngine b(std::make_unique<FedBuffStrategy>(init),
+  FederationEngine b(std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}),
                      data, fleet, cfg);
   b.run();
   ThreadPool::set_global_threads(prev_threads);
 
   EXPECT_EQ(a.now_s(), b.now_s());
-  auto wa = a.strategy_as<FedBuffStrategy>().model().weights();
-  auto wb = b.strategy_as<FedBuffStrategy>().model().weights();
+  auto wa = a.strategy_as<FedAvgStrategy>().model().weights();
+  auto wb = b.strategy_as<FedAvgStrategy>().model().weights();
   ASSERT_EQ(wa.size(), wb.size());
   for (std::size_t i = 0; i < wa.size(); ++i)
     EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0) << "tensor " << i;
@@ -770,8 +770,9 @@ TEST(AsyncFabricTest, FaultyAsyncSessionAccountsLostUpdates) {
   cfg.topology.max_retries = 1;
   cfg.topology.ack_timeout_s = 30.0;
 
-  FederationEngine runner(std::make_unique<FedBuffStrategy>(init),
-                          data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   runner.run();  // must terminate: timeouts replace lost clients
 
   EXPECT_EQ(runner.versions_done(), cfg.async.aggregations);
@@ -787,8 +788,9 @@ TEST(AsyncFabricTest, FaultyAsyncSessionAccountsLostUpdates) {
   // attempt), so a resent update can actually land and be folded in —
   // the same session without a retry budget must lose strictly more.
   cfg.topology.max_retries = 0;
-  FederationEngine no_retry(std::make_unique<FedBuffStrategy>(init),
-                            data, fleet, cfg);
+  FederationEngine no_retry(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   no_retry.run();
   int lost0 = 0;
   for (const auto& rec : no_retry.history()) lost0 += rec.lost_updates;
@@ -815,12 +817,14 @@ TEST(AsyncFabricTest, InProcessAgreesWithFabric) {
   cfg.local.batch = 6;
   cfg.seed = 42;
 
-  FederationEngine in_process(std::make_unique<FedBuffStrategy>(init), data,
-                              fleet, cfg);
+  FederationEngine in_process(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   in_process.run();
   cfg.use_fabric = true;
-  FederationEngine fabric(std::make_unique<FedBuffStrategy>(init), data,
-                          fleet, cfg);
+  FederationEngine fabric(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   fabric.run();
 
   EXPECT_EQ(in_process.versions_done(), fabric.versions_done());
@@ -830,8 +834,8 @@ TEST(AsyncFabricTest, InProcessAgreesWithFabric) {
     EXPECT_NEAR(in_process.history()[v].avg_loss,
                 fabric.history()[v].avg_loss, 1e-6)
         << "version " << v + 1;
-  auto wa = in_process.strategy_as<FedBuffStrategy>().model().weights();
-  auto wb = fabric.strategy_as<FedBuffStrategy>().model().weights();
+  auto wa = in_process.strategy_as<FedAvgStrategy>().model().weights();
+  auto wb = fabric.strategy_as<FedAvgStrategy>().model().weights();
   ASSERT_EQ(wa.size(), wb.size());
   for (std::size_t i = 0; i < wa.size(); ++i)
     EXPECT_LT(testing::max_abs_diff(wa[i], wb[i]), 1e-5) << "tensor " << i;
@@ -855,8 +859,9 @@ TEST(AsyncFabricTest, FaultFreeFabricBillsWhatInProcessBills) {
     cfg.local.batch = 6;
     cfg.seed = 42;
     if (half) cfg.with_precision(Dtype::F16);
-    FederationEngine in_process(std::make_unique<FedBuffStrategy>(init), data,
-                                fleet, cfg);
+    FederationEngine in_process(
+        std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+        cfg);
     in_process.run();
     const CostMeter& want = in_process.costs();
     ASSERT_GT(want.client_time_count(), 0u);
@@ -866,8 +871,9 @@ TEST(AsyncFabricTest, FaultFreeFabricBillsWhatInProcessBills) {
       SessionConfig fcfg = cfg;
       fcfg.with_fabric();
       if (levels > 1) fcfg.with_tree(levels, 3, 2);
-      FederationEngine fabric(std::make_unique<FedBuffStrategy>(init), data,
-                              fleet, fcfg);
+      FederationEngine fabric(
+          std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+          fcfg);
       fabric.run();
       const CostMeter& got = fabric.costs();
       EXPECT_EQ(got.total_macs(), want.total_macs());
@@ -1389,7 +1395,7 @@ TEST(AsyncTreeTest, FaultFreeTreeAsyncMatchesFlatBitwise) {
   cfg.seed = 42;
   cfg.use_fabric = true;
 
-  FederationEngine flat(std::make_unique<FedBuffStrategy>(init),
+  FederationEngine flat(std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}),
                         data, fleet, cfg);
   flat.run();
 
@@ -1398,13 +1404,14 @@ TEST(AsyncTreeTest, FaultFreeTreeAsyncMatchesFlatBitwise) {
     tree_cfg.topology.levels = levels;
     tree_cfg.topology.shards = 3;
     tree_cfg.topology.branching = 2;
-    FederationEngine tree(std::make_unique<FedBuffStrategy>(init),
-                          data, fleet, tree_cfg);
+    FederationEngine tree(
+        std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+        tree_cfg);
     tree.run();
 
     EXPECT_EQ(flat.now_s(), tree.now_s()) << "levels=" << levels;
-    auto wa = flat.strategy_as<FedBuffStrategy>().model().weights();
-    auto wb = tree.strategy_as<FedBuffStrategy>().model().weights();
+    auto wa = flat.strategy_as<FedAvgStrategy>().model().weights();
+    auto wb = tree.strategy_as<FedAvgStrategy>().model().weights();
     ASSERT_EQ(wa.size(), wb.size());
     for (std::size_t i = 0; i < wa.size(); ++i)
       EXPECT_EQ(testing::max_abs_diff(wa[i], wb[i]), 0.0)
@@ -1448,8 +1455,9 @@ TEST(AsyncTreeTest, FaultyTreeAsyncTerminatesAndAccountsLosses) {
   cfg.topology.max_retries = 1;
   cfg.topology.ack_timeout_s = 30.0;
 
-  FederationEngine runner(std::make_unique<FedBuffStrategy>(init),
-                          data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   runner.run();  // must terminate: timeouts replace lost clients
 
   EXPECT_EQ(runner.versions_done(), cfg.async.aggregations);
@@ -1468,8 +1476,9 @@ TEST(AsyncTreeTest, FaultyTreeAsyncTerminatesAndAccountsLosses) {
   EXPECT_EQ(runner.fabric()->stats().frames_rejected.load(), 0u);
 
   // Deterministic replay.
-  FederationEngine again(std::make_unique<FedBuffStrategy>(init),
-                         data, fleet, cfg);
+  FederationEngine again(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   again.run();
   EXPECT_EQ(runner.now_s(), again.now_s());
   ASSERT_EQ(runner.history().size(), again.history().size());
@@ -1498,8 +1507,9 @@ TEST(AsyncTreeTest, FailedOverDispatchesStillArrive) {
   faults.leaf_death_prob = 0.2;
   faults.seed = 55;
   cfg.with_fabric(faults).with_tree(3, 4, 2).with_retries(0, 30.0);
-  FederationEngine runner(std::make_unique<FedBuffStrategy>(init), data,
-                          fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   runner.run();
 
   int lost = 0, failovers = 0;
@@ -1766,6 +1776,36 @@ TEST(BandwidthTest, BroadcastCacheRoundsMatchColdRoundsBitwise) {
   cached.topology.broadcast_cache = true;
   FederationEngine b(testing::fedavg(init), data, fleet, cached);
   b.run();
+  expect_identical(a, b);
+  EXPECT_EQ(b.fabric()->stats().frames_rejected.load(), 0u);
+}
+
+TEST(BandwidthTest, BroadcastCacheSurvivesLeafFailoverBitwise) {
+  // A dead leaf's partition is redirected to its sibling one ack-timeout
+  // after the sibling's own bundle. The cache must still serve the own
+  // bundle: cached and cold sessions aggregate the same updates.
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = tiny_fleet(data.num_clients());
+  Rng rng(5);
+  Model init(tiny_model(), rng);
+  SessionConfig cold = base_cfg(11);
+  cold.rounds = 4;
+  cold.clients_per_round = 6;
+  FaultConfig faults;
+  faults.leaf_death_prob = 0.2;
+  faults.seed = 3;
+  cold.with_fabric(faults).with_tree(3, 4, 2).with_retries(1);
+  FederationEngine a(testing::fedavg(init), data, fleet, cold);
+  a.run();
+
+  SessionConfig cached = cold;
+  cached.with_broadcast_cache();
+  FederationEngine b(testing::fedavg(init), data, fleet, cached);
+  b.run();
+
+  int failovers = 0;
+  for (const RoundRecord& rec : b.history()) failovers += rec.leaf_failovers;
+  EXPECT_GT(failovers, 0) << "the leaf deaths must have fired";
   expect_identical(a, b);
   EXPECT_EQ(b.fabric()->stats().frames_rejected.load(), 0u);
 }

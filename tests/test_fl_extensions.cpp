@@ -17,7 +17,6 @@
 #include "baselines/split_mix.hpp"
 #include "common/check.hpp"
 #include "common/stats.hpp"
-#include "fl/async.hpp"
 #include "fl/runner.hpp"
 #include "fl/selection.hpp"
 #include "harness/experiments.hpp"
@@ -249,12 +248,16 @@ TEST(FedBuffTest, CompletesRequestedAggregations) {
   cfg.local.steps = 4;
   cfg.local.batch = 6;
   FederationEngine runner(
-      std::make_unique<FedBuffStrategy>(Model(tiny_model(), rng)), data, fleet,
-      cfg);
+      std::make_unique<FedAvgStrategy>(Model(tiny_model(), rng),
+                                       FedAvgOptions{}),
+      data, fleet, cfg);
   runner.run();
   EXPECT_EQ(runner.versions_done(), 6);
   EXPECT_EQ(runner.history().size(), 6u);
   EXPECT_GT(runner.now_s(), 0.0);
+  for (const auto& rec : runner.history())
+    EXPECT_EQ(rec.participants, cfg.async.buffer_size)
+        << "version " << rec.round;
 }
 
 TEST(FedBuffTest, WallClockIsMonotone) {
@@ -269,8 +272,9 @@ TEST(FedBuffTest, WallClockIsMonotone) {
   cfg.local.steps = 3;
   cfg.local.batch = 6;
   FederationEngine runner(
-      std::make_unique<FedBuffStrategy>(Model(tiny_model(), rng)), data, fleet,
-      cfg);
+      std::make_unique<FedAvgStrategy>(Model(tiny_model(), rng),
+                                       FedAvgOptions{}),
+      data, fleet, cfg);
   runner.run();
   double prev = 0.0;
   for (const auto& rec : runner.history()) {
@@ -286,8 +290,9 @@ TEST(FedBuffTest, FreshRunnerMetersAreZeroNotNan) {
   auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
   Rng rng(99);
   FederationEngine runner(
-      std::make_unique<FedBuffStrategy>(Model(tiny_model(), rng)), data, fleet,
-      SessionConfig{}.with_async(AsyncBlock{}));
+      std::make_unique<FedAvgStrategy>(Model(tiny_model(), rng),
+                                       FedAvgOptions{}),
+      data, fleet, SessionConfig{}.with_async(AsyncBlock{}));
   EXPECT_EQ(runner.mean_staleness(), 0.0);
   EXPECT_EQ(runner.versions_done(), 0);
   EXPECT_EQ(runner.now_s(), 0.0);
@@ -307,8 +312,9 @@ TEST(FedBuffTest, StalenessIsBoundedByConcurrencyWindow) {
   cfg.local.steps = 3;
   cfg.local.batch = 6;
   FederationEngine runner(
-      std::make_unique<FedBuffStrategy>(Model(tiny_model(), rng)), data, fleet,
-      cfg);
+      std::make_unique<FedAvgStrategy>(Model(tiny_model(), rng),
+                                       FedAvgOptions{}),
+      data, fleet, cfg);
   runner.run();
   // With C in flight and buffer K, an update can be at most
   // ceil(C/K) + aggregations behind only if it never returns; mean
@@ -332,11 +338,12 @@ TEST(FedBuffTest, LearnsOnSeparableData) {
   cfg.local.steps = 8;
   cfg.local.batch = 8;
   cfg.seed = 3;
-  FederationEngine runner(std::make_unique<FedBuffStrategy>(init),
-                          data, fleet, cfg);
+  FederationEngine runner(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      cfg);
   runner.run();
   EXPECT_GT(
-      mean_client_accuracy(runner.strategy_as<FedBuffStrategy>().model(), data),
+      mean_client_accuracy(runner.strategy_as<FedAvgStrategy>().model(), data),
       acc0 + 0.15)
       << "async training should improve over the random initialization";
 }
@@ -367,8 +374,9 @@ TEST(FedBuffTest, AsyncBeatsSyncWallClockUnderStragglers) {
   acfg.async.aggregations = 6;  // same number of server updates
   acfg.local.steps = 4;
   acfg.local.batch = 6;
-  FederationEngine async_runner(std::make_unique<FedBuffStrategy>(init),
-                                data, fleet, acfg);
+  FederationEngine async_runner(
+      std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data, fleet,
+      acfg);
   async_runner.run();
 
   EXPECT_LT(async_runner.now_s(), sync_wall)
@@ -384,8 +392,69 @@ TEST(FedBuffTest, RejectsInvalidConfig) {
   cfg.async.concurrency = 0;
   EXPECT_THROW(
       FederationEngine(
-          std::make_unique<FedBuffStrategy>(Model(tiny_model(), rng)), data,
-          fleet, cfg),
+          std::make_unique<FedAvgStrategy>(Model(tiny_model(), rng),
+                                           FedAvgOptions{}),
+          data, fleet, cfg),
+      Error);
+}
+
+SessionConfig small_async_session() {
+  SessionConfig cfg;
+  cfg.with_async(AsyncBlock{3, 2, 3, 0.5});
+  cfg.local.steps = 2;
+  cfg.local.batch = 4;
+  return cfg;
+}
+
+TEST(FedBuffTest, AsyncSessionRefusesSyncOnlyFedAvgOptions) {
+  // Compression, over-selection and respect_capacity are read only by a
+  // synchronous round; an async session must refuse them, not drop them.
+  auto data = FederatedDataset::generate(tiny_data(6));
+  auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
+  Rng rng(17);
+  const Model init(tiny_model(), rng);
+  FedAvgOptions compressed;
+  compressed.compression = CompressionKind::TopK;
+  FedAvgOptions overcommit;
+  overcommit.overcommit = 0.5;
+  FedAvgOptions deadline;
+  deadline.deadline_quantile = 0.8;
+  FedAvgOptions capacity;
+  capacity.respect_capacity = true;
+  for (const FedAvgOptions& opts :
+       {compressed, overcommit, deadline, capacity})
+    EXPECT_THROW(FederationEngine(std::make_unique<FedAvgStrategy>(init, opts),
+                                  data, fleet, small_async_session()),
+                 Error);
+  // The same options build a synchronous session.
+  SessionConfig sync = small_async_session();
+  sync.mode = SessionMode::Sync;
+  FederationEngine ok(std::make_unique<FedAvgStrategy>(init, compressed),
+                      data, fleet, sync);
+}
+
+TEST(FedBuffTest, StrategiesWithoutAsyncModeFailLoudly) {
+  // A shared-model strategy without an async mode builds, then refuses
+  // the first arrival instead of running forever without a version.
+  auto data = FederatedDataset::generate(tiny_data(6));
+  auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
+  Rng rng(18);
+  FederationEngine robust(
+      std::make_unique<RobustStrategy>(Model(tiny_model(), rng)), data,
+      fleet, small_async_session());
+  EXPECT_THROW(robust.run(), Error);
+  EXPECT_EQ(robust.versions_done(), 0);
+}
+
+TEST(FedBuffTest, MultiModelStrategiesAreRefusedAtConstruction) {
+  // A multi-model strategy has no model every client downloads: the
+  // engine refuses an async session on it before anything runs.
+  auto data = FederatedDataset::generate(tiny_data(6));
+  auto fleet = fleet_with_capacity(data.num_clients(), 5e6);
+  FedTransConfig ft;
+  EXPECT_THROW(
+      FederationEngine(std::make_unique<FedTransStrategy>(tiny_model(), ft),
+                       data, fleet, small_async_session()),
       Error);
 }
 
@@ -737,8 +806,9 @@ TEST(DeploymentProbeTest, LastProbeScoresSharedModelsAndSplitMixEnsembles) {
     async.async.aggregations = 6;
     async.eval_every = 3;
     expect_last_probe_scores_deployment(
-        std::make_unique<FedBuffStrategy>(Model(tiny_model(), rng)), data,
-        fleet, async);
+        std::make_unique<FedAvgStrategy>(Model(tiny_model(), rng),
+                                         FedAvgOptions{}),
+        data, fleet, async);
   }
 }
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "baselines/split_mix.hpp"
-#include "fl/async.hpp"
 #include "fl/runner.hpp"
 #include "tensor/dtype.hpp"
 #include "tensor/tensor.hpp"
@@ -271,8 +270,9 @@ TEST(MixedPrecisionE2E, AsyncFedBuffBillsHalfBytesInHalfMode) {
     cfg.async.aggregations = 6;
     cfg.use_fabric = fabric;
     cfg.local.precision.dtype = dtype;
-    FederationEngine runner(std::make_unique<FedBuffStrategy>(init), data,
-                            mp_fleet(data.num_clients()), cfg);
+    FederationEngine runner(
+        std::make_unique<FedAvgStrategy>(init, FedAvgOptions{}), data,
+        mp_fleet(data.num_clients()), cfg);
     runner.run();
     return runner.costs().network_bytes();
   };

@@ -133,12 +133,6 @@ bool find_event(const std::string& json, const std::string& name, double* ts,
   return true;
 }
 
-// Span-recording tests only exist when the macros are compiled in; a
-// -DFEDTRANS_TRACE_DISABLED=ON build turns every span site into a no-op
-// (which TraceTest.DisabledModeRecordsNothingAndAllocatesNothing still
-// covers).
-#ifndef FEDTRANS_TRACE_DISABLED
-
 TEST(TraceTest, WallSpansNestAndThreadBuffersMerge) {
   trace_clear();
   trace_start(TraceClock::Wall);
@@ -205,8 +199,6 @@ TEST(TraceTest, VirtualExportIsAByteStableGolden) {
       "]}\n");
   trace_clear();
 }
-
-#endif  // FEDTRANS_TRACE_DISABLED
 
 TEST(TraceTest, EndpointTrackMapping) {
   EXPECT_EQ(track_of_endpoint(-1), kTrackRoot);
@@ -392,10 +384,8 @@ TEST(TraceTest, VirtualTracingDoesNotPerturbChaosRunsBitwise) {
       FederationEngine b(testing::fedavg(init), data, fleet, cfg);
       b.run();
       trace_stop();
-#ifndef FEDTRANS_TRACE_DISABLED
       EXPECT_GT(trace_event_count(), 0u)
           << "virtual tracing recorded nothing on a fabric run";
-#endif
       trace_clear();
 
       expect_identical(a, b);

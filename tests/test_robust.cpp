@@ -271,9 +271,7 @@ TEST(ByzantineDrawTest, DisabledConfigsNeverDraw) {
 // ---------------------------------------------------------------------------
 // (3) Loud configuration errors.
 
-SessionConfig robust_session(std::uint64_t seed,
-                             RobustAggregator agg,
-                             int rounds = 3) {
+SessionConfig robust_session(std::uint64_t seed, int rounds = 3) {
   LocalTrainConfig local;
   local.steps = 2;
   local.batch = 4;
@@ -281,8 +279,7 @@ SessionConfig robust_session(std::uint64_t seed,
       .with_rounds(rounds)
       .with_clients_per_round(5)
       .with_local(local)
-      .with_seed(seed)
-      .with_robust_aggregation(agg);
+      .with_seed(seed);
 }
 
 TEST(RobustConfigTest, PartialAggregationTreeIsRejectedAtConstruction) {
@@ -291,7 +288,7 @@ TEST(RobustConfigTest, PartialAggregationTreeIsRejectedAtConstruction) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  SessionConfig cfg = robust_session(5, RobustAggregator::CoordinateMedian)
+  SessionConfig cfg = robust_session(5)
                           .with_tree(2, 3)
                           .with_partial_aggregation();
   EXPECT_THROW(FederationEngine(std::make_unique<RobustStrategy>(init),
@@ -305,40 +302,17 @@ TEST(RobustConfigTest, PartialAggregationTreeIsRejectedAtConstruction) {
   ok.run_round();
 }
 
-TEST(RobustConfigTest, OutOfRangeKnobsAreRejectedInAttach) {
-  auto data = FederatedDataset::generate(tiny_data());
-  auto fleet = tiny_fleet(data.num_clients());
+TEST(RobustConfigTest, OutOfRangeKnobsAreRejectedAtConstruction) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  SessionConfig half = robust_session(5, RobustAggregator::TrimmedMean);
-  half.robust.trim_fraction = 0.5;  // per-side: nothing would survive
-  EXPECT_THROW(FederationEngine(std::make_unique<RobustStrategy>(init),
-                                data, fleet, half),
-               Error);
+  RobustConfig half{RobustAggregator::TrimmedMean};
+  half.trim_fraction = 0.5;  // per-side: nothing would survive
+  EXPECT_THROW(RobustStrategy(init, half), Error);
 
-  SessionConfig clip = robust_session(5, RobustAggregator::NormClip);
-  clip.robust.clip_multiplier = 0.0;
-  EXPECT_THROW(FederationEngine(std::make_unique<RobustStrategy>(init),
-                                data, fleet, clip),
-               Error);
-}
-
-TEST(RobustConfigTest, SessionBlockOverridesConstructorConfig) {
-  auto data = FederatedDataset::generate(tiny_data());
-  auto fleet = tiny_fleet(data.num_clients());
-  Rng rng(3);
-  Model init(tiny_model(), rng);
-
-  RobustConfig ctor;
-  ctor.aggregator = RobustAggregator::CoordinateMedian;
-  SessionConfig cfg =
-      robust_session(5, RobustAggregator::TrimmedMean, /*rounds=*/1);
-  FederationEngine engine(std::make_unique<RobustStrategy>(init, ctor), data,
-                          fleet, cfg);
-  EXPECT_EQ(engine.strategy().name(), "trimmed-mean");
-  EXPECT_EQ(engine.strategy_as<RobustStrategy>().config().aggregator,
-            RobustAggregator::TrimmedMean);
+  RobustConfig clip{RobustAggregator::NormClip};
+  clip.clip_multiplier = 0.0;
+  EXPECT_THROW(RobustStrategy(init, clip), Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -353,9 +327,11 @@ struct RobustOutcome {
 
 RobustOutcome run_robust(const FederatedDataset& data,
                          const std::vector<DeviceProfile>& fleet,
-                         const Model& init, SessionConfig cfg) {
-  FederationEngine engine(std::make_unique<RobustStrategy>(init), data, fleet,
-                          cfg);
+                         const Model& init, RobustAggregator agg,
+                         SessionConfig cfg) {
+  FederationEngine engine(
+      std::make_unique<RobustStrategy>(init, RobustConfig{agg}), data, fleet,
+      cfg);
   engine.run();
   RobustOutcome out;
   out.weights = engine.strategy_as<RobustStrategy>().model().weights();
@@ -402,7 +378,7 @@ TEST(RobustFabricTest, FlatAndDeepTreesMatchInProcessBitwise) {
   // topology or transport).
   for (double byz_prob : {0.0, 0.3}) {
     for (RobustAggregator agg : aggregators) {
-      SessionConfig base = robust_session(11, agg);
+      SessionConfig base = robust_session(11);
       base.fabric_faults.byzantine_prob = byz_prob;
       base.fabric_faults.byzantine_mode = ByzantineMode::SignFlip;
       const std::string what =
@@ -410,22 +386,22 @@ TEST(RobustFabricTest, FlatAndDeepTreesMatchInProcessBitwise) {
           std::to_string(byz_prob);
 
       ThreadPool::set_global_threads(1);
-      const RobustOutcome in_process = run_robust(data, fleet, init, base);
+      const RobustOutcome in_process = run_robust(data, fleet, init, agg, base);
 
       ThreadPool::set_global_threads(4);
       SessionConfig flat = base;
       flat.use_fabric = true;
-      expect_same_outcome(in_process, run_robust(data, fleet, init, flat),
+      expect_same_outcome(in_process, run_robust(data, fleet, init, agg, flat),
                           what + " flat");
 
       SessionConfig two = base;
       two.with_tree(2, 3);
-      expect_same_outcome(in_process, run_robust(data, fleet, init, two),
+      expect_same_outcome(in_process, run_robust(data, fleet, init, agg, two),
                           what + " two-level");
 
       SessionConfig three = base;
       three.with_tree(3, 4, 2);
-      expect_same_outcome(in_process, run_robust(data, fleet, init, three),
+      expect_same_outcome(in_process, run_robust(data, fleet, init, agg, three),
                           what + " three-level");
     }
   }
@@ -438,15 +414,17 @@ TEST(RobustFabricTest, SimAndSocketTransportsAgreeBitwiseUnderAttack) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  SessionConfig sim = robust_session(42, RobustAggregator::TrimmedMean);
+  SessionConfig sim = robust_session(42);
   sim.fabric_faults.byzantine_prob = 0.3;
   sim.fabric_faults.byzantine_mode = ByzantineMode::ScaledUpdate;
   sim.use_fabric = true;
   SessionConfig socket = sim;
   socket.with_socket_transport();
 
-  expect_same_outcome(run_robust(data, fleet, init, sim),
-                      run_robust(data, fleet, init, socket), "sim vs socket");
+  const auto agg = RobustAggregator::TrimmedMean;
+  expect_same_outcome(run_robust(data, fleet, init, agg, sim),
+                      run_robust(data, fleet, init, agg, socket),
+                      "sim vs socket");
 }
 
 // ---------------------------------------------------------------------------
@@ -459,7 +437,7 @@ TEST(ByzantineAccountingTest, RoundRecordNamesAttackersAndMetricsTieOut) {
   Model init(tiny_model(), rng);
 
   MetricsRegistry::global().reset();
-  SessionConfig cfg = robust_session(7, RobustAggregator::CoordinateMedian);
+  SessionConfig cfg = robust_session(7);
   cfg.fabric_faults.byzantine_prob = 1.0;  // every trained update hostile
   cfg.fabric_faults.byzantine_mode = ByzantineMode::SignFlip;
   FederationEngine engine(std::make_unique<RobustStrategy>(init), data, fleet,
@@ -495,7 +473,7 @@ TEST(ByzantineAccountingTest, HonestRunsRecordNoAttackers) {
 
   FederationEngine engine(
       std::make_unique<RobustStrategy>(init), data, fleet,
-      robust_session(7, RobustAggregator::CoordinateMedian));
+      robust_session(7));
   engine.run();
   for (const RoundRecord& rec : engine.history()) {
     EXPECT_EQ(rec.byzantine_updates, 0);
@@ -513,13 +491,15 @@ TEST(ByzantineAccountingTest, PoisonedUpdatesAreRejectedNotAggregated) {
   Rng rng(3);
   Model init(tiny_model(), rng);
 
-  SessionConfig cfg = robust_session(13, RobustAggregator::TrimmedMean, 4);
+  SessionConfig cfg = robust_session(13, 4);
   cfg.fabric_faults.byzantine_prob = 0.4;
   cfg.fabric_faults.byzantine_mode = ByzantineMode::ScaledUpdate;
   cfg.fabric_faults.byzantine_lambda =
       std::numeric_limits<double>::infinity();
-  FederationEngine engine(std::make_unique<RobustStrategy>(init), data, fleet,
-                          cfg);
+  FederationEngine engine(
+      std::make_unique<RobustStrategy>(
+          init, RobustConfig{RobustAggregator::TrimmedMean}),
+      data, fleet, cfg);
   engine.run();
 
   auto& strat = engine.strategy_as<RobustStrategy>();
@@ -545,7 +525,7 @@ TEST(ByzantineAccountingTest, LabelFlipKeepsCleanDataIntact) {
 
   Rng rng(3);
   Model init(tiny_model(), rng);
-  SessionConfig cfg = robust_session(21, RobustAggregator::CoordinateMedian);
+  SessionConfig cfg = robust_session(21);
   cfg.fabric_faults.byzantine_prob = 0.5;
   cfg.fabric_faults.byzantine_mode = ByzantineMode::LabelFlip;
   FederationEngine engine(std::make_unique<RobustStrategy>(init), data, fleet,

@@ -223,10 +223,10 @@ TEST(SocketTransportTest, LargeFramesSurviveKernelBufferPressure) {
   const std::string big = sample_frame(1, 0, 300000);  // ~3.6 MB payload
   ASSERT_GT(big.size(), 1000000u);
   ASSERT_TRUE(sock.send(0, kServerId, big, 0.0));
-  auto env = sock.try_recv(kServerId);
-  ASSERT_TRUE(env.has_value());
-  EXPECT_EQ(env->frame, big);
-  EXPECT_FALSE(sock.try_recv(kServerId).has_value());
+  const auto inbox = sock.drain(kServerId);
+  ASSERT_EQ(inbox.size(), 1u);
+  EXPECT_EQ(inbox[0].frame, big);
+  EXPECT_TRUE(sock.drain(kServerId).empty());
 }
 
 TEST(SocketTransportTest, SocketMetricsTieOutAgainstFabricStats) {

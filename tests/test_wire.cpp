@@ -681,6 +681,80 @@ TEST(WireTest, DeltaModelDownRequiresMatchingBase) {
   EXPECT_THROW(decode_message(frame, &prev, 11), Error);
 }
 
+TEST(WireTest, HostileCountsThrowInsteadOfAllocating) {
+  // Well-framed bundles (checksums valid) whose count prefixes claim far
+  // more elements than the payload holds: every decoder must reject them
+  // as Error before sizing an allocation from the count.
+  constexpr std::uint32_t kHuge = 0xFFFFFFF0u;
+  const auto frame = [](MsgType type, const std::ostringstream& os) {
+    return encode_frame(type, 1, kServerId, aggregator_id(0), os.str(), 0);
+  };
+  const auto shard_down_head = [](std::ostringstream& os) {
+    write_pod<std::int32_t>(os, 0);  // shard
+    write_pod<std::int32_t>(os, 0);  // leaf_lo
+    write_pod<std::int32_t>(os, 1);  // leaf_hi
+  };
+  const auto reduced_head = [](std::ostringstream& os, std::uint8_t quant) {
+    write_pod<std::int32_t>(os, 0);  // shard
+    write_pod<std::uint8_t>(os, 1);  // reduced
+    write_pod<std::uint8_t>(os, quant);
+    write_pod<std::uint32_t>(os, 0);  // no entries
+  };
+  const auto group_head = [](std::ostringstream& os) {
+    write_pod<std::uint32_t>(os, 1);  // one group
+    write_pod<std::int32_t>(os, 0);   // key
+    write_pod<std::int32_t>(os, 0);   // min slot
+    write_pod<std::int32_t>(os, 1);   // count
+    write_pod<double>(os, 1.0);       // weight
+    write_pod<float>(os, 1.0f);       // int8 scale
+  };
+
+  {  // ShardDown body table
+    std::ostringstream os(std::ios::binary);
+    shard_down_head(os);
+    write_pod<std::uint32_t>(os, kHuge);
+    EXPECT_THROW(decode_shard_down(frame(MsgType::ShardDown, os)), Error);
+  }
+  {  // ShardDown task list
+    std::ostringstream os(std::ios::binary);
+    shard_down_head(os);
+    write_pod<std::uint32_t>(os, 0);
+    write_pod<std::uint32_t>(os, kHuge);
+    EXPECT_THROW(decode_shard_down(frame(MsgType::ShardDown, os)), Error);
+  }
+  {  // verbatim PartialUp entries
+    std::ostringstream os(std::ios::binary);
+    write_pod<std::int32_t>(os, 0);
+    write_pod<std::uint8_t>(os, 0);
+    write_pod<std::uint32_t>(os, kHuge);
+    EXPECT_THROW(decode_partial_up(frame(MsgType::PartialUp, os)), Error);
+  }
+  {  // reduced PartialUp groups
+    std::ostringstream os(std::ios::binary);
+    reduced_head(os, kPartialQuantF32);
+    write_pod<std::uint32_t>(os, kHuge);
+    EXPECT_THROW(decode_partial_up(frame(MsgType::PartialUp, os)), Error);
+  }
+  {  // int8 group: tensor count
+    std::ostringstream os(std::ios::binary);
+    reduced_head(os, kPartialQuantInt8);
+    group_head(os);
+    write_pod<std::uint32_t>(os, kHuge);
+    EXPECT_THROW(decode_partial_up(frame(MsgType::PartialUp, os)), Error);
+  }
+  {  // int8 group: element count of one tensor
+    std::ostringstream os(std::ios::binary);
+    reduced_head(os, kPartialQuantInt8);
+    group_head(os);
+    write_pod<std::uint32_t>(os, 1);  // one tensor
+    write_pod<std::uint32_t>(os, 2);  // rank
+    write_pod<std::int32_t>(os, 0x7FFFFFFF);
+    write_pod<std::int32_t>(os, 0x7FFFFFFF);
+    write_pod<std::int8_t>(os, 1);
+    EXPECT_THROW(decode_partial_up(frame(MsgType::PartialUp, os)), Error);
+  }
+}
+
 TEST(WireTest, BadMagicAndVersionAreRejected) {
   FabricMessage msg;
   msg.type = MsgType::Ack;
